@@ -77,11 +77,20 @@ def _load_complex(path):
 def _parse_field(spec: str) -> Field:
     if spec in ("rational", "q", "Q"):
         return Field()
-    if spec.startswith("prime:"):
-        return Field(int(spec.split(":", 1)[1]))
-    if spec.isdigit():
-        return Field(int(spec))
+    modulus = spec[len("prime:"):] if spec.startswith("prime:") else spec
+    if modulus.isdigit():
+        try:
+            return Field(int(modulus))
+        except ValueError as exc:  # composite modulus
+            raise InvalidInput(str(exc)) from None
     raise UnknownCatalogError(f"unknown field spec {spec!r} (use 'rational' or a prime)")
+
+
+def _ints(texts):
+    try:
+        return [int(x) for x in texts]
+    except ValueError:
+        raise InvalidInput(f"expected integer parameters, got {list(texts)}") from None
 
 
 # -- commands ------------------------------------------------------------------
@@ -221,8 +230,8 @@ def cmd_fuzz(args) -> int:
 
 def _catalog_algebra_doc(name: str, params):
     if name == "matsum":
-        sizes = [int(x) for x in params[0].split(",")]
-        windows = [int(x) for x in params[1].split(",")]
+        sizes = _ints(params[0].split(","))
+        windows = _ints(params[1].split(","))
         field = _parse_field(params[2] if len(params) > 2 else "rational")
         if len(sizes) != len(windows):
             raise UnknownCatalogError("matsum needs equally many sizes and windows")
@@ -262,7 +271,7 @@ def _catalog_algebra_doc(name: str, params):
         )
     if name == "group":
         kind = params[0]
-        n = int(params[1])
+        n = _ints([params[1]])[0]
         field = _parse_field(params[2] if len(params) > 2 else "rational")
         group = GroupTable.cyclic(n) if kind == "cyclic" else GroupTable.symmetric(n)
         entries = [(i, j, group.table[i][j], field.one())
@@ -283,7 +292,7 @@ def cmd_catalog(args) -> int:
     elif kind == "complex":
         if args.name not in BUILTIN_NAMES:
             raise UnknownCatalogError(f"unknown builtin complex {args.name!r}")
-        c = builtin(args.name, *[int(x) for x in args.params])
+        c = builtin(args.name, *_ints(args.params))
         doc = sio.complex_to_json(c)
     else:
         raise UnknownCatalogError(f"unknown catalog kind {kind!r}")

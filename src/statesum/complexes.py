@@ -174,7 +174,6 @@ class OpenClosedComplex:
         arcs = []
         while unvisited:
             seed = min(unvisited)
-            endpoints = [x for x in adj if len(adj[x]) == 1]
             # walk the whole chain containing `seed`
             comp = {seed}
             frontier = [seed]

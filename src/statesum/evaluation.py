@@ -10,9 +10,17 @@ out-boundary.  Because the inverse window element is central, that factor may
 be applied anywhere in each connected component; the placement here is
 deterministic and a test asserts it is immaterial.
 
-``state_sum_reduced`` compresses every black component through the splitting
-of its boundary projector, and ``state_sum`` further conjugates with the
-boundary isomorphisms, producing the triangulation-independent morphism.
+``state_sum_reduced`` and ``state_sum`` close that same network on each black
+component with ``h`` legs through the closed-form splitting of its boundary
+projector.  ``P_kl = Delta^(k) o a^-(k-1) o mu^(l)`` and
+``mu^(h) o Delta^(h) = a^(h-1)`` give ``P_h1 o P_1h = P_hh`` and
+``P_1h o P_h1 = id``, so ``im = P_h1``, ``coim = P_1h`` split ``P_hh`` through
+``A`` itself.  They are built as chains of ``h - 1`` sparse three-leg copies
+of ``P_21`` (input) or ``P_12`` (output) and one two-leg closing tensor, so no
+dense ``n^h x n^h`` matrix appears.  Circle components also pass through
+``im_p``/``coim_p``, splitting ``Q_hh`` through ``C = p(A)``.  Interval legs
+are the same at both levels; the full level, which is triangulation
+independent, differs only by the central ``a_C^(-+1)`` on circle legs.
 """
 
 from __future__ import annotations
@@ -192,62 +200,87 @@ def state_sum_raw(F: FrobeniusStructure, c: OpenClosedComplex,
     return Morphism(F.field, dom, cod, t.to_matrix(net.out_legs, net.in_legs))
 
 
-def _compressor_tensor(field, matrix, legs, new_leg, dim, from_rows):
-    """Tensor form of a leg-group (co)restriction, joined to the network so
-    greedy contraction can compress boundary legs before they accumulate."""
-    h = len(legs)
-    data = {}
-    if from_rows:  # matrix: n^h x d, indexed (flat group, new)
-        for flat, row in enumerate(matrix.data):
-            idx = []
-            rem = flat
-            for _ in range(h):
-                idx.append(rem // dim ** (h - 1 - len(idx)) % dim)
-            base = tuple(idx)
-            for c, v in enumerate(row):
-                if v != 0:
-                    data[base + (c,)] = v
-        new_dim = matrix.cols
-    else:  # matrix: d x n^h, indexed (new, flat group)
-        for r, row in enumerate(matrix.data):
-            for flat, v in enumerate(row):
-                if v == 0:
-                    continue
-                idx = []
-                rem = flat
-                for k in range(h - 1, -1, -1):
-                    idx.append((rem // dim ** k) % dim)
-                data[tuple(idx) + (r,)] = v
-        new_dim = matrix.rows
-    return Tensor(field, tuple(legs) + (new_leg,), (dim,) * h + (new_dim,), data)
+def _chain_data(F: FrobeniusStructure):
+    """Sparse three-leg forms of ``P_21 = Delta o a^-1`` and ``P_12 = mu``,
+    both indexed ``(left, right, joined)``."""
+    if "chain_sparse" not in F._cache:
+        n = F.dim
+        delta = {(r // n, r % n, i): v for r, row in enumerate(F.p_matrix(2, 1).data)
+                 for i, v in enumerate(row) if v != 0}
+        mu = {(c // n, c % n, k): v for k, row in enumerate(F.p_matrix(1, 2).data)
+              for c, v in enumerate(row) if v != 0}
+        F._cache["chain_sparse"] = (delta, mu)
+    return F._cache["chain_sparse"]
 
 
-def _reduced_tensor(F, c, coloured_elements=None):
-    net = build_dual_network(F, c, coloured_elements)
+def _join_legs(F, legs, prefix, data):
+    """Join an ordered leg group to one leg through ``len(legs) - 1`` copies of
+    the three-leg ``data``, on inner legs ``prefix + (pos, 0)``.  Gluing strips
+    composes ``P_21`` chains to ``P_h1`` and ``P_12`` chains to ``P_1h``.
+    Returns the tensors and the joined leg."""
     n = F.dim
-    dom = []
-    cod = []
-    for ci, (kind, legs) in enumerate(net.in_components):
-        h = len(legs)
-        im, _ = (F.split_pkk(h) if kind == "interval" else F.split_qkk(h))
-        net.tensors.append(_compressor_tensor(F.field, im, legs, ("rin", ci, 0, 0), n, True))
-        dom.append(split_factor(im.cols))
-    for ci, (kind, legs) in enumerate(net.out_components):
-        h = len(legs)
-        _, coim = (F.split_pkk(h) if kind == "interval" else F.split_qkk(h))
-        net.tensors.append(_compressor_tensor(F.field, coim, legs, ("rout", ci, 0, 0), n, False))
-        cod.append(split_factor(coim.rows))
+    tensors = []
+    joined = legs[-1]
+    for pos in range(len(legs) - 2, -1, -1):
+        leg = prefix + (pos, 0)
+        tensors.append(Tensor(F.field, (legs[pos], joined, leg), (n, n, n), data))
+        joined = leg
+    return tensors, joined
+
+
+def _close_component(F, side, ci, kind, legs, full):
+    """Tensors closing one black component with ``h`` legs onto the single leg
+    ``("r" + side, ci, 0, 0)``, and that leg's factor.
+
+    An input gets ``P_h1 = Delta^(h) o a^-(h-1)``, an output ``P_1h = mu^(h)``;
+    ``P_h1 o P_1h = P_hh`` and ``P_1h o P_h1 = id``, so this splits ``P_hh``
+    through ``A``.  A circle also passes through ``im_p``/``coim_p``, which
+    splits ``Q_hh`` through ``C``; the full level adds the central
+    ``a_C^(-+1)`` on circle legs.
+    """
+    delta, mu = _chain_data(F)
+    new_leg = ("r" + side, ci, 0, 0)
+    shift = 1 if full and kind == "circle" else 0
+    if side == "in":
+        tensors, joined = _join_legs(F, legs, ("jin", ci), delta)
+        m = F.window_power_matrix(-shift)
+        if kind == "circle":
+            m = m @ F.split_p()[0]
+        tensors.append(Tensor.from_matrix_sparse(F.field, (joined, new_leg), (m.rows, m.cols), m))
+        d = m.cols
+    else:
+        tensors, joined = _join_legs(F, legs, ("jout", ci), mu)
+        m = F.window_power_matrix(shift)
+        if kind == "circle":
+            m = F.split_p()[1] @ m
+        tensors.append(Tensor.from_matrix_sparse(F.field, (new_leg, joined), (m.rows, m.cols), m))
+        d = m.rows
+    return tensors, (full_factor(d) if kind == "interval" else split_factor(d))
+
+
+def _closed_form_state_sum(F, c, coloured_elements, full):
+    net = build_dual_network(F, c, coloured_elements)
+    signature = {}
+    for side, components in (("in", net.in_components), ("out", net.out_components)):
+        factors = []
+        for ci, (kind, legs) in enumerate(components):
+            tensors, factor = _close_component(F, side, ci, kind, legs, full)
+            net.tensors.extend(tensors)
+            factors.append(factor)
+        signature[side] = tuple(factors)
     out_legs = [("rout", ci, 0, 0) for ci in range(len(net.out_components))]
     in_legs = [("rin", ci, 0, 0) for ci in range(len(net.in_components))]
-    t = contract_network(net).with_leg_order(tuple(out_legs) + tuple(in_legs))
-    return t, net, tuple(dom), tuple(cod), out_legs, in_legs
+    t = contract_network(net)
+    return Morphism(F.field, signature["in"], signature["out"], t.to_matrix(out_legs, in_legs))
 
 
 def state_sum_reduced(F: FrobeniusStructure, c: OpenClosedComplex,
                       coloured_elements=None) -> Morphism:
-    """State sum compressed through the boundary projectors' splittings."""
-    t, _, dom, cod, out_legs, in_legs = _reduced_tensor(F, c, coloured_elements)
-    return Morphism(F.field, dom, cod, t.to_matrix(out_legs, in_legs))
+    """State sum compressed through the boundary projectors' splittings.
+
+    Interval legs land on ``A``, circle legs on ``C = p(A)``.
+    """
+    return _closed_form_state_sum(F, c, coloured_elements, full=False)
 
 
 def state_sum(F: FrobeniusStructure, c: OpenClosedComplex,
@@ -257,28 +290,7 @@ def state_sum(F: FrobeniusStructure, c: OpenClosedComplex,
     Interval legs land on the full algebra ``A``; circle legs on the split
     closed space ``C = p(A)``.
     """
-    t, net, _, _, out_legs, in_legs = _reduced_tensor(F, c, coloured_elements)
-    dom = []
-    cod = []
-    for ci, (kind, legs) in enumerate(net.in_components):
-        h = len(legs)
-        if kind == "interval":
-            xi, _ = F.phi_matrices(h)
-            dom.append(full_factor(F.dim))
-        else:
-            xi, _ = F.circle_boundary_matrices(h)
-            dom.append(split_factor(xi.cols))
-        t = t.apply_matrix(("rin", ci, 0, 0), xi, transpose=True)
-    for ci, (kind, legs) in enumerate(net.out_components):
-        h = len(legs)
-        if kind == "interval":
-            _, xi_inv = F.phi_matrices(h)
-            cod.append(full_factor(F.dim))
-        else:
-            _, xi_inv = F.circle_boundary_matrices(h)
-            cod.append(split_factor(xi_inv.rows))
-        t = t.apply_matrix(("rout", ci, 0, 0), xi_inv)
-    return Morphism(F.field, tuple(dom), tuple(cod), t.to_matrix(out_legs, in_legs))
+    return _closed_form_state_sum(F, c, coloured_elements, full=True)
 
 
 def evaluate_closed(F: FrobeniusStructure, c: OpenClosedComplex):

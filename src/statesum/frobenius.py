@@ -287,6 +287,8 @@ class FrobeniusStructure:
         if key not in self._cache:
             if arity == 1:
                 m = Matrix.identity(self.field, self.dim)
+            elif arity == 2:
+                m = self.mu_matrix()
             else:
                 prev = self.iterated_mu_matrix(arity - 1)
                 m = self.mu_matrix() @ prev.kron(Matrix.identity(self.field, self.dim))
@@ -300,6 +302,8 @@ class FrobeniusStructure:
         if key not in self._cache:
             if arity == 1:
                 m = Matrix.identity(self.field, self.dim)
+            elif arity == 2:
+                m = self.delta_matrix()
             else:
                 prev = self.iterated_delta_matrix(arity - 1)
                 m = prev.kron(Matrix.identity(self.field, self.dim)) @ self.delta_matrix()
@@ -370,13 +374,15 @@ class FrobeniusStructure:
         return self._cache[key]
 
     def circle_boundary_matrices(self, k: int):
-        """The circle-leg isomorphisms actually used by the full state sum.
+        """The circle-leg isomorphisms of the full state sum, from the pivot
+        splitting of ``Q_kk``.
 
         These are the psi isomorphisms corrected by one central window factor
         on the closed space: the correction makes the evaluated generators
         land exactly on the knowledgeable Frobenius algebra obtained from the
         idempotent splitting, rather than on its transport along
-        multiplication by the window element.
+        multiplication by the window element.  The state sum never forms
+        them; it applies the same correction on the closed-form splitting.
         """
         key = ("circle_iso", k)
         if key not in self._cache:

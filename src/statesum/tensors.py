@@ -91,54 +91,6 @@ class Tensor:
         dims = self.dims[:pos] + (new_dim,) + self.dims[pos + 1:]
         return Tensor(self.field, self.legs, dims, data)
 
-    def contract_group(self, group_legs, matrix: Matrix, new_leg, codomain: bool) -> "Tensor":
-        """Replace an ordered leg group by a single leg through a matrix.
-
-        ``codomain=False``: ``matrix`` maps the new space into the group
-        (shape ``prod(group dims) x d``); the group legs are summed against
-        matrix rows.  ``codomain=True``: ``matrix`` maps the group onto the
-        new space (shape ``d x prod(group dims)``), summed against columns.
-        """
-        positions = [self.legs.index(l) for l in group_legs]
-        gdims = [self.dims[p] for p in positions]
-        strides = [1] * len(gdims)
-        for i in range(len(gdims) - 2, -1, -1):
-            strides[i] = strides[i + 1] * gdims[i + 1]
-        lookup = {}
-        if codomain:
-            new_dim = matrix.rows
-            for r, row in enumerate(matrix.data):
-                for flat, v in enumerate(row):
-                    if v != 0:
-                        lookup.setdefault(flat, []).append((r, v))
-        else:
-            new_dim = matrix.cols
-            for flat, row in enumerate(matrix.data):
-                for c, v in enumerate(row):
-                    if v != 0:
-                        lookup.setdefault(flat, []).append((c, v))
-        posset = set(positions)
-        keep = [i for i in range(len(self.legs)) if i not in posset]
-        p = self.field.p
-        acc = {}
-        for idx, v in self.data.items():
-            flat = 0
-            for s, pos in zip(strides, positions):
-                flat += s * idx[pos]
-            hits = lookup.get(flat)
-            if not hits:
-                continue
-            base = tuple(idx[i] for i in keep)
-            for out_i, m in hits:
-                key = base + (out_i,)
-                prev = acc.get(key)
-                val = v * m if prev is None else prev + v * m
-                acc[key] = val if p is None else val % p
-        data = {k: v for k, v in acc.items() if v != 0}
-        legs = tuple(self.legs[i] for i in keep) + (new_leg,)
-        dims = tuple(self.dims[i] for i in keep) + (new_dim,)
-        return Tensor(self.field, legs, dims, data)
-
     def scale(self, value) -> "Tensor":
         f = self.field
         data = {k: f.mul(v, value) for k, v in self.data.items()}

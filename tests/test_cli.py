@@ -242,6 +242,14 @@ def test_catalog_unknown_name(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("params", [("2", "x"), ("2", "1", "4")])
+def test_catalog_matsum_bad_parameters_are_invalid_input(capsys, params):
+    # a non-integer window and a composite modulus
+    code, out = run(capsys, "catalog", "algebra", "matsum", *params)
+    assert code == 1
+    assert json.loads(out)["error"] == "InvalidInput"
+
+
 def test_eval_invalid_complex_file(z2_file, tmp_path, capsys):
     doc = {"vertices": 5, "triangles": [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
            "coloured_edges": [], "black_in": [], "black_out": []}

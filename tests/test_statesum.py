@@ -19,7 +19,9 @@ from statesum.cobordisms import (
 from statesum.complexes import pachner_22, shelling_split_edge
 from statesum.errors import HasBlackBoundaryError, SignatureMismatchError
 from statesum.evaluation import (
+    _chain_data,
     _gstar_sparse,
+    _join_legs,
     build_dual_network,
     contract_network,
     evaluate_closed,
@@ -28,7 +30,7 @@ from statesum.evaluation import (
     state_sum_reduced,
 )
 from statesum.fields import QQ
-from statesum.morphism import Morphism, full_factor
+from statesum.morphism import Morphism, full_factor, split_factor
 from statesum.tensors import Tensor, contract_pair, greedy_contract
 
 
@@ -78,20 +80,25 @@ def test_window_factor_placement_independence(z2):
     assert values == {default}
 
 
-def test_tensor_group_contract_splitting_roundtrip(m2):
+@pytest.mark.parametrize("h", [2, 3])
+def test_delta_and_mu_chains_split_the_boundary_projector(m2, h):
     alg, F = m2
     n = alg.dim
-    im, coim = F.split_pkk(2)
-    rng = random.Random(0)
-    data = {(i, j): Fraction(rng.randrange(-3, 4))
-            for i in range(n) for j in range(n * n) if rng.random() < 0.4}
-    t = Tensor(QQ, ("u", "x"), (n, n * n), {k: v for k, v in data.items() if v})
-    # restricting an input leg through im and re-expanding through coim
-    # composes P_22 = im o coim onto that input
-    squeezed = t.contract_group(["x"], im, "c", codomain=False)
-    back = squeezed.contract_group(["c"], coim, "x", codomain=False)
-    expect = t.apply_matrix("x", F.p_matrix(2, 2), transpose=True)
-    assert back.with_leg_order(("u", "x")).data == expect.data
+    delta, mu = _chain_data(F)
+    ident = S.Matrix.identity(QQ, n)
+    xs = [("x", 0, i, 0) for i in range(h)]
+    ys = [("y", 0, i, 0) for i in range(h)]
+    # im o coim = P_h1 o P_1h = P_hh
+    mus, m_leg = _join_legs(F, xs, ("jm", 0), mu)
+    deltas, d_leg = _join_legs(F, ys, ("jd", 0), delta)
+    glue = Tensor.from_matrix_sparse(QQ, (d_leg, m_leg), (n, n), ident)
+    assert greedy_contract(deltas + [glue] + mus).to_matrix(ys, xs) == F.p_matrix(h, h)
+    # coim o im = P_1h o P_h1 = mu^(h) o Delta^(h) o a^-(h-1) = id_A
+    deltas, d_leg = _join_legs(F, xs, ("jd", 0), delta)
+    mus, m_leg = _join_legs(F, xs, ("jm", 0), mu)
+    glue = Tensor.from_matrix_sparse(QQ, (d_leg, "u"), (n, n), ident)
+    back = greedy_contract(deltas + [glue] + mus).to_matrix([m_leg], ["u"])
+    assert back == ident
 
 
 # -- cylinders -----------------------------------------------------------------------
@@ -187,6 +194,66 @@ def test_full_generator_suite(small_structures):
         }
         for name, expect in checks.items():
             assert state_sum(F, gens[name]).matrix == expect, (label, name)
+
+
+def _dense_state_sum(F, c):
+    """``state_sum`` as a dense composite: the raw morphism between the pivot
+    splittings of ``P_hh``/``Q_hh`` and the boundary isomorphisms."""
+    one = S.Matrix.identity(F.field, 1)
+    ins, outs, dom, cod = one, one, [], []
+    for comp in c.black_in:
+        h = len(comp.edge_keys())
+        if comp.kind == "interval":
+            (im, _), (xi, _) = F.split_pkk(h), F.phi_matrices(h)
+            dom.append(full_factor(F.dim))
+        else:
+            (im, _), (xi, _) = F.split_qkk(h), F.circle_boundary_matrices(h)
+            dom.append(split_factor(xi.cols))
+        ins = ins.kron(im @ xi)
+    for comp in c.black_out:
+        h = len(comp.edge_keys())
+        if comp.kind == "interval":
+            (_, coim), (_, xi_inv) = F.split_pkk(h), F.phi_matrices(h)
+            cod.append(full_factor(F.dim))
+        else:
+            (_, coim), (_, xi_inv) = F.split_qkk(h), F.circle_boundary_matrices(h)
+            cod.append(split_factor(xi_inv.rows))
+        outs = outs.kron(xi_inv @ coim)
+    raw = state_sum_raw(F, c).matrix
+    return Morphism(F.field, tuple(dom), tuple(cod), outs @ raw @ ins)
+
+
+def test_state_sum_matches_dense_splitting_composite(structures):
+    complexes = dict(S.generator_suite(), strip23=strip(2, 3), annulus33=annulus(3, 3),
+                     zipper32=zipper(3, 2))
+    for label in ("Q[Z/2] window 2e+g", "F7[Z/3] delta", "M2(F11) alpha=4", "pair groupoid"):
+        alg, F = structures[label]
+        for name, c in complexes.items():
+            assert state_sum(F, c) == _dense_state_sum(F, c), (label, name)
+
+
+@pytest.mark.parametrize("field", [QQ, S.GF(10007)], ids=["Q", "F10007"])
+def test_full_state_sum_on_six_edge_boundaries(field):
+    # a dense splitting of P_66 would be 13^6 x 13^6
+    alg, F = S.matrix_direct_sum(field, [2, 3], [1, 2])
+    assert state_sum(F, strip(6, 6)) == Morphism.identity(field, (full_factor(alg.dim),))
+    d = F.split_p()[0].cols
+    assert state_sum(F, annulus(6, 6)) == Morphism.identity(field, (split_factor(d),))
+
+
+def test_full_differs_from_reduced_by_closed_window_on_circles(structures):
+    alg, F = structures["Q[Z/2] window 2e+g"]
+    one = S.Matrix.identity(QQ, 1)
+    for name, c in S.generator_suite().items():
+        ins, outs = one, one
+        for comp in c.black_in:
+            ins = ins.kron(F.closed_window_matrix(-1) if comp.kind == "circle"
+                           else S.Matrix.identity(QQ, alg.dim))
+        for comp in c.black_out:
+            outs = outs.kron(F.closed_window_matrix(1) if comp.kind == "circle"
+                             else S.Matrix.identity(QQ, alg.dim))
+        z = state_sum_reduced(F, c)
+        assert state_sum(F, c) == Morphism(QQ, z.domain, z.codomain, outs @ z.matrix @ ins), name
 
 
 def test_full_mode_signatures(z2):

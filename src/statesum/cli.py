@@ -81,7 +81,7 @@ def _parse_field(spec: str) -> Field:
     if modulus.isdigit():
         try:
             return Field(int(modulus))
-        except ValueError as exc:  # composite modulus
+        except ValueError as exc:  # composite, or too large to certify prime
             raise InvalidInput(str(exc)) from None
     raise UnknownCatalogError(f"unknown field spec {spec!r} (use 'rational' or a prime)")
 

@@ -13,15 +13,35 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+#: Miller-Rabin with the prime bases 2..41 is deterministic below this bound
+#: (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+MR_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; inputs at desk scale are tiny."""
+    """Deterministic Miller-Rabin; raises ``ValueError`` for ``n >= MR_BOUND``,
+    where these bases no longer prove primality."""
+    if n >= MR_BOUND:
+        raise ValueError(f"cannot certify primality of moduli >= {MR_BOUND}, got {n}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -158,16 +158,18 @@ class Matrix:
         f = self.field
         rows = self.rows * other.rows
         cols = self.cols * other.cols
-        out = [[None] * cols for _ in range(rows)]
+        zero = f.zero()
+        out = [[zero] * cols for _ in range(rows)]
+        right = [[(c, v) for c, v in enumerate(orow) if v != 0] for orow in other.data]
         for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i][j]
-                for r in range(other.rows):
-                    orow = other.data[r]
+            for j, a in enumerate(self.data[i]):
+                if a == 0:
+                    continue
+                base = j * other.cols
+                for r, nz in enumerate(right):
                     target = out[i * other.rows + r]
-                    base = j * other.cols
-                    for c in range(other.cols):
-                        target[base + c] = f.mul(a, orow[c])
+                    for c, v in nz:
+                        target[base + c] = f.mul(a, v)
         return Matrix(f, rows, cols, out)
 
     # -- elimination --------------------------------------------------------------

@@ -7,6 +7,14 @@ state sum (the trilinear form, the inverse pairing, units) are very sparse
 and stay sparse under contraction, which is what keeps exact evaluation at
 dimension ~15 affordable.
 
+Over Q a network is contracted over Python ints, not ``Fraction``s.  A
+contraction is multilinear: every entry of the result is a sum of products
+taking one entry from each tensor.  Scaling each tensor by the lcm ``L_t`` of
+its denominators therefore scales every entry of the result by
+``D = prod L_t``, so the integer contraction divided once by ``D`` is the
+rational one, exactly; the ``Fraction``s it yields are canonical and hence
+identical to those of a ``Fraction`` contraction.
+
 The pair-selection rule is greedy on the *dense* size of the resulting
 tensor (ties broken by the smallest shared leg, then creation order), which
 is deterministic; any order yields the same result by multilinearity, and a
@@ -14,6 +22,9 @@ seeded shuffled order is available to test exactly that.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .linalg import Matrix
 
@@ -91,11 +102,6 @@ class Tensor:
         dims = self.dims[:pos] + (new_dim,) + self.dims[pos + 1:]
         return Tensor(self.field, self.legs, dims, data)
 
-    def scale(self, value) -> "Tensor":
-        f = self.field
-        data = {k: f.mul(v, value) for k, v in self.data.items()}
-        return Tensor(f, self.legs, self.dims, {k: v for k, v in data.items() if v != 0})
-
     def to_matrix(self, row_legs, col_legs) -> Matrix:
         t = self.with_leg_order(tuple(row_legs) + tuple(col_legs))
         nrow_legs = len(row_legs)
@@ -170,8 +176,20 @@ def _pair_cost(t1, t2):
     for l, d in zip(t2.legs, t2.dims):
         if l not in shared:
             size *= d
-    min_shared = min(shared) if shared else min(t1.legs + t2.legs) if (t1.legs or t2.legs) else None
-    return size, min_shared
+    return size, min(shared)
+
+
+def _clear_denominators(tensors):
+    """Integer copies of rational tensors, each scaled by the lcm of its
+    denominators, and the product ``D`` of those scales."""
+    out = []
+    D = 1
+    for t in tensors:
+        L = lcm(*(v.denominator for v in t.data.values()))
+        D *= L
+        data = {k: v.numerator * (L // v.denominator) for k, v in t.data.items()}
+        out.append(Tensor(t.field, t.legs, t.dims, data))
+    return out, D
 
 
 def greedy_contract(tensors, shuffle_rng=None) -> Tensor:
@@ -182,10 +200,14 @@ def greedy_contract(tensors, shuffle_rng=None) -> Tensor:
     order); disconnected remainders are combined smallest-first.  If
     ``shuffle_rng`` is given, candidate pairs are drawn at random instead --
     used to assert order independence.
+
+    Over Q the contraction runs on integer copies (see the module docstring)
+    and the result is divided by their common scale once, at the end.
     """
-    items = {}
-    for i, t in enumerate(tensors):
-        items[i] = t
+    rational = tensors[0].field.p is None
+    if rational:
+        tensors, D = _clear_denominators(tensors)
+    items = dict(enumerate(tensors))
     next_id = len(tensors)
 
     leg_holders = {}
@@ -227,4 +249,7 @@ def greedy_contract(tensors, shuffle_rng=None) -> Tensor:
         for l in merged.legs:
             leg_holders.setdefault(l, set()).add(next_id)
         next_id += 1
-    return items.popitem()[1]
+    result = items.popitem()[1]
+    if rational:
+        result.data = {k: Fraction(v, D) for k, v in result.data.items()}
+    return result

@@ -242,9 +242,9 @@ def test_catalog_unknown_name(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("params", [("2", "x"), ("2", "1", "4")])
+@pytest.mark.parametrize("params", [("2", "x"), ("2", "1", "4"), ("2", "1", str(2**82 + 1))])
 def test_catalog_matsum_bad_parameters_are_invalid_input(capsys, params):
-    # a non-integer window and a composite modulus
+    # a non-integer window, a composite modulus and a modulus too large to certify
     code, out = run(capsys, "catalog", "algebra", "matsum", *params)
     assert code == 1
     assert json.loads(out)["error"] == "InvalidInput"

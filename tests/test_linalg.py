@@ -113,6 +113,22 @@ def test_kron_index_order():
                     assert k[(2 * i + r, 2 * j + c)] == a[(i, j)] * b[(r, c)]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_kron_of_sparse_matrices_is_entrywise(field):
+    a = mat(field, [[0, 2, 0], [0, 0, 0]])
+    b = mat(field, [[3, 0], [0, 0], [0, 5]])
+    k = a.kron(b)
+    assert (k.rows, k.cols) == (6, 6)
+    for i in range(2):
+        for j in range(3):
+            for r in range(3):
+                for c in range(2):
+                    entry = k[(3 * i + r, 2 * j + c)]
+                    assert entry == field.mul(a[(i, j)], b[(r, c)])
+                    assert type(entry) is type(field.zero())
+    assert sum(x != 0 for row in k.data for x in row) == 2
+
+
 def test_scalar_parse_format_roundtrip():
     assert QQ.parse("-3/6") == Fraction(-1, 2)
     assert QQ.format(Fraction(-1, 2)) == "-1/2"
@@ -126,3 +142,21 @@ def test_scalar_parse_format_roundtrip():
 def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         S.Field(6)
+
+
+def test_large_prime_field_builds():
+    assert S.GF(2**61 - 1).p == 2**61 - 1
+
+
+@pytest.mark.parametrize("n", [561, 2047, 2**61 + 1])
+def test_pseudoprimes_are_not_prime_fields(n):
+    # a Carmichael number, a strong pseudoprime to base 2, and 3 * 768614336404564651
+    with pytest.raises(ValueError):
+        S.Field(n)
+
+
+def test_modulus_beyond_certified_primality_bound_is_refused():
+    from statesum.fields import MR_BOUND, is_prime
+    assert not is_prime(MR_BOUND - 1)
+    with pytest.raises(ValueError):
+        is_prime(MR_BOUND)

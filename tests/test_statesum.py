@@ -101,6 +101,69 @@ def test_delta_and_mu_chains_split_the_boundary_projector(m2, h):
     assert back == ident
 
 
+def _fold(tensors):
+    """Left fold of ``contract_pair`` over the original tensors, taking next
+    the first tensor that leaves the product so far with the fewest legs."""
+    rest = list(tensors)
+    acc = rest.pop(0)
+    while rest:
+        i = min(range(len(rest)), key=lambda i: len(set(acc.legs) ^ set(rest[i].legs)))
+        acc = contract_pair(acc, rest.pop(i))
+    return acc
+
+
+def _brane_strip_network():
+    gd = S.FiniteGroupoid.pair(2)
+    alg, F, model = S.groupoid_algebra(QQ, gd)
+    c = strip(2, 1)
+    arcs = c.coloured_arcs()
+    colours = {e: model.object_idempotents[i] for i, arc in enumerate(arcs) for e in arc}
+    return build_dual_network(F, c, colours).tensors
+
+
+def _orthogonal_idempotents_network():
+    # eps(e_0 e_1 x) = 0 for every x: the contraction has no nonzero entry
+    gd = S.FiniteGroupoid.pair(2)
+    alg, F, model = S.groupoid_algebra(QQ, gd)
+    n = alg.dim
+    e0, e1 = (model.object_idempotents[x].coeffs for x in (0, 1))
+    return [Tensor.vector(QQ, "a", n, e0), Tensor.vector(QQ, "b", n, e1),
+            Tensor(QQ, ("a", "b", "c"), (n, n, n), F.trilinear())]
+
+
+def _surface_network(field):
+    alg, F = S.matrix_direct_sum(field, [2, 3], [1, 2])
+    return build_dual_network(F, closed_surface(0, 2)).tensors
+
+
+@pytest.mark.parametrize("network", ["surface", "brane_strip", "single", "zero"])
+def test_integer_contraction_equals_fraction_fold(network):
+    tensors = {
+        "surface": lambda: _surface_network(QQ),
+        "brane_strip": _brane_strip_network,
+        "single": lambda: _brane_strip_network()[:1],
+        "zero": _orthogonal_idempotents_network,
+    }[network]()
+    if network == "surface":  # the tensors carry different denominators
+        assert len({max(v.denominator for v in t.data.values()) for t in tensors}) > 1
+    before = [dict(t.data) for t in tensors]
+    got = greedy_contract(tensors)
+    want = _fold(tensors)
+    assert got.with_leg_order(want.legs).data == want.data
+    assert all(type(v) is Fraction for v in got.data.values())
+    assert [t.data for t in tensors] == before  # the inputs are not rescaled in place
+    if network == "zero":
+        assert got.data == {} and got.legs == ("c",)
+
+
+def test_prime_field_contraction_stays_in_residues():
+    p = 10007
+    tensors = _surface_network(S.GF(p))
+    got = greedy_contract(tensors)
+    assert got.data == _fold(tensors).data
+    assert all(type(v) is int and 0 < v < p for v in got.data.values())
+
+
 # -- cylinders -----------------------------------------------------------------------
 
 

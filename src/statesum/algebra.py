@@ -21,7 +21,7 @@ from .linalg import Matrix
 class Algebra:
     """Associative unital algebra with a distinguished basis."""
 
-    __slots__ = ("field", "dim", "basis_names", "unit", "_mul", "_mul_sparse", "_trace_vec", "_cache")
+    __slots__ = ("field", "dim", "basis_names", "unit", "_mul_sparse", "_trace_vec", "_cache")
 
     def __init__(self, field: Field, dim: int, mul_entries, unit, basis_names=None, validate: bool = True):
         """``mul_entries`` iterates sparse quadruples ``(i, j, k, coeff)``."""
@@ -47,7 +47,6 @@ class Algebra:
             for key, row in table.items()
         }
         self._mul_sparse = {k: v for k, v in self._mul_sparse.items() if v}
-        self._mul = None
         if len(unit) != dim:
             raise ValueError("unit vector length must equal dim")
         self.unit = tuple(unit)

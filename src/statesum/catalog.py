@@ -87,6 +87,14 @@ class GroupTable:
         return cls(table, names=["".join(map(str, p)) for p in perms])
 
 
+def group_table_algebra(field: Field, group: GroupTable) -> Algebra:
+    """Bare ``k[G]`` on the group elements; no characteristic check."""
+    n = group.order
+    entries = [(i, j, group.table[i][j], field.one()) for i in range(n) for j in range(n)]
+    unit = [field.one() if i == group.identity else field.zero() for i in range(n)]
+    return Algebra(field, n, entries, unit, basis_names=group.names)
+
+
 def group_algebra(field: Field, group: GroupTable):
     """``k[G]`` with the delta-at-identity counit; window element ``|G|``."""
     p = field.characteristic()
@@ -94,71 +102,65 @@ def group_algebra(field: Field, group: GroupTable):
         raise CharDividesOrderError(
             f"characteristic {p} divides |G| = {group.order}; k[G] is not strongly separable"
         )
-    n = group.order
-    entries = [(i, j, group.table[i][j], field.one()) for i in range(n) for j in range(n)]
-    unit = [field.one() if i == group.identity else field.zero() for i in range(n)]
-    alg = Algebra(field, n, entries, unit, basis_names=group.names)
-    eps = [field.one() if i == group.identity else field.zero() for i in range(n)]
-    return alg, FrobeniusStructure(alg, eps)
+    alg = group_table_algebra(field, group)
+    return alg, FrobeniusStructure(alg, alg.unit)  # the unit vector is delta at the identity
 
 
 # -- matrix direct sums ------------------------------------------------------------
 
 
-def matrix_direct_sum(field: Field, sizes, windows):
-    """``A = (+)_j M_{m_j}`` with window element ``sum_j a_j z_j``.
+def block_diagonal(field: Field, sizes, values):
+    """Coefficients of ``sum_j values[j] 1_j`` in the basis of ``(+)_j M_{m_j}``,
+    where ``1_j`` is the unit of block ``j``."""
+    coeffs = []
+    for m, v in zip(sizes, values):
+        coeffs += [v if r == c else field.zero() for r in range(m) for c in range(m)]
+    return coeffs
+
+
+def matrix_sum_algebra(field: Field, sizes, windows):
+    """Bare ``A = (+)_j M_{m_j}`` and the window coefficients ``a_j`` as field
+    elements; no characteristic or invertibility check.
 
     Basis ``e^{(j)}_{pq}`` ordered block by block, row-major inside a block.
-    The counit is ``eps(e^{(j)}_{pq}) = delta_pq m_j / a_j``.
     """
     sizes = list(sizes)
     windows = list(windows)
     if len(sizes) != len(windows):
         raise InvalidInput("sizes and windows must have equal length")
-    p = field.characteristic()
-    for m in sizes:
-        if m < 1:
-            raise InvalidInput("block sizes must be >= 1")
-        if p and m % p == 0:
-            raise CharDividesBlockError(f"characteristic {p} divides block size {m}")
+    if any(m < 1 for m in sizes):
+        raise InvalidInput("block sizes must be >= 1")
     win = [field.parse(str(a)) if isinstance(a, str) else field.of_int(a) if isinstance(a, int) else a
            for a in windows]
-    for a in win:
-        if a == 0:
-            raise ZeroWindowCoefficientError("window coefficients must be invertible")
-
-    offsets = []
-    off = 0
-    for m in sizes:
-        offsets.append(off)
-        off += m * m
-    dim = off
-
-    def idx(j, pq):
-        r, cc = pq
-        return offsets[j] + r * sizes[j] + cc
-
     entries = []
-    names = [None] * dim
+    names = []
+    off = 0
     for j, m in enumerate(sizes):
-        for r in range(m):
-            for cc in range(m):
-                names[idx(j, (r, cc))] = f"e{j}_{r}{cc}"
+        names += [f"e{j}_{r}{c}" for r in range(m) for c in range(m)]
         for r in range(m):
             for s in range(m):
                 for t in range(m):
-                    entries.append((idx(j, (r, s)), idx(j, (s, t)), idx(j, (r, t)), field.one()))
-    unit = [field.zero()] * dim
-    for j, m in enumerate(sizes):
-        for r in range(m):
-            unit[idx(j, (r, r))] = field.one()
-    alg = Algebra(field, dim, entries, unit, basis_names=names)
+                    entries.append((off + r * m + s, off + s * m + t, off + r * m + t, field.one()))
+        off += m * m
+    unit = block_diagonal(field, sizes, [field.one()] * len(sizes))
+    return Algebra(field, off, entries, unit, basis_names=names), win
 
-    eps = [field.zero()] * dim
-    for j, m in enumerate(sizes):
-        diag = field.div(field.of_int(m), win[j])
-        for r in range(m):
-            eps[idx(j, (r, r))] = diag
+
+def matrix_direct_sum(field: Field, sizes, windows):
+    """``A = (+)_j M_{m_j}`` with window element ``sum_j a_j z_j``.
+
+    The counit is ``eps(e^{(j)}_{pq}) = delta_pq m_j / a_j``.
+    """
+    sizes = list(sizes)
+    alg, win = matrix_sum_algebra(field, sizes, windows)
+    p = field.characteristic()
+    for m in sizes:
+        if p and m % p == 0:
+            raise CharDividesBlockError(f"characteristic {p} divides block size {m}")
+    for a in win:
+        if a == 0:
+            raise ZeroWindowCoefficientError("window coefficients must be invertible")
+    eps = block_diagonal(field, sizes, [field.div(field.of_int(m), a) for m, a in zip(sizes, win)])
     return alg, FrobeniusStructure(alg, eps)
 
 

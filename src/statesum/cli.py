@@ -16,10 +16,12 @@ import argparse
 import sys
 
 from . import io as sio
-from .algebra import Algebra
 from .catalog import (
     GroupTable,
+    block_diagonal,
     genus_window_scalar,
+    group_table_algebra,
+    matrix_sum_algebra,
     surface_invariant_closed_form,
 )
 from .cobordisms import BUILTIN_NAMES, builtin, closed_surface
@@ -202,13 +204,6 @@ def cmd_surface(args) -> int:
 def cmd_fuzz(args) -> int:
     alg, F, _ = _load_algebra(args.algebra)
     c = _load_complex(args.complex)
-    if args.corrupt:
-        # negative-control hook: tamper with the trilinear form so move
-        # invariance must fail
-        g3 = dict(F.trilinear())
-        key = next(iter(sorted(g3)))
-        g3[key] = F.field.add(g3[key], F.field.one())
-        F._cache["g3"] = g3
     base = state_sum_raw(F, c)
     verdicts = []
     ok_all = True
@@ -228,61 +223,36 @@ def cmd_fuzz(args) -> int:
     return 0 if ok_all else 1
 
 
+_CATALOG_ALGEBRAS = {"matsum": "SIZES WINDOWS [FIELD]", "group": "cyclic|symmetric N [FIELD]"}
+
+
 def _catalog_algebra_doc(name: str, params):
+    if name not in _CATALOG_ALGEBRAS:
+        raise UnknownCatalogError(f"unknown catalog algebra {name!r} (matsum, group)")
+    if len(params) not in (2, 3):
+        raise InvalidInput(f"usage: catalog algebra {name} {_CATALOG_ALGEBRAS[name]}")
+    field = _parse_field(params[2] if len(params) > 2 else "rational")
     if name == "matsum":
         sizes = _ints(params[0].split(","))
         windows = _ints(params[1].split(","))
-        field = _parse_field(params[2] if len(params) > 2 else "rational")
-        if len(sizes) != len(windows):
-            raise UnknownCatalogError("matsum needs equally many sizes and windows")
-        # build the bare algebra directly so files for non-strongly-separable
-        # cases (checked with exit 2) can still be written
-        offsets = []
-        off = 0
-        for m in sizes:
-            offsets.append(off)
-            off += m * m
-        dim = off
-        entries = []
-        names = [None] * dim
-
-        def idx(j, r, cc):
-            return offsets[j] + r * sizes[j] + cc
-
-        for j, m in enumerate(sizes):
-            for r in range(m):
-                for cc in range(m):
-                    names[idx(j, r, cc)] = f"e{j}_{r}{cc}"
-            for r in range(m):
-                for s in range(m):
-                    for t in range(m):
-                        entries.append((idx(j, r, s), idx(j, s, t), idx(j, r, t), field.one()))
-        unit = [field.zero()] * dim
-        window = [field.zero()] * dim
-        for j, m in enumerate(sizes):
-            for r in range(m):
-                unit[idx(j, r, r)] = field.one()
-                window[idx(j, r, r)] = field.of_int(windows[j])
-        alg = Algebra(field, dim, entries, unit, basis_names=names)
+        # the bare algebra, so files for non-strongly-separable cases
+        # (checked with exit 2) can still be written
+        alg, win = matrix_sum_algebra(field, sizes, windows)
+        window = block_diagonal(field, sizes, win)
         return sio.algebra_to_json(
             alg,
             frobenius={"window": [field.format(x) for x in window]},
             blocks={"sizes": sizes, "windows": windows},
         )
-    if name == "group":
-        kind = params[0]
-        n = _ints([params[1]])[0]
-        field = _parse_field(params[2] if len(params) > 2 else "rational")
-        group = GroupTable.cyclic(n) if kind == "cyclic" else GroupTable.symmetric(n)
-        entries = [(i, j, group.table[i][j], field.one())
-                   for i in range(group.order) for j in range(group.order)]
-        unit = [field.one() if i == group.identity else field.zero()
-                for i in range(group.order)]
-        alg = Algebra(field, group.order, entries, unit, basis_names=group.names)
-        eps = [field.format(field.one() if i == group.identity else field.zero())
-               for i in range(group.order)]
-        return sio.algebra_to_json(alg, frobenius={"counit": eps})
-    raise UnknownCatalogError(f"unknown catalog algebra {name!r} (matsum, group)")
+    kind, n = params[0], _ints([params[1]])[0]
+    if kind not in ("cyclic", "symmetric"):
+        raise UnknownCatalogError(f"unknown group kind {kind!r} (cyclic, symmetric)")
+    if n < 1:
+        raise InvalidInput(f"group needs N >= 1, got {n}")
+    group = GroupTable.cyclic(n) if kind == "cyclic" else GroupTable.symmetric(n)
+    alg = group_table_algebra(field, group)
+    # delta at the identity, which is the unit vector
+    return sio.algebra_to_json(alg, frobenius={"counit": [field.format(x) for x in alg.unit]})
 
 
 def cmd_catalog(args) -> int:
@@ -354,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--moves", type=int, default=30)
     pz.add_argument("--trials", type=int, default=20)
     pz.add_argument("--seed", type=int, default=0)
-    pz.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     pz.add_argument("--json", action="store_true")
     pz.set_defaults(fn=cmd_fuzz)
 

@@ -1,26 +1,31 @@
 """The state sum: dual tensor network of a triangulation and its evaluations.
 
-``state_sum_raw`` realises the triangulation-level morphism: one copy of the
-trilinear form per triangle (legs in the cyclic order of the stored
-orientation), one inverse pairing per interior edge, one inverse pairing with
-a free leg per black out-edge, a unit (or a D-brane idempotent) per coloured
-edge, one open leg per black in-edge, and one factor of the inverse window
-element per interior vertex and per non-corner vertex of the black
-out-boundary.  Because the inverse window element is central, that factor may
-be applied anywhere in each connected component; the placement here is
-deterministic and a test asserts it is immaterial.
+All levels run one pipeline (``_evaluate``): build the network dual to the
+triangulation, close its black components unless the level is raw, contract,
+and read the result off as a morphism.
 
-``state_sum_reduced`` and ``state_sum`` close that same network on each black
-component with ``h`` legs through the closed-form splitting of its boundary
-projector.  ``P_kl = Delta^(k) o a^-(k-1) o mu^(l)`` and
-``mu^(h) o Delta^(h) = a^(h-1)`` give ``P_h1 o P_1h = P_hh`` and
-``P_1h o P_h1 = id``, so ``im = P_h1``, ``coim = P_1h`` split ``P_hh`` through
-``A`` itself.  They are built as chains of ``h - 1`` sparse three-leg copies
-of ``P_21`` (input) or ``P_12`` (output) and one two-leg closing tensor, so no
-dense ``n^h x n^h`` matrix appears.  Circle components also pass through
-``im_p``/``coim_p``, splitting ``Q_hh`` through ``C = p(A)``.  Interval legs
-are the same at both levels; the full level, which is triangulation
-independent, differs only by the central ``a_C^(-+1)`` on circle legs.
+The network has one copy of the trilinear form per triangle (legs in the
+cyclic order of the stored orientation), one inverse pairing per interior
+edge, one inverse pairing with a free leg per black out-edge, a unit (or a
+D-brane idempotent) per coloured edge, one open leg per black in-edge, and one
+factor of the inverse window element per interior vertex and per non-corner
+vertex of the black out-boundary.  Because the inverse window element is
+central, that factor may be applied anywhere in each connected component; the
+placement here is deterministic and a test asserts it is immaterial.
+``state_sum_raw`` keeps one ``A`` leg per black edge: the triangulation-level
+morphism.
+
+``state_sum_reduced`` and ``state_sum`` close each black component with ``h``
+legs through the closed-form splitting of its boundary projector.
+``P_kl = Delta^(k) o a^-(k-1) o mu^(l)`` and ``mu^(h) o Delta^(h) = a^(h-1)``
+give ``P_h1 o P_1h = P_hh`` and ``P_1h o P_h1 = id``, so ``im = P_h1``,
+``coim = P_1h`` split ``P_hh`` through ``A`` itself.  They are built as chains
+of ``h - 1`` sparse three-leg copies of ``P_21`` (input) or ``P_12`` (output)
+and one two-leg closing tensor, so no dense ``n^h x n^h`` matrix appears.
+Circle components also pass through ``im_p``/``coim_p``, splitting ``Q_hh``
+through ``C = p(A)``.  Interval legs are the same at both levels; the full
+level, which is triangulation independent, differs only by the central
+``a_C^(-+1)`` on circle legs.
 """
 
 from __future__ import annotations
@@ -49,21 +54,17 @@ def _gstar_sparse(F: FrobeniusStructure):
 class DualNetwork:
     field: object
     tensors: list
-    in_legs: list       # open input legs in global component order
-    out_legs: list      # open output legs in global component order
     in_components: list  # (kind, [leg ids]) per black_in component
     out_components: list
     exponents: dict = dataclass_field(default_factory=dict)  # component root -> a^-k power
 
 
 def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
-                       coloured_elements=None, carrier_choice=None) -> DualNetwork:
+                       coloured_elements=None) -> DualNetwork:
     """Assemble the tensor network dual to a validated triangulation.
 
     ``coloured_elements`` optionally maps coloured edge keys to algebra
-    elements that replace the unit (D-brane colouring).  ``carrier_choice``
-    overrides which tensor absorbs the inverse-window factors (testing hook);
-    it maps component roots to indices into the tensor list.
+    elements that replace the unit (D-brane colouring).
     """
     c.require_valid()
     alg = F.algebra
@@ -142,25 +143,16 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
         if k:
             exponents[roots[v]] = exponents.get(roots[v], 0) + 1
 
-    net = DualNetwork(F.field, tensors, [l for (_, legs) in in_components for l in legs],
-                      [l for (_, legs) in out_components for l in legs],
-                      in_components, out_components, exponents)
-    _apply_window_factors(F, net, tensor_component, carrier_choice)
+    net = DualNetwork(F.field, tensors, in_components, out_components, exponents)
+    _apply_window_factors(F, net, tensor_component)
     return net
 
 
-def _apply_window_factors(F, net, tensor_component, carrier_choice=None):
+def _apply_window_factors(F, net, tensor_component):
     """Multiply each component's ``a^{-k}`` into one deterministic carrier tensor."""
     for root, k in sorted(net.exponents.items()):
         m = F.window_power_matrix(-k)
         member_ids = [i for i, r in enumerate(tensor_component) if r == root]
-        if carrier_choice and root in carrier_choice:
-            tid = carrier_choice[root]
-            t = net.tensors[tid]
-            leg = min(t.legs)
-            transpose = leg[0] == "in"
-            net.tensors[tid] = t.apply_matrix(leg, m, transpose=transpose)
-            continue
         open_legs = sorted(
             (leg, i) for i in member_ids for leg in net.tensors[i].legs
             if leg[0] in ("in", "out")
@@ -179,25 +171,6 @@ def _apply_window_factors(F, net, tensor_component, carrier_choice=None):
 
 def contract_network(net: DualNetwork, shuffle_rng=None) -> Tensor:
     return greedy_contract(net.tensors, shuffle_rng=shuffle_rng)
-
-
-# -- the three evaluation levels -----------------------------------------------------
-
-
-def _raw_tensor(F, c, coloured_elements=None, shuffle_rng=None, carrier_choice=None):
-    net = build_dual_network(F, c, coloured_elements, carrier_choice)
-    t = contract_network(net, shuffle_rng=shuffle_rng)
-    return t.with_leg_order(tuple(net.out_legs) + tuple(net.in_legs)), net
-
-
-def state_sum_raw(F: FrobeniusStructure, c: OpenClosedComplex,
-                  coloured_elements=None) -> Morphism:
-    """Triangulation-level morphism ``A^{m1} -> A^{m2}``, one leg per black edge."""
-    t, net = _raw_tensor(F, c, coloured_elements)
-    n = F.dim
-    dom = tuple(full_factor(n) for _ in net.in_legs)
-    cod = tuple(full_factor(n) for _ in net.out_legs)
-    return Morphism(F.field, dom, cod, t.to_matrix(net.out_legs, net.in_legs))
 
 
 def _chain_data(F: FrobeniusStructure):
@@ -230,7 +203,7 @@ def _join_legs(F, legs, prefix, data):
 
 def _close_component(F, side, ci, kind, legs, full):
     """Tensors closing one black component with ``h`` legs onto the single leg
-    ``("r" + side, ci, 0, 0)``, and that leg's factor.
+    ``("r" + side, ci, 0, 0)``, that leg and its factor.
 
     An input gets ``P_h1 = Delta^(h) o a^-(h-1)``, an output ``P_1h = mu^(h)``;
     ``P_h1 o P_1h = P_hh`` and ``P_1h o P_h1 = id``, so this splits ``P_hh``
@@ -255,23 +228,35 @@ def _close_component(F, side, ci, kind, legs, full):
             m = F.split_p()[1] @ m
         tensors.append(Tensor.from_matrix_sparse(F.field, (new_leg, joined), (m.rows, m.cols), m))
         d = m.rows
-    return tensors, (full_factor(d) if kind == "interval" else split_factor(d))
+    return tensors, new_leg, (full_factor(d) if kind == "interval" else split_factor(d))
 
 
-def _closed_form_state_sum(F, c, coloured_elements, full):
+def _evaluate(F, c, coloured_elements, level) -> Morphism:
+    """The one pipeline behind every level: build the dual network, close each
+    black component unless ``level`` is ``"raw"``, contract, and read the
+    result off with output legs as rows and input legs as columns."""
     net = build_dual_network(F, c, coloured_elements)
-    signature = {}
+    legs = {"in": [], "out": []}
+    factors = {"in": [], "out": []}
     for side, components in (("in", net.in_components), ("out", net.out_components)):
-        factors = []
-        for ci, (kind, legs) in enumerate(components):
-            tensors, factor = _close_component(F, side, ci, kind, legs, full)
-            net.tensors.extend(tensors)
-            factors.append(factor)
-        signature[side] = tuple(factors)
-    out_legs = [("rout", ci, 0, 0) for ci in range(len(net.out_components))]
-    in_legs = [("rin", ci, 0, 0) for ci in range(len(net.in_components))]
-    t = contract_network(net)
-    return Morphism(F.field, signature["in"], signature["out"], t.to_matrix(out_legs, in_legs))
+        for ci, (kind, comp_legs) in enumerate(components):
+            if level == "raw":
+                legs[side] += comp_legs
+                factors[side] += [full_factor(F.dim)] * len(comp_legs)
+            else:
+                tensors, leg, factor = _close_component(F, side, ci, kind, comp_legs,
+                                                        level == "full")
+                net.tensors += tensors
+                legs[side].append(leg)
+                factors[side].append(factor)
+    t = greedy_contract(net.tensors)
+    return Morphism(F.field, factors["in"], factors["out"], t.to_matrix(legs["out"], legs["in"]))
+
+
+def state_sum_raw(F: FrobeniusStructure, c: OpenClosedComplex,
+                  coloured_elements=None) -> Morphism:
+    """Triangulation-level morphism ``A^{m1} -> A^{m2}``, one leg per black edge."""
+    return _evaluate(F, c, coloured_elements, "raw")
 
 
 def state_sum_reduced(F: FrobeniusStructure, c: OpenClosedComplex,
@@ -280,7 +265,7 @@ def state_sum_reduced(F: FrobeniusStructure, c: OpenClosedComplex,
 
     Interval legs land on ``A``, circle legs on ``C = p(A)``.
     """
-    return _closed_form_state_sum(F, c, coloured_elements, full=False)
+    return _evaluate(F, c, coloured_elements, "reduced")
 
 
 def state_sum(F: FrobeniusStructure, c: OpenClosedComplex,
@@ -290,12 +275,11 @@ def state_sum(F: FrobeniusStructure, c: OpenClosedComplex,
     Interval legs land on the full algebra ``A``; circle legs on the split
     closed space ``C = p(A)``.
     """
-    return _closed_form_state_sum(F, c, coloured_elements, full=True)
+    return _evaluate(F, c, coloured_elements, "full")
 
 
 def evaluate_closed(F: FrobeniusStructure, c: OpenClosedComplex):
     """Scalar invariant of a closed (no black boundary) complex."""
     if c.black_in or c.black_out:
         raise HasBlackBoundaryError("complex has black boundary; use state_sum")
-    t, _ = _raw_tensor(F, c)
-    return t.scalar()
+    return _evaluate(F, c, None, "raw").scalar_value()

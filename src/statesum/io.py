@@ -14,7 +14,7 @@ from .algebra import Algebra, Element
 from .complexes import BoundaryComponent, OpenClosedComplex
 from .errors import FileFormatError
 from .fields import Field
-from .frobenius import FrobeniusStructure, canonical_frobenius, frobenius_from_counit, frobenius_from_window
+from .frobenius import canonical_frobenius, frobenius_from_counit, frobenius_from_window
 
 
 def _field_to_json(field: Field):
@@ -51,11 +51,6 @@ def algebra_to_json(alg: Algebra, frobenius=None, blocks=None) -> dict:
     return doc
 
 
-def frobenius_spec_counit(F: FrobeniusStructure) -> dict:
-    f = F.field
-    return {"counit": [f.format(x) for x in F.counit]}
-
-
 def algebra_from_json(doc):
     """Parse an algebra file; returns ``(Algebra, FrobeniusStructure | None, blocks | None)``.
 
@@ -71,20 +66,20 @@ def algebra_from_json(doc):
         unit = [field.parse(c) for c in doc["unit"]]
         fr = doc.get("frobenius")
         blocks = doc.get("blocks")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"malformed algebra file: {exc}") from exc
-    alg = Algebra(field, dim, mul, unit, basis_names=names)
-    F = None
-    if fr is not None:
+        # shape errors (an index out of range, a vector of the wrong length,
+        # a negative dim) surface here as ValueError
+        alg = Algebra(field, dim, mul, unit, basis_names=names)
+        F = None
         if fr == "canonical":
             F = canonical_frobenius(alg)
         elif isinstance(fr, dict) and "counit" in fr:
             F = frobenius_from_counit(alg, [field.parse(c) for c in fr["counit"]])
         elif isinstance(fr, dict) and "window" in fr:
-            z = Element(alg, [field.parse(c) for c in fr["window"]])
-            F = frobenius_from_window(alg, z)
-        else:
+            F = frobenius_from_window(alg, Element(alg, [field.parse(c) for c in fr["window"]]))
+        elif fr is not None:
             raise FileFormatError(f"unknown frobenius spec {fr!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"malformed algebra file: {exc}") from exc
     if blocks is not None:
         try:
             blocks = {"sizes": [int(m) for m in blocks["sizes"]],
@@ -126,9 +121,9 @@ def complex_from_json(doc) -> OpenClosedComplex:
         black_out = comps("black_out")
         brane = doc.get("brane_colours") or {}
         brane = {int(k): v for k, v in brane.items()}
+        c = OpenClosedComplex(vertices, triangles, coloured, black_in, black_out)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed complex file: {exc}") from exc
-    c = OpenClosedComplex(vertices, triangles, coloured, black_in, black_out)
     if brane:
         arcs = c.coloured_arcs()
         colours = {}

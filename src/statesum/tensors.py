@@ -24,7 +24,7 @@ seeded shuffled order is available to test exactly that.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .linalg import Matrix
 
@@ -103,22 +103,18 @@ class Tensor:
         return Tensor(self.field, self.legs, dims, data)
 
     def to_matrix(self, row_legs, col_legs) -> Matrix:
-        t = self.with_leg_order(tuple(row_legs) + tuple(col_legs))
-        nrow_legs = len(row_legs)
-        rdims = t.dims[:nrow_legs]
-        cdims = t.dims[nrow_legs:]
-        rn = 1
-        for d in rdims:
-            rn *= d
-        cn = 1
-        for d in cdims:
-            cn *= d
-        m = Matrix.zeros(self.field, rn, cn)
+        """Rows indexed by ``row_legs``, columns by ``col_legs``; the leftmost
+        leg of each group is the most significant."""
+        rpos = [self.legs.index(l) for l in row_legs]
+        cpos = [self.legs.index(l) for l in col_legs]
+        rdims = [self.dims[p] for p in rpos]
+        cdims = [self.dims[p] for p in cpos]
+        m = Matrix.zeros(self.field, prod(rdims), prod(cdims))
         rstr = _strides(rdims)
         cstr = _strides(cdims)
-        for idx, v in t.data.items():
-            r = sum(s * i for s, i in zip(rstr, idx[:nrow_legs]))
-            c = sum(s * i for s, i in zip(cstr, idx[nrow_legs:]))
+        for idx, v in self.data.items():
+            r = sum(s * idx[p] for s, p in zip(rstr, rpos))
+            c = sum(s * idx[p] for s, p in zip(cstr, cpos))
             m.data[r][c] = v
         return m
 

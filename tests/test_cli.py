@@ -224,12 +224,22 @@ def test_fuzz_seed_determinism(z2_file, tmp_path, capsys):
     assert out1 == out2
 
 
-def test_fuzz_corrupt_negative_control(z2_file, tmp_path, capsys):
+def test_fuzz_corrupt_negative_control(z2_file, tmp_path, capsys, monkeypatch):
+    # off by one in the smallest entry of the trilinear form: move invariance must fail
+    trilinear = S.FrobeniusStructure.trilinear
+
+    def corrupted(F):
+        g3 = dict(trilinear(F))
+        key = min(g3)
+        g3[key] = F.field.add(g3[key], F.field.one())
+        return g3
+
     cpath = str(tmp_path / "strip.json")
     assert main(["catalog", "complex", "strip", "1", "1", "-o", cpath]) == 0
     capsys.readouterr()
+    monkeypatch.setattr(S.FrobeniusStructure, "trilinear", corrupted)
     code, out = run(capsys, "fuzz", "--algebra", z2_file, "--complex", cpath,
-                    "--moves", "12", "--trials", "4", "--seed", "0", "--corrupt", "--json")
+                    "--moves", "12", "--trials", "4", "--seed", "0", "--json")
     assert code == 1
     doc = json.loads(out)
     assert doc["all_equal"] is False
@@ -242,12 +252,72 @@ def test_catalog_unknown_name(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("params", [("2", "x"), ("2", "1", "4"), ("2", "1", str(2**82 + 1))])
+BAD_CATALOG_PARAMS = {
+    ("matsum", "2", "x"): "InvalidInput",  # a non-integer window
+    ("matsum", "2", "1", "4"): "InvalidInput",  # a composite modulus
+    ("matsum", "2", "1", str(2**82 + 1)): "InvalidInput",  # too large to certify
+    ("matsum",): "InvalidInput",
+    ("matsum", "2"): "InvalidInput",
+    ("matsum", "0", "1"): "InvalidInput",
+    ("matsum", "2,3", "1"): "InvalidInput",
+    ("group", "cyclic"): "InvalidInput",
+    ("group", "foo", "3"): "UnknownCatalogError",
+    ("group", "symmetric", "-1"): "InvalidInput",
+    ("group", "cyclic", "0"): "InvalidInput",
+    ("group", "cyclic", "2", "rational", "extra"): "InvalidInput",
+}
+
+
+@pytest.mark.parametrize("params", list(BAD_CATALOG_PARAMS))
 def test_catalog_matsum_bad_parameters_are_invalid_input(capsys, params):
-    # a non-integer window, a composite modulus and a modulus too large to certify
-    code, out = run(capsys, "catalog", "algebra", "matsum", *params)
+    code, out = run(capsys, "catalog", "algebra", *params)
     assert code == 1
-    assert json.loads(out)["error"] == "InvalidInput"
+    assert json.loads(out)["error"] == BAD_CATALOG_PARAMS[params]
+
+
+@pytest.mark.parametrize("params,library", [
+    (("matsum", "2,3", "1,2"), lambda: S.matrix_direct_sum(S.QQ, [2, 3], [1, 2])),
+    (("group", "symmetric", "3"), lambda: S.group_algebra(S.QQ, S.GroupTable.symmetric(3))),
+], ids=["matsum", "group"])
+def test_catalog_files_load_to_the_library_algebras(tmp_path, capsys, params, library):
+    path = str(tmp_path / "a.json")
+    assert main(["catalog", "algebra", *params, "-o", path]) == 0
+    capsys.readouterr()
+    with open(path) as fh:
+        alg, F, _ = sio.algebra_from_json(sio.loads(fh.read()))
+    want_alg, want_F = library()
+    assert list(alg.mul_entries()) == list(want_alg.mul_entries())
+    assert alg.unit == want_alg.unit
+    assert F.counit == want_F.counit
+
+
+def _z2_doc(**changes):
+    doc = {"field": {"kind": "rational"}, "dim": 2, "basis": ["r0", "r1"],
+           "mul": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"]],
+           "unit": ["1", "0"], "frobenius": {"counit": ["1", "0"]}}
+    doc.update(changes)
+    return doc
+
+
+_TRIANGLE = {"vertices": 3, "triangles": [[0, 1, 2]], "coloured_edges": [],
+             "black_in": [], "black_out": []}
+
+
+@pytest.mark.parametrize("algebra,complex_", [
+    (_z2_doc(mul=[[0, 0, 5, "1"]]), _TRIANGLE),
+    (_z2_doc(unit=["1"]), _TRIANGLE),
+    (_z2_doc(frobenius={"counit": ["1"]}), _TRIANGLE),
+    (_z2_doc(frobenius={"window": ["2"]}), _TRIANGLE),
+    (_z2_doc(basis=["r0"]), _TRIANGLE),
+    (_z2_doc(dim=-1), _TRIANGLE),
+    (_z2_doc(), dict(_TRIANGLE, triangles=[[0, 1]])),
+], ids=["index", "unit", "counit", "window", "basis", "negative_dim", "two_vertex_triangle"])
+def test_malformed_file_shapes_are_file_format_errors(tmp_path, capsys, algebra, complex_):
+    apath = write(tmp_path, "a.json", sio.dumps(algebra))
+    cpath = write(tmp_path, "c.json", sio.dumps(complex_))
+    code, out = run(capsys, "eval", "--algebra", apath, "--complex", cpath, "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == "FileFormatError"
 
 
 def test_eval_invalid_complex_file(z2_file, tmp_path, capsys):

@@ -67,17 +67,20 @@ def test_contraction_order_independence(z2):
         assert shuffled.with_leg_order(base.legs).data == base.data
 
 
-def test_window_factor_placement_independence(z2):
-    alg, F = z2
+def test_window_factor_placement_independence(z2, structures):
+    # the window element is central, so a^k on triangle X and a^-k on triangle
+    # Y of the default network cancel wherever X and Y sit
     c = closed_surface(1, 0)
-    roots = c.vertex_components()
-    root = roots[0]
-    values = set()
-    for carrier in (0, 7, 17):  # three different triangle tensors
-        net = build_dual_network(F, c, carrier_choice={root: carrier})
-        values.add(contract_network(net).scalar())
-    default = evaluate_closed(F, c)
-    assert values == {default}
+    for alg, F in (z2, structures["Q[Z/2] window 2e+g"]):
+        default = evaluate_closed(F, c)
+        for x, y in ((0, 7), (7, 17), (17, 0)):
+            net = build_dual_network(F, c)
+            k = sum(net.exponents.values())
+            for tid, power in ((x, k), (y, -k)):
+                t = net.tensors[tid]
+                assert len(t.legs) == 3  # a triangle tensor
+                net.tensors[tid] = t.apply_matrix(min(t.legs), F.window_power_matrix(power))
+            assert contract_network(net).scalar() == default
 
 
 @pytest.mark.parametrize("h", [2, 3])

@@ -54,7 +54,6 @@ from .complexes import (
 )
 from .evaluation import (
     build_dual_network,
-    contract_network,
     evaluate_closed,
     state_sum,
     state_sum_raw,

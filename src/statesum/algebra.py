@@ -23,7 +23,7 @@ class Algebra:
 
     __slots__ = ("field", "dim", "basis_names", "unit", "_mul_sparse", "_trace_vec", "_cache")
 
-    def __init__(self, field: Field, dim: int, mul_entries, unit, basis_names=None, validate: bool = True):
+    def __init__(self, field: Field, dim: int, mul_entries, unit, basis_names=None):
         """``mul_entries`` iterates sparse quadruples ``(i, j, k, coeff)``."""
         self.field = field
         self.dim = dim
@@ -52,8 +52,7 @@ class Algebra:
         self.unit = tuple(unit)
         self._trace_vec = None
         self._cache = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- structure constants -----------------------------------------------
 
@@ -109,15 +108,25 @@ class Algebra:
             right = self.mul_vectors(ei, self.unit)
             if right != ei:
                 raise BadUnitError(i, "right")
-        basis = [[f.one() if t == i else f.zero() for t in range(n)] for i in range(n)]
-        products = [[self.mul_vectors(basis[i], basis[j]) for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
+                ij = self.mul_row(i, j)
                 for k in range(n):
-                    lhs = self.mul_vectors(products[i][j], basis[k])
-                    rhs = self.mul_vectors(basis[i], products[j][k])
+                    # (e_i e_j) e_k and e_i (e_j e_k), on the sparse rows
+                    lhs = self._combine(ij, lambda m: self.mul_row(m, k))
+                    rhs = self._combine(self.mul_row(j, k), lambda m: self.mul_row(i, m))
                     if lhs != rhs:
                         raise NotAssociativeError(i, j, k)
+
+    def _combine(self, row, product_row):
+        """``sum_m c_m product_row(m)`` over a sparse row ``((m, c_m), ...)``,
+        as a dict of its nonzero coefficients."""
+        f = self.field
+        out = {}
+        for m, c in row:
+            for k, coeff in product_row(m):
+                out[k] = f.add(out.get(k, 0), f.mul(c, coeff))
+        return {k: v for k, v in out.items() if v != 0}
 
     # -- representation-theoretic data ----------------------------------------
 
@@ -271,7 +280,7 @@ class Element:
 
 def make_algebra(field: Field, dim: int, mul_entries, unit, basis_names=None) -> Algebra:
     """Validated algebra from sparse structure constants and a unit vector."""
-    return Algebra(field, dim, mul_entries, unit, basis_names=basis_names, validate=True)
+    return Algebra(field, dim, mul_entries, unit, basis_names=basis_names)
 
 
 def multiply(a: Element, b: Element) -> Element:

@@ -24,7 +24,7 @@ from .catalog import (
     matrix_sum_algebra,
     surface_invariant_closed_form,
 )
-from .cobordisms import BUILTIN_NAMES, builtin, closed_surface
+from .cobordisms import builtin, closed_surface
 from .complexes import random_moves
 from .errors import (
     InvalidInput,
@@ -260,8 +260,6 @@ def cmd_catalog(args) -> int:
     if kind == "algebra":
         doc = _catalog_algebra_doc(args.name, args.params)
     elif kind == "complex":
-        if args.name not in BUILTIN_NAMES:
-            raise UnknownCatalogError(f"unknown builtin complex {args.name!r}")
         c = builtin(args.name, *_ints(args.params))
         doc = sio.complex_to_json(c)
     else:

@@ -3,8 +3,8 @@
 Orientation convention: pictures are read with the source at the top and the
 target at the bottom; triangles are stored so that open multiplication takes
 its legs left to right.  All builders construct triangles counterclockwise in
-plane coordinates and then apply one global reversal (``_orient``), which is
-the single knob the convention tests pin down.
+plane coordinates and then reverse them all (``_orient``); the open-pants
+convention test pins that reversal down.
 
 Boundary circles need at least three edges to stay simplicial (an edge is an
 unordered vertex pair), so ``annulus(k, l)`` and circle-valued generators
@@ -17,13 +17,9 @@ from __future__ import annotations
 from .complexes import BoundaryComponent, OpenClosedComplex, ekey
 from .errors import InvalidComplexError, UnknownCatalogError
 
-_REVERSE_TRIANGLES = True  # pinned by the open-pants convention test
-
 
 def _orient(tris):
-    if _REVERSE_TRIANGLES:
-        return [(a, c, b) for (a, b, c) in tris]
-    return list(tris)
+    return [(a, c, b) for (a, b, c) in tris]
 
 
 def _circle_component(c: OpenClosedComplex, member_vertex: int, role: str) -> BoundaryComponent:
@@ -184,8 +180,7 @@ def closed_counit() -> OpenClosedComplex:
     return reversed_cobordism(closed_unit())
 
 
-def dig_hole(c: OpenClosedComplex, tri_index: int, role: str,
-             colour=None) -> OpenClosedComplex:
+def dig_hole(c: OpenClosedComplex, tri_index: int, role: str) -> OpenClosedComplex:
     """Replace a triangle by a six-triangle ring around a fresh triangular hole.
 
     ``role`` is "window" (coloured hole), "in" or "out" (black circle hole).
@@ -197,13 +192,9 @@ def dig_hole(c: OpenClosedComplex, tri_index: int, role: str,
     # induced orientation of the hole boundary is a -> d -> b -> a
     hole_chain = [(a, d), (d, b), (b, a)] if role == "in" else [(a, b), (b, d), (d, a)]
     coloured = set(c.coloured_edges)
-    colours = dict(c.edge_colours)
     black_in, black_out = list(c.black_in), list(c.black_out)
     if role == "window":
-        for (x, y) in hole_chain:
-            coloured.add(ekey(x, y))
-            if colour is not None:
-                colours[ekey(x, y)] = colour
+        coloured.update(ekey(x, y) for (x, y) in hole_chain)
     elif role == "in":
         black_in.append(BoundaryComponent("circle", hole_chain))
     elif role == "out":
@@ -211,20 +202,18 @@ def dig_hole(c: OpenClosedComplex, tri_index: int, role: str,
     else:
         raise UnknownCatalogError(f"unknown hole role {role!r}")
     return OpenClosedComplex(
-        c.vertex_count + 3, tris, coloured, black_in, black_out, colours
+        c.vertex_count + 3, tris, coloured, black_in, black_out, c.edge_colours
     )
 
 
-def closed_mult(dig_at: int = 0) -> OpenClosedComplex:
+def closed_mult() -> OpenClosedComplex:
     """Closed pair of pants ``S^1 + S^1 -> S^1``: annulus with an extra in-hole."""
-    base = annulus(3, 3)
-    return dig_hole(base, dig_at, "in").require_valid()
+    return dig_hole(annulus(3, 3), 0, "in").require_valid()
 
 
-def closed_comult(dig_at: int = 3) -> OpenClosedComplex:
+def closed_comult() -> OpenClosedComplex:
     """Reversed pants; dug at a different triangle so pants compositions glue."""
-    base = annulus(3, 3)
-    return reversed_cobordism(dig_hole(base, dig_at, "in").require_valid())
+    return reversed_cobordism(dig_hole(annulus(3, 3), 3, "in").require_valid())
 
 
 # -- closed surfaces ------------------------------------------------------------------
@@ -384,44 +373,35 @@ def rotate_circle(c: OpenClosedComplex, side: str, index: int, steps: int) -> Op
 
 # -- catalog dispatch --------------------------------------------------------------------
 
-BUILTIN_NAMES = (
-    "strip", "annulus", "open_mult", "open_comult", "open_unit", "open_counit",
-    "closed_mult", "closed_comult", "closed_unit", "closed_counit",
-    "zipper", "cozipper", "closed_surface",
-)
+# name -> (constructor, the parameter counts it accepts)
+_BUILTINS = {
+    "strip": (strip, (2,)),
+    "annulus": (annulus, (2,)),
+    "open_mult": (open_mult, (0,)),
+    "open_comult": (open_comult, (0,)),
+    "open_unit": (open_unit, (0,)),
+    "open_counit": (open_counit, (0,)),
+    "closed_mult": (closed_mult, (0,)),
+    "closed_comult": (closed_comult, (0,)),
+    "closed_unit": (closed_unit, (0,)),
+    "closed_counit": (closed_counit, (0,)),
+    "zipper": (zipper, (0, 2)),
+    "cozipper": (cozipper, (0, 2)),
+    "closed_surface": (closed_surface, (2,)),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str, *params: int) -> OpenClosedComplex:
     """Catalog complex by name; see ``BUILTIN_NAMES`` for the vocabulary."""
-    try:
-        if name == "strip":
-            k, l = params
-            return strip(k, l)
-        if name == "annulus":
-            k, l = params
-            return annulus(k, l)
-        if name == "closed_surface":
-            g, w = params
-            return closed_surface(g, w)
-        if name in ("zipper", "cozipper"):
-            which = zipper if name == "zipper" else cozipper
-            if params:
-                hc, hi = params
-                return which(hc, hi)
-            return which()
-        simple = {
-            "open_mult": open_mult, "open_comult": open_comult,
-            "open_unit": open_unit, "open_counit": open_counit,
-            "closed_mult": closed_mult, "closed_comult": closed_comult,
-            "closed_unit": closed_unit, "closed_counit": closed_counit,
-        }
-        if name in simple:
-            if params:
-                raise UnknownCatalogError(f"{name} takes no parameters")
-            return simple[name]()
-    except ValueError as exc:
-        raise UnknownCatalogError(f"bad parameters for {name}: {params}") from exc
-    raise UnknownCatalogError(f"unknown builtin complex {name!r}")
+    if name not in _BUILTINS:
+        raise UnknownCatalogError(f"unknown builtin complex {name!r}")
+    build, counts = _BUILTINS[name]
+    if len(params) not in counts:
+        if counts == (0,):
+            raise UnknownCatalogError(f"{name} takes no parameters")
+        raise UnknownCatalogError(f"bad parameters for {name}: {params}")
+    return build(*params)
 
 
 def generator_suite():

@@ -10,8 +10,9 @@ edge, one inverse pairing with a free leg per black out-edge, a unit (or a
 D-brane idempotent) per coloured edge, one open leg per black in-edge, and one
 factor of the inverse window element per interior vertex and per non-corner
 vertex of the black out-boundary.  Because the inverse window element is
-central, that factor may be applied anywhere in each connected component; the
-placement here is deterministic and a test asserts it is immaterial.
+central, each connected component's factor ``a^-k`` may act on any leg of it;
+it is folded into the component's first triangle tensor, on its first leg,
+and a test asserts the placement is immaterial.
 ``state_sum_raw`` keeps one ``A`` leg per black edge: the triangulation-level
 morphism.
 
@@ -94,8 +95,8 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
 
     interior = set(c.interior_edges())
     tensors = []
-    tensor_component = []  # vertex-root of the component each tensor belongs to
     roots = c.vertex_components()
+    first_triangle = {}  # component root -> index of its first triangle tensor
 
     slot_used = {}
 
@@ -109,22 +110,19 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
 
     for (a, b, cc) in c.triangles:
         legs = [edge_slot_leg(a, b), edge_slot_leg(b, cc), edge_slot_leg(cc, a)]
+        first_triangle.setdefault(roots[a], len(tensors))
         tensors.append(Tensor(F.field, legs, (n, n, n), g3))
-        tensor_component.append(roots[a])
 
     for e in sorted(interior):
         legs = (("e", e[0], e[1], 0), ("e", e[0], e[1], 1))
         tensors.append(Tensor(F.field, legs, (n, n), gstar))
-        tensor_component.append(roots[e[0]])
     for e, leg in sorted(out_leg_of_edge.items()):
         legs = (("e", e[0], e[1], 0), leg)
         tensors.append(Tensor(F.field, legs, (n, n), gstar))
-        tensor_component.append(roots[e[0]])
     for e in sorted(c.coloured_edges):
         elem = coloured_elements.get(e)
         coeffs = elem.coeffs if elem is not None else alg.unit
         tensors.append(Tensor.vector(F.field, ("e", e[0], e[1], 0), n, coeffs))
-        tensor_component.append(roots[e[0]])
 
     # inverse-window exponent per connected component
     boundary_vs = c.boundary_vertex_set()
@@ -135,42 +133,15 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
             out_vs.update(e)
     exponents = {}
     for v in range(c.vertex_count):
-        k = 0
-        if v not in boundary_vs:
-            k = 1
-        elif v in out_vs and v not in corners:
-            k = 1
-        if k:
+        if v not in boundary_vs or (v in out_vs and v not in corners):
             exponents[roots[v]] = exponents.get(roots[v], 0) + 1
+    # a^-k acts on a triangle as on a form: g3(a^-k x, y, z)
+    for root, k in exponents.items():
+        t = tensors[first_triangle[root]]
+        tensors[first_triangle[root]] = t.apply_matrix(
+            t.legs[0], F.window_power_matrix(-k), transpose=True)
 
-    net = DualNetwork(F.field, tensors, in_components, out_components, exponents)
-    _apply_window_factors(F, net, tensor_component)
-    return net
-
-
-def _apply_window_factors(F, net, tensor_component):
-    """Multiply each component's ``a^{-k}`` into one deterministic carrier tensor."""
-    for root, k in sorted(net.exponents.items()):
-        m = F.window_power_matrix(-k)
-        member_ids = [i for i, r in enumerate(tensor_component) if r == root]
-        open_legs = sorted(
-            (leg, i) for i in member_ids for leg in net.tensors[i].legs
-            if leg[0] in ("in", "out")
-        )
-        if open_legs:
-            leg, tid = open_legs[0]
-            net.tensors[tid] = net.tensors[tid].apply_matrix(leg, m, transpose=(leg[0] == "in"))
-        else:
-            conn = sorted(
-                (t.legs, i) for i, t in ((j, net.tensors[j]) for j in member_ids)
-                if len(t.legs) == 2 and t.legs[0][0] == "e" and t.legs[1][0] == "e"
-            )
-            legs, tid = conn[0]
-            net.tensors[tid] = net.tensors[tid].apply_matrix(legs[0], m)
-
-
-def contract_network(net: DualNetwork, shuffle_rng=None) -> Tensor:
-    return greedy_contract(net.tensors, shuffle_rng=shuffle_rng)
+    return DualNetwork(F.field, tensors, in_components, out_components, exponents)
 
 
 def _chain_data(F: FrobeniusStructure):
@@ -249,7 +220,9 @@ def _evaluate(F, c, coloured_elements, level) -> Morphism:
                 net.tensors += tensors
                 legs[side].append(leg)
                 factors[side].append(factor)
-    t = greedy_contract(net.tensors)
+    # the empty complex has no tensors; their empty product is the scalar 1
+    t = (greedy_contract(net.tensors) if net.tensors
+         else Tensor(F.field, (), (), {(): F.field.one()}))
     return Morphism(F.field, factors["in"], factors["out"], t.to_matrix(legs["out"], legs["in"]))
 
 

@@ -114,10 +114,18 @@ class Field:
     # -- text form (CLI file format) -----------------------------------------
 
     def parse(self, s: str):
-        """Parse a coefficient string: "a/b" or "a" (rationals), residue (F_p)."""
+        """Parse a coefficient string: "a/b" or "a" (rationals), residue (F_p).
+
+        Raises ``ValueError`` for a non-string and for a zero denominator.
+        """
+        if not isinstance(s, str):
+            raise ValueError(f"coefficient must be a string, got {s!r}")
         s = s.strip()
         if self.p is None:
-            return Fraction(s)
+            try:
+                return Fraction(s)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {s!r}") from None
         if "/" in s:
             num, den = s.split("/", 1)
             return self.div(int(num) % self.p, int(den) % self.p)

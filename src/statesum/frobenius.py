@@ -625,7 +625,7 @@ def knowledgeable_from_frobenius(F: FrobeniusStructure) -> KnowledgeableFrobeniu
                 if c != 0:
                     entries.append((i, j, k, c))
     c_names = [f"c{i}" for i in range(d)]
-    c_alg = Algebra(f, d, entries, eta_c, basis_names=c_names, validate=True)
+    c_alg = Algebra(f, d, entries, eta_c, basis_names=c_names)
     c_frob = FrobeniusStructure(c_alg, eps_c)
     if c_frob.delta_matrix() != delta_c:
         raise StateSumError("closed-space comultiplication disagrees with its counit-derived form")

@@ -16,6 +16,10 @@ from .errors import FileFormatError
 from .fields import Field
 from .frobenius import canonical_frobenius, frobenius_from_counit, frobenius_from_window
 
+# what a malformed document raises while it is converted; OverflowError comes
+# from int() of the JSON number Infinity
+_SHAPE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
 
 def _field_to_json(field: Field):
     if field.is_rational:
@@ -30,7 +34,7 @@ def _field_from_json(obj) -> Field:
             return Field()
         if kind == "prime":
             return Field(int(obj["p"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except _SHAPE_ERRORS as exc:
         raise FileFormatError(f"bad field spec {obj!r}") from exc
     raise FileFormatError(f"unknown field kind {obj!r}")
 
@@ -78,13 +82,13 @@ def algebra_from_json(doc):
             F = frobenius_from_window(alg, Element(alg, [field.parse(c) for c in fr["window"]]))
         elif fr is not None:
             raise FileFormatError(f"unknown frobenius spec {fr!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except _SHAPE_ERRORS as exc:
         raise FileFormatError(f"malformed algebra file: {exc}") from exc
     if blocks is not None:
         try:
             blocks = {"sizes": [int(m) for m in blocks["sizes"]],
                       "windows": [int(a) for a in blocks["windows"]]}
-        except (KeyError, TypeError, ValueError) as exc:
+        except _SHAPE_ERRORS as exc:
             raise FileFormatError(f"malformed blocks: {exc}") from exc
     return alg, F, blocks
 
@@ -120,9 +124,11 @@ def complex_from_json(doc) -> OpenClosedComplex:
         black_in = comps("black_in")
         black_out = comps("black_out")
         brane = doc.get("brane_colours") or {}
+        if not isinstance(brane, dict) or any(isinstance(v, (list, dict)) for v in brane.values()):
+            raise FileFormatError(f"brane_colours must map arc indices to scalars, got {brane!r}")
         brane = {int(k): v for k, v in brane.items()}
         c = OpenClosedComplex(vertices, triangles, coloured, black_in, black_out)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _SHAPE_ERRORS as exc:
         raise FileFormatError(f"malformed complex file: {exc}") from exc
     if brane:
         arcs = c.coloured_arcs()

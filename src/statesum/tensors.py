@@ -17,8 +17,7 @@ identical to those of a ``Fraction`` contraction.
 
 The pair-selection rule is greedy on the *dense* size of the resulting
 tensor (ties broken by the smallest shared leg, then creation order), which
-is deterministic; any order yields the same result by multilinearity, and a
-seeded shuffled order is available to test exactly that.
+is deterministic; any order yields the same result by multilinearity.
 """
 
 from __future__ import annotations
@@ -61,15 +60,6 @@ class Tensor:
         if self.legs:
             raise ValueError("tensor still has open legs")
         return self.data.get((), self.field.zero())
-
-    def with_leg_order(self, new_legs) -> "Tensor":
-        new_legs = tuple(new_legs)
-        if new_legs == self.legs:
-            return self
-        perm = [self.legs.index(l) for l in new_legs]
-        dims = tuple(self.dims[p] for p in perm)
-        data = {tuple(idx[p] for p in perm): v for idx, v in self.data.items()}
-        return Tensor(self.field, new_legs, dims, data)
 
     def apply_matrix(self, leg, matrix: Matrix, transpose: bool = False) -> "Tensor":
         """Act with a matrix on one leg: ``T'[.. j ..] = sum_i M[j][i] T[.. i ..]``.
@@ -188,14 +178,12 @@ def _clear_denominators(tensors):
     return out, D
 
 
-def greedy_contract(tensors, shuffle_rng=None) -> Tensor:
+def greedy_contract(tensors) -> Tensor:
     """Contract a list of tensors down to one.
 
-    Default order: repeatedly contract the connected pair whose result has
-    the smallest dense size (ties by smallest shared leg id, then insertion
-    order); disconnected remainders are combined smallest-first.  If
-    ``shuffle_rng`` is given, candidate pairs are drawn at random instead --
-    used to assert order independence.
+    Repeatedly contract the connected pair whose result has the smallest
+    dense size (ties by smallest shared leg id, then insertion order);
+    disconnected remainders are combined smallest-first.
 
     Over Q the contraction runs on integer copies (see the module docstring)
     and the result is divided by their common scale once, at the end.
@@ -222,13 +210,10 @@ def greedy_contract(tensors, shuffle_rng=None) -> Tensor:
     while len(items) > 1:
         pairs = candidate_pairs()
         if pairs:
-            if shuffle_rng is not None:
-                a, b = sorted(pairs)[shuffle_rng.randrange(len(pairs))]
-            else:
-                def rank(pair):
-                    size, min_shared = _pair_cost(items[pair[0]], items[pair[1]])
-                    return (size, min_shared, pair)
-                a, b = min(pairs, key=rank)
+            def rank(pair):
+                size, min_shared = _pair_cost(items[pair[0]], items[pair[1]])
+                return (size, min_shared, pair)
+            a, b = min(pairs, key=rank)
         else:
             order = sorted(items, key=lambda tid: (items[tid].dense_size(), tid))
             a, b = order[0], order[1]

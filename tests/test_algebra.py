@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,54 @@ def test_make_algebra_rejects_non_associative():
     unit = [one, field.zero(), field.zero()]
     with pytest.raises(NotAssociativeError):
         S.make_algebra(field, 3, entries, unit)
+
+
+def _dense_first_failure(n, entries, unit):
+    """The first failing unit law or basis triple, found by dense brute force
+    over Q in the order the validator promises, or ``None``."""
+    table = {}
+    for i, j, k, c in entries:
+        table[i, j, k] = table.get((i, j, k), 0) + c
+
+    def mul(a, b):
+        return [sum(a[i] * b[j] * table.get((i, j, k), 0) for i in range(n) for j in range(n))
+                for k in range(n)]
+
+    basis = [[Fraction(int(t == i)) for t in range(n)] for i in range(n)]
+    for i in range(n):
+        if mul(unit, basis[i]) != basis[i]:
+            return BadUnitError, (i, "left")
+        if mul(basis[i], unit) != basis[i]:
+            return BadUnitError, (i, "right")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if mul(mul(basis[i], basis[j]), basis[k]) != mul(basis[i], mul(basis[j], basis[k])):
+                    return NotAssociativeError, (i, j, k)
+    return None
+
+
+@pytest.mark.parametrize("base,seed", [(b, s) for b in ("Z3", "S3", "M2") for s in range(4)])
+def test_validation_witness_is_the_first_dense_failure(base, seed):
+    alg = {
+        "Z3": lambda: S.group_algebra(QQ, S.GroupTable.cyclic(3))[0],
+        "S3": lambda: S.group_algebra(QQ, S.GroupTable.symmetric(3))[0],
+        "M2": lambda: S.matrix_direct_sum(QQ, [2], [1])[0],
+    }[base]()
+    n = alg.dim
+    rng = random.Random(seed)
+    entries = list(alg.mul_entries())
+    # seeds 0, 1 perturb products of basis elements outside the unit's
+    # support, so the unit laws hold; seeds 2, 3 may break them too
+    free = [b for b in range(n) if alg.unit[b] == 0] if seed < 2 else range(n)
+    for _ in range(1 + seed % 2):
+        i, j, k = rng.choice(free), rng.choice(free), rng.randrange(n)
+        entries.append((i, j, k, Fraction(rng.choice([-2, 1, 3]), rng.choice([1, 2]))))
+    expected = _dense_first_failure(n, entries, list(alg.unit))
+    assert expected is not None
+    with pytest.raises(expected[0]) as err:
+        S.make_algebra(QQ, n, entries, alg.unit)
+    assert err.value.witness == expected[1]
 
 
 def test_make_algebra_rejects_bad_unit():

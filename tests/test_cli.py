@@ -311,7 +311,15 @@ _TRIANGLE = {"vertices": 3, "triangles": [[0, 1, 2]], "coloured_edges": [],
     (_z2_doc(basis=["r0"]), _TRIANGLE),
     (_z2_doc(dim=-1), _TRIANGLE),
     (_z2_doc(), dict(_TRIANGLE, triangles=[[0, 1]])),
-], ids=["index", "unit", "counit", "window", "basis", "negative_dim", "two_vertex_triangle"])
+    (_z2_doc(mul=[[0, 0, 0, "1/0"]]), _TRIANGLE),
+    (_z2_doc(mul=[[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]], unit=[1, 0]),
+     _TRIANGLE),
+    (_z2_doc(dim=float("inf")), _TRIANGLE),
+    (_z2_doc(), dict(_TRIANGLE, brane_colours=True)),
+    (_z2_doc(), dict(sio.complex_to_json(S.strip(1, 1)), brane_colours={"0": [1]})),
+], ids=["index", "unit", "counit", "window", "basis", "negative_dim", "two_vertex_triangle",
+        "zero_denominator", "number_coefficients", "infinite_dim", "brane_not_object",
+        "brane_list_colour"])
 def test_malformed_file_shapes_are_file_format_errors(tmp_path, capsys, algebra, complex_):
     apath = write(tmp_path, "a.json", sio.dumps(algebra))
     cpath = write(tmp_path, "c.json", sio.dumps(complex_))

@@ -11,12 +11,10 @@ from .algebra import (
     Element,
     canonical_pairing,
     centre_basis,
-    invert_element,
     is_central,
     is_strongly_separable,
     left_regular_matrix,
     make_algebra,
-    multiply,
 )
 from .catalog import (
     BlockModel,
@@ -63,19 +61,13 @@ from .fields import GF, QQ, Field
 from .frobenius import (
     FrobeniusStructure,
     KnowledgeableFrobenius,
-    P_map,
-    Q_map,
     canonical_frobenius,
     central_idempotent_p,
     check_knowledgeable,
     frobenius_from_counit,
     frobenius_from_window,
     idempotent_property_report,
-    iterated_delta,
-    iterated_mu,
     knowledgeable_from_frobenius,
-    phi_iso,
-    psi_iso,
     split_idempotent,
     trilinear_form,
     window_element,

@@ -283,10 +283,6 @@ def make_algebra(field: Field, dim: int, mul_entries, unit, basis_names=None) ->
     return Algebra(field, dim, mul_entries, unit, basis_names=basis_names)
 
 
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
 def left_regular_matrix(a: Element) -> Matrix:
     return a.algebra.left_regular_matrix(a)
 
@@ -305,7 +301,3 @@ def centre_basis(algebra: Algebra):
 
 def is_central(a: Element) -> bool:
     return a.is_central()
-
-
-def invert_element(a: Element):
-    return a.inverse()

@@ -29,7 +29,6 @@ from .complexes import random_moves
 from .errors import (
     InvalidInput,
     MathPrecondition,
-    NotApplicableError,
     StateSumError,
     UnknownCatalogError,
 )
@@ -342,10 +341,7 @@ def main(argv=None) -> int:
     except MathPrecondition as exc:
         sys.stdout.write(sio.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 2
-    except (InvalidInput, NotApplicableError, OSError) as exc:
-        sys.stdout.write(sio.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 1
-    except StateSumError as exc:
+    except (StateSumError, OSError) as exc:
         sys.stdout.write(sio.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1
 

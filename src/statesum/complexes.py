@@ -9,7 +9,13 @@ triangles) are rejected -- in particular a boundary circle needs at least
 three edges.
 
 Moves (bistellar 1-3 / 3-1 / 2-2 and the coloured elementary shellings)
-return new complexes; values are immutable after construction.
+return new complexes; values are immutable after construction.  Each move's
+precondition is written once, as a site check that returns what the move
+needs or ``None``.  The move raises ``NotApplicableError`` on ``None``, and
+``applicable_moves`` lists exactly the sites the checks accept, so a listed
+move always applies.  The checks read a vertex -> triangles and a boundary
+vertex -> boundary edges index, built once per complex, so each costs
+O(degree).
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ class OpenClosedComplex:
     """Oriented triangulated 2-manifold with black/coloured boundary."""
 
     __slots__ = ("vertex_count", "triangles", "coloured_edges", "black_in", "black_out",
-                 "edge_colours", "_edge_tris", "_directed")
+                 "edge_colours", "_edge_tris", "_directed", "_vertex_tris", "_boundary_at")
 
     def __init__(self, vertex_count, triangles, coloured_edges, black_in, black_out,
                  edge_colours=None):
@@ -83,6 +89,8 @@ class OpenClosedComplex:
                 directed[(u, v)] = directed.get((u, v), 0) + 1
         self._edge_tris = et
         self._directed = directed
+        self._vertex_tris = None  # incidence for the move checks, built on first use
+        self._boundary_at = None
 
     # -- derived sets -----------------------------------------------------------
 
@@ -91,6 +99,26 @@ class OpenClosedComplex:
 
     def edges(self):
         return sorted(self._edge_tris)
+
+    def vertex_triangles(self):
+        """Vertex -> indices of the triangles that contain it, ascending."""
+        if self._vertex_tris is None:
+            vt = {}
+            for idx, t in enumerate(self.triangles):
+                for v in t:
+                    vt.setdefault(v, []).append(idx)
+            self._vertex_tris = vt
+        return self._vertex_tris
+
+    def boundary_edges_at(self):
+        """Boundary vertex -> the boundary edges through it, in sorted order."""
+        if self._boundary_at is None:
+            at = {}
+            for e in self.boundary_edges():
+                for v in e:
+                    at.setdefault(v, []).append(e)
+            self._boundary_at = at
+        return self._boundary_at
 
     def boundary_edges(self):
         return sorted(e for e, ts in self._edge_tris.items() if len(ts) == 1)
@@ -476,56 +504,65 @@ def validate(c: OpenClosedComplex) -> ComplexReport:
     return c.validate()
 
 
-# -- bistellar moves ---------------------------------------------------------------
+# -- local moves: one site check per move (see the module docstring) ---------------
 
 
-def _directed_occurrence(c, e):
-    """For an interior edge return ((u,v), t1, apex1), ((v,u), t2, apex2)."""
-    u, v = e
-    out = []
-    for idx in c.edge_triangles()[e]:
+def _site(check, c, where, kind):
+    site = check(c, where)
+    if site is None:
+        raise NotApplicableError(f"{kind} does not apply at {where!r}")
+    return site
+
+
+def _without_vertex(c, w):
+    """``c`` with the (no longer used) vertex ``w`` deleted and the rest renumbered."""
+    vmap = {x: (x if x < w else x - 1) for x in range(c.vertex_count)}
+    vmap[w] = -1
+    return c.relabelled(vmap, c.vertex_count - 1)
+
+
+def _flip_site(c, edge):
+    """For an interior edge: its directed form ``(u, v)`` in triangle ``t1``
+    with apex ``x``, and triangle ``t2`` with apex ``y``, unless ``x``-``y``
+    is already an edge."""
+    e = ekey(*edge)
+    tris = c.edge_triangles().get(e, ())
+    if len(tris) != 2:
+        return None
+    occ = []
+    for idx in tris:
         a, b, cc = c.triangles[idx]
         for (x, y, z) in ((a, b, cc), (b, cc, a), (cc, a, b)):
-            if (x, y) == (u, v) or (x, y) == (v, u):
-                out.append(((x, y), idx, z))
-    return out
+            if ekey(x, y) == e:
+                occ.append(((x, y), idx, z))
+    if len(occ) != 2:
+        return None
+    ((u, v), t1, x), (_, t2, y) = occ
+    if x == y or ekey(x, y) in c.edge_triangles():
+        return None
+    return (u, v), t1, x, t2, y
 
 
 def pachner_22(c: OpenClosedComplex, edge) -> OpenClosedComplex:
     """Flip the diagonal of the quadrilateral around an interior edge."""
-    e = ekey(*edge)
-    tris = c.edge_triangles().get(e)
-    if tris is None:
-        raise NotApplicableError(f"no edge {e}")
-    if len(tris) != 2:
-        raise NotApplicableError(f"edge {e} is not interior")
-    occ = _directed_occurrence(c, e)
-    ((u, v), t1, x), (_, t2, y) = occ
-    if x == y:
-        raise NotApplicableError("flip would produce a degenerate triangle")
-    if ekey(x, y) in c.edge_triangles():
-        raise NotApplicableError(f"flipped diagonal {ekey(x, y)} already present")
+    (u, v), t1, x, t2, y = _site(_flip_site, c, edge, "flip")
     new_tris = list(c.triangles)
     new_tris[t1] = (x, u, y)
     new_tris[t2] = (y, v, x)
     return c.replaced(triangles=new_tris)
 
 
-def _find_triangle(c, triangle):
+def _split_site(c, triangle):
+    """Index of a triangle given by index or by its vertices."""
     if isinstance(triangle, int):
-        if not (0 <= triangle < len(c.triangles)):
-            raise NotApplicableError(f"no triangle index {triangle}")
-        return triangle
+        return triangle if 0 <= triangle < len(c.triangles) else None
     want = canonical_triangle(tuple(triangle))
-    for idx, t in enumerate(c.triangles):
-        if t == want:
-            return idx
-    raise NotApplicableError(f"no triangle {triangle}")
+    return next((idx for idx, t in enumerate(c.triangles) if t == want), None)
 
 
 def pachner_13(c: OpenClosedComplex, triangle) -> OpenClosedComplex:
     """Star-subdivide one triangle with a fresh interior vertex."""
-    idx = _find_triangle(c, triangle)
+    idx = _site(_split_site, c, triangle, "split")
     i, j, k = c.triangles[idx]
     w = c.vertex_count
     new_tris = list(c.triangles)
@@ -535,18 +572,12 @@ def pachner_13(c: OpenClosedComplex, triangle) -> OpenClosedComplex:
     return c.replaced(vertex_count=c.vertex_count + 1, triangles=new_tris)
 
 
-def pachner_31(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
-    """Remove an interior vertex of degree exactly three."""
-    v = vertex
-    if not (0 <= v < c.vertex_count):
-        raise NotApplicableError(f"no vertex {v}")
-    incident = [idx for idx, t in enumerate(c.triangles) if v in t]
-    boundary_vs = c.boundary_vertex_set()
-    if v in boundary_vs:
-        raise NotApplicableError(f"vertex {v} is on the boundary")
-    if len(incident) != 3:
-        raise NotApplicableError(f"vertex {v} has degree {len(incident)}, need 3")
-    # outer directed edges (a,b) opposite v form the replacement cycle
+def _merge_site(c, v):
+    """For an interior vertex of degree three: its triangles and the outer
+    triangle that replaces them, unless that triangle already exists."""
+    incident = c.vertex_triangles().get(v, ())
+    if len(incident) != 3 or v in c.boundary_edges_at():
+        return None
     opp = {}
     for idx in incident:
         a, b, cc = c.triangles[idx]
@@ -554,16 +585,21 @@ def pachner_31(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
             if z == v:
                 opp[x] = y
     start = min(opp)
-    cyc = (start, opp[start], opp[opp[start]])
-    if len(set(cyc)) != 3 or opp[cyc[2]] != start:
-        raise NotApplicableError("link of vertex is not a 3-cycle")
-    if frozenset(cyc) in {frozenset(t) for t in c.triangles}:
-        raise NotApplicableError("outer triangle already exists")
+    cyc = (start, opp.get(start), opp.get(opp.get(start)))
+    if None in cyc or len(set(cyc)) != 3 or opp.get(cyc[2]) != start:
+        return None
+    outer = set(cyc)
+    if any(set(c.triangles[idx]) == outer for idx in c.vertex_triangles()[start]):
+        return None
+    return incident, cyc
+
+
+def pachner_31(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
+    """Remove an interior vertex of degree exactly three."""
+    incident, cyc = _site(_merge_site, c, vertex, "merge")
     new_tris = [t for idx, t in enumerate(c.triangles) if idx not in incident]
     new_tris.append(cyc)
-    vmap = {x: (x if x < v else x - 1) for x in range(c.vertex_count)}
-    vmap[v] = -1
-    return c.replaced(triangles=new_tris).relabelled(vmap, c.vertex_count - 1)
+    return _without_vertex(c.replaced(triangles=new_tris), vertex)
 
 
 # -- type-2 elementary shellings (all involved boundary edges coloured) -------------
@@ -577,206 +613,111 @@ def _boundary_direction(c, e):
     return (v, u)
 
 
+def _recoloured(c, removed, added, **changes):
+    """``c`` with the coloured edges ``removed`` replaced by ``added``, which
+    take the brane colour of ``removed[0]``, and with the other ``changes``."""
+    colour = c.edge_colours.get(removed[0])
+    new_cols = {k: col for k, col in c.edge_colours.items() if k not in removed}
+    if colour is not None:
+        new_cols.update(dict.fromkeys(added, colour))
+    new_coloured = set(c.coloured_edges) - set(removed) | set(added)
+    return c.replaced(coloured_edges=new_coloured, edge_colours=new_cols, **changes)
+
+
 def _coloured_boundary_edge(c, edge):
+    """A coloured boundary edge and its triangle (black sites would change the
+    black boundary)."""
     e = ekey(*edge)
-    tris = c.edge_triangles().get(e)
-    if tris is None or len(tris) != 1:
-        raise NotApplicableError(f"edge {e} is not a boundary edge")
-    if e not in c.coloured_edges:
-        raise NotApplicableError(f"edge {e} is not coloured (black sites change the black boundary)")
+    tris = c.edge_triangles().get(e, ())
+    if len(tris) != 1 or e not in c.coloured_edges:
+        return None
     return e, tris[0]
 
 
 def shelling_split_edge(c: OpenClosedComplex, edge) -> OpenClosedComplex:
     """One coloured edge -> two: glue a triangle with a fresh boundary vertex."""
-    e, _ = _coloured_boundary_edge(c, edge)
+    e, _ = _site(_coloured_boundary_edge, c, edge, "shell_split")
     (u, v) = _boundary_direction(c, e)
     w = c.vertex_count
-    colour = c.edge_colours.get(e)
-    new_cols = dict(c.edge_colours)
-    new_cols.pop(e, None)
-    new_coloured = set(c.coloured_edges) - {e} | {ekey(u, w), ekey(w, v)}
-    if colour is not None:
-        new_cols[ekey(u, w)] = colour
-        new_cols[ekey(w, v)] = colour
-    return c.replaced(
-        vertex_count=w + 1,
-        triangles=list(c.triangles) + [(v, u, w)],
-        coloured_edges=new_coloured,
-        edge_colours=new_cols,
-    )
+    return _recoloured(c, (e,), (ekey(u, w), ekey(w, v)),
+                       vertex_count=w + 1, triangles=list(c.triangles) + [(v, u, w)])
+
+
+def _coloured_pair(c, e1, e2):
+    return (e1 in c.coloured_edges and e2 in c.coloured_edges
+            and c.edge_colours.get(e1) == c.edge_colours.get(e2))
+
+
+def _shell_merge_site(c, w):
+    """For a vertex in one triangle whose two edges at it are coloured alike:
+    that triangle, the two edges, and the opposite edge, which must be interior."""
+    incident = c.vertex_triangles().get(w, ())
+    if len(incident) != 1:
+        return None
+    u, v = [x for x in c.triangles[incident[0]] if x != w]
+    e1, e2, inner = ekey(u, w), ekey(w, v), ekey(u, v)
+    if not _coloured_pair(c, e1, e2) or len(c.edge_triangles().get(inner, ())) != 2:
+        return None
+    return incident[0], e1, e2, inner
 
 
 def shelling_merge_edges(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
     """Two coloured edges -> one: remove a boundary vertex spanning one triangle."""
-    w = vertex
-    incident = [idx for idx, t in enumerate(c.triangles) if w in t]
-    if len(incident) != 1:
-        raise NotApplicableError(f"vertex {w} lies in {len(incident)} triangles, need 1")
-    tri = c.triangles[incident[0]]
-    others = [x for x in tri if x != w]
-    u, v = others
-    e1, e2 = ekey(u, w), ekey(w, v)
-    if e1 not in c.coloured_edges or e2 not in c.coloured_edges:
-        raise NotApplicableError("both boundary edges at the vertex must be coloured")
-    if c.edge_colours.get(e1) != c.edge_colours.get(e2):
-        raise NotApplicableError("edges carry different brane colours")
-    inner = ekey(u, v)
-    if len(c.edge_triangles().get(inner, ())) != 2:
-        raise NotApplicableError("opposite edge is not interior")
-    colour = c.edge_colours.get(e1)
-    new_cols = {k: col for k, col in c.edge_colours.items() if k not in (e1, e2)}
-    if colour is not None:
-        new_cols[inner] = colour
-    new_coloured = set(c.coloured_edges) - {e1, e2} | {inner}
-    new_tris = [t for idx, t in enumerate(c.triangles) if idx != incident[0]]
-    vmap = {x: (x if x < w else x - 1) for x in range(c.vertex_count)}
-    vmap[w] = -1
-    return c.replaced(
-        triangles=new_tris, coloured_edges=new_coloured, edge_colours=new_cols
-    ).relabelled(vmap, c.vertex_count - 1)
+    t_idx, e1, e2, inner = _site(_shell_merge_site, c, vertex, "shell_merge")
+    new_tris = [t for idx, t in enumerate(c.triangles) if idx != t_idx]
+    return _without_vertex(_recoloured(c, (e1, e2), (inner,), triangles=new_tris), vertex)
+
+
+def _shell_open_site(c, edge):
+    """For a coloured edge: its triangle and that triangle's apex, which must be
+    interior, as long as neither end of the edge lies in that triangle alone."""
+    found = _coloured_boundary_edge(c, edge)
+    if found is None:
+        return None
+    e, t_idx = found
+    w = next(x for x in c.triangles[t_idx] if x not in e)
+    vt = c.vertex_triangles()
+    if w in c.boundary_edges_at() or any(len(vt[x]) < 2 for x in e):
+        return None
+    return e, t_idx, w
 
 
 def shelling_open_vertex(c: OpenClosedComplex, edge) -> OpenClosedComplex:
     """Remove the triangle under a coloured edge, pushing its interior apex out."""
-    e, t_idx = _coloured_boundary_edge(c, edge)
-    tri = c.triangles[t_idx]
-    w = next(x for x in tri if x not in e)
-    if w in c.boundary_vertex_set():
-        raise NotApplicableError("apex is already on the boundary")
+    e, t_idx, w = _site(_shell_open_site, c, edge, "shell_open")
     u, v = e
-    for x in (u, v):
-        if len([idx for idx, t in enumerate(c.triangles) if x in t]) < 2:
-            raise NotApplicableError(f"vertex {x} would be orphaned")
-    colour = c.edge_colours.get(e)
-    new_cols = {k: col for k, col in c.edge_colours.items() if k != e}
-    new_coloured = set(c.coloured_edges) - {e} | {ekey(u, w), ekey(w, v)}
-    if colour is not None:
-        new_cols[ekey(u, w)] = colour
-        new_cols[ekey(w, v)] = colour
     new_tris = [t for idx, t in enumerate(c.triangles) if idx != t_idx]
-    return c.replaced(triangles=new_tris, coloured_edges=new_coloured, edge_colours=new_cols)
+    return _recoloured(c, (e,), (ekey(u, w), ekey(w, v)), triangles=new_tris)
 
 
-def shelling_close_vertex(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
-    """Fill the notch at a boundary vertex with two coloured edges, making it interior."""
-    w = vertex
-    bedges = [e for e in c.boundary_edges() if w in e]
-    if len(bedges) != 2:
-        raise NotApplicableError(f"vertex {w} does not lie on exactly two boundary edges")
+def _shell_close_site(c, w):
+    """For a boundary vertex between two edges coloured alike, with the
+    boundary running ``u -> w -> v``: the two edges and ``u``, ``v``, unless
+    ``u``-``v`` is already an edge."""
+    bedges = c.boundary_edges_at().get(w, ())
+    if len(bedges) != 2 or not _coloured_pair(c, *bedges):
+        return None
     e1, e2 = bedges
-    if e1 not in c.coloured_edges or e2 not in c.coloured_edges:
-        raise NotApplicableError("both boundary edges at the vertex must be coloured")
-    if c.edge_colours.get(e1) != c.edge_colours.get(e2):
-        raise NotApplicableError("edges carry different brane colours")
     d1 = _boundary_direction(c, e1)
     d2 = _boundary_direction(c, e2)
-    # boundary runs ... u -> w -> v ...
     if d1[1] == w and d2[0] == w:
         u, v = d1[0], d2[1]
     elif d2[1] == w and d1[0] == w:
         u, v = d2[0], d1[1]
     else:
-        raise NotApplicableError("boundary does not pass through the vertex as a chain")
+        return None
     if u == v or ekey(u, v) in c.edge_triangles():
-        raise NotApplicableError("closing edge already present")
-    colour = c.edge_colours.get(e1)
-    new_cols = {k: col for k, col in c.edge_colours.items() if k not in (e1, e2)}
-    new_coloured = set(c.coloured_edges) - {e1, e2} | {ekey(u, v)}
-    if colour is not None:
-        new_cols[ekey(u, v)] = colour
-    return c.replaced(
-        triangles=list(c.triangles) + [(w, u, v)],
-        coloured_edges=new_coloured,
-        edge_colours=new_cols,
-    )
+        return None
+    return e1, e2, u, v
 
 
-_SHELLINGS = {
-    "split_edge": shelling_split_edge,
-    "merge_edges": shelling_merge_edges,
-    "open_vertex": shelling_open_vertex,
-    "close_vertex": shelling_close_vertex,
-}
+def shelling_close_vertex(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
+    """Fill the notch at a boundary vertex with two coloured edges, making it interior."""
+    e1, e2, u, v = _site(_shell_close_site, c, vertex, "shell_close")
+    return _recoloured(c, (e1, e2), (ekey(u, v),), triangles=list(c.triangles) + [(vertex, u, v)])
 
 
-def shelling_type2(c: OpenClosedComplex, kind: str, site) -> OpenClosedComplex:
-    """Dispatch one of the four coloured elementary shellings by name."""
-    if kind not in _SHELLINGS:
-        raise NotApplicableError(f"unknown type-2 shelling {kind!r}")
-    return _SHELLINGS[kind](c, site)
-
-
-# -- seeded fuzz driver ---------------------------------------------------------------
-
-
-def applicable_moves(c: OpenClosedComplex):
-    """Deterministically ordered list of applicable local moves."""
-    moves = []
-    et = c.edge_triangles()
-    boundary_vs = c.boundary_vertex_set()
-    tri_sets = {frozenset(t) for t in c.triangles}
-
-    for e in c.interior_edges():
-        occ = _directed_occurrence(c, e)
-        if len(occ) != 2:
-            continue
-        (_, _, x), (_, _, y) = occ
-        if x != y and ekey(x, y) not in et:
-            moves.append(("flip", e))
-    for idx in range(len(c.triangles)):
-        moves.append(("split", idx))
-
-    deg = {}
-    for t in c.triangles:
-        for v in t:
-            deg[v] = deg.get(v, 0) + 1
-    for v in range(c.vertex_count):
-        if v in boundary_vs or deg.get(v) != 3:
-            continue
-        incident = [t for t in c.triangles if v in t]
-        opp = {}
-        for t in incident:
-            a, b, cc = t
-            for (x, y, z) in ((a, b, cc), (b, cc, a), (cc, a, b)):
-                if z == v:
-                    opp[x] = y
-        start = min(opp)
-        cyc = (start, opp.get(start), opp.get(opp.get(start)))
-        if None in cyc or len(set(cyc)) != 3 or frozenset(cyc) in tri_sets:
-            continue
-        moves.append(("merge", v))
-
-    for e in sorted(c.coloured_edges):
-        moves.append(("shell_split", e))
-        tri = c.triangles[et[e][0]]
-        w = next(x for x in tri if x not in e)
-        if w not in boundary_vs and all(deg.get(x, 0) >= 2 for x in e):
-            moves.append(("shell_open", e))
-    for v in sorted(boundary_vs):
-        b_at_v = [e for e in c.boundary_edges() if v in e]
-        if len(b_at_v) != 2 or not all(e in c.coloured_edges for e in b_at_v):
-            continue
-        if c.edge_colours.get(b_at_v[0]) != c.edge_colours.get(b_at_v[1]):
-            continue
-        if deg.get(v) == 1:
-            inner = ekey(*[x for x in set().union(*b_at_v) if x != v])
-            if len(et.get(inner, ())) == 2:
-                moves.append(("shell_merge", v))
-        d1 = _boundary_direction(c, b_at_v[0])
-        d2 = _boundary_direction(c, b_at_v[1])
-        if d1[1] == v and d2[0] == v:
-            u, w2 = d1[0], d2[1]
-        elif d2[1] == v and d1[0] == v:
-            u, w2 = d2[0], d1[1]
-        else:
-            continue
-        if u != w2 and ekey(u, w2) not in et:
-            moves.append(("shell_close", v))
-    return moves
-
-
-_MOVE_FUNCS = {
+_MOVES = {
     "flip": pachner_22,
     "split": pachner_13,
     "merge": pachner_31,
@@ -786,18 +727,46 @@ _MOVE_FUNCS = {
     "shell_close": shelling_close_vertex,
 }
 
+_TYPE2_KINDS = {"split_edge": "shell_split", "merge_edges": "shell_merge",
+                "open_vertex": "shell_open", "close_vertex": "shell_close"}
+
+
+def shelling_type2(c: OpenClosedComplex, kind: str, site) -> OpenClosedComplex:
+    """Dispatch one of the four coloured elementary shellings by name."""
+    if kind not in _TYPE2_KINDS:
+        raise NotApplicableError(f"unknown type-2 shelling {kind!r}")
+    return _MOVES[_TYPE2_KINDS[kind]](c, site)
+
+
+# -- seeded fuzz driver ---------------------------------------------------------------
+
+
+def applicable_moves(c: OpenClosedComplex):
+    """Deterministically ordered list of the ``(kind, site)`` pairs whose move
+    applies: the sites that the moves' own checks accept."""
+    moves = [("flip", e) for e in c.interior_edges() if _flip_site(c, e) is not None]
+    moves += [("split", t) for t in range(len(c.triangles)) if _split_site(c, t) is not None]
+    moves += [("merge", v) for v in range(c.vertex_count) if _merge_site(c, v) is not None]
+    for e in sorted(c.coloured_edges):
+        if _coloured_boundary_edge(c, e) is not None:
+            moves.append(("shell_split", e))
+        if _shell_open_site(c, e) is not None:
+            moves.append(("shell_open", e))
+    for v in sorted(c.boundary_edges_at()):
+        if _shell_merge_site(c, v) is not None:
+            moves.append(("shell_merge", v))
+        if _shell_close_site(c, v) is not None:
+            moves.append(("shell_close", v))
+    return moves
+
 
 def random_moves(c: OpenClosedComplex, seed: int, n: int) -> OpenClosedComplex:
     """Apply ``n`` uniformly chosen applicable moves with a seeded PRNG."""
     rng = random.Random(seed)
-    cur = c
     for _ in range(n):
-        moves = applicable_moves(cur)
+        moves = applicable_moves(c)
         if not moves:
             break
         kind, site = moves[rng.randrange(len(moves))]
-        try:
-            cur = _MOVE_FUNCS[kind](cur, site)
-        except NotApplicableError:
-            continue
-    return cur
+        c = _MOVES[kind](c, site)
+    return c

@@ -30,7 +30,6 @@ from .errors import (
     WindowNotInvertibleError,
 )
 from .linalg import Matrix
-from .morphism import Morphism, full_factor, split_factor
 
 
 def swap_matrix(field, n: int) -> Matrix:
@@ -686,46 +685,3 @@ def check_knowledgeable(K: KnowledgeableFrobenius):
 
 def all_axioms_pass(report) -> bool:
     return all(ok for (_, ok, _) in report)
-
-
-# -- P/Q/Phi/Psi as typed morphisms ---------------------------------------------
-
-
-def iterated_mu(F: FrobeniusStructure, arity: int) -> Morphism:
-    a = full_factor(F.dim)
-    return Morphism(F.field, (a,) * arity, (a,), F.iterated_mu_matrix(arity))
-
-
-def iterated_delta(F: FrobeniusStructure, arity: int) -> Morphism:
-    a = full_factor(F.dim)
-    return Morphism(F.field, (a,), (a,) * arity, F.iterated_delta_matrix(arity))
-
-
-def P_map(F: FrobeniusStructure, k: int, l: int) -> Morphism:
-    a = full_factor(F.dim)
-    return Morphism(F.field, (a,) * l, (a,) * k, F.p_matrix(k, l))
-
-
-def Q_map(F: FrobeniusStructure, k: int, l: int) -> Morphism:
-    a = full_factor(F.dim)
-    return Morphism(F.field, (a,) * l, (a,) * k, F.q_matrix(k, l))
-
-
-def phi_iso(F: FrobeniusStructure, k: int):
-    phi, phi_inv = F.phi_matrices(k)
-    a = full_factor(F.dim)
-    s = split_factor(phi.rows)
-    return (
-        Morphism(F.field, (a,), (s,), phi),
-        Morphism(F.field, (s,), (a,), phi_inv),
-    )
-
-
-def psi_iso(F: FrobeniusStructure, k: int):
-    psi, psi_inv = F.psi_matrices(k)
-    d = split_factor(psi.cols)
-    s = split_factor(psi.rows)
-    return (
-        Morphism(F.field, (d,), (s,), psi),
-        Morphism(F.field, (s,), (d,), psi_inv),
-    )

@@ -16,9 +16,16 @@ from .errors import FileFormatError
 from .fields import Field
 from .frobenius import canonical_frobenius, frobenius_from_counit, frobenius_from_window
 
-# what a malformed document raises while it is converted; OverflowError comes
-# from int() of the JSON number Infinity
-_SHAPE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+# what a malformed document raises while it is converted
+_SHAPE_ERRORS = (KeyError, TypeError, ValueError)
+
+
+def _int(x) -> int:
+    """A JSON integer; booleans, non-integral numbers and anything else are
+    refused rather than converted."""
+    if type(x) is not int:
+        raise FileFormatError(f"expected an integer, got {x!r}")
+    return x
 
 
 def _field_to_json(field: Field):
@@ -33,7 +40,7 @@ def _field_from_json(obj) -> Field:
         if kind == "rational":
             return Field()
         if kind == "prime":
-            return Field(int(obj["p"]))
+            return Field(_int(obj["p"]))
     except _SHAPE_ERRORS as exc:
         raise FileFormatError(f"bad field spec {obj!r}") from exc
     raise FileFormatError(f"unknown field kind {obj!r}")
@@ -64,15 +71,18 @@ def algebra_from_json(doc):
     """
     try:
         field = _field_from_json(doc["field"])
-        dim = int(doc["dim"])
-        names = doc.get("basis") or None
-        mul = [(int(i), int(j), int(k), field.parse(c)) for (i, j, k, c) in doc["mul"]]
+        dim = _int(doc["dim"])
+        names = doc.get("basis")
+        if names is not None and not (isinstance(names, list)
+                                      and all(isinstance(n, str) for n in names)):
+            raise FileFormatError(f"basis must be a list of strings, got {names!r}")
+        mul = [(_int(i), _int(j), _int(k), field.parse(c)) for (i, j, k, c) in doc["mul"]]
         unit = [field.parse(c) for c in doc["unit"]]
         fr = doc.get("frobenius")
         blocks = doc.get("blocks")
         # shape errors (an index out of range, a vector of the wrong length,
         # a negative dim) surface here as ValueError
-        alg = Algebra(field, dim, mul, unit, basis_names=names)
+        alg = Algebra(field, dim, mul, unit, basis_names=names or None)
         F = None
         if fr == "canonical":
             F = canonical_frobenius(alg)
@@ -86,8 +96,8 @@ def algebra_from_json(doc):
         raise FileFormatError(f"malformed algebra file: {exc}") from exc
     if blocks is not None:
         try:
-            blocks = {"sizes": [int(m) for m in blocks["sizes"]],
-                      "windows": [int(a) for a in blocks["windows"]]}
+            blocks = {"sizes": [_int(m) for m in blocks["sizes"]],
+                      "windows": [_int(a) for a in blocks["windows"]]}
         except _SHAPE_ERRORS as exc:
             raise FileFormatError(f"malformed blocks: {exc}") from exc
     return alg, F, blocks
@@ -113,12 +123,12 @@ def complex_to_json(c: OpenClosedComplex) -> dict:
 
 def complex_from_json(doc) -> OpenClosedComplex:
     try:
-        vertices = int(doc["vertices"])
-        triangles = [tuple(int(v) for v in t) for t in doc["triangles"]]
-        coloured = [tuple(int(v) for v in e) for e in doc.get("coloured_edges", [])]
+        vertices = _int(doc["vertices"])
+        triangles = [tuple(_int(v) for v in t) for t in doc["triangles"]]
+        coloured = [tuple(_int(v) for v in e) for e in doc.get("coloured_edges", [])]
         def comps(key):
             return [
-                BoundaryComponent(b["kind"], [tuple(int(v) for v in e) for e in b["edges"]])
+                BoundaryComponent(b["kind"], [tuple(_int(v) for v in e) for e in b["edges"]])
                 for b in doc.get(key, [])
             ]
         black_in = comps("black_in")

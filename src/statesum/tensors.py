@@ -13,7 +13,8 @@ taking one entry from each tensor.  Scaling each tensor by the lcm ``L_t`` of
 its denominators therefore scales every entry of the result by
 ``D = prod L_t``, so the integer contraction divided once by ``D`` is the
 rational one, exactly; the ``Fraction``s it yields are canonical and hence
-identical to those of a ``Fraction`` contraction.
+identical to those of a ``Fraction`` contraction.  Over F_p the same kernel
+accumulates integer sums and reduces each output entry mod ``p`` once.
 
 The pair-selection rule is greedy on the *dense* size of the resulting
 tensor (ties broken by the smallest shared leg, then creation order), which
@@ -77,7 +78,6 @@ class Tensor:
                     else:
                         cols.setdefault(c, []).append((r, v))
         new_dim = matrix.cols if transpose else matrix.rows
-        p = self.field.p
         acc = {}
         for idx, v in self.data.items():
             hits = cols.get(idx[pos])
@@ -86,9 +86,8 @@ class Tensor:
             for out_i, m in hits:
                 key = idx[:pos] + (out_i,) + idx[pos + 1:]
                 prev = acc.get(key)
-                val = v * m if prev is None else prev + v * m
-                acc[key] = val if p is None else val % p
-        data = {k: v for k, v in acc.items() if v != 0}
+                acc[key] = v * m if prev is None else prev + v * m
+        data = _nonzero(acc, self.field.p)
         dims = self.dims[:pos] + (new_dim,) + self.dims[pos + 1:]
         return Tensor(self.field, self.legs, dims, data)
 
@@ -110,6 +109,14 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(legs={list(self.legs)}, nnz={len(self.data)})"
+
+
+def _nonzero(acc, p):
+    """The nonzero entries of accumulated sums; over F_p each sum is reduced
+    once, here, rather than on every multiply-add."""
+    if p is None:
+        return {k: v for k, v in acc.items() if v != 0}
+    return {k: r for k, v in acc.items() if (r := v % p)}
 
 
 def _strides(dims):
@@ -134,10 +141,9 @@ def contract_pair(t1: Tensor, t2: Tensor) -> Tensor:
         key = tuple(idx[p] for p in spos2)
         buckets.setdefault(key, []).append((tuple(idx[i] for i in keep2), v))
 
-    p = t1.field.p
     acc = {}
     for idx, v in t1.data.items():
-        key = tuple(idx[p_] for p_ in spos1)
+        key = tuple(idx[p] for p in spos1)
         hits = buckets.get(key)
         if not hits:
             continue
@@ -145,9 +151,8 @@ def contract_pair(t1: Tensor, t2: Tensor) -> Tensor:
         for free2, v2 in hits:
             out = base + free2
             prev = acc.get(out)
-            val = v * v2 if prev is None else prev + v * v2
-            acc[out] = val if p is None else val % p
-    data = {k: v for k, v in acc.items() if v != 0}
+            acc[out] = v * v2 if prev is None else prev + v * v2
+    data = _nonzero(acc, t1.field.p)
     legs = tuple(t1.legs[i] for i in keep1) + tuple(t2.legs[i] for i in keep2)
     dims = tuple(t1.dims[i] for i in keep1) + tuple(t2.dims[i] for i in keep2)
     return Tensor(t1.field, legs, dims, data)

@@ -317,9 +317,25 @@ _TRIANGLE = {"vertices": 3, "triangles": [[0, 1, 2]], "coloured_edges": [],
     (_z2_doc(dim=float("inf")), _TRIANGLE),
     (_z2_doc(), dict(_TRIANGLE, brane_colours=True)),
     (_z2_doc(), dict(sio.complex_to_json(S.strip(1, 1)), brane_colours={"0": [1]})),
+    # every integer of a file must be a JSON integer: nothing is truncated or
+    # read from a boolean, and the basis is a list of names
+    (_z2_doc(dim=2.5), _TRIANGLE),
+    (_z2_doc(field={"kind": "prime", "p": 7.9}), _TRIANGLE),
+    (_z2_doc(mul=[[0, 0, 0, "1"], [0, 1.0, 1, "1"], [1.0, 0, 1, "1"], [1, 1, 0.0, "1"]]),
+     _TRIANGLE),
+    (_z2_doc(mul=[[0, 0, 0, "1"], [0, True, 1, "1"], [True, 0, 1, "1"], [1, 1, 0, "1"]]),
+     _TRIANGLE),
+    (_z2_doc(basis={"a": 1, "b": 2}), _TRIANGLE),
+    (_z2_doc(basis=[0, 1]), _TRIANGLE),
+    (_z2_doc(blocks={"sizes": [1.5, 1], "windows": [1, 1]}), _TRIANGLE),
+    (_z2_doc(), dict(_TRIANGLE, vertices=3.0)),
+    (_z2_doc(), dict(_TRIANGLE, triangles=[[0, 1, 2.0]])),
+    (_z2_doc(), dict(_TRIANGLE, coloured_edges=[[0, True], [1, 2], [2, 0]])),
 ], ids=["index", "unit", "counit", "window", "basis", "negative_dim", "two_vertex_triangle",
         "zero_denominator", "number_coefficients", "infinite_dim", "brane_not_object",
-        "brane_list_colour"])
+        "brane_list_colour", "fractional_dim", "fractional_prime", "float_indices",
+        "boolean_indices", "basis_object", "basis_numbers", "fractional_block_size",
+        "float_vertex_count", "float_triangle_vertex", "boolean_edge_vertex"])
 def test_malformed_file_shapes_are_file_format_errors(tmp_path, capsys, algebra, complex_):
     apath = write(tmp_path, "a.json", sio.dumps(algebra))
     cpath = write(tmp_path, "c.json", sio.dumps(complex_))

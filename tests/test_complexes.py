@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import statesum as S
@@ -9,6 +11,7 @@ from statesum.cobordisms import (
     connected_sum,
     dig_hole,
     disjoint_union,
+    generator_suite,
     glue,
     grid_torus,
     minimal_torus,
@@ -380,3 +383,70 @@ def test_closed_mult_shape():
     assert [b.kind for b in c.black_in] == ["circle", "circle"]
     assert [b.kind for b in c.black_out] == ["circle"]
     assert c.validate().components[0]["euler_characteristic"] == -1
+
+
+def _walk_state(c):
+    return (c.vertex_count, c.triangles, sorted(c.coloured_edges), c.black_in, c.black_out,
+            sorted(c.edge_colours.items()))
+
+
+# SHA-1 over the walks of acceptance test 05's slice (13 complexes, seeds
+# 1000 * t + 17 for t < 20, 30 moves each), computed with the earlier
+# implementation in which applicable_moves restated every move's precondition
+# and random_moves skipped a listed move that then failed to apply.
+FUZZ_TRAFFIC_SHA1 = "0c39a9dad3aa8fa8dfa3188044a15e506f01eeec"
+
+
+def test_fuzz_traffic_is_pinned():
+    suite = dict(generator_suite(), torus=closed_surface(1, 0),
+                 genus2_window=closed_surface(2, 1))
+    digest = hashlib.sha1()
+    for c in suite.values():
+        for trial in range(20):
+            digest.update(repr(_walk_state(random_moves(c, seed=1000 * trial + 17, n=30))).encode())
+    assert digest.hexdigest() == FUZZ_TRAFFIC_SHA1
+
+
+_MOVE_BY_KIND = {
+    "flip": pachner_22,
+    "split": pachner_13,
+    "merge": pachner_31,
+    "shell_split": shelling_split_edge,
+    "shell_merge": shelling_merge_edges,
+    "shell_open": shelling_open_vertex,
+    "shell_close": shelling_close_vertex,
+}
+
+
+def _candidate_sites(c):
+    """Every site a move of each kind could be asked about, out-of-range ones included."""
+    vertices = range(c.vertex_count + 1)
+    return {"flip": c.edges(), "split": range(len(c.triangles) + 1), "merge": vertices,
+            "shell_split": c.edges(), "shell_open": c.edges(),
+            "shell_merge": vertices, "shell_close": vertices}
+
+
+def test_applicable_moves_are_exactly_the_moves_that_apply():
+    """On the states of seeded walks, a move applies (to a valid complex)
+    exactly at the sites applicable_moves lists, and it lists no site twice."""
+    starts = [sphere(), strip(2, 2), annulus(3, 3), open_unit(), zipper(), closed_surface(1, 1)]
+    kinds_seen = set()
+    for start in starts:
+        for seed in (1, 2):
+            c = start
+            for step in range(12):
+                listed = applicable_moves(c)
+                assert len(set(listed)) == len(listed)
+                accepted = []
+                for kind, sites in _candidate_sites(c).items():
+                    for site in sites:
+                        try:
+                            moved = _MOVE_BY_KIND[kind](c, site)
+                        except NotApplicableError:
+                            continue
+                        assert moved.validate().ok, (kind, site)
+                        accepted.append((kind, site))
+                assert set(accepted) == set(listed)
+                kinds_seen.update(kind for kind, _ in listed)
+                c = random_moves(c, seed=100 * seed + step, n=1)
+    assert kinds_seen == set(_MOVE_BY_KIND)

@@ -21,6 +21,7 @@ from statesum.frobenius import (
     split_idempotent,
     window_element,
 )
+from statesum.morphism import Morphism, full_factor, split_factor
 
 
 def scaled_unit(alg, c):
@@ -417,11 +418,39 @@ def test_phi_psi_base_cases(structures):
     assert psi == S.Matrix.identity(QQ, psi.rows)
 
 
+# the boundary projectors and pivot isomorphisms as typed morphisms
+
+
+def P_map(F, k, l):
+    a = full_factor(F.dim)
+    return Morphism(F.field, (a,) * l, (a,) * k, F.p_matrix(k, l))
+
+
+def phi_iso(F, k):
+    phi, phi_inv = F.phi_matrices(k)
+    a = full_factor(F.dim)
+    s = split_factor(phi.rows)
+    return (
+        Morphism(F.field, (a,), (s,), phi),
+        Morphism(F.field, (s,), (a,), phi_inv),
+    )
+
+
+def psi_iso(F, k):
+    psi, psi_inv = F.psi_matrices(k)
+    d = split_factor(psi.cols)
+    s = split_factor(psi.rows)
+    return (
+        Morphism(F.field, (d,), (s,), psi),
+        Morphism(F.field, (s,), (d,), psi_inv),
+    )
+
+
 def test_morphism_wrappers_signatures(structures):
     alg, F = structures["Q[Z/2] delta"]
-    p = S.P_map(F, 2, 3)
+    p = P_map(F, 2, 3)
     assert len(p.domain) == 3 and len(p.codomain) == 2
-    phi, phi_inv = S.phi_iso(F, 2)
+    phi, phi_inv = phi_iso(F, 2)
     assert phi_inv.compose(phi).matrix == S.Matrix.identity(alg.field, alg.dim)
-    psi, psi_inv = S.psi_iso(F, 2)
+    psi, psi_inv = psi_iso(F, 2)
     assert psi_inv.compose(psi).matrix == S.Matrix.identity(alg.field, psi.matrix.cols)

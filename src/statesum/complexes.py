@@ -11,11 +11,11 @@ three edges.
 Moves (bistellar 1-3 / 3-1 / 2-2 and the coloured elementary shellings)
 return new complexes; values are immutable after construction.  Each move's
 precondition is written once, as a site check that returns what the move
-needs or ``None``.  The move raises ``NotApplicableError`` on ``None``, and
-``applicable_moves`` lists exactly the sites the checks accept, so a listed
-move always applies.  The checks read a vertex -> triangles and a boundary
-vertex -> boundary edges index, built once per complex, so each costs
-O(degree).
+needs or ``None``.  The move raises ``NotApplicableError`` on ``None`` or on
+a site not shaped like a vertex, edge or triangle, and ``applicable_moves``
+lists exactly the sites the checks accept, so a listed move always applies.
+The checks read a vertex -> triangles and a boundary vertex -> boundary
+edges index, built once per complex, so each costs O(degree).
 """
 
 from __future__ import annotations
@@ -264,9 +264,12 @@ class OpenClosedComplex:
                 if not (0 <= v < n):
                     violations.append(("vertex_range", f"triangle {t} references vertex {v}"))
                 used.add(v)
-        for v in range(n):
-            if v not in used:
-                violations.append(("isolated_vertex", f"vertex {v} lies in no triangle"))
+        # counted over the used vertices, so a huge declared count costs nothing
+        isolated = n - sum(0 <= v < n for v in used)
+        if isolated > 0:
+            first = next(v for v in range(n) if v not in used)
+            violations.append(("isolated_vertex",
+                               f"{isolated} of {n} vertices lie in no triangle, the smallest {first}"))
 
         seen_sets = set()
         for t in self.triangles:
@@ -507,8 +510,24 @@ def validate(c: OpenClosedComplex) -> ComplexReport:
 # -- local moves: one site check per move (see the module docstring) ---------------
 
 
+# a vertex is an int, an edge a pair of distinct ints, and a triangle an index
+# or a triple of distinct vertices; a boolean is not an int here
+_SITE_ARITY = {"flip": 2, "split": 3, "merge": 1, "shell_split": 2, "shell_merge": 1,
+               "shell_open": 2, "shell_close": 1}
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _site(check, c, where, kind):
-    site = check(c, where)
+    n = _SITE_ARITY[kind]
+    if _is_int(where):
+        shaped = n != 2
+    else:
+        shaped = (n > 1 and isinstance(where, (tuple, list)) and len(where) == n
+                  and all(map(_is_int, where)) and len(set(where)) == n)
+    site = check(c, where) if shaped else None
     if site is None:
         raise NotApplicableError(f"{kind} does not apply at {where!r}")
     return site

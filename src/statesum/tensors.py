@@ -16,13 +16,19 @@ rational one, exactly; the ``Fraction``s it yields are canonical and hence
 identical to those of a ``Fraction`` contraction.  Over F_p the same kernel
 accumulates integer sums and reduces each output entry mod ``p`` once.
 
-The pair-selection rule is greedy on the *dense* size of the resulting
-tensor (ties broken by the smallest shared leg, then creation order), which
-is deterministic; any order yields the same result by multilinearity.
+Contraction is planned on shapes alone, then executed.  The plan is greedy
+on the *dense* size of the result: of the pairs sharing a leg that only they
+hold, it takes the smallest result, ties broken by the smallest shared leg,
+then creation order.  A heap keyed by exactly that holds the candidates;
+each merge scores only the merged tensor's new pairs, and entries naming a
+merged tensor are dropped when they reach the top, so there is no rescan of
+every pair per step (cf. Gray & Kourtis, arXiv:2002.01935).  The order is
+deterministic, and any order yields the same result by multilinearity.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import lcm, prod
 
@@ -50,12 +56,6 @@ class Tensor:
     @classmethod
     def vector(cls, field, leg, dim, coeffs):
         return cls(field, (leg,), (dim,), {(i,): v for i, v in enumerate(coeffs) if v != 0})
-
-    def dense_size(self) -> int:
-        s = 1
-        for d in self.dims:
-            s *= d
-        return s
 
     def scalar(self):
         if self.legs:
@@ -158,18 +158,6 @@ def contract_pair(t1: Tensor, t2: Tensor) -> Tensor:
     return Tensor(t1.field, legs, dims, data)
 
 
-def _pair_cost(t1, t2):
-    shared = set(t1.legs) & set(t2.legs)
-    size = 1
-    for l, d in zip(t1.legs, t1.dims):
-        if l not in shared:
-            size *= d
-    for l, d in zip(t2.legs, t2.dims):
-        if l not in shared:
-            size *= d
-    return size, min(shared)
-
-
 def _clear_denominators(tensors):
     """Integer copies of rational tensors, each scaled by the lcm of its
     denominators, and the product ``D`` of those scales."""
@@ -183,59 +171,72 @@ def _clear_denominators(tensors):
     return out, D
 
 
-def greedy_contract(tensors) -> Tensor:
-    """Contract a list of tensors down to one.
+def plan(shapes):
+    """The greedy order for a network of ``(legs, dims)`` shapes: steps
+    ``(a, b)``, where inputs are ``0..n-1`` and step ``s`` makes ``n + s``.
 
-    Repeatedly contract the connected pair whose result has the smallest
-    dense size (ties by smallest shared leg id, then insertion order);
-    disconnected remainders are combined smallest-first.
+    The heap holds ``(dense size of the result, smallest shared leg, a, b)``.
+    After a merge only the legs of ``a`` and ``b`` change holders, so only
+    the pairs they now give (the merged tensor's) are scored; entries naming
+    ``a`` or ``b`` are stale and skipped at the top.  With no pair left the
+    two smallest tensors by ``(dense size, id)`` are combined.
+    """
+    dims = [dict(zip(legs, ds)) for legs, ds in shapes]
+    size = [prod(ds) for _, ds in shapes]
+    holders = {}
+    for tid, d in enumerate(dims):
+        for l in d:
+            holders.setdefault(l, set()).add(tid)
+    heap = []
+
+    def push(pairs):
+        for a, b in pairs:
+            shared = dims[a].keys() & dims[b].keys()
+            cut = prod(dims[a][l] * dims[b][l] for l in shared)
+            heapq.heappush(heap, (size[a] * size[b] // cut, min(shared), a, b))
+
+    push({tuple(sorted(h)) for h in holders.values() if len(h) == 2})
+    alive = set(range(len(dims)))
+    steps = []
+    while len(alive) > 1:
+        while heap and not (heap[0][2] in alive and heap[0][3] in alive):
+            heapq.heappop(heap)
+        if heap:
+            a, b = heapq.heappop(heap)[2:]
+        else:
+            a, b = sorted(alive, key=lambda t: (size[t], t))[:2]
+        m = len(dims)
+        da, db = dims[a], dims[b]
+        merged = {l: d for l, d in (da | db).items() if (l in da) != (l in db)}
+        dims.append(merged)
+        size.append(prod(merged.values()))
+        alive ^= {a, b, m}
+        steps.append((a, b))
+        pairs = set()
+        for l in da.keys() | db.keys():
+            h = holders[l]
+            h -= {a, b}
+            if l in merged:
+                h.add(m)
+            if len(h) == 2:
+                pairs.add(tuple(sorted(h)))
+        push(pairs)
+    return steps
+
+
+def greedy_contract(tensors) -> Tensor:
+    """Contract a list of tensors down to one, in the order ``plan`` gives
+    for their shapes.
 
     Over Q the contraction runs on integer copies (see the module docstring)
     and the result is divided by their common scale once, at the end.
     """
     rational = tensors[0].field.p is None
-    if rational:
-        tensors, D = _clear_denominators(tensors)
-    items = dict(enumerate(tensors))
-    next_id = len(tensors)
-
-    leg_holders = {}
-    for tid, t in items.items():
-        for l in t.legs:
-            leg_holders.setdefault(l, set()).add(tid)
-
-    def candidate_pairs():
-        pairs = set()
-        for l, holders in leg_holders.items():
-            if len(holders) == 2:
-                a, b = sorted(holders)
-                pairs.add((a, b))
-        return pairs
-
-    while len(items) > 1:
-        pairs = candidate_pairs()
-        if pairs:
-            def rank(pair):
-                size, min_shared = _pair_cost(items[pair[0]], items[pair[1]])
-                return (size, min_shared, pair)
-            a, b = min(pairs, key=rank)
-        else:
-            order = sorted(items, key=lambda tid: (items[tid].dense_size(), tid))
-            a, b = order[0], order[1]
-        merged = contract_pair(items[a], items[b])
-        for tid in (a, b):
-            for l in items[tid].legs:
-                holders = leg_holders.get(l)
-                if holders:
-                    holders.discard(tid)
-                    if not holders:
-                        del leg_holders[l]
-            del items[tid]
-        items[next_id] = merged
-        for l in merged.legs:
-            leg_holders.setdefault(l, set()).add(next_id)
-        next_id += 1
-    result = items.popitem()[1]
+    items, D = _clear_denominators(tensors) if rational else (list(tensors), 1)
+    for a, b in plan([(t.legs, t.dims) for t in items]):
+        items.append(contract_pair(items[a], items[b]))
+        items[a] = items[b] = None  # frees the integer copies as they are used
+    result = items[-1]
     if rational:
         result.data = {k: Fraction(v, D) for k, v in result.data.items()}
     return result

@@ -352,6 +352,19 @@ def test_eval_invalid_complex_file(z2_file, tmp_path, capsys):
     assert code == 1
 
 
+def test_eval_huge_declared_vertex_count(z2_file, tmp_path, capsys):
+    # the unused vertices are counted, not listed one by one
+    doc = sio.complex_to_json(S.builtin("open_mult"))
+    doc["vertices"] = 10**9
+    path = write(tmp_path, "huge_complex.json", sio.dumps(doc))
+    code, out = run(capsys, "eval", "--algebra", z2_file, "--complex", path)
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "InvalidComplexError"
+    assert err["message"].count("isolated_vertex") == 1
+    assert "999999994 of 1000000000 vertices lie in no triangle, the smallest 6" in err["message"]
+
+
 def test_missing_file(capsys):
     code, out = run(capsys, "algebra", "check", "/nonexistent/path.json")
     assert code == 1

@@ -450,3 +450,16 @@ def test_applicable_moves_are_exactly_the_moves_that_apply():
                 kinds_seen.update(kind for kind, _ in listed)
                 c = random_moves(c, seed=100 * seed + step, n=1)
     assert kinds_seen == set(_MOVE_BY_KIND)
+
+
+@pytest.mark.parametrize("kind,site", [
+    ("flip", 5), ("flip", (1, 2, 3)), ("flip", (False, 3)), ("flip", "03"), ("flip", (0.0, 3)),
+    ("split", (0, 0, 1)), ("split", True), ("split", (0, 3)), ("split", 1.0),
+    ("merge", True), ("merge", (4,)), ("shell_split", (True, 3)), ("shell_open", [1, True]),
+    ("shell_merge", False), ("shell_close", None),
+])
+def test_malformed_sites_are_not_applicable(kind, site):
+    c = strip(1, 1)  # flip (0, 3), split 0 and 1, shell_split (0, 2) and (1, 3) apply
+    assert len(applicable_moves(c)) == 5
+    with pytest.raises(NotApplicableError):
+        _MOVE_BY_KIND[kind](c, site)

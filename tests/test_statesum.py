@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -20,6 +21,7 @@ from statesum.complexes import pachner_22, shelling_split_edge
 from statesum.errors import HasBlackBoundaryError, SignatureMismatchError
 from statesum.evaluation import (
     _chain_data,
+    _close_component,
     _gstar_sparse,
     _join_legs,
     build_dual_network,
@@ -30,7 +32,7 @@ from statesum.evaluation import (
 )
 from statesum.fields import QQ
 from statesum.morphism import Morphism, full_factor, split_factor
-from statesum.tensors import Tensor, contract_pair, greedy_contract
+from statesum.tensors import Tensor, contract_pair, greedy_contract, plan
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +87,72 @@ def test_contraction_order_independence(z2):
     base = greedy_contract(tensors)
     for seed in (1, 2, 3):
         assert _same_tensor(_random_fold(tensors, random.Random(seed)), base)
+
+
+def _reference_order(shapes):
+    """The greedy order by exhaustive rescoring: at every step collect the
+    pairs sharing a leg that only those two hold, and take the least by
+    ``(dense size of the result, smallest shared leg, pair)``; with no such
+    pair, combine the two smallest by ``(dense size, id)``."""
+    items = {tid: dict(zip(legs, dims)) for tid, (legs, dims) in enumerate(shapes)}
+    steps = []
+    while len(items) > 1:
+        holders = {}
+        for tid, legs in items.items():
+            for l in legs:
+                holders.setdefault(l, set()).add(tid)
+        pairs = {tuple(sorted(h)) for h in holders.values() if len(h) == 2}
+
+        def rank(pair):
+            a, b = items[pair[0]], items[pair[1]]
+            shared = a.keys() & b.keys()
+            free = [d for l, d in (*a.items(), *b.items()) if l not in shared]
+            return prod(free), min(shared), pair
+
+        if pairs:
+            a, b = min(pairs, key=rank)
+        else:
+            a, b = sorted(items, key=lambda tid: (prod(items[tid].values()), tid))[:2]
+        da, db = items.pop(a), items.pop(b)
+        items[len(shapes) + len(steps)] = {l: d for l, d in (*da.items(), *db.items())
+                                           if (l in da) != (l in db)}
+        steps.append((a, b))
+    return steps
+
+
+def _level_shapes(F, c):
+    """The shapes of the networks ``_evaluate`` contracts for ``c`` at the
+    raw, reduced and full levels."""
+    net = build_dual_network(F, c)
+    out = [[(t.legs, t.dims) for t in net.tensors]]
+    for full in (False, True):
+        tensors = list(net.tensors)
+        for side, components in (("in", net.in_components), ("out", net.out_components)):
+            for ci, (kind, legs) in enumerate(components):
+                tensors += _close_component(F, side, ci, kind, legs, full)[0]
+        out.append([(t.legs, t.dims) for t in tensors])
+    return out
+
+
+def test_plan_is_the_exhaustive_greedy_rule(m2):
+    alg, F = m2
+    suite = dict(S.generator_suite(), torus=closed_surface(1, 0),
+                 genus2_window=closed_surface(2, 1))
+    networks = [shapes for c in suite.values() for seed in (17, 1017, 2017)
+                for shapes in _level_shapes(F, S.random_moves(c, seed=seed, n=30))]
+    _, F13 = S.matrix_direct_sum(QQ, [2, 3], [1, 2])  # the benchmark surfaces
+    for genus, windows in ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (4, 0)):
+        networks += _level_shapes(F13, closed_surface(genus, windows))[:1]
+    for shapes in networks:
+        assert plan(shapes) == _reference_order(shapes)
+    # two components: the last steps combine tensors that share no leg
+    for shapes in _level_shapes(F, disjoint_union(strip(1, 1), zipper())):
+        steps = plan(shapes)
+        assert steps == _reference_order(shapes)
+        legs = [set(l) for l, _ in shapes]
+        for a, b in steps:
+            legs.append(legs[a] ^ legs[b])
+        assert any(not legs[a] & legs[b] for a, b in steps)
 
 
 def test_window_factor_placement_independence(z2, structures):

@@ -47,7 +47,8 @@ def _print(doc, as_json: bool, human_lines):
 
 
 def _matrix_json(field, m):
-    return [[field.format(x) for x in row] for row in m.data]
+    # dense results are mostly zeros, and "0" is what format gives for them
+    return [[field.format(x) if x else "0" for x in row] for row in m.data]
 
 
 def _morphism_json(z: Morphism):

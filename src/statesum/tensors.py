@@ -13,8 +13,18 @@ taking one entry from each tensor.  Scaling each tensor by the lcm ``L_t`` of
 its denominators therefore scales every entry of the result by
 ``D = prod L_t``, so the integer contraction divided once by ``D`` is the
 rational one, exactly; the ``Fraction``s it yields are canonical and hence
-identical to those of a ``Fraction`` contraction.  Over F_p the same kernel
-accumulates integer sums and reduces each output entry mod ``p`` once.
+identical to those of a ``Fraction`` contraction.
+
+``contract_pair`` is the row-by-row sparse product of Gustavson (ACM TOMS
+4(3), 1978), with the free legs of the first tensor as rows and those of the
+second as columns.  The second tensor is indexed by its shared legs, and each
+of its distinct free parts is interned once as a small int, the column id.
+The first tensor's entries are grouped by their free part, the output row.
+Each row sums its products in a dict keyed by column id, so a multiply-add
+builds and hashes no tuple; each sum is then reduced once (mod ``p`` over
+F_p, a zero test over Q), and only a nonzero one pays for its output index
+tuple.  One code path serves the integers of a Q network, residues mod ``p``
+and direct ``Fraction`` calls.
 
 Contraction is planned on shapes alone, then executed.  The plan is greedy
 on the *dense* size of the result: of the pairs sharing a leg that only they
@@ -29,8 +39,10 @@ deterministic, and any order yields the same result by multilinearity.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm, prod
+from operator import itemgetter
 
 from .linalg import Matrix
 
@@ -126,33 +138,60 @@ def _strides(dims):
     return s
 
 
+def _getter(positions):
+    """``idx -> tuple(idx[p] for p in positions)`` as one C call: for one
+    position ``itemgetter(p)`` returns a bare value and ``itemgetter()``
+    raises, so those two cases take a slice instead."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    p = positions[0] if positions else 0
+    return itemgetter(slice(p, p + len(positions)))
+
+
 def contract_pair(t1: Tensor, t2: Tensor) -> Tensor:
-    """Contract all legs shared by name between two tensors."""
+    """Contract all legs shared by name between two tensors; the result's
+    legs are ``t1``'s free legs, then ``t2``'s, each in their own order.
+
+    Row by row (see the module docstring): ``t2``'s entries are bucketed by
+    shared key as ``(column id, value)``, ``t1``'s grouped by output row, and
+    each row accumulates over column ids and reduces each sum once.
+    """
     legs2 = set(t2.legs)
     shared = [l for l in t1.legs if l in legs2]
     sset = set(shared)
     keep1 = [i for i, l in enumerate(t1.legs) if l not in sset]
-    spos1 = [t1.legs.index(l) for l in shared]
     keep2 = [i for i, l in enumerate(t2.legs) if l not in sset]
-    spos2 = [t2.legs.index(l) for l in shared]
+    shared1 = _getter([t1.legs.index(l) for l in shared])
+    shared2 = _getter([t2.legs.index(l) for l in shared])
+    free1, free2 = _getter(keep1), _getter(keep2)
 
-    buckets = {}
+    cols = {}  # free part of a t2 index -> its column id
+    buckets = {}  # shared key -> [(column id, t2 value)]
     for idx, v in t2.data.items():
-        key = tuple(idx[p] for p in spos2)
-        buckets.setdefault(key, []).append((tuple(idx[i] for i in keep2), v))
-
-    acc = {}
+        j = cols.setdefault(free2(idx), len(cols))
+        buckets.setdefault(shared2(idx), []).append((j, v))
+    rows = {}  # free part of a t1 index -> [(t1 value, its bucket)]
     for idx, v in t1.data.items():
-        key = tuple(idx[p] for p in spos1)
-        hits = buckets.get(key)
-        if not hits:
-            continue
-        base = tuple(idx[i] for i in keep1)
-        for free2, v2 in hits:
-            out = base + free2
-            prev = acc.get(out)
-            acc[out] = v * v2 if prev is None else prev + v * v2
-    data = _nonzero(acc, t1.field.p)
+        hits = buckets.get(shared1(idx))
+        if hits:
+            rows.setdefault(free1(idx), []).append((v, hits))
+
+    col = list(cols)
+    p = t1.field.p
+    data = {}
+    for base, terms in rows.items():
+        acc = defaultdict(int)
+        for v, hits in terms:
+            for j, v2 in hits:
+                acc[j] += v * v2
+        if p is None:
+            for j, s in acc.items():
+                if s:
+                    data[base + col[j]] = s
+        else:
+            for j, s in acc.items():
+                if r := s % p:
+                    data[base + col[j]] = r
     legs = tuple(t1.legs[i] for i in keep1) + tuple(t2.legs[i] for i in keep2)
     dims = tuple(t1.dims[i] for i in keep1) + tuple(t2.dims[i] for i in keep2)
     return Tensor(t1.field, legs, dims, data)

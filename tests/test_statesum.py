@@ -1,5 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -17,7 +19,7 @@ from statesum.cobordisms import (
     strip,
     zipper,
 )
-from statesum.complexes import pachner_22, shelling_split_edge
+from statesum.complexes import pachner_22, random_moves, shelling_split_edge
 from statesum.errors import HasBlackBoundaryError, SignatureMismatchError
 from statesum.evaluation import (
     _chain_data,
@@ -269,6 +271,128 @@ def test_prime_field_contraction_stays_in_residues():
     got = greedy_contract(tensors)
     assert got.data == _fold(tensors).data
     assert all(type(v) is int and 0 < v < p for v in got.data.values())
+
+
+# -- contract_pair against a brute-force sum ------------------------------------------
+
+_P = 5  # small, so that random sums often vanish mod p
+
+
+def _kind_field(kind):
+    return S.GF(_P) if kind == "fp" else QQ
+
+
+def _random_value(kind, rng):
+    if kind == "fp":
+        return rng.randrange(1, _P)
+    v = rng.choice([-2, -1, 1, 2])  # small, so that random sums often cancel
+    return Fraction(v, rng.choice([1, 2, 3])) if kind == "fraction" else v
+
+
+def _random_tensor(kind, legs, dims, rng, density):
+    data = {idx: _random_value(kind, rng) for idx in product(*map(range, dims))
+            if rng.random() < density}
+    return Tensor(_kind_field(kind), legs, dims, data)
+
+
+def _brute_force_contract(t1, t2):
+    """Legs and entries of the contraction of ``t1`` and ``t2``, summed over
+    every assignment of the shared legs for every assignment of the free
+    ones, reduced mod p over F_p, zeros dropped."""
+    dim = dict(zip(t1.legs, t1.dims)) | dict(zip(t2.legs, t2.dims))
+    free = [l for l in t1.legs if l not in t2.legs] + [l for l in t2.legs if l not in t1.legs]
+    shared = [l for l in t1.legs if l in t2.legs]
+    out = {}
+    for fidx in product(*(range(dim[l]) for l in free)):
+        total = 0
+        for sidx in product(*(range(dim[l]) for l in shared)):
+            at = dict(zip(free, fidx)) | dict(zip(shared, sidx))
+            total += (t1.data.get(tuple(at[l] for l in t1.legs), 0)
+                      * t2.data.get(tuple(at[l] for l in t2.legs), 0))
+        if t1.field.p is not None:
+            total %= t1.field.p
+        if total != 0:
+            out[fidx] = total
+    return tuple(free), out
+
+
+def _assert_matches_brute_force(kind, t1, t2):
+    got = contract_pair(t1, t2)
+    legs, want = _brute_force_contract(t1, t2)
+    assert got.legs == legs
+    assert got.dims == tuple(dict(zip(t1.legs + t2.legs, t1.dims + t2.dims))[l] for l in legs)
+    assert got.data == want
+    value_type = Fraction if kind == "fraction" else int
+    assert all(type(v) is value_type for v in got.data.values())
+    if kind == "fp":
+        assert all(0 < v < _P for v in got.data.values())
+
+
+_SHAPES = {  # (legs, dims) of t1 and of t2
+    "outer": ((("a", "b"), (2, 3)), (("c",), (3,))),
+    "one_shared": ((("a", "s"), (3, 2)), (("s", "c"), (2, 3))),
+    "several_shared": ((("a", "x", "s", "t"), (2, 2, 3, 2)), (("t", "y", "s"), (2, 3, 3))),
+    "all_shared": ((("s", "t", "u"), (2, 3, 2)), (("u", "s", "t"), (2, 2, 3))),
+    "zero_leg_left": (((), ()), (("a", "b"), (2, 3))),
+    "zero_leg_right": ((("a", "b"), (2, 3)), ((), ())),
+    "zero_leg_both": (((), ()), ((), ())),
+}
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "fp"])
+@pytest.mark.parametrize("shape", list(_SHAPES))
+def test_contract_pair_matches_brute_force(kind, shape):
+    (legs1, dims1), (legs2, dims2) = _SHAPES[shape]
+    rng = random.Random(f"{kind}/{shape}")
+    for density in (0.0, 0.3, 0.7, 1.0):  # 0.0: empty data on both sides
+        for _ in range(6):
+            t1 = _random_tensor(kind, legs1, dims1, rng, density)
+            t2 = _random_tensor(kind, legs2, dims2, rng, density)
+            _assert_matches_brute_force(kind, t1, t2)
+            _assert_matches_brute_force(kind, t2, t1)
+            empty = Tensor(t1.field, legs1, dims1, {})
+            _assert_matches_brute_force(kind, empty, t2)
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "fp"])
+def test_contract_pair_drops_sums_that_cancel(kind):
+    field = _kind_field(kind)
+    one, minus_one = {"fraction": (Fraction(1), Fraction(-1)), "int": (1, -1),
+                      "fp": (1, _P - 1)}[kind]
+    # row a=0, column b=0 sums 1*1 + 1*(-1): 0 over Q, p = 0 mod p over F_p
+    t1 = Tensor(field, ("a", "s"), (2, 2), {(0, 0): one, (0, 1): one, (1, 0): one})
+    t2 = Tensor(field, ("s", "b"), (2, 2), {(0, 0): one, (1, 0): minus_one, (0, 1): one})
+    assert contract_pair(t1, t2).data == {(0, 1): one, (1, 0): one, (1, 1): one}
+    _assert_matches_brute_force(kind, t1, t2)
+    # all legs shared: a scalar sum that cancels leaves no entry at all
+    v1 = Tensor(field, ("s",), (2,), {(0,): one, (1,): one})
+    v2 = Tensor(field, ("s",), (2,), {(0,): one, (1,): minus_one})
+    assert contract_pair(v1, v2).data == {}
+    _assert_matches_brute_force(kind, v1, v2)
+
+
+# -- pinned results -------------------------------------------------------------------
+
+# SHA-1 over the exact results (the domain, codomain and matrix entries, as
+# reprs) of three structures, one over F_7, on the generator suite and
+# closed_surface(2, 1), each unmoved and after random_moves(seed=17, n=30), at
+# the raw, reduced and full levels: 216 evaluations.  Computed at the parent
+# of the row-accumulating contraction kernel, with the earlier kernel that
+# built and hashed an output index tuple on every multiply-add.
+STATE_SUM_RESULTS_SHA1 = "889a1aa33d353f8a34d9a942862f5309574c7f76"
+
+
+def test_state_sum_results_are_pinned(structures):
+    suite = dict(S.generator_suite(), genus2_window=closed_surface(2, 1))
+    complexes = [m for c in suite.values() for m in (c, random_moves(c, seed=17, n=30))]
+    digest = hashlib.sha1()
+    for label in ("Q[Z/2] window 2e+g", "QxQ (2,3)", "F7[Z/3] delta"):
+        _, F = structures[label]
+        for c in complexes:
+            for level in (state_sum_raw, state_sum_reduced, state_sum):
+                z = level(F, c)
+                digest.update(repr((z.domain, z.codomain, z.matrix.data)).encode())
+    assert digest.hexdigest() == STATE_SUM_RESULTS_SHA1
 
 
 # -- cylinders -----------------------------------------------------------------------

@@ -24,13 +24,20 @@ class Algebra:
     __slots__ = ("field", "dim", "basis_names", "unit", "_mul_sparse", "_trace_vec", "_cache")
 
     def __init__(self, field: Field, dim: int, mul_entries, unit, basis_names=None):
-        """``mul_entries`` iterates sparse quadruples ``(i, j, k, coeff)``."""
+        """``mul_entries`` iterates sparse quadruples ``(i, j, k, coeff)``.
+
+        The unit, and the basis names when given, must have ``dim`` entries;
+        that is checked before anything of size ``dim`` is built, so a
+        declared ``dim`` is bounded by the unit that comes with it.
+        """
+        if len(unit) != dim:
+            raise ValueError("unit vector length must equal dim")
+        if basis_names is not None and len(basis_names) != dim:
+            raise ValueError("basis_names length must equal dim")
         self.field = field
         self.dim = dim
         if basis_names is None:
             basis_names = [f"e{i}" for i in range(dim)]
-        if len(basis_names) != dim:
-            raise ValueError("basis_names length must equal dim")
         self.basis_names = tuple(basis_names)
         table = {}
         for (i, j, k, c) in mul_entries:
@@ -47,8 +54,6 @@ class Algebra:
             for key, row in table.items()
         }
         self._mul_sparse = {k: v for k, v in self._mul_sparse.items() if v}
-        if len(unit) != dim:
-            raise ValueError("unit vector length must equal dim")
         self.unit = tuple(unit)
         self._trace_vec = None
         self._cache = {}

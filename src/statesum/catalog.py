@@ -474,10 +474,12 @@ def _restrict(z: Morphism, in_blocks, out_blocks) -> Morphism:
             out.append(sum(s * v for s, v in zip(strides, combo)))
         return out
 
-    rows = flat_indices(z.codomain, out_ranges)
-    cols = flat_indices(z.domain, in_ranges)
-    m = Matrix(
-        z.field, len(rows), len(cols),
-        [[z.matrix.data[r][cc] for cc in cols] for r in rows],
-    )
-    return Morphism(z.field, dom, cod, m)
+    rows = {r: i for i, r in enumerate(flat_indices(z.codomain, out_ranges))}
+    cols = {cc: j for j, cc in enumerate(flat_indices(z.domain, in_ranges))}
+    nonzeros = {}
+    for r, row in z.nonzeros.items():
+        if r in rows:
+            kept = {cols[cc]: v for cc, v in row.items() if cc in cols}
+            if kept:
+                nonzeros[rows[r]] = kept
+    return Morphism(z.field, dom, cod, nonzeros)

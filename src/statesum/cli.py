@@ -46,16 +46,15 @@ def _print(doc, as_json: bool, human_lines):
             print(line)
 
 
-def _matrix_json(field, m):
-    # dense results are mostly zeros, and "0" is what format gives for them
-    return [[field.format(x) if x else "0" for x in row] for row in m.data]
+def _matrix_text(field, m) -> sio.MatrixText:
+    return sio.MatrixText(field, m.rows, m.cols, m.nonzero_rows())
 
 
 def _morphism_json(z: Morphism):
     return {
         "domain": [{"kind": f.kind, "dim": f.dim} for f in z.domain],
         "codomain": [{"kind": f.kind, "dim": f.dim} for f in z.codomain],
-        "matrix": _matrix_json(z.field, z.matrix),
+        "matrix": sio.MatrixText(z.field, z.rows, z.cols, z.nonzeros),
     }
 
 
@@ -119,15 +118,15 @@ def cmd_frobenius_show(args) -> int:
     f = alg.field
     doc = {
         "counit": [f.format(x) for x in F.counit],
-        "pairing": _matrix_json(f, F.pairing),
-        "pairing_inverse": _matrix_json(f, F.pairing_inverse),
+        "pairing": _matrix_text(f, F.pairing),
+        "pairing_inverse": _matrix_text(f, F.pairing_inverse),
         "window": [f.format(x) for x in F.window.coeffs],
         "window_inverse": [f.format(x) for x in F.window_inverse.coeffs],
         "special": F.is_special(),
     }
     human = [
         f"counit: {doc['counit']}",
-        f"pairing: {doc['pairing']}",
+        f"pairing: {doc['pairing'].render(str, list)}",
         f"window: {doc['window']}",
         f"window inverse: {doc['window_inverse']}",
         f"special: {doc['special']}",
@@ -143,19 +142,19 @@ def cmd_knowledgeable(args) -> int:
     report = check_knowledgeable(K)
     doc = {
         "closed_dim": K.C.dim,
-        "closed_basis_in_ambient": _matrix_json(f, K.iota),
-        "iota": _matrix_json(f, K.iota),
-        "iota_star": _matrix_json(f, K.iota_star),
-        "mu_C": _matrix_json(f, K.C.mu_matrix()),
-        "delta_C": _matrix_json(f, K.C.delta_matrix()),
+        "closed_basis_in_ambient": _matrix_text(f, K.iota),
+        "iota": _matrix_text(f, K.iota),
+        "iota_star": _matrix_text(f, K.iota_star),
+        "mu_C": _matrix_text(f, K.C.mu_matrix()),
+        "delta_C": _matrix_text(f, K.C.delta_matrix()),
         "eps_C": [f.format(x) for x in K.C.counit],
         "axioms": [{"axiom": name, "ok": ok} for (name, ok, _) in report],
     }
     human = [f"closed space dimension: {K.C.dim}",
-             f"iota columns (C basis in A coordinates): {doc['iota']}",
-             f"iota_star: {doc['iota_star']}",
-             f"mu_C: {doc['mu_C']}",
-             f"delta_C: {doc['delta_C']}",
+             f"iota columns (C basis in A coordinates): {doc['iota'].render(str, list)}",
+             f"iota_star: {doc['iota_star'].render(str, list)}",
+             f"mu_C: {doc['mu_C'].render(str, list)}",
+             f"delta_C: {doc['delta_C'].render(str, list)}",
              f"eps_C: {doc['eps_C']}"]
     human += [f"axiom {r['axiom']}: {'pass' if r['ok'] else 'FAIL'}" for r in doc["axioms"]]
     _print(doc, args.json, human)
@@ -169,7 +168,7 @@ def cmd_eval(args) -> int:
     z = fn(F, c)
     doc = _morphism_json(z)
     human = [f"domain: {list(z.domain)}", f"codomain: {list(z.codomain)}"]
-    human += [" ".join(row) for row in doc["matrix"]]
+    human += doc["matrix"].render(str, " ".join)
     _print(doc, args.json, human)
     return 0
 

@@ -131,3 +131,9 @@ class FileFormatError(InvalidInput):
 
 class UnknownCatalogError(InvalidInput):
     pass
+
+
+# --- dense materialisation ------------------------------------------------
+
+class DenseBudgetError(StateSumError):
+    """A dense matrix would exceed ``linalg.DENSE_BUDGET`` cells."""

@@ -4,6 +4,13 @@ Coefficients are strings ("a/b" reduced with positive denominator over the
 rationals, decimal residues over a prime field) so no precision is lost to
 JSON number types.  Serialisation is byte-stable: keys are sorted and list
 orders are canonical.
+
+``dumps`` writes the layout of ``json.dumps(doc, sort_keys=True,
+separators=(",", ": "), indent=1)`` byte for byte, with its own small
+writer: strings and integers are encoded as ``json.dumps`` encodes them,
+other scalars go to ``json.dumps`` itself, and a :class:`MatrixText` value
+is written from its nonzero entries, so a mostly-zero matrix costs its
+nonzeros and one rendered all-zero row.  Keys must be strings.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from .complexes import BoundaryComponent, OpenClosedComplex
 from .errors import FileFormatError
 from .fields import Field
 from .frobenius import canonical_frobenius, frobenius_from_counit, frobenius_from_window
+from .linalg import check_dense
 
 # what a malformed document raises while it is converted
 _SHAPE_ERRORS = (KeyError, TypeError, ValueError)
@@ -152,8 +160,70 @@ def complex_from_json(doc) -> OpenClosedComplex:
     return c
 
 
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps does with a str
+
+
+class MatrixText:
+    """A matrix as the command line prints it: a list of rows of cell texts,
+    kept as the texts of its nonzero entries.  A zero cell is the text
+    ``"0"``, and only nonzero entries go through ``field.format``.  Refused
+    with ``DenseBudgetError`` over ``linalg.DENSE_BUDGET`` cells."""
+
+    __slots__ = ("rows", "cols", "cells")
+
+    def __init__(self, field: Field, rows: int, cols: int, nonzeros):
+        """``nonzeros`` is ``{row: {col: value}}`` over the nonzero rows."""
+        check_dense(rows, cols)
+        self.rows = rows
+        self.cols = cols
+        fmt = field.format
+        self.cells = {i: {j: fmt(v) for j, v in row.items()} for i, row in nonzeros.items()}
+
+    def render(self, cell, row) -> list:
+        """Every row as ``row([cell(text), ...])``; zero cells are
+        ``cell("0")``, and the all-zero row is rendered once and reused."""
+        zero = cell("0")
+        out = [row([zero] * self.cols)] * self.rows
+        for i, nonzero in self.cells.items():
+            texts = [zero] * self.cols
+            for j, t in nonzero.items():
+                texts[j] = cell(t)
+            out[i] = row(texts)
+        return out
+
+
+def _array(items, nl) -> str:
+    """A JSON array of already encoded ``items``; ``nl`` is a newline and the
+    array's own indent."""
+    if not items:
+        return "[]"
+    inner = nl + " "
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _encode(x, nl) -> str:
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + " "
+        return ("{" + inner + ("," + inner).join(
+            _quote(k) + ": " + _encode(x[k], inner) for k in sorted(x)) + nl + "}")
+    if isinstance(x, (list, tuple)):
+        inner = nl + " "
+        return _array([_encode(v, inner) for v in x], nl)
+    if isinstance(x, MatrixText):
+        inner = nl + " "
+        return _array(x.render(_quote, lambda texts: _array(texts, inner)), nl)
+    return json.dumps(x)
+
+
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    return _encode(doc, "\n") + "\n"
 
 
 def loads(text: str):

@@ -3,12 +3,29 @@
 Row reduction uses a fixed deterministic pivot rule (first nonzero entry
 scanning columns left to right, rows top to bottom) so that every derived
 basis -- centres, idempotent images, kernels -- is reproducible across runs.
+
+Dense storage is bounded: ``Matrix.zeros``, ``Matrix.kron``,
+``Morphism.matrix`` and the command line's matrix writer refuse a matrix of
+more than ``DENSE_BUDGET`` cells with ``DenseBudgetError`` before they
+allocate it.  Sparse results (``Morphism.nonzeros``) have no such bound.
 """
 
 from __future__ import annotations
 
-from .errors import SingularMatrixError
+from .errors import DenseBudgetError, SingularMatrixError
 from .fields import Field
+
+#: The most cells (``rows * cols``) of one dense matrix.
+DENSE_BUDGET = 10_000_000
+
+
+def check_dense(rows: int, cols: int):
+    """Raise ``DenseBudgetError`` if a dense ``rows x cols`` matrix is over budget."""
+    if rows * cols > DENSE_BUDGET:
+        raise DenseBudgetError(
+            f"a dense {rows}x{cols} matrix has {rows * cols} cells, "
+            f"over the budget of {DENSE_BUDGET}"
+        )
 
 
 class Matrix:
@@ -26,6 +43,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
+        check_dense(rows, cols)
         z = field.zero()
         return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
 
@@ -47,6 +65,16 @@ class Matrix:
         return cls(field, len(data), ncols, data)
 
     @classmethod
+    def from_nonzero_rows(cls, field: Field, rows: int, cols: int, nonzeros) -> "Matrix":
+        """The matrix with the ``{row: {col: value}}`` entries, zero elsewhere."""
+        m = cls.zeros(field, rows, cols)
+        for i, row in nonzeros.items():
+            target = m.data[i]
+            for j, v in row.items():
+                target[j] = v
+        return m
+
+    @classmethod
     def column_vector(cls, field: Field, vec) -> "Matrix":
         return cls(field, len(vec), 1, [[v] for v in vec])
 
@@ -58,6 +86,15 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
+
+    def nonzero_rows(self) -> dict:
+        """The nonzero entries as ``{row: {col: value}}``, nonzero rows only."""
+        out = {}
+        for i, row in enumerate(self.data):
+            nonzero = {j: v for j, v in enumerate(row) if v != 0}
+            if nonzero:
+                out[i] = nonzero
+        return out
 
     def row(self, i):
         return list(self.data[i])
@@ -158,6 +195,7 @@ class Matrix:
         f = self.field
         rows = self.rows * other.rows
         cols = self.cols * other.cols
+        check_dense(rows, cols)
         zero = f.zero()
         out = [[zero] * cols for _ in range(rows)]
         right = [[(c, v) for c, v in enumerate(orow) if v != 0] for orow in other.data]

@@ -42,7 +42,7 @@ import heapq
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .linalg import Matrix
 
@@ -103,21 +103,31 @@ class Tensor:
         dims = self.dims[:pos] + (new_dim,) + self.dims[pos + 1:]
         return Tensor(self.field, self.legs, dims, data)
 
-    def to_matrix(self, row_legs, col_legs) -> Matrix:
-        """Rows indexed by ``row_legs``, columns by ``col_legs``; the leftmost
-        leg of each group is the most significant."""
+    def read_off(self, row_legs, col_legs):
+        """``(rows, cols, nonzeros)``: the tensor as a sparse matrix with rows
+        indexed by ``row_legs`` and columns by ``col_legs``, the leftmost leg
+        of each group the most significant; ``nonzeros`` is
+        ``{row: {col: value}}`` over the nonzero rows."""
         rpos = [self.legs.index(l) for l in row_legs]
         cpos = [self.legs.index(l) for l in col_legs]
         rdims = [self.dims[p] for p in rpos]
         cdims = [self.dims[p] for p in cpos]
-        m = Matrix.zeros(self.field, prod(rdims), prod(cdims))
-        rstr = _strides(rdims)
-        cstr = _strides(cdims)
+        rget, cget = _getter(rpos), _getter(cpos)
+        rstr, cstr = _strides(rdims), _strides(cdims)
+        nonzeros = {}
+        col_ids = {}  # every row keys a column by the same int object
         for idx, v in self.data.items():
-            r = sum(s * idx[p] for s, p in zip(rstr, rpos))
-            c = sum(s * idx[p] for s, p in zip(cstr, cpos))
-            m.data[r][c] = v
-        return m
+            r = sum(map(mul, rstr, rget(idx)))
+            row = nonzeros.get(r)
+            if row is None:
+                nonzeros[r] = row = {}
+            c = sum(map(mul, cstr, cget(idx)))
+            row[col_ids.setdefault(c, c)] = v
+        return prod(rdims), prod(cdims), nonzeros
+
+    def to_matrix(self, row_legs, col_legs) -> Matrix:
+        """The dense matrix of :meth:`read_off`."""
+        return Matrix.from_nonzero_rows(self.field, *self.read_off(row_legs, col_legs))
 
     def __repr__(self):
         return f"Tensor(legs={list(self.legs)}, nnz={len(self.data)})"
@@ -277,5 +287,8 @@ def greedy_contract(tensors) -> Tensor:
         items[a] = items[b] = None  # frees the integer copies as they are used
     result = items[-1]
     if rational:
-        result.data = {k: Fraction(v, D) for k, v in result.data.items()}
+        # one Fraction per distinct value: a state sum has few, and equal
+        # entries then share one object
+        values = {v: Fraction(v, D) for v in set(result.data.values())}
+        result.data = {k: values[v] for k, v in result.data.items()}
     return result

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -331,11 +332,13 @@ _TRIANGLE = {"vertices": 3, "triangles": [[0, 1, 2]], "coloured_edges": [],
     (_z2_doc(), dict(_TRIANGLE, vertices=3.0)),
     (_z2_doc(), dict(_TRIANGLE, triangles=[[0, 1, 2.0]])),
     (_z2_doc(), dict(_TRIANGLE, coloured_edges=[[0, True], [1, 2], [2, 0]])),
+    # the declared dim is checked against the unit before anything of its size is built
+    (_z2_doc(dim=1000000000, unit=["1"]), _TRIANGLE),
 ], ids=["index", "unit", "counit", "window", "basis", "negative_dim", "two_vertex_triangle",
         "zero_denominator", "number_coefficients", "infinite_dim", "brane_not_object",
         "brane_list_colour", "fractional_dim", "fractional_prime", "float_indices",
         "boolean_indices", "basis_object", "basis_numbers", "fractional_block_size",
-        "float_vertex_count", "float_triangle_vertex", "boolean_edge_vertex"])
+        "float_vertex_count", "float_triangle_vertex", "boolean_edge_vertex", "huge_dim"])
 def test_malformed_file_shapes_are_file_format_errors(tmp_path, capsys, algebra, complex_):
     apath = write(tmp_path, "a.json", sio.dumps(algebra))
     cpath = write(tmp_path, "c.json", sio.dumps(complex_))
@@ -368,3 +371,125 @@ def test_eval_huge_declared_vertex_count(z2_file, tmp_path, capsys):
 def test_missing_file(capsys):
     code, out = run(capsys, "algebra", "check", "/nonexistent/path.json")
     assert code == 1
+
+
+# -- sparse output ----------------------------------------------------------------------
+
+
+def _dense_eval_stdout(z, as_json):
+    """What ``eval`` printed when every result was a dense matrix of strings."""
+    rows = [[z.field.format(x) for x in row] for row in z.matrix.data]
+    if as_json:
+        doc = {"domain": [{"kind": f.kind, "dim": f.dim} for f in z.domain],
+               "codomain": [{"kind": f.kind, "dim": f.dim} for f in z.codomain],
+               "matrix": rows}
+        return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    lines = [f"domain: {list(z.domain)}", f"codomain: {list(z.codomain)}"]
+    return "".join(line + "\n" for line in lines + [" ".join(row) for row in rows])
+
+
+_EVAL_CASES = [  # algebra catalog parameters, complex, mode
+    (["matsum", "1,2", "1,1"], ("strip", 2, 2), "raw"),
+    (["matsum", "1,2", "1,1"], ("strip", 2, 2), "reduced"),
+    (["matsum", "1,2", "1,1"], ("annulus", 3, 3), "reduced"),
+    (["matsum", "1,2", "1,1"], ("annulus", 3, 3), "full"),
+    (["matsum", "1,2", "1,1"], ("zipper", 3, 2), "full"),
+    (["matsum", "1,2", "1,1"], ("closed_surface", 1, 0), "full"),
+    (["group", "cyclic", "3", "7"], ("strip", 2, 1), "raw"),
+    (["group", "cyclic", "3", "7"], ("closed_surface", 2, 1), "raw"),
+    (["matsum", "1,2", "1,1"], ("strip", 4, 4), "raw"),
+]
+
+
+@pytest.mark.parametrize("params,shape,mode", _EVAL_CASES,
+                         ids=[f"{p[0]}-{s[0]}_{s[1]}_{s[2]}-{m}" for p, s, m in _EVAL_CASES])
+def test_eval_output_is_the_dense_rendering(tmp_path, capsys, params, shape, mode):
+    apath, cpath = str(tmp_path / "a.json"), str(tmp_path / "c.json")
+    assert main(["catalog", "algebra", *params, "-o", apath]) == 0
+    c = S.builtin(*shape)
+    write(tmp_path, "c.json", sio.dumps(sio.complex_to_json(c)))
+    capsys.readouterr()
+    F = sio.algebra_from_json(sio.loads(open(apath).read()))[1]
+    fn = {"raw": S.state_sum_raw, "reduced": S.state_sum_reduced, "full": S.state_sum}[mode]
+    z = fn(F, c)
+    for as_json in (True, False):
+        code, out = run(capsys, "eval", "--algebra", apath, "--complex", cpath, "--mode", mode,
+                        *(["--json"] if as_json else []))
+        assert code == 0
+        assert out == _dense_eval_stdout(z, as_json)
+    if params[0] == "matsum" and shape[0] == "strip" and mode == "raw":
+        assert any(not any(row) for row in z.matrix.data)  # all-zero rows are covered
+
+
+def test_inspection_commands_print_the_dense_rendering(m23_file, capsys):
+    alg, F, _ = sio.algebra_from_json(sio.loads(open(m23_file).read()))
+    K = F.knowledgeable()
+    f = alg.field
+
+    def rows(m):
+        return [[f.format(x) for x in row] for row in m.data]
+
+    code, out = run(capsys, "frobenius", "show", m23_file, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pairing"] == rows(F.pairing)
+    assert doc["pairing_inverse"] == rows(F.pairing_inverse)
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    code, out = run(capsys, "frobenius", "show", m23_file)
+    assert f"pairing: {rows(F.pairing)}" in out.splitlines()
+    code, out = run(capsys, "knowledgeable", m23_file, "--json")
+    doc = json.loads(out)
+    assert doc["iota_star"] == rows(K.iota_star) and doc["mu_C"] == rows(K.C.mu_matrix())
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    code, out = run(capsys, "knowledgeable", m23_file)
+    assert f"delta_C: {rows(K.C.delta_matrix())}" in out.splitlines()
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    {"a": [], "b": {}, "c": [[], [{}]], "d": None, "e": True, "f": False},
+    {"z": 1, "a": -20, "m": "caf\u00e9 \"quoted\" \\ tab\t", "nested": {"y": [1, [2, [3]]]}},
+    [["1", "0"], ["0", "1/2"]],
+    "scalar",
+], ids=["empty_dict", "empty_list", "containers", "scalars", "rows", "bare_string"])
+def test_dumps_is_json_dumps_with_indent_one(doc):
+    assert sio.dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ": "),
+                                        indent=1) + "\n"
+
+
+@pytest.mark.parametrize("rows,cols,nonzeros", [
+    (3, 4, {(0, 1): "2", (2, 3): "-1/3"}),
+    (2, 2, {}),
+    (1, 1, {(0, 0): "5"}),
+    (0, 3, {}),
+    (3, 0, {}),
+], ids=["zero_row", "all_zero", "one_by_one", "no_rows", "no_cols"])
+def test_matrix_text_is_written_as_its_dense_rows(rows, cols, nonzeros):
+    f = S.QQ
+    by_row = {}
+    for (i, j), v in nonzeros.items():
+        by_row.setdefault(i, {})[j] = f.parse(v)
+    m = sio.MatrixText(f, rows, cols, by_row)
+    dense = [[nonzeros.get((i, j), "0") for j in range(cols)] for i in range(rows)]
+    assert sio.dumps({"matrix": m, "k": [m]}) == json.dumps(
+        {"matrix": dense, "k": [dense]}, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    assert m.render(str, list) == dense
+    assert m.render(str, " ".join) == [" ".join(row) for row in dense]
+
+
+def test_eval_over_the_dense_budget_is_a_json_error(tmp_path, capsys):
+    # raw strip(4, 4) over M2+M3 is sparse (6,817 nonzeros), but printing it
+    # would take a 28561 x 28561 dense matrix: refused before anything is built
+    apath, cpath = str(tmp_path / "m2m3.json"), str(tmp_path / "strip44.json")
+    assert main(["catalog", "algebra", "matsum", "2,3", "1,2", "-o", apath]) == 0
+    assert main(["catalog", "complex", "strip", "4", "4", "-o", cpath]) == 0
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    code, out = run(capsys, "eval", "--algebra", apath, "--complex", cpath, "--mode", "raw",
+                    "--json")
+    assert time.perf_counter() - t0 < 10
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "DenseBudgetError"
+    assert "28561x28561" in err["message"]

@@ -1,0 +1,107 @@
+"""The sparse ``Morphism`` against dense ``Matrix`` oracles, and the dense budget."""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+import statesum as S
+from statesum.errors import DenseBudgetError, SignatureMismatchError
+from statesum.linalg import DENSE_BUDGET, Matrix, check_dense
+from statesum.morphism import Morphism, full_factor, signature_dim, split_factor
+
+FIELDS = {"Q": S.QQ, "F7": S.GF(7)}
+
+
+def _signature(rng):
+    """Zero to two factors of dimension 1 to 3; the empty signature is the ground field."""
+    return tuple(rng.choice((full_factor, split_factor))(rng.randint(1, 3))
+                 for _ in range(rng.randint(0, 2)))
+
+
+def _random_morphism(rng, field, domain, codomain):
+    """A random map, all zero in about one case in five."""
+    rows = signature_dim(codomain)
+    cols = signature_dim(domain)
+    density = 0.0 if rng.random() < 0.2 else rng.random()
+    data = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                data[i][j] = (Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if field.p is None
+                              else rng.randint(0, 6))
+    zero = field.zero()
+    m = Matrix(field, rows, cols, [[x if x != 0 else zero for x in row] for row in data])
+    return Morphism(field, domain, codomain, m)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_sparse_operations_match_dense_oracles(name):
+    field = FIELDS[name]
+    rng = random.Random(1729)
+    for _ in range(200):
+        a, b, c, d = (_signature(rng) for _ in range(4))
+        f = _random_morphism(rng, field, b, c)
+        g = _random_morphism(rng, field, a, b)
+        h = _random_morphism(rng, field, c, d)
+        assert Morphism(field, b, c, f.matrix).equal(f)
+        fg = f.compose(g)
+        assert (fg.domain, fg.codomain) == (a, c)
+        assert fg.matrix == f.matrix @ g.matrix
+        assert all(row and all(v != 0 for v in row.values()) for row in fg.nonzeros.values())
+        fh = f.tensor(h)
+        assert (fh.domain, fh.codomain) == (b + c, c + d)
+        assert fh.matrix == f.matrix.kron(h.matrix)
+        assert all(row for row in fh.nonzeros.values())
+        other = _random_morphism(rng, field, b, c)
+        assert f.equal(other) == (f.matrix == other.matrix)
+        assert f.equal(Morphism(field, b, c, f.matrix.copy()))
+    for _ in range(20):
+        s = _random_morphism(rng, field, (), ())
+        assert s.scalar_value() == s.matrix[0, 0]
+        assert s.equal(Morphism.scalar(field, s.scalar_value()))
+    sig = (full_factor(2), split_factor(3))
+    f = _random_morphism(rng, field, sig, sig)
+    assert Morphism.identity(field, sig).compose(f).equal(f)
+    assert Morphism.identity(field, sig).matrix == Matrix.identity(field, 6)
+
+
+def test_compose_checks_signatures():
+    f = Morphism.identity(S.QQ, (full_factor(2),))
+    g = Morphism.identity(S.QQ, (split_factor(2),))
+    with pytest.raises(SignatureMismatchError):
+        f.compose(g)
+    with pytest.raises(ValueError):
+        Morphism(S.QQ, (full_factor(2),), (full_factor(3),), Matrix.identity(S.QQ, 2))
+
+
+def test_raw_dim13_strip_44_is_a_sparse_idempotent():
+    # P_44 over M2+M3 is a 28561 x 28561 map: 8.2e8 dense cells, over the budget
+    F = S.matrix_direct_sum(S.QQ, [2, 3], [1, 2])[1]
+    z = S.state_sum_raw(F, S.strip(4, 4))
+    assert (z.rows, z.cols) == (28561, 28561)
+    assert z.nnz == 6817
+    assert z.compose(z).equal(z)
+    with pytest.raises(DenseBudgetError):
+        z.matrix
+
+
+def test_raw_dim13_strip_55_is_a_sparse_idempotent():
+    F = S.matrix_direct_sum(S.QQ, [2, 3], [1, 2])[1]
+    z = S.state_sum_raw(F, S.strip(5, 5))
+    assert z.nnz == 60073
+    assert z.compose(z).equal(z)
+
+
+def test_dense_budget_is_checked_before_allocating():
+    side = int(DENSE_BUDGET ** 0.5) + 1
+    t0 = time.perf_counter()
+    with pytest.raises(DenseBudgetError):
+        Matrix.zeros(S.QQ, side, side)
+    with pytest.raises(DenseBudgetError):
+        Matrix.identity(S.QQ, side)
+    with pytest.raises(DenseBudgetError):
+        Matrix.zeros(S.QQ, 4000, 1).kron(Matrix.zeros(S.QQ, 4000, 1))
+    assert time.perf_counter() - t0 < 1.0
+    check_dense(DENSE_BUDGET, 1)  # the budget itself is allowed

@@ -6,16 +6,7 @@ open-closed cobordism, and evaluate the dual tensor network -- all in exact
 arithmetic, so triangulation independence is literal matrix equality.
 """
 
-from .algebra import (
-    Algebra,
-    Element,
-    canonical_pairing,
-    centre_basis,
-    is_central,
-    is_strongly_separable,
-    left_regular_matrix,
-    make_algebra,
-)
+from .algebra import Algebra, Element
 from .catalog import (
     BlockModel,
     FiniteGroupoid,
@@ -48,7 +39,6 @@ from .complexes import (
     pachner_31,
     random_moves,
     shelling_type2,
-    validate,
 )
 from .evaluation import (
     build_dual_network,
@@ -62,17 +52,14 @@ from .frobenius import (
     FrobeniusStructure,
     KnowledgeableFrobenius,
     canonical_frobenius,
-    central_idempotent_p,
     check_knowledgeable,
-    frobenius_from_counit,
     frobenius_from_window,
     idempotent_property_report,
     knowledgeable_from_frobenius,
     split_idempotent,
-    trilinear_form,
     window_element,
 )
 from .linalg import Matrix
-from .morphism import Morphism, compose, equal, tensor
+from .morphism import Morphism
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,7 +21,7 @@ from .linalg import Matrix
 class Algebra:
     """Associative unital algebra with a distinguished basis."""
 
-    __slots__ = ("field", "dim", "basis_names", "unit", "_mul_sparse", "_trace_vec", "_cache")
+    __slots__ = ("field", "dim", "basis_names", "unit", "_mul_sparse", "_cache")
 
     def __init__(self, field: Field, dim: int, mul_entries, unit, basis_names=None):
         """``mul_entries`` iterates sparse quadruples ``(i, j, k, coeff)``.
@@ -55,7 +55,6 @@ class Algebra:
         }
         self._mul_sparse = {k: v for k, v in self._mul_sparse.items() if v}
         self.unit = tuple(unit)
-        self._trace_vec = None
         self._cache = {}
         self._validate()
 
@@ -150,35 +149,33 @@ class Algebra:
             cols.append(col)
         return Matrix(f, self.dim, self.dim, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
 
-    def _traces(self):
-        # trace of L_{e_k}, cached
-        if self._trace_vec is None:
+    def bilinear_form(self, v) -> Matrix:
+        """Gram matrix ``G[i][j] = sum_k c_ijk v_k`` of the form ``(a, b) -> v(ab)``
+        for a linear functional with coefficients ``v``."""
+        f = self.field
+        n = self.dim
+        g = Matrix.zeros(f, n, n)
+        for i in range(n):
+            for j in range(n):
+                acc = f.zero()
+                for k, c in self.mul_row(i, j):
+                    acc = f.add(acc, f.mul(c, v[k]))
+                g.data[i][j] = acc
+        return g
+
+    def canonical_pairing(self) -> Matrix:
+        """Symmetric invariant form ``G[i][j] = trace(L_{e_i e_j})``."""
+        if "Gcan" not in self._cache:
             f = self.field
-            tv = []
+            traces = []  # trace of L_{e_k}
             for k in range(self.dim):
                 t = f.zero()
                 for m in range(self.dim):
                     for (out, c) in self.mul_row(k, m):
                         if out == m:
                             t = f.add(t, c)
-                tv.append(t)
-            self._trace_vec = tv
-        return self._trace_vec
-
-    def canonical_pairing(self) -> Matrix:
-        """Symmetric invariant form ``G[i][j] = trace(L_{e_i e_j})``."""
-        if "Gcan" not in self._cache:
-            f = self.field
-            tv = self._traces()
-            n = self.dim
-            g = Matrix.zeros(f, n, n)
-            for i in range(n):
-                for j in range(n):
-                    acc = f.zero()
-                    for k, c in self.mul_row(i, j):
-                        acc = f.add(acc, f.mul(c, tv[k]))
-                    g.data[i][j] = acc
-            self._cache["Gcan"] = g
+                traces.append(t)
+            self._cache["Gcan"] = self.bilinear_form(traces)
         return self._cache["Gcan"]
 
     def is_strongly_separable(self) -> bool:
@@ -280,29 +277,3 @@ class Element:
         terms = [f"{fmt(c)}*{names[i]}" for i, c in enumerate(self.coeffs) if c != 0]
         return " + ".join(terms) if terms else "0"
 
-
-# -- free-function forms ------------------------------------------------------
-
-def make_algebra(field: Field, dim: int, mul_entries, unit, basis_names=None) -> Algebra:
-    """Validated algebra from sparse structure constants and a unit vector."""
-    return Algebra(field, dim, mul_entries, unit, basis_names=basis_names)
-
-
-def left_regular_matrix(a: Element) -> Matrix:
-    return a.algebra.left_regular_matrix(a)
-
-
-def canonical_pairing(algebra: Algebra) -> Matrix:
-    return algebra.canonical_pairing()
-
-
-def is_strongly_separable(algebra: Algebra) -> bool:
-    return algebra.is_strongly_separable()
-
-
-def centre_basis(algebra: Algebra):
-    return algebra.centre_basis()
-
-
-def is_central(a: Element) -> bool:
-    return a.is_central()

@@ -28,6 +28,7 @@ from .fields import Field
 from .frobenius import FrobeniusStructure, KnowledgeableFrobenius
 from .linalg import Matrix
 from .morphism import Factor, Morphism
+from .tensors import _strides
 
 
 # -- finite groups ------------------------------------------------------------------
@@ -465,10 +466,7 @@ def _restrict(z: Morphism, in_blocks, out_blocks) -> Morphism:
     out_ranges, cod = leg_ranges(z.codomain, out_blocks)
 
     def flat_indices(signature, ranges):
-        dims = [f.dim for f in signature]
-        strides = [1] * len(dims)
-        for i in range(len(dims) - 2, -1, -1):
-            strides[i] = strides[i + 1] * dims[i + 1]
+        strides = _strides([f.dim for f in signature])
         out = []
         for combo in iproduct(*ranges) if ranges else [()]:
             out.append(sum(s * v for s, v in zip(strides, combo)))

@@ -32,10 +32,11 @@ from .errors import (
     StateSumError,
     UnknownCatalogError,
 )
-from .evaluation import evaluate_closed, state_sum, state_sum_raw, state_sum_reduced
+from .evaluation import evaluate_closed, signature, state_sum, state_sum_raw, state_sum_reduced
 from .fields import Field
 from .frobenius import check_knowledgeable
-from .morphism import Morphism
+from .linalg import check_dense
+from .morphism import Morphism, signature_dim
 
 
 def _print(doc, as_json: bool, human_lines):
@@ -164,6 +165,9 @@ def cmd_knowledgeable(args) -> int:
 def cmd_eval(args) -> int:
     alg, F, _ = _load_algebra(args.algebra)
     c = _load_complex(args.complex)
+    # an output too large to print is refused before it is contracted
+    check_dense(signature_dim(signature(F, c.black_out, args.mode)),
+                signature_dim(signature(F, c.black_in, args.mode)))
     fn = {"raw": state_sum_raw, "reduced": state_sum_reduced, "full": state_sum}[args.mode]
     z = fn(F, c)
     doc = _morphism_json(z)

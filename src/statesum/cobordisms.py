@@ -251,28 +251,10 @@ def connected_sum(c1: OpenClosedComplex, t1: int, c2: OpenClosedComplex,
     """Glue two closed surfaces along removed triangles ``t1`` and ``t2``."""
     u1, v1, w1 = c1.triangles[t1]
     u2, v2, w2 = c2.triangles[t2]
-    offset = c1.vertex_count
+    holed = [c.replaced(triangles=[x for i, x in enumerate(c.triangles) if i != t])
+             for c, t in ((c1, t1), (c2, t2))]
     # orientation-reversing identification of the removed boundaries
-    ident = {v2: u1, u2: v1, w2: w1}
-    vmap = {}
-    fresh = offset
-    for x in range(c2.vertex_count):
-        if x in ident:
-            vmap[x] = ident[x]
-        else:
-            vmap[x] = fresh
-            fresh += 1
-
-    tris = [t for i, t in enumerate(c1.triangles) if i != t1]
-    for i, (a, b, d) in enumerate(c2.triangles):
-        if i == t2:
-            continue
-        tris.append((vmap[a], vmap[b], vmap[d]))
-    out = OpenClosedComplex(fresh, tris, [], [], [])
-    # compact away the three unused labels left by the identification
-    live = sorted({v for t in out.triangles for v in t})
-    relabel = {v: i for i, v in enumerate(live)}
-    return out.relabelled(relabel, len(live)).require_valid()
+    return _union(*holed, {v2: u1, u2: v1, w2: w1}).require_valid()
 
 
 def closed_surface(genus: int, windows: int) -> OpenClosedComplex:
@@ -295,20 +277,36 @@ def closed_surface(genus: int, windows: int) -> OpenClosedComplex:
 # -- composition helpers ---------------------------------------------------------------
 
 
-def disjoint_union(c1: OpenClosedComplex, c2: OpenClosedComplex) -> OpenClosedComplex:
-    off = c1.vertex_count
-    shift = c2.relabelled({v: v + off for v in range(c2.vertex_count)},
-                          c1.vertex_count + c2.vertex_count)
-    colours = dict(c1.edge_colours)
-    colours.update(shift.edge_colours)
-    return OpenClosedComplex(
-        c1.vertex_count + c2.vertex_count,
-        list(c1.triangles) + list(shift.triangles),
-        set(c1.coloured_edges) | set(shift.coloured_edges),
-        list(c1.black_in) + list(shift.black_in),
-        list(c1.black_out) + list(shift.black_out),
-        colours,
+def _union(c1: OpenClosedComplex, c2: OpenClosedComplex, ident) -> OpenClosedComplex:
+    """``c1`` and ``c2`` as one complex, with the boundary components of both
+    in order.  Vertex ``x`` of ``c2`` becomes ``ident[x]``, a vertex of ``c1``,
+    if it is identified, and otherwise the next label after ``c1``'s; labels
+    that no triangle uses are then compacted away."""
+    vmap = {}
+    fresh = c1.vertex_count
+    for x in range(c2.vertex_count):
+        if x in ident:
+            vmap[x] = ident[x]
+        else:
+            vmap[x] = fresh
+            fresh += 1
+    c2 = c2.relabelled(vmap, fresh)
+    out = OpenClosedComplex(
+        fresh,
+        c1.triangles + c2.triangles,
+        c1.coloured_edges | c2.coloured_edges,
+        c1.black_in + c2.black_in,
+        c1.black_out + c2.black_out,
+        {**c1.edge_colours, **c2.edge_colours},
     )
+    live = sorted({v for t in out.triangles for v in t})
+    if len(live) != out.vertex_count:
+        out = out.relabelled({v: i for i, v in enumerate(live)}, len(live))
+    return out
+
+
+def disjoint_union(c1: OpenClosedComplex, c2: OpenClosedComplex) -> OpenClosedComplex:
+    return _union(c1, c2, {})
 
 
 def glue(upper: OpenClosedComplex, lower: OpenClosedComplex) -> OpenClosedComplex:
@@ -332,30 +330,10 @@ def glue(upper: OpenClosedComplex, lower: OpenClosedComplex) -> OpenClosedComple
             if b in ident and ident[b] != a:
                 raise InvalidComplexError([f"vertex {b} identified twice"])
             ident[b] = a
-    vmap = {}
-    fresh = upper.vertex_count
-    for x in range(lower.vertex_count):
-        if x in ident:
-            vmap[x] = ident[x]
-        else:
-            vmap[x] = fresh
-            fresh += 1
-    lower_m = lower.relabelled(vmap, fresh)
-    colours = dict(upper.edge_colours)
-    colours.update(lower_m.edge_colours)
-    glued = OpenClosedComplex(
-        fresh,
-        list(upper.triangles) + list(lower_m.triangles),
-        set(upper.coloured_edges) | set(lower_m.coloured_edges),
-        upper.black_in,
-        lower_m.black_out,
-        colours,
-    )
-    live = sorted({v for t in glued.triangles for v in t})
-    if len(live) != glued.vertex_count:
-        relabel = {v: i for i, v in enumerate(live)}
-        glued = glued.relabelled(relabel, len(live))
-    return glued.require_valid()
+    glued = _union(upper, lower, ident)
+    # the matched components are now interior: keep upper's inputs and lower's outputs
+    return glued.replaced(black_in=glued.black_in[:len(upper.black_in)],
+                          black_out=glued.black_out[len(outs):]).require_valid()
 
 
 def rotate_circle(c: OpenClosedComplex, side: str, index: int, steps: int) -> OpenClosedComplex:

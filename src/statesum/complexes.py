@@ -503,10 +503,6 @@ class ComplexReport:
         return self.ok
 
 
-def validate(c: OpenClosedComplex) -> ComplexReport:
-    return c.validate()
-
-
 # -- local moves: one site check per move (see the module docstring) ---------------
 
 

@@ -44,19 +44,28 @@ from .tensors import Tensor, greedy_contract
 
 
 def _gstar_sparse(F: FrobeniusStructure):
+    """The inverse pairing's entries ``{(i, j): value}``, shared by every
+    pairing tensor of a network."""
     if "gstar_sparse" not in F._cache:
-        d = {}
-        for i, row in enumerate(F.pairing_inverse.data):
-            for j, v in enumerate(row):
-                if v != 0:
-                    d[(i, j)] = v
-        F._cache["gstar_sparse"] = d
+        n = F.dim
+        F._cache["gstar_sparse"] = Tensor.from_matrix_sparse(
+            F.field, ("row", "col"), (n, n), F.pairing_inverse).data
     return F._cache["gstar_sparse"]
+
+
+def signature(F: FrobeniusStructure, components, level):
+    """The factors of one side of the state sum at ``level`` whose black
+    boundary on that side is ``components``: one ``A`` per edge at the raw
+    level, otherwise one per component, ``A`` for an interval and ``C = p(A)``
+    for a circle."""
+    if level == "raw":
+        return [full_factor(F.dim)] * sum(len(comp.edges) for comp in components)
+    return [full_factor(F.dim) if comp.kind == "interval" else split_factor(F.split_p()[0].cols)
+            for comp in components]
 
 
 @dataclass
 class DualNetwork:
-    field: object
     tensors: list
     in_components: list  # (kind, [leg ids]) per black_in component
     out_components: list
@@ -77,24 +86,13 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
     gstar = _gstar_sparse(F)
     coloured_elements = coloured_elements or {}
 
-    in_leg_of_edge = {}
-    in_components = []
-    for ci, comp in enumerate(c.black_in):
-        legs = []
-        for pos, e in enumerate(comp.edge_keys()):
-            leg = ("in", ci, pos, 0)
-            in_leg_of_edge[e] = leg
-            legs.append(leg)
-        in_components.append((comp.kind, legs))
-    out_leg_of_edge = {}
-    out_components = []
-    for ci, comp in enumerate(c.black_out):
-        legs = []
-        for pos, e in enumerate(comp.edge_keys()):
-            leg = ("out", ci, pos, 0)
-            out_leg_of_edge[e] = leg
-            legs.append(leg)
-        out_components.append((comp.kind, legs))
+    leg_of_edge = {"in": {}, "out": {}}
+    components = {"in": [], "out": []}
+    for side, comps in (("in", c.black_in), ("out", c.black_out)):
+        for ci, comp in enumerate(comps):
+            legs = [(side, ci, pos, 0) for pos in range(len(comp.edges))]
+            leg_of_edge[side].update(zip(comp.edge_keys(), legs))
+            components[side].append((comp.kind, legs))
 
     interior = set(c.interior_edges())
     tensors = []
@@ -105,8 +103,8 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
 
     def edge_slot_leg(u, v):
         e = ekey(u, v)
-        if e in in_leg_of_edge:
-            return in_leg_of_edge[e]
+        if e in leg_of_edge["in"]:
+            return leg_of_edge["in"][e]
         s = slot_used.get(e, 0)
         slot_used[e] = s + 1
         return ("e", e[0], e[1], s)
@@ -119,7 +117,7 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
     for e in sorted(interior):
         legs = (("e", e[0], e[1], 0), ("e", e[0], e[1], 1))
         tensors.append(Tensor(F.field, legs, (n, n), gstar))
-    for e, leg in sorted(out_leg_of_edge.items()):
+    for e, leg in sorted(leg_of_edge["out"].items()):
         legs = (("e", e[0], e[1], 0), leg)
         tensors.append(Tensor(F.field, legs, (n, n), gstar))
     for e in sorted(c.coloured_edges):
@@ -142,9 +140,9 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
     for root, k in exponents.items():
         t = tensors[first_triangle[root]]
         tensors[first_triangle[root]] = t.apply_matrix(
-            t.legs[0], F.window_power_matrix(-k), transpose=True)
+            t.legs[0], F.window_power_matrix(-k).transpose())
 
-    return DualNetwork(F.field, tensors, in_components, out_components, exponents)
+    return DualNetwork(tensors, components["in"], components["out"], exponents)
 
 
 def _chain_data(F: FrobeniusStructure):
@@ -177,7 +175,7 @@ def _join_legs(F, legs, prefix, data):
 
 def _close_component(F, side, ci, kind, legs, full):
     """Tensors closing one black component with ``h`` legs onto the single leg
-    ``("r" + side, ci, 0, 0)``, that leg and its factor.
+    ``("r" + side, ci, 0, 0)``, and that leg.
 
     An input gets ``P_h1 = Delta^(h) o a^-(h-1)``, an output ``P_1h = mu^(h)``;
     ``P_h1 o P_1h = P_hh`` and ``P_1h o P_h1 = id``, so this splits ``P_hh``
@@ -194,15 +192,13 @@ def _close_component(F, side, ci, kind, legs, full):
         if kind == "circle":
             m = m @ F.split_p()[0]
         tensors.append(Tensor.from_matrix_sparse(F.field, (joined, new_leg), (m.rows, m.cols), m))
-        d = m.cols
     else:
         tensors, joined = _join_legs(F, legs, ("jout", ci), mu)
         m = F.window_power_matrix(shift)
         if kind == "circle":
             m = F.split_p()[1] @ m
         tensors.append(Tensor.from_matrix_sparse(F.field, (new_leg, joined), (m.rows, m.cols), m))
-        d = m.rows
-    return tensors, new_leg, (full_factor(d) if kind == "interval" else split_factor(d))
+    return tensors, new_leg
 
 
 def _evaluate(F, c, coloured_elements, level) -> Morphism:
@@ -212,23 +208,20 @@ def _evaluate(F, c, coloured_elements, level) -> Morphism:
     No dense matrix is formed."""
     net = build_dual_network(F, c, coloured_elements)
     legs = {"in": [], "out": []}
-    factors = {"in": [], "out": []}
     for side, components in (("in", net.in_components), ("out", net.out_components)):
         for ci, (kind, comp_legs) in enumerate(components):
             if level == "raw":
                 legs[side] += comp_legs
-                factors[side] += [full_factor(F.dim)] * len(comp_legs)
             else:
-                tensors, leg, factor = _close_component(F, side, ci, kind, comp_legs,
-                                                        level == "full")
+                tensors, leg = _close_component(F, side, ci, kind, comp_legs, level == "full")
                 net.tensors += tensors
                 legs[side].append(leg)
-                factors[side].append(factor)
     # the empty complex has no tensors; their empty product is the scalar 1
     t = (greedy_contract(net.tensors) if net.tensors
          else Tensor(F.field, (), (), {(): F.field.one()}))
     nonzeros = t.read_off(legs["out"], legs["in"])[2]
-    return Morphism(F.field, factors["in"], factors["out"], nonzeros)
+    return Morphism(F.field, signature(F, c.black_in, level), signature(F, c.black_out, level),
+                    nonzeros)
 
 
 def state_sum_raw(F: FrobeniusStructure, c: OpenClosedComplex,

@@ -108,9 +108,6 @@ class Field:
     def div(self, a, b):
         return a / b if self.p is None else (a * pow(b, -1, self.p)) % self.p
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     # -- text form (CLI file format) -----------------------------------------
 
     def parse(self, s: str):

@@ -57,13 +57,7 @@ class FrobeniusStructure:
         self.algebra = algebra
         self.counit = counit
 
-        g = Matrix.zeros(f, n, n)
-        for i in range(n):
-            for j in range(n):
-                acc = f.zero()
-                for k, c in algebra.mul_row(i, j):
-                    acc = f.add(acc, f.mul(c, counit[k]))
-                g.data[i][j] = acc
+        g = algebra.bilinear_form(counit)
         if not g.is_symmetric():
             raise NotSymmetricError("eps o mu is not a symmetric form")
         if g.rank() < n:
@@ -195,16 +189,13 @@ class FrobeniusStructure:
             self._cache["swap"] = swap_matrix(self.field, self.dim)
         return self._cache["swap"]
 
-    def left_mul_matrix(self, elem: Element) -> Matrix:
-        return self.algebra.left_regular_matrix(elem)
-
     def window_power_matrix(self, k: int) -> Matrix:
         """Matrix of the central action ``a^k . id`` (negative powers allowed)."""
         key = ("apow", k)
         if key not in self._cache:
             base = self.window if k >= 0 else self.window_inverse
             m = Matrix.identity(self.field, self.dim)
-            lb = self.left_mul_matrix(base)
+            lb = self.algebra.left_regular_matrix(base)
             for _ in range(abs(k)):
                 m = lb @ m
             self._cache[key] = m
@@ -259,12 +250,13 @@ class FrobeniusStructure:
             f = alg.field
             n = alg.dim
             m = Matrix.zeros(f, n, n)
+            ainv = alg.left_regular_matrix(self.window_inverse)
             for i in range(n):
                 col = [f.zero()] * n
                 for (j, b, v) in self.comul[i]:
                     for k, c in alg.mul_row(b, j):  # tau before mu
                         col[k] = f.add(col[k], f.mul(v, c))
-                for r, val in enumerate(self.left_mul_matrix(self.window_inverse).mul_vec(col)):
+                for r, val in enumerate(ainv.mul_vec(col)):
                     m.data[r][i] = val
             pp = m @ m
             if pp != m:
@@ -404,11 +396,6 @@ class FrobeniusStructure:
 # -- constructors --------------------------------------------------------------
 
 
-def frobenius_from_counit(algebra: Algebra, eps) -> FrobeniusStructure:
-    """Symmetric Frobenius structure determined by a counit vector."""
-    return FrobeniusStructure(algebra, eps)
-
-
 def frobenius_from_window(algebra: Algebra, z: Element) -> FrobeniusStructure:
     """The unique symmetric Frobenius structure with window element ``z``.
 
@@ -424,25 +411,12 @@ def frobenius_from_window(algebra: Algebra, z: Element) -> FrobeniusStructure:
     zinv = z.inverse()
     if zinv is None:
         raise NotInvertibleError("window candidate is not invertible")
-    f = algebra.field
-    tv = algebra._traces()
-    eps = []
-    for k in range(algebra.dim):
-        v = algebra.mul_vectors(zinv.coeffs, algebra.basis_element(k).coeffs)
-        eps.append(sum_product(f, v, tv))
-    return FrobeniusStructure(algebra, eps)
+    # eps(e_k) = trace(L_{z^{-1} e_k}) = sum_j G[k][j] z^{-1}_j, G the canonical form
+    return FrobeniusStructure(algebra, algebra.canonical_pairing().mul_vec(list(zinv.coeffs)))
 
 
 def canonical_frobenius(algebra: Algebra) -> FrobeniusStructure:
     return frobenius_from_window(algebra, algebra.unit_element())
-
-
-def sum_product(field, xs, ys):
-    acc = field.zero()
-    for x, y in zip(xs, ys):
-        if x != 0 and y != 0:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 # -- free-function forms of the structure operations ------------------------------
@@ -468,14 +442,6 @@ def window_element(F: FrobeniusStructure) -> Element:
             for k, cc in alg.mul_row(j, b):
                 out[k] = f.add(out[k], f.mul(c, cc))
     return Element(alg, out)
-
-
-def trilinear_form(F: FrobeniusStructure) -> dict:
-    return dict(F.trilinear())
-
-
-def central_idempotent_p(F: FrobeniusStructure) -> Matrix:
-    return F.idempotent_matrix()
 
 
 def split_idempotent(p: Matrix):
@@ -581,7 +547,8 @@ def idempotent_property_report(F: FrobeniusStructure):
     )
     results.append(
         ("p commutes with central multiplications",
-         all(F.left_mul_matrix(c) @ P == P @ F.left_mul_matrix(c) for c in centre))
+         all(F.algebra.left_regular_matrix(c) @ P == P @ F.algebra.left_regular_matrix(c)
+             for c in centre))
     )
     results.append(("image of p is central", MU @ P.kron(I) == MU @ TAU @ P.kron(I)))
     return results

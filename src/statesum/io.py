@@ -21,7 +21,7 @@ from .algebra import Algebra, Element
 from .complexes import BoundaryComponent, OpenClosedComplex
 from .errors import FileFormatError
 from .fields import Field
-from .frobenius import canonical_frobenius, frobenius_from_counit, frobenius_from_window
+from .frobenius import FrobeniusStructure, canonical_frobenius, frobenius_from_window
 from .linalg import check_dense
 
 # what a malformed document raises while it is converted
@@ -95,7 +95,7 @@ def algebra_from_json(doc):
         if fr == "canonical":
             F = canonical_frobenius(alg)
         elif isinstance(fr, dict) and "counit" in fr:
-            F = frobenius_from_counit(alg, [field.parse(c) for c in fr["counit"]])
+            F = FrobeniusStructure(alg, [field.parse(c) for c in fr["counit"]])
         elif isinstance(fr, dict) and "window" in fr:
             F = frobenius_from_window(alg, Element(alg, [field.parse(c) for c in fr["window"]]))
         elif fr is not None:

@@ -7,7 +7,9 @@ basis -- centres, idempotent images, kernels -- is reproducible across runs.
 Dense storage is bounded: ``Matrix.zeros``, ``Matrix.kron``,
 ``Morphism.matrix`` and the command line's matrix writer refuse a matrix of
 more than ``DENSE_BUDGET`` cells with ``DenseBudgetError`` before they
-allocate it.  Sparse results (``Morphism.nonzeros``) have no such bound.
+allocate it, and ``eval`` checks it from the output signature before it
+contracts the network.  Sparse results (``Morphism.nonzeros``) have no such
+bound.
 """
 
 from __future__ import annotations
@@ -171,13 +173,6 @@ class Matrix:
         return Matrix(
             f, self.rows, self.cols,
             [[f.add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(
-            f, self.rows, self.cols,
-            [[f.sub(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
         )
 
     def scale(self, c) -> "Matrix":

@@ -100,8 +100,7 @@ class Morphism:
         return cls(field, (), (), {0: {0: value}} if value != 0 else {})
 
     def _tensor(self, legs) -> Tensor:
-        data = {(i, j): v for i, row in self.nonzeros.items() for j, v in row.items()}
-        return Tensor(self.field, legs, (self.rows, self.cols), data)
+        return Tensor.from_rows(self.field, legs, (self.rows, self.cols), self.nonzeros)
 
     def compose(self, other: "Morphism") -> "Morphism":
         """``self`` after ``other``."""
@@ -142,15 +141,3 @@ class Morphism:
     def __repr__(self):
         return f"Morphism({list(self.codomain)} <- {list(self.domain)})"
 
-
-def compose(f: Morphism, g: Morphism) -> Morphism:
-    """Composite ``f o g`` (apply ``g`` first)."""
-    return f.compose(g)
-
-
-def tensor(f: Morphism, g: Morphism) -> Morphism:
-    return f.tensor(g)
-
-
-def equal(f: Morphism, g: Morphism) -> bool:
-    return f.equal(g)

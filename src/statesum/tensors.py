@@ -57,13 +57,14 @@ class Tensor:
         self.data = data  # dict: index tuple -> nonzero value
 
     @classmethod
+    def from_rows(cls, field, legs, dims, rows):
+        """The two-leg tensor with the matrix entries ``{row: {col: value}}``."""
+        return cls(field, legs, dims,
+                   {(i, j): v for i, row in rows.items() for j, v in row.items()})
+
+    @classmethod
     def from_matrix_sparse(cls, field, legs, dims, matrix: Matrix):
-        data = {}
-        for i, row in enumerate(matrix.data):
-            for j, v in enumerate(row):
-                if v != 0:
-                    data[(i, j)] = v
-        return cls(field, legs, dims, data)
+        return cls.from_rows(field, legs, dims, matrix.nonzero_rows())
 
     @classmethod
     def vector(cls, field, leg, dim, coeffs):
@@ -74,22 +75,14 @@ class Tensor:
             raise ValueError("tensor still has open legs")
         return self.data.get((), self.field.zero())
 
-    def apply_matrix(self, leg, matrix: Matrix, transpose: bool = False) -> "Tensor":
-        """Act with a matrix on one leg: ``T'[.. j ..] = sum_i M[j][i] T[.. i ..]``.
-
-        With ``transpose=True`` the sum runs over the row index instead, which
-        is the correct action when pre-composing on an input leg.
-        """
+    def apply_matrix(self, leg, matrix: Matrix) -> "Tensor":
+        """Act with a matrix on one leg: ``T'[.. j ..] = sum_i M[j][i] T[.. i ..]``."""
         pos = self.legs.index(leg)
         cols = {}
         for r, row in enumerate(matrix.data):
             for c, v in enumerate(row):
                 if v != 0:
-                    if transpose:
-                        cols.setdefault(r, []).append((c, v))
-                    else:
-                        cols.setdefault(c, []).append((r, v))
-        new_dim = matrix.cols if transpose else matrix.rows
+                    cols.setdefault(c, []).append((r, v))
         acc = {}
         for idx, v in self.data.items():
             hits = cols.get(idx[pos])
@@ -100,7 +93,7 @@ class Tensor:
                 prev = acc.get(key)
                 acc[key] = v * m if prev is None else prev + v * m
         data = _nonzero(acc, self.field.p)
-        dims = self.dims[:pos] + (new_dim,) + self.dims[pos + 1:]
+        dims = self.dims[:pos] + (matrix.rows,) + self.dims[pos + 1:]
         return Tensor(self.field, self.legs, dims, data)
 
     def read_off(self, row_legs, col_legs):

@@ -58,14 +58,14 @@ def matrix_algebra(field, n):
     unit = [field.zero()] * (n * n)
     for r in range(n):
         unit[n * r + r] = field.one()
-    return S.make_algebra(field, n * n, entries, unit)
+    return S.Algebra(field, n * n, entries, unit)
 
 
 def group_algebra_raw(field, table):
     entries = [(i, j, table.table[i][j], field.one())
                for i in range(table.order) for j in range(table.order)]
     unit = [field.one() if i == table.identity else field.zero() for i in range(table.order)]
-    return S.make_algebra(field, table.order, entries, unit)
+    return S.Algebra(field, table.order, entries, unit)
 
 
 def test_01_separability_gate():
@@ -252,8 +252,8 @@ def test_09_closed_space_need_not_be_the_centre():
     A_alg, A_F = S.matrix_direct_sum(f11, [2], [6])  # counit 4*delta
     assert list(A_F.counit) == [4, 0, 0, 4]
     c_entries = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)]
-    C_alg = S.make_algebra(f11, 2, c_entries, [1, 0], basis_names=["one", "X"])
-    C_F = S.frobenius_from_counit(C_alg, [0, 1])
+    C_alg = S.Algebra(f11, 2, c_entries, [1, 0], basis_names=["one", "X"])
+    C_F = S.FrobeniusStructure(C_alg, [0, 1])
     assert {(j, k): v for (j, k, v) in C_F.comul[0]} == {(0, 1): 1, (1, 0): 1}
     assert {(j, k): v for (j, k, v) in C_F.comul[1]} == {(0, 0): 1, (1, 1): 1}
     iota = S.Matrix.from_rows(f11, [[1, 10], [0, 0], [0, 0], [1, 10]]).transpose()
@@ -287,19 +287,19 @@ def test_10_gluing_and_monoidality(cat):
     pairs.append(("unit into pants", u2, lower, glue(u2, lower)))
 
     for name, up, lo, glued in pairs:
-        expect = S.compose(state_sum_raw(F, lo), state_sum_raw(F, up))
+        expect = state_sum_raw(F, lo).compose(state_sum_raw(F, up))
         assert state_sum_raw(F, glued).equal(expect), name
 
     algz, Fz = cat["Q[Z/2] delta"]
     up, lo = builtin("closed_comult"), builtin("closed_mult")
     glued = glue(up, lo)
-    expect = S.compose(state_sum_raw(Fz, lo), state_sum_raw(Fz, up))
+    expect = state_sum_raw(Fz, lo).compose(state_sum_raw(Fz, up))
     assert state_sum_raw(Fz, glued).equal(expect)
 
     za = state_sum_raw(F, strip(1, 1))
     zb = state_sum_raw(F, builtin("open_unit"))
     zu = state_sum_raw(F, disjoint_union(strip(1, 1), builtin("open_unit")))
-    assert S.tensor(za, zb).equal(zu)
+    assert za.tensor(zb).equal(zu)
     report(10, "gluing composes and disjoint union tensors (4 glued pairs)")
 
 

@@ -41,7 +41,7 @@ def test_make_algebra_rejects_non_associative():
     ]
     unit = [one, field.zero(), field.zero()]
     with pytest.raises(NotAssociativeError):
-        S.make_algebra(field, 3, entries, unit)
+        S.Algebra(field, 3, entries, unit)
 
 
 def _dense_first_failure(n, entries, unit):
@@ -88,7 +88,7 @@ def test_validation_witness_is_the_first_dense_failure(base, seed):
     expected = _dense_first_failure(n, entries, list(alg.unit))
     assert expected is not None
     with pytest.raises(expected[0]) as err:
-        S.make_algebra(QQ, n, entries, alg.unit)
+        S.Algebra(QQ, n, entries, alg.unit)
     assert err.value.witness == expected[1]
 
 
@@ -97,7 +97,7 @@ def test_make_algebra_rejects_bad_unit():
     entries = [(0, 0, 0, field.one()), (1, 1, 1, field.one())]
     unit = [field.one(), field.zero()]  # misses the second block
     with pytest.raises(BadUnitError):
-        S.make_algebra(field, 2, entries, unit)
+        S.Algebra(field, 2, entries, unit)
 
 
 def test_unit_multiplication_is_identity():
@@ -175,7 +175,7 @@ def test_matrix_algebra_char_two_pairing_vanishes():
         for s in range(2):
             for t in range(2):
                 entries.append((idx(r, s), idx(s, t), idx(r, t), 1))
-    alg = S.make_algebra(f2, 4, entries, [1, 0, 0, 1])
+    alg = S.Algebra(f2, 4, entries, [1, 0, 0, 1])
     assert alg.canonical_pairing().is_zero()
     assert not alg.is_strongly_separable()
 
@@ -194,7 +194,7 @@ def test_strong_separability_of_matrix_algebras_mod_p(p, n):
     unit = [0] * (n * n)
     for r in range(n):
         unit[idx(r, r)] = 1
-    alg = S.make_algebra(field, n * n, entries, unit)
+    alg = S.Algebra(field, n * n, entries, unit)
     assert alg.is_strongly_separable() == (n % p != 0)
 
 
@@ -204,7 +204,7 @@ def test_strong_separability_of_group_algebras():
     f2 = GF(2)
     table = S.GroupTable.cyclic(2)
     entries = [(i, j, table.table[i][j], 1) for i in range(2) for j in range(2)]
-    alg = S.make_algebra(f2, 2, entries, [1, 0])
+    alg = S.Algebra(f2, 2, entries, [1, 0])
     assert not alg.is_strongly_separable()
 
 

@@ -493,3 +493,27 @@ def test_eval_over_the_dense_budget_is_a_json_error(tmp_path, capsys):
     err = json.loads(out)
     assert err["error"] == "DenseBudgetError"
     assert "28561x28561" in err["message"]
+
+
+def test_eval_refuses_an_over_budget_output_before_contracting(tmp_path, capsys, monkeypatch):
+    # the output shape comes from the complex's black boundary at the requested
+    # level: full strip(6, 6) over M2+M3 is the 13 x 13 identity, while raw
+    # strip(6, 6) is a 13^6 x 13^6 map and is refused without contracting
+    apath, cpath = str(tmp_path / "m2m3.json"), str(tmp_path / "strip66.json")
+    assert main(["catalog", "algebra", "matsum", "2,3", "1,2", "-o", apath]) == 0
+    assert main(["catalog", "complex", "strip", "6", "6", "-o", cpath]) == 0
+    capsys.readouterr()
+    code, out = run(capsys, "eval", "--algebra", apath, "--complex", cpath, "--mode", "full",
+                    "--json")
+    assert code == 0
+    assert json.loads(out)["matrix"] == [["1" if i == j else "0" for j in range(13)]
+                                         for i in range(13)]
+
+    def contract(tensors):
+        raise AssertionError("the network was contracted")
+
+    monkeypatch.setattr("statesum.evaluation.greedy_contract", contract)
+    code, out = run(capsys, "eval", "--algebra", apath, "--complex", cpath, "--mode", "raw",
+                    "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == "DenseBudgetError"

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 import statesum as S
+from statesum import io as sio
 from statesum.cobordisms import (
     annulus,
     builtin,
@@ -15,6 +16,7 @@ from statesum.cobordisms import (
     glue,
     grid_torus,
     minimal_torus,
+    open_mult,
     open_unit,
     reversed_cobordism,
     sphere,
@@ -405,6 +407,26 @@ def test_fuzz_traffic_is_pinned():
         for trial in range(20):
             digest.update(repr(_walk_state(random_moves(c, seed=1000 * trial + 17, n=30))).encode())
     assert digest.hexdigest() == FUZZ_TRAFFIC_SHA1
+
+
+# SHA-1 over the JSON files of the catalog complexes (each builtin at one or two
+# parameter sets, closed_surface(g, w) for g <= 4 and w <= 2) and of one glue
+# and one disjoint_union composite, so that a rewrite of the builders in
+# cobordisms.py keeps every vertex label and every list order.
+CATALOG_COMPLEXES_SHA1 = "b8f63f3aa718dbdc91d889cec1738c6c4e33ae79"
+
+
+def test_catalog_complexes_are_pinned():
+    params = {"strip": [(1, 1), (3, 2)], "annulus": [(1, 1), (4, 2)], "zipper": [(), (4, 2)],
+              "cozipper": [(), (3, 2)], "closed_surface": [(2, 1)]}
+    complexes = [builtin(name, *p) for name in S.BUILTIN_NAMES for p in params.get(name, [()])]
+    complexes += [closed_surface(g, w) for g in range(5) for w in range(3)]
+    complexes += [glue(builtin("closed_comult"), builtin("closed_mult")),
+                  glue(disjoint_union(open_unit(), strip(1, 1)), open_mult())]
+    digest = hashlib.sha1()
+    for c in complexes:
+        digest.update(sio.dumps(sio.complex_to_json(c)).encode())
+    assert digest.hexdigest() == CATALOG_COMPLEXES_SHA1
 
 
 _MOVE_BY_KIND = {

@@ -38,7 +38,6 @@ from .complexes import (
     pachner_22,
     pachner_31,
     random_moves,
-    shelling_type2,
 )
 from .evaluation import (
     build_dual_network,

@@ -9,19 +9,48 @@ The canonical bilinear form ``(a, b) -> trace(L_{ab})`` of the left-regular
 representation is the workhorse here: the algebra is *strongly separable*
 precisely when that form is nondegenerate, and that is the precondition for
 everything the state sum does later.
+
+Every derived map, here and in ``frobenius``, is a contraction of the one
+structure tensor ``c_ijk`` (:meth:`Algebra.structure_tensor`) with vectors
+and pairings, through the kernel the state sum runs on,
+``tensors.contract_pair``.  Each memoised derivation goes through
+:func:`_cached`, the one place that decides the cache's keys.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .errors import BadUnitError, NotAssociativeError
 from .fields import Field
 from .linalg import Matrix
+from .tensors import Tensor, contract_pair
+
+
+def _cached(method):
+    """Memoise ``method(obj, *args)`` in ``obj._cache`` under ``(name, *args)``.
+
+    A miss stores its own key, so a call that leaves the cache's size
+    unchanged was answered from it.  A list result is handed out as a fresh
+    copy, so no caller can change what is cached.
+    """
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(obj, *args):
+        key = (name, *args)
+        if key not in obj._cache:
+            obj._cache[key] = method(obj, *args)
+        value = obj._cache[key]
+        return list(value) if isinstance(value, list) else value
+
+    return cached
 
 
 class Algebra:
     """Associative unital algebra with a distinguished basis."""
 
-    __slots__ = ("field", "dim", "basis_names", "unit", "_mul_sparse", "_cache")
+    __slots__ = ("field", "dim", "basis_names", "unit", "_mul", "_mul_sparse", "_cache")
 
     def __init__(self, field: Field, dim: int, mul_entries, unit, basis_names=None):
         """``mul_entries`` iterates sparse quadruples ``(i, j, k, coeff)``.
@@ -43,17 +72,15 @@ class Algebra:
         for (i, j, k, c) in mul_entries:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"structure constant index out of range: ({i},{j},{k})")
-            if c == 0:
-                continue
-            key = (i, j)
-            table.setdefault(key, {})
-            table[key][k] = field.add(table[key].get(k, field.zero()), c)
-        # sparse rows e_i e_j -> tuple of (k, coeff)
-        self._mul_sparse = {
-            key: tuple(sorted((k, c) for k, c in row.items() if c != 0))
-            for key, row in table.items()
-        }
-        self._mul_sparse = {k: v for k, v in self._mul_sparse.items() if v}
+            if c != 0:
+                table[(i, j, k)] = field.add(table.get((i, j, k), field.zero()), c)
+        # the structure tensor's data {(i, j, k): c_ijk}, and its sparse rows
+        # e_i e_j -> tuple of (k, coeff)
+        self._mul = {key: c for key, c in sorted(table.items()) if c != 0}
+        rows = {}
+        for (i, j, k), c in self._mul.items():
+            rows.setdefault((i, j), []).append((k, c))
+        self._mul_sparse = {key: tuple(row) for key, row in rows.items()}
         self.unit = tuple(unit)
         self._cache = {}
         self._validate()
@@ -66,9 +93,14 @@ class Algebra:
 
     def mul_entries(self):
         """All nonzero structure constants as quadruples, sorted."""
-        for (i, j) in sorted(self._mul_sparse):
-            for k, c in self._mul_sparse[(i, j)]:
-                yield (i, j, k, c)
+        for (i, j, k), c in self._mul.items():
+            yield (i, j, k, c)
+
+    def structure_tensor(self, legs) -> Tensor:
+        """The multiplication ``e_i e_j = sum_k c_ijk e_k`` as a three-leg
+        tensor, its legs named ``legs = (i, j, k)``."""
+        n = self.dim
+        return Tensor(self.field, legs, (n, n, n), self._mul)
 
     def basis_element(self, i: int) -> "Element":
         coeffs = [self.field.zero()] * self.dim
@@ -135,76 +167,55 @@ class Algebra:
     # -- representation-theoretic data ----------------------------------------
 
     def left_regular_matrix(self, a) -> Matrix:
-        """Matrix of ``L_a : b -> a*b`` in the chosen basis."""
+        """Matrix of ``L_a : b -> a*b``, ``L_a[k][j] = sum_i a_i c_ijk``."""
         coeffs = a.coeffs if isinstance(a, Element) else a
-        f = self.field
-        cols = []
-        for j in range(self.dim):
-            col = [f.zero()] * self.dim
-            for i, ai in enumerate(coeffs):
-                if ai == 0:
-                    continue
-                for k, c in self.mul_row(i, j):
-                    col[k] = f.add(col[k], f.mul(ai, c))
-            cols.append(col)
-        return Matrix(f, self.dim, self.dim, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
+        la = contract_pair(Tensor.vector(self.field, "i", self.dim, coeffs),
+                           self.structure_tensor(("i", "j", "k")))
+        return la.to_matrix(("k",), ("j",))
 
     def bilinear_form(self, v) -> Matrix:
         """Gram matrix ``G[i][j] = sum_k c_ijk v_k`` of the form ``(a, b) -> v(ab)``
         for a linear functional with coefficients ``v``."""
-        f = self.field
-        n = self.dim
-        g = Matrix.zeros(f, n, n)
-        for i in range(n):
-            for j in range(n):
-                acc = f.zero()
-                for k, c in self.mul_row(i, j):
-                    acc = f.add(acc, f.mul(c, v[k]))
-                g.data[i][j] = acc
-        return g
+        g = contract_pair(self.structure_tensor(("i", "j", "k")),
+                          Tensor.vector(self.field, "k", self.dim, v))
+        return g.to_matrix(("i",), ("j",))
 
+    @_cached
     def canonical_pairing(self) -> Matrix:
-        """Symmetric invariant form ``G[i][j] = trace(L_{e_i e_j})``."""
-        if "Gcan" not in self._cache:
-            f = self.field
-            traces = []  # trace of L_{e_k}
-            for k in range(self.dim):
-                t = f.zero()
-                for m in range(self.dim):
-                    for (out, c) in self.mul_row(k, m):
-                        if out == m:
-                            t = f.add(t, c)
-                traces.append(t)
-            self._cache["Gcan"] = self.bilinear_form(traces)
-        return self._cache["Gcan"]
+        """Symmetric invariant form ``G[i][j] = trace(L_{e_i e_j})``: the form
+        of the trace vector ``trace(L_{e_i}) = sum_j c_ijj``."""
+        n = self.dim
+        one = self.field.one()
+        identity = Tensor(self.field, ("j", "k"), (n, n), {(j, j): one for j in range(n)})
+        traces = contract_pair(self.structure_tensor(("i", "j", "k")), identity)
+        return self.bilinear_form(traces.to_matrix(("i",), ()).column(0))
 
     def is_strongly_separable(self) -> bool:
         return self.canonical_pairing().rank() == self.dim
 
+    @_cached
     def centre_basis(self):
         """Basis of the centre, from the kernel of the stacked commutator system.
 
         Row order and free-variable choices follow the deterministic rref
         pivoting, so the result is reproducible.
         """
-        if "centre" not in self._cache:
-            f = self.field
-            n = self.dim
-            rows = []
-            for i in range(n):
-                for m in range(n):
-                    row = [f.zero()] * n
-                    for k in range(n):
-                        for (out, c) in self.mul_row(k, i):
-                            if out == m:
-                                row[k] = f.add(row[k], c)
-                        for (out, c) in self.mul_row(i, k):
-                            if out == m:
-                                row[k] = f.sub(row[k], c)
-                    rows.append(row)
-            system = Matrix(f, len(rows), n, rows)
-            self._cache["centre"] = [Element(self, v) for v in system.kernel_basis()]
-        return list(self._cache["centre"])
+        f = self.field
+        n = self.dim
+        rows = []
+        for i in range(n):
+            for m in range(n):
+                row = [f.zero()] * n
+                for k in range(n):
+                    for (out, c) in self.mul_row(k, i):
+                        if out == m:
+                            row[k] = f.add(row[k], c)
+                    for (out, c) in self.mul_row(i, k):
+                        if out == m:
+                            row[k] = f.sub(row[k], c)
+                rows.append(row)
+        system = Matrix(f, len(rows), n, rows)
+        return [Element(self, v) for v in system.kernel_basis()]
 
     def __repr__(self):
         return f"Algebra(dim={self.dim} over {self.field})"

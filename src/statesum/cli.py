@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--genus", type=int, required=True)
     ps.add_argument("--windows", type=int, default=0)
     ps.add_argument("--oracle", action="store_true",
-                    help="also evaluate the block closed form when block data is present")
+                    help="report \"closed_form\": null when the algebra file has no block "
+                         "data (with block data the closed form is always checked)")
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(fn=cmd_surface)
 

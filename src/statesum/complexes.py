@@ -274,9 +274,6 @@ class OpenClosedComplex:
         seen_sets = set()
         for t in self.triangles:
             key = frozenset(t)
-            if len(key) != 3:
-                violations.append(("degenerate_triangle", f"{t}"))
-                continue
             if key in seen_sets:
                 violations.append(("duplicate_triangle", f"{t}"))
             seen_sets.add(key)
@@ -741,17 +738,6 @@ _MOVES = {
     "shell_open": shelling_open_vertex,
     "shell_close": shelling_close_vertex,
 }
-
-_TYPE2_KINDS = {"split_edge": "shell_split", "merge_edges": "shell_merge",
-                "open_vertex": "shell_open", "close_vertex": "shell_close"}
-
-
-def shelling_type2(c: OpenClosedComplex, kind: str, site) -> OpenClosedComplex:
-    """Dispatch one of the four coloured elementary shellings by name."""
-    if kind not in _TYPE2_KINDS:
-        raise NotApplicableError(f"unknown type-2 shelling {kind!r}")
-    return _MOVES[_TYPE2_KINDS[kind]](c, site)
-
 
 # -- seeded fuzz driver ---------------------------------------------------------------
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
+from .algebra import _cached
 from .complexes import OpenClosedComplex, ekey
 from .errors import HasBlackBoundaryError
 from .frobenius import FrobeniusStructure
@@ -43,14 +44,12 @@ from .morphism import Morphism, full_factor, split_factor
 from .tensors import Tensor, greedy_contract
 
 
+@_cached
 def _gstar_sparse(F: FrobeniusStructure):
     """The inverse pairing's entries ``{(i, j): value}``, shared by every
     pairing tensor of a network."""
-    if "gstar_sparse" not in F._cache:
-        n = F.dim
-        F._cache["gstar_sparse"] = Tensor.from_matrix_sparse(
-            F.field, ("row", "col"), (n, n), F.pairing_inverse).data
-    return F._cache["gstar_sparse"]
+    n = F.dim
+    return Tensor.from_matrix_sparse(F.field, ("row", "col"), (n, n), F.pairing_inverse).data
 
 
 def signature(F: FrobeniusStructure, components, level):
@@ -145,17 +144,16 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
     return DualNetwork(tensors, components["in"], components["out"], exponents)
 
 
+@_cached
 def _chain_data(F: FrobeniusStructure):
     """Sparse three-leg forms of ``P_21 = Delta o a^-1`` and ``P_12 = mu``,
     both indexed ``(left, right, joined)``."""
-    if "chain_sparse" not in F._cache:
-        n = F.dim
-        delta = {(r // n, r % n, i): v for r, row in enumerate(F.p_matrix(2, 1).data)
-                 for i, v in enumerate(row) if v != 0}
-        mu = {(c // n, c % n, k): v for k, row in enumerate(F.p_matrix(1, 2).data)
-              for c, v in enumerate(row) if v != 0}
-        F._cache["chain_sparse"] = (delta, mu)
-    return F._cache["chain_sparse"]
+    n = F.dim
+    delta = {(r // n, r % n, i): v for r, row in enumerate(F.p_matrix(2, 1).data)
+             for i, v in enumerate(row) if v != 0}
+    mu = {(c // n, c % n, k): v for k, row in enumerate(F.p_matrix(1, 2).data)
+          for c, v in enumerate(row) if v != 0}
+    return delta, mu
 
 
 def _join_legs(F, legs, prefix, data):

@@ -3,7 +3,13 @@
 A structure is keyed by its counit vector; the pairing ``g = eps o mu``, its
 inverse, the comultiplication, and the window element are all derived at
 construction time, so validation errors surface immediately and later
-operations are table lookups.
+operations are table lookups.  As in ``algebra``, every derived map is a
+contraction of the structure tensor ``c_ijk`` through
+``tensors.contract_pair``: ``Delta`` contracts it with the inverse pairing,
+the window element contracts the inverse pairing with it, the trilinear
+form ``g3`` contracts it with the pairing, and the canonical idempotent
+``p`` contracts ``Delta`` with it twice, once for ``mu o tau`` and once for
+``a^{-1} . id``.  Later derivations are memoised by ``algebra._cached``.
 
 The window element ``a = mu o Delta o eta`` is central, and its invertibility
 is equivalent to strong separability.  Everything downstream (the canonical
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, _cached
 from .errors import (
     ArityError,
     DegeneratePairingError,
@@ -30,16 +36,7 @@ from .errors import (
     WindowNotInvertibleError,
 )
 from .linalg import Matrix
-
-
-def swap_matrix(field, n: int) -> Matrix:
-    """Matrix of the flip ``x (x) y -> y (x) x`` on an n-dim factor pair."""
-    m = Matrix.zeros(field, n * n, n * n)
-    one = field.one()
-    for i in range(n):
-        for j in range(n):
-            m.data[j * n + i][i * n + j] = one
-    return m
+from .tensors import Tensor, contract_pair
 
 
 class FrobeniusStructure:
@@ -65,38 +62,19 @@ class FrobeniusStructure:
         self.pairing = g
         self.pairing_inverse = g.inverse()
 
-        # Delta(e_i) = sum_{a,b} g*[a][b] (e_i e_a) (x) e_b
-        gstar = self.pairing_inverse
-        comul = []
-        for i in range(n):
-            rows = {}
-            for a in range(n):
-                for j, c in algebra.mul_row(i, a):
-                    grow = gstar.data[a]
-                    for b in range(n):
-                        if grow[b] == 0:
-                            continue
-                        key = (j, b)
-                        val = f.add(rows.get(key, f.zero()), f.mul(c, grow[b]))
-                        if val == 0:
-                            rows.pop(key, None)
-                        else:
-                            rows[key] = val
-            comul.append(tuple(sorted((j, b, v) for (j, b), v in rows.items())))
-        self.comul = tuple(comul)
+        # Delta(e_i) = sum_{a,b} g*[a][b] (e_i e_a) (x) e_b, as rows of sorted (j, b, value)
+        gstar = Tensor.from_matrix_sparse(f, ("a", "b"), (n, n), self.pairing_inverse)
+        delta = contract_pair(algebra.structure_tensor(("i", "a", "j")), gstar)
+        comul = [[] for _ in range(n)]
+        for (i, j, b), v in sorted(delta.data.items()):
+            comul[i].append((j, b, v))
+        self.comul = tuple(map(tuple, comul))
 
         self._verify_coalgebra_laws()
 
-        # window = mu o Delta o eta
-        wvec = [f.zero()] * n
-        for a in range(n):
-            grow = gstar.data[a]
-            for b in range(n):
-                if grow[b] == 0:
-                    continue
-                for k, c in algebra.mul_row(a, b):
-                    wvec[k] = f.add(wvec[k], f.mul(grow[b], c))
-        window = Element(algebra, wvec)
+        # window = mu o Delta o eta = sum_{a,b} g*[a][b] e_a e_b
+        wvec = contract_pair(gstar, algebra.structure_tensor(("a", "b", "k")))
+        window = Element(algebra, wvec.to_matrix(("k",), ()).column(0))
         if not window.is_central():
             raise StateSumError("window element failed centrality check")
         inv = window.inverse()
@@ -125,8 +103,8 @@ class FrobeniusStructure:
             if left != expect or right != expect:
                 raise StateSumError(f"counit law fails on basis element {i}")
         # coassociativity and the Frobenius relation hold by construction of
-        # Delta from a symmetric invariant nondegenerate pairing; spot-check
-        # the Frobenius relation on basis pairs anyway.
+        # Delta from a symmetric invariant nondegenerate pairing; check the
+        # Frobenius relation on every basis pair anyway.
         for i in range(n):
             for j in range(n):
                 lhs = {}
@@ -154,29 +132,20 @@ class FrobeniusStructure:
     def dim(self):
         return self.algebra.dim
 
+    @_cached
     def mu_matrix(self) -> Matrix:
         """Multiplication as an ``n x n^2`` matrix (columns indexed i*n+j)."""
-        if "mu2" not in self._cache:
-            alg = self.algebra
-            n = alg.dim
-            m = Matrix.zeros(alg.field, n, n * n)
-            for i in range(n):
-                for j in range(n):
-                    for k, c in alg.mul_row(i, j):
-                        m.data[k][i * n + j] = c
-            self._cache["mu2"] = m
-        return self._cache["mu2"]
+        return self.algebra.structure_tensor(("i", "j", "k")).to_matrix(("k",), ("i", "j"))
 
+    @_cached
     def delta_matrix(self) -> Matrix:
         """Comultiplication as an ``n^2 x n`` matrix (rows indexed j*n+k)."""
-        if "delta2" not in self._cache:
-            n = self.dim
-            m = Matrix.zeros(self.field, n * n, n)
-            for i in range(n):
-                for (j, b, v) in self.comul[i]:
-                    m.data[j * n + b][i] = v
-            self._cache["delta2"] = m
-        return self._cache["delta2"]
+        n = self.dim
+        m = Matrix.zeros(self.field, n * n, n)
+        for i in range(n):
+            for (j, b, v) in self.comul[i]:
+                m.data[j * n + b][i] = v
+        return m
 
     def eps_matrix(self) -> Matrix:
         return Matrix(self.field, 1, self.dim, [list(self.counit)])
@@ -184,22 +153,26 @@ class FrobeniusStructure:
     def eta_matrix(self) -> Matrix:
         return Matrix.column_vector(self.field, list(self.algebra.unit))
 
+    @_cached
     def swap(self) -> Matrix:
-        if "swap" not in self._cache:
-            self._cache["swap"] = swap_matrix(self.field, self.dim)
-        return self._cache["swap"]
+        """Matrix of the flip ``x (x) y -> y (x) x`` on ``A (x) A``."""
+        n = self.dim
+        m = Matrix.zeros(self.field, n * n, n * n)
+        one = self.field.one()
+        for i in range(n):
+            for j in range(n):
+                m.data[j * n + i][i * n + j] = one
+        return m
 
+    @_cached
     def window_power_matrix(self, k: int) -> Matrix:
         """Matrix of the central action ``a^k . id`` (negative powers allowed)."""
-        key = ("apow", k)
-        if key not in self._cache:
-            base = self.window if k >= 0 else self.window_inverse
-            m = Matrix.identity(self.field, self.dim)
-            lb = self.algebra.left_regular_matrix(base)
-            for _ in range(abs(k)):
-                m = lb @ m
-            self._cache[key] = m
-        return self._cache[key]
+        base = self.window if k >= 0 else self.window_inverse
+        m = Matrix.identity(self.field, self.dim)
+        lb = self.algebra.left_regular_matrix(base)
+        for _ in range(abs(k)):
+            m = lb @ m
+        return m
 
     def is_special(self) -> bool:
         """Window element equal to an invertible scalar multiple of the unit."""
@@ -220,150 +193,101 @@ class FrobeniusStructure:
 
     # -- trilinear form -------------------------------------------------------
 
+    @_cached
     def trilinear(self) -> dict:
-        """Sparse ``g3[(i,j,k)] = eps(e_i e_j e_k)``; cyclically invariant."""
-        if "g3" not in self._cache:
-            alg = self.algebra
-            f = alg.field
-            g = self.pairing
-            out = {}
-            for i in range(alg.dim):
-                for j in range(alg.dim):
-                    row = alg.mul_row(i, j)
-                    if not row:
-                        continue
-                    for k in range(alg.dim):
-                        acc = f.zero()
-                        for m, c in row:
-                            acc = f.add(acc, f.mul(c, g.data[m][k]))
-                        if acc != 0:
-                            out[(i, j, k)] = acc
-            self._cache["g3"] = out
-        return self._cache["g3"]
+        """Sparse ``g3[(i,j,k)] = eps(e_i e_j e_k) = sum_m c_ijm g[m][k]``;
+        cyclically invariant."""
+        n = self.dim
+        g = Tensor.from_matrix_sparse(self.field, ("m", "k"), (n, n), self.pairing)
+        return contract_pair(self.algebra.structure_tensor(("i", "j", "m")), g).data
 
     # -- the canonical central idempotent --------------------------------------
 
+    @_cached
     def idempotent_matrix(self) -> Matrix:
-        """Matrix of ``p = (a^{-1} . id) o mu o tau o Delta``."""
-        if "p" not in self._cache:
-            alg = self.algebra
-            f = alg.field
-            n = alg.dim
-            m = Matrix.zeros(f, n, n)
-            ainv = alg.left_regular_matrix(self.window_inverse)
-            for i in range(n):
-                col = [f.zero()] * n
-                for (j, b, v) in self.comul[i]:
-                    for k, c in alg.mul_row(b, j):  # tau before mu
-                        col[k] = f.add(col[k], f.mul(v, c))
-                for r, val in enumerate(ainv.mul_vec(col)):
-                    m.data[r][i] = val
-            pp = m @ m
-            if pp != m:
-                raise StateSumError("canonical idempotent failed p^2 = p")
-            self._cache["p"] = m
-        return self._cache["p"]
+        """Matrix of ``p = (a^{-1} . id) o mu o tau o Delta``:
+        ``p[r][i] = sum a^{-1}_x c_xkr c_bjk Delta(e_i)[j, b]``."""
+        alg, f, n = self.algebra, self.field, self.dim
+        delta = Tensor(f, ("i", "j", "b"), (n, n, n),
+                       {(i, j, b): v for i, row in enumerate(self.comul) for j, b, v in row})
+        mu_tau_delta = contract_pair(delta, alg.structure_tensor(("b", "j", "k")))
+        ainv = contract_pair(Tensor.vector(f, "x", n, self.window_inverse.coeffs),
+                             alg.structure_tensor(("x", "k", "r")))
+        m = contract_pair(mu_tau_delta, ainv).to_matrix(("r",), ("i",))
+        if m @ m != m:
+            raise StateSumError("canonical idempotent failed p^2 = p")
+        return m
 
+    @_cached
     def split_p(self):
-        if "split_p" not in self._cache:
-            self._cache["split_p"] = split_idempotent(self.idempotent_matrix())
-        return self._cache["split_p"]
+        return split_idempotent(self.idempotent_matrix())
 
     # -- iterated (co)multiplication and the P/Q families ----------------------
 
+    @_cached
     def iterated_mu_matrix(self, arity: int) -> Matrix:
         if arity < 1:
             raise ArityError("iterated multiplication needs arity >= 1")
-        key = ("mu", arity)
-        if key not in self._cache:
-            if arity == 1:
-                m = Matrix.identity(self.field, self.dim)
-            elif arity == 2:
-                m = self.mu_matrix()
-            else:
-                prev = self.iterated_mu_matrix(arity - 1)
-                m = self.mu_matrix() @ prev.kron(Matrix.identity(self.field, self.dim))
-            self._cache[key] = m
-        return self._cache[key]
+        if arity == 1:
+            return Matrix.identity(self.field, self.dim)
+        if arity == 2:
+            return self.mu_matrix()
+        prev = self.iterated_mu_matrix(arity - 1)
+        return self.mu_matrix() @ prev.kron(Matrix.identity(self.field, self.dim))
 
+    @_cached
     def iterated_delta_matrix(self, arity: int) -> Matrix:
         if arity < 1:
             raise ArityError("iterated comultiplication needs arity >= 1")
-        key = ("delta", arity)
-        if key not in self._cache:
-            if arity == 1:
-                m = Matrix.identity(self.field, self.dim)
-            elif arity == 2:
-                m = self.delta_matrix()
-            else:
-                prev = self.iterated_delta_matrix(arity - 1)
-                m = prev.kron(Matrix.identity(self.field, self.dim)) @ self.delta_matrix()
-            self._cache[key] = m
-        return self._cache[key]
+        if arity == 1:
+            return Matrix.identity(self.field, self.dim)
+        if arity == 2:
+            return self.delta_matrix()
+        prev = self.iterated_delta_matrix(arity - 1)
+        return prev.kron(Matrix.identity(self.field, self.dim)) @ self.delta_matrix()
 
+    @_cached
     def p_matrix(self, k: int, l: int) -> Matrix:
         """``P_kl = Delta^(k) o (a^{-(k-1)} . id) o mu^(l)`` as a matrix."""
-        key = ("P", k, l)
-        if key not in self._cache:
-            self._cache[key] = (
-                self.iterated_delta_matrix(k)
+        return (self.iterated_delta_matrix(k)
                 @ self.window_power_matrix(-(k - 1))
-                @ self.iterated_mu_matrix(l)
-            )
-        return self._cache[key]
+                @ self.iterated_mu_matrix(l))
 
+    @_cached
     def q_matrix(self, k: int, l: int) -> Matrix:
-        key = ("Q", k, l)
-        if key not in self._cache:
-            self._cache[key] = (
-                self.iterated_delta_matrix(k)
+        return (self.iterated_delta_matrix(k)
                 @ self.window_power_matrix(-(k - 1))
                 @ self.idempotent_matrix()
-                @ self.iterated_mu_matrix(l)
-            )
-        return self._cache[key]
+                @ self.iterated_mu_matrix(l))
 
+    @_cached
     def split_pkk(self, k: int):
-        key = ("splitP", k)
-        if key not in self._cache:
-            self._cache[key] = split_idempotent(self.p_matrix(k, k))
-        return self._cache[key]
+        return split_idempotent(self.p_matrix(k, k))
 
+    @_cached
     def split_qkk(self, k: int):
-        key = ("splitQ", k)
-        if key not in self._cache:
-            self._cache[key] = split_idempotent(self.q_matrix(k, k))
-        return self._cache[key]
+        return split_idempotent(self.q_matrix(k, k))
 
+    @_cached
     def phi_matrices(self, k: int):
         """Iso ``A -> P_kk(A^k)`` and its inverse, as matrices."""
-        key = ("phi", k)
-        if key not in self._cache:
-            im, coim = self.split_pkk(k)
-            phi = coim @ self.p_matrix(k, 1)
-            phi_inv = self.p_matrix(1, k) @ im
-            self._cache[key] = (phi, phi_inv)
-        return self._cache[key]
+        im, coim = self.split_pkk(k)
+        return coim @ self.p_matrix(k, 1), self.p_matrix(1, k) @ im
 
+    @_cached
     def psi_matrices(self, k: int):
         """Iso ``p(A) -> Q_kk(A^k)`` and its inverse, as matrices."""
-        key = ("psi", k)
-        if key not in self._cache:
-            im_q, coim_q = self.split_qkk(k)
-            im_p, coim_p = self.split_p()
-            psi = coim_q @ self.q_matrix(k, 1) @ im_p
-            psi_inv = coim_p @ self.q_matrix(1, k) @ im_q
-            self._cache[key] = (psi, psi_inv)
-        return self._cache[key]
+        im_q, coim_q = self.split_qkk(k)
+        im_p, coim_p = self.split_p()
+        return coim_q @ self.q_matrix(k, 1) @ im_p, coim_p @ self.q_matrix(1, k) @ im_q
 
+    @_cached
     def closed_window_matrix(self, power: int):
         """Multiplication by ``a^power`` on the split closed space ``p(A)``."""
-        key = ("aC", power)
-        if key not in self._cache:
-            im_p, coim_p = self.split_p()
-            self._cache[key] = coim_p @ self.window_power_matrix(power) @ im_p
-        return self._cache[key]
+        im_p, coim_p = self.split_p()
+        return coim_p @ self.window_power_matrix(power) @ im_p
 
+    @_cached
     def circle_boundary_matrices(self, k: int):
         """The circle-leg isomorphisms of the full state sum, from the pivot
         splitting of ``Q_kk``.
@@ -375,19 +299,12 @@ class FrobeniusStructure:
         multiplication by the window element.  The state sum never forms
         them; it applies the same correction on the closed-form splitting.
         """
-        key = ("circle_iso", k)
-        if key not in self._cache:
-            psi, psi_inv = self.psi_matrices(k)
-            self._cache[key] = (
-                psi @ self.closed_window_matrix(-1),
-                self.closed_window_matrix(1) @ psi_inv,
-            )
-        return self._cache[key]
+        psi, psi_inv = self.psi_matrices(k)
+        return psi @ self.closed_window_matrix(-1), self.closed_window_matrix(1) @ psi_inv
 
+    @_cached
     def knowledgeable(self) -> "KnowledgeableFrobenius":
-        if "knowledgeable" not in self._cache:
-            self._cache["knowledgeable"] = knowledgeable_from_frobenius(self)
-        return self._cache["knowledgeable"]
+        return knowledgeable_from_frobenius(self)
 
     def __repr__(self):
         return f"FrobeniusStructure(dim={self.dim} over {self.field})"

@@ -6,6 +6,7 @@ import pytest
 import statesum as S
 from statesum import io as sio
 from statesum.cli import main
+from statesum.errors import InvalidComplexError
 
 
 def run(capsys, *argv):
@@ -366,6 +367,21 @@ def test_eval_huge_declared_vertex_count(z2_file, tmp_path, capsys):
     assert err["error"] == "InvalidComplexError"
     assert err["message"].count("isolated_vertex") == 1
     assert "999999994 of 1000000000 vertices lie in no triangle, the smallest 6" in err["message"]
+
+
+def test_degenerate_triangle_is_refused_at_construction(z2_file, tmp_path, capsys):
+    # a triangle with a repeated vertex never reaches validate(): the
+    # constructor refuses it, and eval reports that as a JSON error
+    with pytest.raises(InvalidComplexError, match="degenerate triangle"):
+        S.OpenClosedComplex(3, [(0, 0, 1)], [], [], [])
+    doc = {"vertices": 3, "triangles": [[0, 0, 1]],
+           "coloured_edges": [], "black_in": [], "black_out": []}
+    path = write(tmp_path, "degenerate.json", sio.dumps(doc))
+    code, out = run(capsys, "eval", "--algebra", z2_file, "--complex", path, "--json")
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "InvalidComplexError"
+    assert "degenerate triangle (0, 0, 1)" in err["message"]
 
 
 def test_missing_file(capsys):

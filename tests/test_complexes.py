@@ -34,7 +34,6 @@ from statesum.complexes import (
     shelling_merge_edges,
     shelling_open_vertex,
     shelling_split_edge,
-    shelling_type2,
 )
 from statesum.errors import NotApplicableError, UnknownCatalogError
 
@@ -217,19 +216,12 @@ def test_shelling_rejects_black_sites():
     c = strip(1, 1)
     with pytest.raises(NotApplicableError):
         shelling_split_edge(c, (0, 1))
-    with pytest.raises(NotApplicableError):
-        shelling_type2(c, "split_edge", (0, 1))
 
 
 def test_shelling_close_blocked_when_edge_exists():
     c = open_unit()  # apex vertex 2 has two coloured edges but (0,1) exists
     with pytest.raises(NotApplicableError):
         shelling_close_vertex(c, 2)
-
-
-def test_shelling_dispatcher_unknown_kind():
-    with pytest.raises(NotApplicableError):
-        shelling_type2(strip(1, 1), "nonsense", 0)
 
 
 def test_shellings_preserve_brane_colours():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -454,3 +455,51 @@ def test_morphism_wrappers_signatures(structures):
     assert phi_inv.compose(phi).matrix == S.Matrix.identity(alg.field, alg.dim)
     psi, psi_inv = psi_iso(F, 2)
     assert psi_inv.compose(psi).matrix == S.Matrix.identity(alg.field, psi.matrix.cols)
+
+
+# -- pinned derived maps -------------------------------------------------------------
+
+# SHA-1 over the reprs of every derived structure map (entries shown with
+# their exact type, Fraction or int) of matrix sums, group algebras and
+# groupoid algebras over Q, F_7 and F_10007.  Computed with the
+# field-arithmetic loops that built these maps before they became
+# contractions of the structure tensor.
+DERIVED_MAPS_SHA1 = "86e371fd1dbcc6995e0f29bc0600549d1437a89d"
+
+
+def _entries(x):
+    """``x`` with each Matrix and Element replaced by its entries."""
+    if isinstance(x, S.Matrix):
+        return x.data
+    if isinstance(x, S.Element):
+        return x.coeffs
+    if isinstance(x, (list, tuple)):
+        return type(x)(_entries(v) for v in x)
+    return x
+
+
+def _pinned_structures():
+    for field in (QQ, GF(7), GF(10007)):
+        yield S.matrix_direct_sum(field, [2, 3], [1, 2])[1]
+        yield S.group_algebra(field, S.GroupTable.symmetric(3))[1]
+        yield S.groupoid_algebra(field, S.FiniteGroupoid.pair(2))[1]
+    alg = S.group_algebra(QQ, S.GroupTable.cyclic(4))[0]
+    yield S.canonical_frobenius(alg)
+    yield S.groupoid_algebra(QQ, S.FiniteGroupoid.transitive(2, S.GroupTable.cyclic(2)))[1]
+
+
+def test_derived_maps_are_pinned():
+    digest = hashlib.sha1()
+    for F in _pinned_structures():
+        K = F.knowledgeable()
+        values = [
+            F.comul, sorted(F.trilinear().items()),
+            F.pairing, F.pairing_inverse, F.window, F.window_inverse,
+            F.idempotent_matrix(), F.mu_matrix(), F.delta_matrix(),
+            F.window_power_matrix(2), F.window_power_matrix(-2),
+            F.algebra.canonical_pairing(), F.algebra.centre_basis(),
+            K.iota, K.iota_star, K.C.counit, K.C.comul,
+            F.p_matrix(2, 1), F.p_matrix(1, 2), F.q_matrix(2, 2),
+        ]
+        digest.update(repr(_entries(values)).encode())
+    assert digest.hexdigest() == DERIVED_MAPS_SHA1

@@ -2,8 +2,9 @@
 
 An algebra is given by sparse structure constants ``e_i * e_j = sum_k
 c[i,j,k] e_k`` and a unit vector.  Construction validates associativity and
-the unit laws exhaustively over basis triples, which is cheap at desk scale
-(dimensions up to ~25).
+the unit laws exhaustively over the ``n^3`` basis triples: cheap at desk
+scale, about 26 s for ``Q[S_5]`` (dimension 120).  What follows from them is
+not checked again; so a right inverse is taken as two-sided (see below).
 
 The canonical bilinear form ``(a, b) -> trace(L_{ab})`` of the left-regular
 representation is the workhorse here: the algebra is *strongly separable*
@@ -275,12 +276,8 @@ class Element:
         alg = self.algebra
         la = alg.left_regular_matrix(self)
         x = la.solve(list(alg.unit))
-        if x is None:
-            return None
-        # right inverse of a solves L_a x = 1; confirm it is two-sided
-        if alg.mul_vectors(x, self.coeffs) != list(alg.unit):
-            return None
-        return Element(alg, x)
+        # a x = 1 gives x a = 1 in finite dimension: L_a onto is L_a one-to-one
+        return None if x is None else Element(alg, x)
 
     def __repr__(self):
         names = self.algebra.basis_names

@@ -173,19 +173,8 @@ def surface_invariant_closed_form(sizes, windows, genus: int, punctures: int, fi
     e = punctures + 2 * (genus - 1)
     for m, a in zip(sizes, windows):
         av = field.of_int(a) if isinstance(a, int) else a
-        mv = field.of_int(m)
-        term = field.one()
-        for _ in range(abs(e)):
-            term = field.mul(term, av)
-        if e < 0:
-            term = field.inv(term)
-        mexp = -2 * (genus - 1)
-        mm = field.one()
-        for _ in range(abs(mexp)):
-            mm = field.mul(mm, mv)
-        if mexp < 0:
-            mm = field.inv(mm)
-        total = field.add(total, field.mul(term, mm))
+        term = field.mul(field.pow(av, e), field.pow(field.of_int(m), -2 * (genus - 1)))
+        total = field.add(total, term)
     return total
 
 

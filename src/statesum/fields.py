@@ -108,6 +108,10 @@ class Field:
     def div(self, a, b):
         return a / b if self.p is None else (a * pow(b, -1, self.p)) % self.p
 
+    def pow(self, a, e: int):
+        """``a ** e``; a negative ``e`` inverts ``a``."""
+        return a ** e if self.p is None else pow(a, e, self.p)
+
     # -- text form (CLI file format) -----------------------------------------
 
     def parse(self, s: str):

@@ -102,9 +102,18 @@ def test_matrix_direct_sum_f3_block3_rejected():
     ([2, 3], [1, 1], 2, 0, Fraction(13, 36)),
     ([2], [1], 1, 3, Fraction(1)),
     ([2], [2], 0, 1, Fraction(2)),
+    # genus 0 puts a negative exponent on the windows, genus 2 on the sizes
+    ([2, 3], [1, 2], 0, 0, Fraction(25, 4)),
+    ([2, 3], [1, 2], 0, 1, Fraction(17, 2)),
+    # (p, residue): the value over F_p
+    ([2, 3], [1, 2], 0, 1, (7, 5)),
+    ([2, 3], [1, 1], 2, 0, (7, 6)),
 ])
 def test_surface_closed_form_spot_values(sizes, windows, genus, punctures, expect):
-    got = S.surface_invariant_closed_form(sizes, windows, genus, punctures)
+    field = S.QQ
+    if isinstance(expect, tuple):
+        field, expect = S.GF(expect[0]), expect[1]
+    got = S.surface_invariant_closed_form(sizes, windows, genus, punctures, field)
     assert got == expect
 
 

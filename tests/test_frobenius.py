@@ -457,6 +457,128 @@ def test_morphism_wrappers_signatures(structures):
     assert psi_inv.compose(psi).matrix == S.Matrix.identity(alg.field, psi.matrix.cols)
 
 
+# -- the laws the constructor derives instead of checking ----------------------------
+
+
+def _first_broken_law(F):
+    """The first law of ``F`` that fails, or ``None``, recomputed by brute force
+    from its structure constants, counit, ``comul`` rows, window, idempotent
+    and closed space.
+
+    ``FrobeniusStructure`` checks only associativity, the unit laws, symmetry,
+    nondegeneracy and an invertible window; every law here follows from those.
+    The laws are tried in order, so ``p^2 = p`` is tried before splitting ``p``.
+    """
+    alg, f, n = F.algebra, F.field, F.dim
+
+    def combine(terms):
+        """Sum ``(key, value)`` terms into a dict of the nonzero sums."""
+        acc = {}
+        for key, v in terms:
+            acc[key] = f.add(acc.get(key, f.zero()), v)
+        return {k: v for k, v in acc.items() if v != 0}
+
+    table = {}
+    for i, j, k, c in alg.mul_entries():
+        table.setdefault((i, j), []).append((k, c))
+
+    def mul(x, y):
+        return combine((k, f.mul(f.mul(xi, yj), c))
+                       for i, xi in x.items() for j, yj in y.items()
+                       for k, c in table.get((i, j), ()))
+
+    def delta(x):
+        return combine(((j, b), f.mul(xi, v)) for i, xi in x.items() for j, b, v in F.comul[i])
+
+    def vec(coeffs):
+        return combine(enumerate(coeffs))
+
+    def column(m, i):
+        return combine((r, m.data[r][i]) for r in range(m.rows))
+
+    basis = [{i: f.one()} for i in range(n)]
+    eps = F.counit
+    a, ainv = vec(F.window.coeffs), vec(F.window_inverse.coeffs)
+
+    def frobenius_relation(i, j):
+        # Delta(xy) = Delta(x) (1 (x) y) = (x (x) 1) Delta(y)
+        right = combine(((s, k), f.mul(v, c)) for (s, b), v in delta(basis[i]).items()
+                        for k, c in mul(basis[b], basis[j]).items())
+        left = combine(((k, t), f.mul(v, c)) for (b, t), v in delta(basis[j]).items()
+                       for k, c in mul(basis[i], basis[b]).items())
+        return delta(mul(basis[i], basis[j])) == right == left
+
+    def idempotent():
+        p_cols = [column(F.idempotent_matrix(), i) for i in range(n)]
+        return all(combine((r, f.mul(c, v)) for m, c in p_cols[i].items()
+                           for r, v in p_cols[m].items()) == p_cols[i]
+                   for i in range(n))
+
+    def closed_delta_is_transported():
+        # (coim (x) coim) o Delta_A o (a .) o im, on each basis element of C
+        im, coim = F.split_p()
+        C = F.knowledgeable().C
+        return all(
+            combine(((s, u), f.mul(f.mul(coim.data[s][j], coim.data[u][b]), v))
+                    for (j, b), v in delta(mul(a, column(im, t))).items()
+                    for s in range(C.dim) for u in range(C.dim))
+            == combine(((s, u), v) for s, u, v in C.comul[t])
+            for t in range(C.dim))
+
+    laws = {
+        "counit laws": lambda: all(
+            combine((b, f.mul(eps[j], v)) for j, b, v in F.comul[i]) == basis[i]
+            == combine((j, f.mul(v, eps[b])) for j, b, v in F.comul[i])
+            for i in range(n)),
+        "coassociativity": lambda: all(
+            combine(((s, t, b), f.mul(v, w))
+                    for j, b, v in F.comul[i] for s, t, w in F.comul[j])
+            == combine(((j, s, t), f.mul(v, w))
+                       for j, b, v in F.comul[i] for s, t, w in F.comul[b])
+            for i in range(n)),
+        "Frobenius relation": lambda: all(frobenius_relation(i, j)
+                                          for i in range(n) for j in range(n)),
+        "central window": lambda: all(mul(a, e) == mul(e, a) for e in basis),
+        "two-sided inverses of a and a^-1": lambda: mul(a, ainv) == vec(alg.unit) == mul(ainv, a),
+        "p^2 = p": idempotent,
+        "C's Delta is the transported Delta": closed_delta_is_transported,
+    }
+    return next((name for name, holds in laws.items() if not holds()), None)
+
+
+def test_implied_laws_hold(structures):
+    for label, (alg, F) in structures.items():
+        assert _first_broken_law(F) is None, label
+
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    fields = st.sampled_from([QQ, GF(7), GF(11), GF(13)])
+    # block sizes and windows; a dimension of at most 14 keeps each check fast
+    sizes = st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+        lambda ms: sum(m * m for m in ms) <= 14)
+    windows = st.sampled_from(["1", "2", "-1", "3", "1/2", "-2/3"])
+    blocks = sizes.flatmap(lambda ms: st.tuples(
+        st.just(ms), st.lists(windows, min_size=len(ms), max_size=len(ms))))
+    matrix_sums = st.builds(lambda field, b: S.matrix_direct_sum(field, *b)[1], fields, blocks)
+    groupoids = st.sampled_from([
+        S.FiniteGroupoid.pair(2), S.FiniteGroupoid.pair(3),
+        S.FiniteGroupoid.transitive(2, S.GroupTable.cyclic(2)),
+        S.FiniteGroupoid.transitive(2, S.GroupTable.cyclic(3)),
+        S.FiniteGroupoid.from_group(S.GroupTable.symmetric(3)),
+    ])
+    groupoid_structures = st.builds(lambda field, gd: S.groupoid_algebra(field, gd)[1],
+                                    fields, groupoids)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(matrix_sums | groupoid_structures)
+    def drawn(F):
+        assert _first_broken_law(F) is None, (F, F.counit)
+
+    drawn()
+
+
 # -- pinned derived maps -------------------------------------------------------------
 
 # SHA-1 over the reprs of every derived structure map (entries shown with

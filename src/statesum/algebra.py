@@ -198,25 +198,20 @@ class Algebra:
     def centre_basis(self):
         """Basis of the centre, from the kernel of the stacked commutator system.
 
-        Row order and free-variable choices follow the deterministic rref
-        pivoting, so the result is reproducible.
+        Row ``(i, m)``, column ``k`` of the system is ``c_kim - c_ikm``, the
+        ``e_m`` coefficient of ``e_k e_i - e_i e_k``: two read-offs of the
+        structure tensor.  Row order and free-variable choices follow the
+        deterministic rref pivoting, so the result is reproducible.
         """
         f = self.field
-        n = self.dim
-        rows = []
-        for i in range(n):
-            for m in range(n):
-                row = [f.zero()] * n
-                for k in range(n):
-                    for (out, c) in self.mul_row(k, i):
-                        if out == m:
-                            row[k] = f.add(row[k], c)
-                    for (out, c) in self.mul_row(i, k):
-                        if out == m:
-                            row[k] = f.sub(row[k], c)
-                rows.append(row)
-        system = Matrix(f, len(rows), n, rows)
-        return [Element(self, v) for v in system.kernel_basis()]
+        rows, col = ("i", "m"), ("k",)
+        nrows, ncols, system = self.structure_tensor(("k", "i", "m")).read_off(rows, col)
+        for r, row in self.structure_tensor(("i", "k", "m")).read_off(rows, col)[2].items():
+            target = system.setdefault(r, {})
+            for k, v in row.items():
+                target[k] = f.sub(target.get(k, 0), v)
+        kernel = Matrix.from_nonzero_rows(f, nrows, ncols, system).kernel_basis()
+        return [Element(self, v) for v in kernel]
 
     def __repr__(self):
         return f"Algebra(dim={self.dim} over {self.field})"

@@ -1,8 +1,11 @@
 """Exact dense linear algebra over a :class:`~statesum.fields.Field`.
 
-Row reduction uses a fixed deterministic pivot rule (first nonzero entry
-scanning columns left to right, rows top to bottom) so that every derived
-basis -- centres, idempotent images, kernels -- is reproducible across runs.
+There is one elimination, :meth:`Matrix.rref`, on rows held as sparse
+dicts.  ``rank``, ``solve``, ``inverse``, ``kernel_basis`` and
+``frobenius.split_idempotent`` (its CR factorisation) all read its result.
+It uses a fixed deterministic pivot rule (first nonzero entry scanning
+columns left to right, rows top to bottom) so that every derived basis --
+centres, idempotent images, kernels -- is reproducible across runs.
 
 Dense storage is bounded: ``Matrix.zeros``, ``Matrix.kron``,
 ``Morphism.matrix`` and the command line's matrix writer refuse a matrix of
@@ -210,47 +213,41 @@ class Matrix:
     def rref(self):
         """Reduced row-echelon form.
 
-        Returns ``(R, pivot_columns, rank)``.  Pivot choice is deterministic:
-        scan columns left to right, take the first row (top to bottom) with a
-        nonzero entry.
+        Rows are eliminated as sparse dicts of their nonzeros, through the
+        field's operations for Q and F_p alike; only reading the matrix and
+        writing ``R`` visit every cell.  Returns ``(R, pivot_columns, rank)``.
+        Pivot choice is deterministic: scan columns left to right, take the
+        first row (top to bottom) at or below the current rank with a
+        nonzero entry.  The scan stops once the rows below the pivots are zero.
         """
-        m = [row[:] for row in self.data]
-        rows, cols = self.rows, self.cols
-        p = self.field.p
+        f = self.field
+        rows = [{j: v for j, v in enumerate(row) if v != 0} for row in self.data]
         pivots = []
-        r = 0
-        for c in range(cols):
-            pivot_row = None
-            for i in range(r, rows):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
+        for c in range(self.cols):
+            r = len(pivots)
+            found = next((i for i in range(r, self.rows) if c in rows[i]), None)
+            if found is None:
                 continue
-            if pivot_row != r:
-                m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            if p is None:
-                inv = 1 / pv
-                m[r] = [x * inv for x in m[r]]
-                for i in range(rows):
-                    if i != r and m[i][c] != 0:
-                        factor = m[i][c]
-                        mr = m[r]
-                        m[i] = [x - factor * y for x, y in zip(m[i], mr)]
-            else:
-                inv = pow(pv, -1, p)
-                m[r] = [(x * inv) % p for x in m[r]]
-                for i in range(rows):
-                    if i != r and m[i][c] != 0:
-                        factor = m[i][c]
-                        mr = m[r]
-                        m[i] = [(x - factor * y) % p for x, y in zip(m[i], mr)]
+            rows[r], rows[found] = rows[found], rows[r]
+            inv = f.inv(rows[r][c])
+            pivot_row = rows[r] = {j: f.mul(x, inv) for j, x in rows[r].items()}
+            for i, row in enumerate(rows):
+                factor = row.get(c)
+                if factor is None or i == r:
+                    continue
+                for j, y in pivot_row.items():
+                    v = f.sub(row.get(j, 0), f.mul(factor, y))
+                    if v == 0:
+                        del row[j]
+                    else:
+                        row[j] = v
             pivots.append(c)
-            r += 1
-            if r == rows:
+            if not any(rows[r + 1:]):
                 break
-        return Matrix(self.field, rows, cols, m), tuple(pivots), len(pivots)
+        zero = f.zero()
+        data = [[row.get(j, zero) for j in range(self.cols)] if row else [zero] * self.cols
+                for row in rows]
+        return Matrix(f, self.rows, self.cols, data), tuple(pivots), len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]

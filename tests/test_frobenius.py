@@ -266,6 +266,42 @@ def test_split_rejects_non_idempotent():
         split_idempotent(m)
 
 
+def test_split_is_the_cr_factorisation_of_random_idempotents():
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def idempotents(draw):
+        field = draw(st.sampled_from([QQ, GF(7)]))
+        n = draw(st.integers(1, 6))
+        entries = st.integers(-3, 3).map(field.of_int)
+        x = S.Matrix.from_rows(field, draw(st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+        assume(x.rank() == n)
+        d = S.Matrix.identity(field, n)
+        for i, keep in enumerate(draw(st.lists(st.booleans(), min_size=n, max_size=n))):
+            if not keep:
+                d.data[i][i] = field.zero()
+        return x @ d @ x.inverse()
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(idempotents())
+    def splits(p):
+        im, coim = split_idempotent(p)
+        assert im @ coim == p
+        assert coim @ im == S.Matrix.identity(p.field, im.cols)
+        # im is the leftmost columns of p that each raise the rank
+        chosen = []
+        for j in range(p.cols):
+            candidate = chosen + [p.column(j)]
+            if S.Matrix.from_rows(p.field, candidate).rank() == len(candidate):
+                chosen = candidate
+        assert [im.column(t) for t in range(im.cols)] == chosen
+
+    splits()
+
+
 # -- the knowledgeable structure ---------------------------------------------------------------
 
 
@@ -341,6 +377,15 @@ def test_knowledgeable_commutative_is_whole_algebra(structures):
 def test_check_knowledgeable_passes_for_all_catalog(structures):
     for label, (alg, F) in structures.items():
         assert all_axioms_pass(check_knowledgeable(F.knowledgeable())), label
+
+
+def test_check_knowledgeable_builds_no_dense_map_on_a_tensor_square(monkeypatch):
+    _, F = S.matrix_direct_sum(QQ, [2, 3], [1, 2])
+    K = F.knowledgeable()
+    n = F.dim
+    # the flip of A (x) A alone would need n^4 dense cells
+    monkeypatch.setattr("statesum.linalg.DENSE_BUDGET", n * n)
+    assert all_axioms_pass(check_knowledgeable(K))
 
 
 def test_check_knowledgeable_detects_scaled_iota_star(structures):

@@ -34,6 +34,77 @@ def test_rref_rank_one():
     assert red == mat(QQ, [[1, 2], [0, 0]])
 
 
+def _dense_rref(m):
+    """Reference Gauss-Jordan elimination on full row lists, with the pivot
+    rule of ``Matrix.rref``: columns left to right, first row top to bottom."""
+    rows = [row[:] for row in m.data]
+    p = m.field.p
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if p is None:
+            inv = 1 / rows[r][c]
+            rows[r] = [x * inv for x in rows[r]]
+        else:
+            inv = pow(rows[r][c], -1, p)
+            rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                if p is None:
+                    rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+                else:
+                    rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Matrix(m.field, m.rows, m.cols, rows), tuple(pivots), len(pivots)
+
+
+def test_sparse_rref_matches_dense_elimination():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def matrices(draw):
+        field = draw(st.sampled_from([QQ, GF(2), GF(10007)]))
+        if field.p is None:
+            value = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        else:
+            value = st.integers(0, field.p - 1)
+        entry = st.one_of(st.just(field.zero()), value)
+        cols = draw(st.integers(0, 9))
+        data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=7))
+        if data and draw(st.booleans()):  # a duplicated row
+            data.insert(draw(st.integers(0, len(data))), data[draw(st.integers(0, len(data) - 1))][:])
+        if draw(st.booleans()):  # a zero row
+            data.insert(draw(st.integers(0, len(data))), [field.zero()] * cols)
+        if draw(st.booleans()):  # a zero column
+            at = draw(st.integers(0, cols))
+            data = [row[:at] + [field.zero()] + row[at:] for row in data]
+            cols += 1
+        return Matrix(field, len(data), cols, data)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(matrices())
+    def agrees(m):
+        red, pivots, rank = m.rref()
+        ref, ref_pivots, ref_rank = _dense_rref(m)
+        assert (pivots, rank) == (ref_pivots, ref_rank)
+        assert (red.rows, red.cols) == (ref.rows, ref.cols)
+        assert red.data == ref.data
+        assert [list(map(type, row)) for row in red.data] == \
+            [list(map(type, row)) for row in ref.data]
+
+    agrees()
+
+
 def test_solve_identity_and_inconsistent():
     m = Matrix.identity(QQ, 3)
     b = [Fraction(5), Fraction(-1), Fraction(7)]
@@ -64,7 +135,7 @@ def test_inverse_singular_raises():
         mat(QQ, [[1, 2], [2, 4]]).inverse()
 
 
-@pytest.mark.parametrize("field", [QQ, GF(5), GF(11)])
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(11), GF(2), GF(10007)])
 def test_random_invertible_roundtrip(field):
     rng = random.Random(7)
     n = 4
@@ -80,7 +151,7 @@ def test_random_invertible_roundtrip(field):
         assert inv @ m == Matrix.identity(field, n)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)])
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2), GF(10007)])
 def test_kernel_basis_annihilates(field):
     rng = random.Random(3)
     m = Matrix.from_rows(

@@ -33,19 +33,31 @@ hold, it takes the smallest result, ties broken by the smallest shared leg,
 then creation order.  A heap keyed by exactly that holds the candidates;
 each merge scores only the merged tensor's new pairs, and entries naming a
 merged tensor are dropped when they reach the top, so there is no rescan of
-every pair per step (cf. Gray & Kourtis, arXiv:2002.01935).  The order is
-deterministic, and any order yields the same result by multilinearity.
+every pair per step.  One greedy pass can still go badly wide: on dim-13
+closed surfaces it builds 8- and 9-leg intermediates (13^9 dense cells)
+where 6-leg orders exist.  So when one of its results exceeds
+``linalg.DENSE_BUDGET`` dense cells, a size no dense matrix may have,
+``contraction_order`` samples seven more greedy plans whose keys are scaled
+by ``1 + rng.random()`` and keeps the candidate with the smallest sum of
+result dense sizes, the earlier on a tie (Gray & Kourtis,
+arXiv:2002.01935).  The noise comes from ``random.Random(0)`` and is drawn
+for each batch of new pairs in sorted order, never in the hash order of
+their leg names, so the order is the same on every run.  Below the budget
+``plan``'s order is used as it is.  Any order yields the same result, by
+multilinearity: over Q the same integers, hence the same canonical
+``Fraction``s, and over F_p the same residues.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm, prod
 from operator import itemgetter, mul
 
-from .linalg import Matrix
+from .linalg import DENSE_BUDGET, Matrix
 
 
 class Tensor:
@@ -214,7 +226,7 @@ def _clear_denominators(tensors):
     return out, D
 
 
-def plan(shapes):
+def plan(shapes, rng=None):
     """The greedy order for a network of ``(legs, dims)`` shapes: steps
     ``(a, b)``, where inputs are ``0..n-1`` and step ``s`` makes ``n + s``.
 
@@ -222,7 +234,9 @@ def plan(shapes):
     After a merge only the legs of ``a`` and ``b`` change holders, so only
     the pairs they now give (the merged tensor's) are scored; entries naming
     ``a`` or ``b`` are stale and skipped at the top.  With no pair left the
-    two smallest tensors by ``(dense size, id)`` are combined.
+    two smallest tensors by ``(dense size, id)`` are combined.  Given a
+    ``random.Random``, each size is multiplied by ``1 + rng.random()``, drawn
+    for the new pairs in sorted order.
     """
     dims = [dict(zip(legs, ds)) for legs, ds in shapes]
     size = [prod(ds) for _, ds in shapes]
@@ -233,10 +247,13 @@ def plan(shapes):
     heap = []
 
     def push(pairs):
-        for a, b in pairs:
+        for a, b in sorted(pairs):
             shared = dims[a].keys() & dims[b].keys()
             cut = prod(dims[a][l] * dims[b][l] for l in shared)
-            heapq.heappush(heap, (size[a] * size[b] // cut, min(shared), a, b))
+            key = size[a] * size[b] // cut
+            if rng is not None:
+                key *= 1 + rng.random()
+            heapq.heappush(heap, (key, min(shared), a, b))
 
     push({tuple(sorted(h)) for h in holders.values() if len(h) == 2})
     alive = set(range(len(dims)))
@@ -250,7 +267,7 @@ def plan(shapes):
             a, b = sorted(alive, key=lambda t: (size[t], t))[:2]
         m = len(dims)
         da, db = dims[a], dims[b]
-        merged = {l: d for l, d in (da | db).items() if (l in da) != (l in db)}
+        merged = _merged(da, db)
         dims.append(merged)
         size.append(prod(merged.values()))
         alive ^= {a, b, m}
@@ -267,16 +284,44 @@ def plan(shapes):
     return steps
 
 
+def _merged(da, db):
+    """The legs, with their dims, of the contraction of two tensors' legs."""
+    return {l: d for l, d in (da | db).items() if (l in da) != (l in db)}
+
+
+def _result_sizes(shapes, steps):
+    """The dense size of each step's result."""
+    dims = [dict(zip(legs, ds)) for legs, ds in shapes]
+    for a, b in steps:
+        dims.append(_merged(dims[a], dims[b]))
+    return [prod(d.values()) for d in dims[len(shapes):]]
+
+
+_CANDIDATES = 8
+
+
+def contraction_order(shapes):
+    """``plan``'s order, unless one of its results exceeds ``DENSE_BUDGET``
+    dense cells: then the cheapest by summed result sizes of it and
+    ``_CANDIDATES - 1`` noisy plans, the earlier on a tie."""
+    steps = plan(shapes)
+    if max(_result_sizes(shapes, steps), default=0) <= DENSE_BUDGET:
+        return steps
+    rng = random.Random(0)
+    candidates = [steps] + [plan(shapes, rng) for _ in range(_CANDIDATES - 1)]
+    return min(candidates, key=lambda c: sum(_result_sizes(shapes, c)))
+
+
 def greedy_contract(tensors) -> Tensor:
-    """Contract a list of tensors down to one, in the order ``plan`` gives
-    for their shapes.
+    """Contract a list of tensors down to one, in the order
+    ``contraction_order`` gives for their shapes.
 
     Over Q the contraction runs on integer copies (see the module docstring)
     and the result is divided by their common scale once, at the end.
     """
     rational = tensors[0].field.p is None
     items, D = _clear_denominators(tensors) if rational else (list(tensors), 1)
-    for a, b in plan([(t.legs, t.dims) for t in items]):
+    for a, b in contraction_order([(t.legs, t.dims) for t in items]):
         items.append(contract_pair(items[a], items[b]))
         items[a] = items[b] = None  # frees the integer copies as they are used
     result = items[-1]

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -32,9 +35,17 @@ from statesum.evaluation import (
     state_sum_raw,
     state_sum_reduced,
 )
-from statesum.fields import QQ
+from statesum.fields import GF, QQ
+from statesum.linalg import DENSE_BUDGET
 from statesum.morphism import Morphism, full_factor, split_factor
-from statesum.tensors import Tensor, contract_pair, greedy_contract, plan
+from statesum.tensors import (
+    Tensor,
+    _result_sizes,
+    contract_pair,
+    contraction_order,
+    greedy_contract,
+    plan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +166,80 @@ def test_plan_is_the_exhaustive_greedy_rule(m2):
         for a, b in steps:
             legs.append(legs[a] ^ legs[b])
         assert any(not legs[a] & legs[b] for a, b in steps)
+
+
+# the closed surfaces of the benchmark's surface workloads, over M2+M3
+_BENCH_SURFACES = ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (4, 0))
+
+
+def _surface_networks(F):
+    return [build_dual_network(F, closed_surface(g, w)).tensors for g, w in _BENCH_SURFACES]
+
+
+def test_contraction_order_keeps_surface_intermediates_at_six_legs():
+    _, F = S.matrix_direct_sum(QQ, [2, 3], [1, 2])
+    for net in _surface_networks(F):
+        shapes = [(t.legs, t.dims) for t in net]
+        legs = [set(l) for l, _ in shapes]
+        for a, b in contraction_order(shapes):
+            legs.append(legs[a] ^ legs[b])
+        assert max(map(len, legs[len(shapes):])) <= 6
+
+
+def test_searched_order_gives_the_plain_order_scalars(monkeypatch):
+    networks = [_surface_networks(S.matrix_direct_sum(field, [2, 3], [1, 2])[1])
+                for field in (QQ, GF(10007))]
+    searched = [[greedy_contract(net).scalar() for net in nets] for nets in networks]
+    monkeypatch.setattr("statesum.tensors.contraction_order", plan)
+    assert searched == [[greedy_contract(net).scalar() for net in nets] for nets in networks]
+
+
+def test_searched_order_never_costs_more_than_plan(m2):
+    # the networks of test_plan_is_the_exhaustive_greedy_rule
+    _, F = m2
+    suite = dict(S.generator_suite(), torus=closed_surface(1, 0),
+                 genus2_window=closed_surface(2, 1))
+    networks = [shapes for c in suite.values() for seed in (17, 1017, 2017)
+                for shapes in _level_shapes(F, S.random_moves(c, seed=seed, n=30))]
+    _, F13 = S.matrix_direct_sum(QQ, [2, 3], [1, 2])
+    for genus, windows in _BENCH_SURFACES:
+        networks += _level_shapes(F13, closed_surface(genus, windows))[:1]
+    networks += _level_shapes(F, disjoint_union(strip(1, 1), zipper()))
+    searched = 0
+    for shapes in networks:
+        steps, plain = contraction_order(shapes), plan(shapes)
+        plain_sizes = _result_sizes(shapes, plain)
+        assert sum(_result_sizes(shapes, steps)) <= sum(plain_sizes)
+        if max(plain_sizes) <= DENSE_BUDGET:
+            assert steps == plain
+        else:
+            searched += 1
+    assert searched == 6  # every benchmark surface but genus 2 without windows
+
+
+_ORDER_DIGEST = """
+import hashlib
+import statesum as S
+from statesum.cobordisms import closed_surface
+from statesum.evaluation import build_dual_network
+from statesum.tensors import contraction_order
+_, F = S.matrix_direct_sum(S.QQ, [2, 3], [1, 2])
+steps = [contraction_order([(t.legs, t.dims) for t in build_dual_network(F, closed_surface(g, w)).tensors])
+         for g, w in {surfaces}]
+print(hashlib.sha1(repr(steps).encode()).hexdigest())
+"""
+
+
+def test_contraction_order_ignores_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(S.__file__))
+    digests = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", _ORDER_DIGEST.format(surfaces=_BENCH_SURFACES)],
+                             env=env, capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert digests == ["18e6ba0e171186ac77f9820279d1a36fdf920734"] * 2
 
 
 def test_window_factor_placement_independence(z2, structures):

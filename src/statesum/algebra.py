@@ -195,13 +195,14 @@ class Algebra:
         return self.canonical_pairing().rank() == self.dim
 
     @_cached
-    def centre_basis(self):
-        """Basis of the centre, from the kernel of the stacked commutator system.
+    def commutator_system(self):
+        """``(rows, cols, nonzeros)``: the sparse matrix that sends a vector
+        ``v`` to the coefficients of its commutators with the basis.
 
-        Row ``(i, m)``, column ``k`` of the system is ``c_kim - c_ikm``, the
-        ``e_m`` coefficient of ``e_k e_i - e_i e_k``: two read-offs of the
-        structure tensor.  Row order and free-variable choices follow the
-        deterministic rref pivoting, so the result is reproducible.
+        Row ``(i, m)``, column ``k`` is ``c_kim - c_ikm``, the ``e_m``
+        coefficient of ``e_k e_i - e_i e_k``: two read-offs of the structure
+        tensor.  ``nonzeros`` is ``{row: {col: value}}`` over the nonzero
+        rows, shared by every caller, who must not change it.
         """
         f = self.field
         rows, col = ("i", "m"), ("k",)
@@ -209,8 +210,22 @@ class Algebra:
         for r, row in self.structure_tensor(("i", "k", "m")).read_off(rows, col)[2].items():
             target = system.setdefault(r, {})
             for k, v in row.items():
-                target[k] = f.sub(target.get(k, 0), v)
-        kernel = Matrix.from_nonzero_rows(f, nrows, ncols, system).kernel_basis()
+                if d := f.sub(target.get(k, 0), v):
+                    target[k] = d
+                else:
+                    del target[k]
+            if not target:
+                del system[r]
+        return nrows, ncols, system
+
+    @_cached
+    def centre_basis(self):
+        """Basis of the centre, the kernel of :meth:`commutator_system`.
+
+        Free-variable choices follow the deterministic rref pivoting, so the
+        result is reproducible.
+        """
+        kernel = Matrix.from_nonzero_rows(self.field, *self.commutator_system()).kernel_basis()
         return [Element(self, v) for v in kernel]
 
     def __repr__(self):

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .linalg import Matrix
 from .morphism import Factor, Morphism, full_factor, split_factor
-from .tensors import Tensor, contract_pair
+from .tensors import Tensor, contract_pair, greedy_contract
 
 
 class FrobeniusStructure:
@@ -328,17 +328,21 @@ def split_idempotent(p: Matrix):
     This is the CR factorisation ``p = C R`` of one row reduction (Strang &
     Moler, *SIAM Review* 64, 2022): ``im`` is the columns of ``p`` at the
     pivot columns of ``rref(p)`` and ``coim`` the first ``rank`` rows of its
-    ``R``.  As ``im`` has full column rank, that ``coim`` is the only one with
-    ``p = im o coim``, and ``coim o im = id`` follows when ``p`` is idempotent.
+    ``R``, the only ones written out densely.  As ``im`` has full column
+    rank, that ``coim`` is the only one with ``p = im o coim``, and
+    ``coim o im = id`` follows when ``p`` is idempotent.
     """
     if p.rows != p.cols:
         raise NotIdempotentError("idempotent must be square")
-    red, pivots, rank = p.rref()
+    rows, pivots = p._eliminate()
+    rank = len(pivots)
     im = Matrix(p.field, p.rows, rank, [[row[c] for c in pivots] for row in p.data])
     # p fixes its column space pointwise iff p is idempotent
     if p @ im != im:
         raise NotIdempotentError("matrix is not idempotent")
-    return im, Matrix(p.field, rank, p.cols, red.data[:rank])
+    zero = p.field.zero()
+    coim = [[row.get(j, zero) for j in range(p.cols)] for row in rows[:rank]]
+    return im, Matrix(p.field, rank, p.cols, coim)
 
 
 def idempotent_property_report(F: FrobeniusStructure):
@@ -387,8 +391,12 @@ def idempotent_property_report(F: FrobeniusStructure):
          all(F.algebra.left_regular_matrix(c) @ P == P @ F.algebra.left_regular_matrix(c)
              for c in centre))
     )
-    results.append(("image of p is central",
-                    all(Element(F.algebra, P.column(j)).is_central() for j in range(n))))
+    # the columns of p are central iff the commutator system kills them all;
+    # greedy_contract runs the product over integers when the field is Q
+    rows, cols, system = F.algebra.commutator_system()
+    commutators = greedy_contract([Tensor.from_rows(f, ("im", "k"), (rows, cols), system),
+                                   Tensor.from_matrix_sparse(f, ("k", "j"), (n, n), P)])
+    results.append(("image of p is central", not commutators.data))
     return results
 
 

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over a :class:`~statesum.fields.Field`.
 
-There is one elimination, :meth:`Matrix.rref`, on rows held as sparse
-dicts.  ``rank``, ``solve``, ``inverse``, ``kernel_basis`` and
-``frobenius.split_idempotent`` (its CR factorisation) all read its result.
+There is one elimination, ``Matrix._eliminate``, on rows held as sparse
+dicts.  ``rref`` writes its rows out densely, and ``rank``, ``solve``,
+``inverse`` and ``kernel_basis`` read that; ``frobenius.split_idempotent``
+(its CR factorisation) densifies only the pivot rows.
 It uses a fixed deterministic pivot rule (first nonzero entry scanning
 columns left to right, rows top to bottom) so that every derived basis --
 centres, idempotent images, kernels -- is reproducible across runs.
@@ -210,15 +211,16 @@ class Matrix:
 
     # -- elimination --------------------------------------------------------------
 
-    def rref(self):
-        """Reduced row-echelon form.
+    def _eliminate(self):
+        """The sparse elimination behind :meth:`rref`: ``(rows, pivots)``,
+        the reduced rows as dicts of their nonzeros (the ``len(pivots)``
+        pivot rows first, then empty ones) and the pivot columns.
 
-        Rows are eliminated as sparse dicts of their nonzeros, through the
-        field's operations for Q and F_p alike; only reading the matrix and
-        writing ``R`` visit every cell.  Returns ``(R, pivot_columns, rank)``.
-        Pivot choice is deterministic: scan columns left to right, take the
-        first row (top to bottom) at or below the current rank with a
-        nonzero entry.  The scan stops once the rows below the pivots are zero.
+        Rows are eliminated through the field's operations, for Q and F_p
+        alike.  Pivot choice is deterministic: scan columns left to right,
+        take the first row (top to bottom) at or below the current rank with
+        a nonzero entry.  The scan stops once the rows below the pivots are
+        zero.
         """
         f = self.field
         rows = [{j: v for j, v in enumerate(row) if v != 0} for row in self.data]
@@ -244,10 +246,17 @@ class Matrix:
             pivots.append(c)
             if not any(rows[r + 1:]):
                 break
-        zero = f.zero()
+        return rows, pivots
+
+    def rref(self):
+        """Reduced row-echelon form ``(R, pivot_columns, rank)`` of the
+        elimination :meth:`_eliminate`; only reading the matrix and writing
+        ``R`` visit every cell."""
+        rows, pivots = self._eliminate()
+        zero = self.field.zero()
         data = [[row.get(j, zero) for j in range(self.cols)] if row else [zero] * self.cols
                 for row in rows]
-        return Matrix(f, self.rows, self.cols, data), tuple(pivots), len(pivots)
+        return Matrix(self.field, self.rows, self.cols, data), tuple(pivots), len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]

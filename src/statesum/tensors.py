@@ -33,19 +33,31 @@ hold, it takes the smallest result, ties broken by the smallest shared leg,
 then creation order.  A heap keyed by exactly that holds the candidates;
 each merge scores only the merged tensor's new pairs, and entries naming a
 merged tensor are dropped when they reach the top, so there is no rescan of
-every pair per step.  One greedy pass can still go badly wide: on dim-13
-closed surfaces it builds 8- and 9-leg intermediates (13^9 dense cells)
-where 6-leg orders exist.  So when one of its results exceeds
-``linalg.DENSE_BUDGET`` dense cells, a size no dense matrix may have,
-``contraction_order`` samples seven more greedy plans whose keys are scaled
-by ``1 + rng.random()`` and keeps the candidate with the smallest sum of
-result dense sizes, the earlier on a tie (Gray & Kourtis,
-arXiv:2002.01935).  The noise comes from ``random.Random(0)`` and is drawn
-for each batch of new pairs in sorted order, never in the hash order of
-their leg names, so the order is the same on every run.  Below the budget
-``plan``'s order is used as it is.  Any order yields the same result, by
-multilinearity: over Q the same integers, hence the same canonical
-``Fraction``s, and over F_p the same residues.
+every pair per step.  The planner interns a network once: each leg is one
+bit, numbered in sorted leg order, so a tensor is an int mask, the legs two
+tensors share are ``ma & mb`` and the smallest shared leg is the lowest set
+bit; a result's dense size is the product of the two sizes over ``d * d``
+for each shared leg of dim ``d``.  Each tensor also carries the mask of its
+partners, the tensors it shares a leg with that only the two of them hold;
+a merged tensor's partners are those of its two inputs, so a merge visits
+its neighbours, not its legs.  The initial pairs and their keys are
+computed once too, and every greedy pass starts from that one list.
+
+One greedy pass can still go badly wide: on dim-13 closed surfaces it builds
+8- and 9-leg intermediates (13^9 dense cells) where 6-leg orders exist.  So
+when one of its results exceeds ``linalg.DENSE_BUDGET`` dense cells, a size
+no dense matrix may have, ``contraction_order`` samples seven more greedy
+plans whose keys are scaled by ``1 + rng.random()`` and keeps the candidate
+with the smallest sum of result dense sizes, the earlier on a tie (Gray &
+Kourtis, arXiv:2002.01935).  The noise comes from ``random.Random(0)`` and
+is drawn for each batch of new pairs in sorted order, never in the hash
+order of their leg names, so the order is the same on every run.  Each pass
+adds up its result sizes as it plans.  No candidate is cut short once its
+running sum passes the best one: a pruned pass would draw fewer numbers, so
+every later candidate, and with it the chosen order, would change.  Below
+the budget ``plan``'s order is used as it is.  Any order yields the same
+result, by multilinearity: over Q the same integers, hence the same
+canonical ``Fraction``s, and over F_p the same residues.
 """
 
 from __future__ import annotations
@@ -226,75 +238,147 @@ def _clear_denominators(tensors):
     return out, D
 
 
+def _intern(shapes):
+    """The network of ``(legs, dims)`` shapes as bit masks, built once.
+
+    Legs are numbered in sorted order and leg ``i`` is the bit ``1 << i``.
+    Legs of one type are sorted by ``<``, and types by their names, so a
+    network may name some legs by strings and others by tuples.  Returns
+    each tensor's leg mask, dense size and partners (the mask of the
+    tensors it shares a leg with that only the two of them hold),
+    ``{bit: dim * dim}``, the holders of each leg that more than two
+    tensors hold, as masks of tensor ids, and the heap entries of the
+    initial pairs in sorted ``(a, b)`` order.
+    """
+    names = sorted({l for legs, _ in shapes for l in legs}, key=lambda l: (type(l).__name__, l))
+    bits = {l: 1 << i for i, l in enumerate(names)}
+    masks, sq, holders = [], {}, {}
+    for tid, (legs, ds) in enumerate(shapes):
+        mask = 0
+        for l, d in zip(legs, ds):
+            bit = bits[l]
+            mask |= bit
+            sq[bit] = d * d
+            holders[bit] = holders.get(bit, 0) | 1 << tid
+        masks.append(mask)
+    size = [prod(ds) for _, ds in shapes]
+    partners = [0] * len(shapes)
+    pairs = set()
+    for h in holders.values():
+        if h.bit_count() == 2:
+            a, b = _ends(h)
+            partners[a] |= 1 << b
+            partners[b] |= 1 << a
+            pairs.add((a, b))
+    crowded = {bit: h for bit, h in holders.items() if h.bit_count() > 2}
+    start = []
+    for a, b in sorted(pairs):
+        shared = masks[a] & masks[b]
+        start.append((size[a] * size[b] // _cut(shared, sq), shared & -shared, a, b))
+    return masks, size, partners, sq, crowded, start
+
+
+def _ends(h):
+    """The ids ``(a, b)``, ``a < b``, of a holder mask with two bits set."""
+    return (h & -h).bit_length() - 1, h.bit_length() - 1
+
+
+def _cut(shared, sq):
+    """The product of ``dim * dim`` over the legs of a mask: a contraction's
+    dense size is its tensors' sizes over the cut of their shared legs."""
+    cut = 1
+    while shared:
+        low = shared & -shared
+        cut *= sq[low]
+        shared ^= low
+    return cut
+
+
+def _search(net, rng=None):
+    """One greedy pass over an interned network: ``(steps, sum of result
+    dense sizes, largest result dense size)``.
+
+    The heap holds ``(dense size of the result, lowest shared leg bit, a,
+    b)``.  After a merge only the pairs of the merged tensor ``m`` are new:
+    its partners are those of ``a`` and ``b`` but for ``a`` and ``b``, and
+    each partner's mask swaps them for ``m``.  A leg that more than two
+    tensors hold keeps its holders, and gives a pair once only two do.
+    Entries naming a merged tensor are stale and skipped when they reach
+    the top.  With no pair left the two smallest tensors by ``(dense size,
+    id)`` are combined.  Given a ``random.Random``, each key is multiplied
+    by ``1 + rng.random()``, drawn for the new pairs in sorted order.
+    """
+    masks, size, partners, sq, crowded, start = net
+    n = len(masks)
+    masks, size, partners, crowded = list(masks), list(size), list(partners), dict(crowded)
+    crowded_legs = sum(crowded)
+    if rng is None:
+        heap = list(start)
+    else:
+        heap = [(key * (1 + rng.random()), leg, a, b) for key, leg, a, b in start]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    merged_away = bytearray(2 * n)
+    steps = []
+    total = peak = 0
+    for m in range(n, 2 * n - 1):
+        while heap:
+            _, _, a, b = pop(heap)
+            if not (merged_away[a] or merged_away[b]):
+                break
+        else:
+            alive = [t for t in range(m) if not merged_away[t]]
+            a, b = sorted(alive, key=lambda t: (size[t], t))[:2]
+        merged_away[a] = merged_away[b] = 1
+        ma, mb = masks[a], masks[b]
+        merged = ma ^ mb
+        result = size[a] * size[b] // _cut(ma & mb, sq)
+        masks.append(merged)
+        size.append(result)
+        total += result
+        peak = max(peak, result)
+        steps.append((a, b))
+        keep, new = ~(1 << a | 1 << b), 1 << m
+        near = (partners[a] | partners[b]) & keep
+        partners.append(near)
+        pairs = []
+        while near:
+            low = near & -near
+            near ^= low
+            c = low.bit_length() - 1
+            partners[c] = partners[c] & keep | new
+            pairs.append((c, m))
+        legs = (ma | mb) & crowded_legs
+        if legs:
+            pairs = set(pairs)
+            while legs:
+                low = legs & -legs
+                legs ^= low
+                h = crowded[low] & keep
+                if merged & low:
+                    h |= new
+                crowded[low] = h
+                if h.bit_count() == 2:
+                    pairs.add(_ends(h))
+            pairs = sorted(pairs)
+        for c, d in pairs:
+            shared = masks[c] & masks[d]
+            key = size[c] * size[d] // _cut(shared, sq)
+            if rng is not None:
+                key *= 1 + rng.random()
+            push(heap, (key, shared & -shared, c, d))
+    return steps, total, peak
+
+
 def plan(shapes, rng=None):
     """The greedy order for a network of ``(legs, dims)`` shapes: steps
     ``(a, b)``, where inputs are ``0..n-1`` and step ``s`` makes ``n + s``.
 
-    The heap holds ``(dense size of the result, smallest shared leg, a, b)``.
-    After a merge only the legs of ``a`` and ``b`` change holders, so only
-    the pairs they now give (the merged tensor's) are scored; entries naming
-    ``a`` or ``b`` are stale and skipped at the top.  With no pair left the
-    two smallest tensors by ``(dense size, id)`` are combined.  Given a
-    ``random.Random``, each size is multiplied by ``1 + rng.random()``, drawn
-    for the new pairs in sorted order.
+    The heap holds ``(dense size of the result, smallest shared leg, a, b)``
+    (see ``_search``); given a ``random.Random``, each size is multiplied by
+    ``1 + rng.random()``.
     """
-    dims = [dict(zip(legs, ds)) for legs, ds in shapes]
-    size = [prod(ds) for _, ds in shapes]
-    holders = {}
-    for tid, d in enumerate(dims):
-        for l in d:
-            holders.setdefault(l, set()).add(tid)
-    heap = []
-
-    def push(pairs):
-        for a, b in sorted(pairs):
-            shared = dims[a].keys() & dims[b].keys()
-            cut = prod(dims[a][l] * dims[b][l] for l in shared)
-            key = size[a] * size[b] // cut
-            if rng is not None:
-                key *= 1 + rng.random()
-            heapq.heappush(heap, (key, min(shared), a, b))
-
-    push({tuple(sorted(h)) for h in holders.values() if len(h) == 2})
-    alive = set(range(len(dims)))
-    steps = []
-    while len(alive) > 1:
-        while heap and not (heap[0][2] in alive and heap[0][3] in alive):
-            heapq.heappop(heap)
-        if heap:
-            a, b = heapq.heappop(heap)[2:]
-        else:
-            a, b = sorted(alive, key=lambda t: (size[t], t))[:2]
-        m = len(dims)
-        da, db = dims[a], dims[b]
-        merged = _merged(da, db)
-        dims.append(merged)
-        size.append(prod(merged.values()))
-        alive ^= {a, b, m}
-        steps.append((a, b))
-        pairs = set()
-        for l in da.keys() | db.keys():
-            h = holders[l]
-            h -= {a, b}
-            if l in merged:
-                h.add(m)
-            if len(h) == 2:
-                pairs.add(tuple(sorted(h)))
-        push(pairs)
-    return steps
-
-
-def _merged(da, db):
-    """The legs, with their dims, of the contraction of two tensors' legs."""
-    return {l: d for l, d in (da | db).items() if (l in da) != (l in db)}
-
-
-def _result_sizes(shapes, steps):
-    """The dense size of each step's result."""
-    dims = [dict(zip(legs, ds)) for legs, ds in shapes]
-    for a, b in steps:
-        dims.append(_merged(dims[a], dims[b]))
-    return [prod(d.values()) for d in dims[len(shapes):]]
+    return _search(_intern(shapes), rng)[0]
 
 
 _CANDIDATES = 8
@@ -303,13 +387,18 @@ _CANDIDATES = 8
 def contraction_order(shapes):
     """``plan``'s order, unless one of its results exceeds ``DENSE_BUDGET``
     dense cells: then the cheapest by summed result sizes of it and
-    ``_CANDIDATES - 1`` noisy plans, the earlier on a tie."""
-    steps = plan(shapes)
-    if max(_result_sizes(shapes, steps), default=0) <= DENSE_BUDGET:
+    ``_CANDIDATES - 1`` noisy plans, the earlier on a tie.  The network is
+    interned once for all candidates."""
+    net = _intern(shapes)
+    steps, best, peak = _search(net)
+    if peak <= DENSE_BUDGET:
         return steps
     rng = random.Random(0)
-    candidates = [steps] + [plan(shapes, rng) for _ in range(_CANDIDATES - 1)]
-    return min(candidates, key=lambda c: sum(_result_sizes(shapes, c)))
+    for _ in range(_CANDIDATES - 1):
+        candidate, total, _ = _search(net, rng)
+        if total < best:
+            steps, best = candidate, total
+    return steps
 
 
 def greedy_contract(tensors) -> Tensor:

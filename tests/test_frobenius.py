@@ -236,6 +236,36 @@ def test_idempotent_properties_all_structures(structures):
         assert not bad, (label, bad)
 
 
+_REPORT_NAMES = ["p squared equals p", "p fixes the unit", "counit absorbs p",
+                 "multiplication absorption", "comultiplication absorption",
+                 "p fixes central elements", "p commutes with central multiplications",
+                 "image of p is central"]
+
+
+def _image_is_central_by_columns(F, P):
+    """Whether every column of ``P`` is central, each by ``Element.is_central``."""
+    return all(S.Element(F.algebra, P.column(j)).is_central() for j in range(P.cols))
+
+
+def test_image_is_central_clause_matches_the_column_check(structures, monkeypatch):
+    for label, (alg, F) in structures.items():
+        report = idempotent_property_report(F)
+        assert [name for name, _ in report] == _REPORT_NAMES, label
+        assert all(ok for _, ok in report), label
+        assert _image_is_central_by_columns(F, F.idempotent_matrix()), label
+    # M2 + M1 over Q: e_00 is not central, its unit is
+    alg, F = S.matrix_direct_sum(QQ, [2, 1], [1, 1])
+    n = alg.dim
+    onto_e00 = S.Matrix.zeros(QQ, n, n)
+    onto_e00.data[0][0] = QQ.one()
+    onto_unit = S.Matrix.from_rows(QQ, [[u] + [QQ.zero()] * (n - 1) for u in alg.unit])
+    for P, central in ((onto_e00, False), (S.Matrix.identity(QQ, n), False), (onto_unit, True)):
+        assert P @ P == P
+        monkeypatch.setattr(S.FrobeniusStructure, "idempotent_matrix", lambda self: P)
+        report = dict(idempotent_property_report(F))
+        assert report["image of p is central"] is central
+        assert _image_is_central_by_columns(F, P) is central
+
 def test_bubble_identity(structures):
     for label, (alg, F) in structures.items():
         lhs = F.window_power_matrix(-1) @ F.mu_matrix() @ F.delta_matrix()

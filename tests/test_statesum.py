@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import os
 import random
 import subprocess
@@ -6,6 +7,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 from math import prod
+from unittest.mock import patch
 
 import pytest
 
@@ -40,7 +42,6 @@ from statesum.linalg import DENSE_BUDGET
 from statesum.morphism import Morphism, full_factor, split_factor
 from statesum.tensors import (
     Tensor,
-    _result_sizes,
     contract_pair,
     contraction_order,
     greedy_contract,
@@ -166,6 +167,140 @@ def test_plan_is_the_exhaustive_greedy_rule(m2):
         for a, b in steps:
             legs.append(legs[a] ^ legs[b])
         assert any(not legs[a] & legs[b] for a, b in steps)
+
+
+
+# -- the planner on leg-name dicts, one heap pass per candidate: the reference
+# the interned bit-mask planner must match step for step, random draws included
+
+
+def _dict_plan(shapes, rng=None):
+    """The greedy order for a network of ``(legs, dims)`` shapes: steps
+    ``(a, b)``, where inputs are ``0..n-1`` and step ``s`` makes ``n + s``.
+
+    The heap holds ``(dense size of the result, smallest shared leg, a, b)``.
+    After a merge only the legs of ``a`` and ``b`` change holders, so only
+    the pairs they now give (the merged tensor's) are scored; entries naming
+    ``a`` or ``b`` are stale and skipped at the top.  With no pair left the
+    two smallest tensors by ``(dense size, id)`` are combined.  Given a
+    ``random.Random``, each size is multiplied by ``1 + rng.random()``, drawn
+    for the new pairs in sorted order.
+    """
+    dims = [dict(zip(legs, ds)) for legs, ds in shapes]
+    size = [prod(ds) for _, ds in shapes]
+    holders = {}
+    for tid, d in enumerate(dims):
+        for l in d:
+            holders.setdefault(l, set()).add(tid)
+    heap = []
+
+    def push(pairs):
+        for a, b in sorted(pairs):
+            shared = dims[a].keys() & dims[b].keys()
+            cut = prod(dims[a][l] * dims[b][l] for l in shared)
+            key = size[a] * size[b] // cut
+            if rng is not None:
+                key *= 1 + rng.random()
+            heapq.heappush(heap, (key, min(shared), a, b))
+
+    push({tuple(sorted(h)) for h in holders.values() if len(h) == 2})
+    alive = set(range(len(dims)))
+    steps = []
+    while len(alive) > 1:
+        while heap and not (heap[0][2] in alive and heap[0][3] in alive):
+            heapq.heappop(heap)
+        if heap:
+            a, b = heapq.heappop(heap)[2:]
+        else:
+            a, b = sorted(alive, key=lambda t: (size[t], t))[:2]
+        m = len(dims)
+        da, db = dims[a], dims[b]
+        merged = _merged(da, db)
+        dims.append(merged)
+        size.append(prod(merged.values()))
+        alive ^= {a, b, m}
+        steps.append((a, b))
+        pairs = set()
+        for l in da.keys() | db.keys():
+            h = holders[l]
+            h -= {a, b}
+            if l in merged:
+                h.add(m)
+            if len(h) == 2:
+                pairs.add(tuple(sorted(h)))
+        push(pairs)
+    return steps
+
+
+def _merged(da, db):
+    """The legs, with their dims, of the contraction of two tensors' legs."""
+    return {l: d for l, d in (da | db).items() if (l in da) != (l in db)}
+
+
+def _result_sizes(shapes, steps):
+    """The dense size of each step's result."""
+    dims = [dict(zip(legs, ds)) for legs, ds in shapes]
+    for a, b in steps:
+        dims.append(_merged(dims[a], dims[b]))
+    return [prod(d.values()) for d in dims[len(shapes):]]
+
+
+_CANDIDATES = 8
+
+
+def _dict_contraction_order(shapes):
+    """``plan``'s order, unless one of its results exceeds ``DENSE_BUDGET``
+    dense cells: then the cheapest by summed result sizes of it and
+    ``_CANDIDATES - 1`` noisy plans, the earlier on a tie."""
+    steps = _dict_plan(shapes)
+    if max(_result_sizes(shapes, steps), default=0) <= DENSE_BUDGET:
+        return steps
+    rng = random.Random(0)
+    candidates = [steps] + [_dict_plan(shapes, rng) for _ in range(_CANDIDATES - 1)]
+    return min(candidates, key=lambda c: sum(_result_sizes(shapes, c)))
+
+
+def test_planner_matches_the_dict_planner_on_random_networks():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def networks(draw):
+        """Shapes with leg dims 1-13: open legs, legs joining two tensors
+        (often two or more between the same pair), legs held by three,
+        tensors with no legs, and often several components.  Leg names are
+        tuples of strings, so their sorted order is not their creation order."""
+        n = draw(st.integers(1, 10))
+        names = draw(st.lists(st.tuples(st.sampled_from(["e", "f", "g"]), st.text("0123", max_size=3)),
+                              max_size=16, unique=True))
+        legs = [[] for _ in range(n)]
+        ids = st.integers(0, n - 1)
+        dims = {}
+        for name in names:
+            dims[name] = draw(st.integers(1, 13))
+            for t in draw(st.lists(ids, min_size=1, max_size=3, unique=True)):
+                legs[t].append(name)
+        shapes = []
+        for tl in legs:
+            tl = draw(st.permutations(tl))
+            shapes.append((tuple(tl), tuple(dims[l] for l in tl)))
+        return shapes
+
+    module = sys.modules[__name__]
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(networks(), st.sampled_from([0, 13, 2000, DENSE_BUDGET]), st.integers(0, 2 ** 32))
+    def same_steps(shapes, budget, seed):
+        assert plan(shapes) == _dict_plan(shapes)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert plan(shapes, ours) == _dict_plan(shapes, theirs)
+        assert ours.random() == theirs.random()
+        with patch.object(S.tensors, "DENSE_BUDGET", budget), \
+                patch.object(module, "DENSE_BUDGET", budget):
+            assert contraction_order(shapes) == _dict_contraction_order(shapes)
+
+    same_steps()
 
 
 # the closed surfaces of the benchmark's surface workloads, over M2+M3

@@ -267,10 +267,11 @@ def test_planner_matches_the_dict_planner_on_random_networks():
 
     @st.composite
     def networks(draw):
-        """Shapes with leg dims 1-13: open legs, legs joining two tensors
-        (often two or more between the same pair), legs held by three,
-        tensors with no legs, and often several components.  Leg names are
-        tuples of strings, so their sorted order is not their creation order."""
+        """Shapes with leg dims 1-13, often 1 or 2 so that keys tie: open
+        legs, legs joining two tensors (often two or more between the same
+        pair), legs held by three or four, tensors with no legs, and often
+        several components.  Leg names are tuples of strings, so their
+        sorted order is not their creation order."""
         n = draw(st.integers(1, 10))
         names = draw(st.lists(st.tuples(st.sampled_from(["e", "f", "g"]), st.text("0123", max_size=3)),
                               max_size=16, unique=True))
@@ -278,8 +279,8 @@ def test_planner_matches_the_dict_planner_on_random_networks():
         ids = st.integers(0, n - 1)
         dims = {}
         for name in names:
-            dims[name] = draw(st.integers(1, 13))
-            for t in draw(st.lists(ids, min_size=1, max_size=3, unique=True)):
+            dims[name] = draw(st.sampled_from([1, 2]) | st.integers(1, 13))
+            for t in draw(st.lists(ids, min_size=1, max_size=4, unique=True)):
                 legs[t].append(name)
         shapes = []
         for tl in legs:

@@ -205,6 +205,8 @@ def cmd_surface(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.trials < 1 or args.moves < 0:  # all_equal would hold with nothing checked
+        raise InvalidInput(f"fuzz needs --trials >= 1, --moves >= 0; got {args.trials}, {args.moves}")
     alg, F, _ = _load_algebra(args.algebra)
     c = _load_complex(args.complex)
     base = state_sum_raw(F, c)

@@ -7,15 +7,19 @@ row.  Nothing dense is built on the way, so results far larger than any
 dense matrix (raw ``strip(5, 5)`` over a 13-dimensional algebra is a
 371,293 x 371,293 map with 60,073 nonzeros) evaluate.
 
-The network has one copy of the trilinear form per triangle (legs in the
-cyclic order of the stored orientation), one inverse pairing per interior
-edge, one inverse pairing with a free leg per black out-edge, a unit (or a
-D-brane idempotent) per coloured edge, one open leg per black in-edge, and one
-factor of the inverse window element per interior vertex and per non-corner
-vertex of the black out-boundary.  Because the inverse window element is
-central, each connected component's factor ``a^-k`` may act on any leg of it;
-it is folded into the component's first triangle tensor, on its first leg,
-and a test asserts the placement is immaterial.
+The network is one tensor per triangle and one vector per coloured edge.  A
+triangle carries the trilinear form ``g3`` (legs in the cyclic order of the
+stored orientation) with the legs it owns raised through the inverse pairing,
+as in ``c_ij^k = g3_ijl g^lk`` (Fukuma-Hosono-Kawai), so every edge is one leg
+and no pairing tensor is needed.  It owns its black out-edges, which are free
+legs, and the interior edges it traverses upwards (``u < v``); validation
+makes each interior edge traversed both ways.  Black in-edges (free legs) and
+coloured edges (on a unit or a D-brane idempotent) stay lowered.  One factor
+of the inverse window element goes with each interior vertex and each
+non-corner vertex of the black out-boundary.  Because the inverse window
+element is central, each connected component's factor ``a^-k`` may act on any
+leg of it; it is folded into the component's first triangle tensor, on its
+first leg, and a test asserts the placement is immaterial.
 ``state_sum_raw`` keeps one ``A`` leg per black edge: the triangulation-level
 morphism.
 
@@ -45,11 +49,15 @@ from .tensors import Tensor, greedy_contract
 
 
 @_cached
-def _gstar_sparse(F: FrobeniusStructure):
-    """The inverse pairing's entries ``{(i, j): value}``, shared by every
-    pairing tensor of a network."""
+def _triangle_data(F: FrobeniusStructure, raised):
+    """The trilinear form's entries ``{(i, j, k): value}`` with the legs at the
+    positions ``raised`` raised through the inverse pairing.  Raising position
+    2 alone gives ``Algebra.structure_tensor``; cyclic invariance rotates it."""
     n = F.dim
-    return Tensor.from_matrix_sparse(F.field, ("row", "col"), (n, n), F.pairing_inverse).data
+    t = Tensor(F.field, (0, 1, 2), (n, n, n), F.trilinear())
+    for pos in raised:
+        t = t.apply_matrix(pos, F.pairing_inverse)
+    return t.data
 
 
 def signature(F: FrobeniusStructure, components, level):
@@ -81,48 +89,34 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
     c.require_valid()
     alg = F.algebra
     n = alg.dim
-    g3 = F.trilinear()
-    gstar = _gstar_sparse(F)
     coloured_elements = coloured_elements or {}
 
-    leg_of_edge = {"in": {}, "out": {}}
+    free = {}  # black edge -> its free leg
     components = {"in": [], "out": []}
     for side, comps in (("in", c.black_in), ("out", c.black_out)):
         for ci, comp in enumerate(comps):
             legs = [(side, ci, pos, 0) for pos in range(len(comp.edges))]
-            leg_of_edge[side].update(zip(comp.edge_keys(), legs))
+            free.update(zip(comp.edge_keys(), legs))
             components[side].append((comp.kind, legs))
 
     interior = set(c.interior_edges())
     tensors = []
     roots = c.vertex_components()
-    first_triangle = {}  # component root -> index of its first triangle tensor
-
-    slot_used = {}
-
-    def edge_slot_leg(u, v):
-        e = ekey(u, v)
-        if e in leg_of_edge["in"]:
-            return leg_of_edge["in"][e]
-        s = slot_used.get(e, 0)
-        slot_used[e] = s + 1
-        return ("e", e[0], e[1], s)
-
+    first_triangle = {}  # component root -> (index of its first triangle, leg 0 raised)
     for (a, b, cc) in c.triangles:
-        legs = [edge_slot_leg(a, b), edge_slot_leg(b, cc), edge_slot_leg(cc, a)]
-        first_triangle.setdefault(roots[a], len(tensors))
-        tensors.append(Tensor(F.field, legs, (n, n, n), g3))
-
-    for e in sorted(interior):
-        legs = (("e", e[0], e[1], 0), ("e", e[0], e[1], 1))
-        tensors.append(Tensor(F.field, legs, (n, n), gstar))
-    for e, leg in sorted(leg_of_edge["out"].items()):
-        legs = (("e", e[0], e[1], 0), leg)
-        tensors.append(Tensor(F.field, legs, (n, n), gstar))
+        legs, raised = [], []
+        for pos, (u, v) in enumerate(((a, b), (b, cc), (cc, a))):
+            e = ekey(u, v)
+            leg = free.get(e, ("e",) + e)
+            legs.append(leg)
+            if (u, v) in interior or leg[0] == "out":
+                raised.append(pos)
+        first_triangle.setdefault(roots[a], (len(tensors), 0 in raised))
+        tensors.append(Tensor(F.field, legs, (n, n, n), _triangle_data(F, tuple(raised))))
     for e in sorted(c.coloured_edges):
         elem = coloured_elements.get(e)
         coeffs = elem.coeffs if elem is not None else alg.unit
-        tensors.append(Tensor.vector(F.field, ("e", e[0], e[1], 0), n, coeffs))
+        tensors.append(Tensor.vector(F.field, ("e",) + e, n, coeffs))
 
     # inverse-window exponent per connected component
     boundary_vs = c.boundary_vertex_set()
@@ -135,11 +129,12 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
     for v in range(c.vertex_count):
         if v not in boundary_vs or (v in out_vs and v not in corners):
             exponents[roots[v]] = exponents.get(roots[v], 0) + 1
-    # a^-k acts on a triangle as on a form: g3(a^-k x, y, z)
+    # a^-k acts on a form as g3(a^-k x, y, z), i.e. as W^T on a lowered leg;
+    # L_a is self-adjoint for the pairing (W g^-1 = g^-1 W^T): W on a raised one
     for root, k in exponents.items():
-        t = tensors[first_triangle[root]]
-        tensors[first_triangle[root]] = t.apply_matrix(
-            t.legs[0], F.window_power_matrix(-k).transpose())
+        i, up = first_triangle[root]
+        w = F.window_power_matrix(-k)
+        tensors[i] = tensors[i].apply_matrix(tensors[i].legs[0], w if up else w.transpose())
 
     return DualNetwork(tensors, components["in"], components["out"], exponents)
 

@@ -3,9 +3,9 @@
 Tensors carry named legs; contraction matches leg names, so the permutation
 bookkeeping of a tensor network never becomes an explicit matrix.  Data is a
 dict from index tuples to nonzero field values: the structure tensors of the
-state sum (the trilinear form, the inverse pairing, units) are very sparse
-and stay sparse under contraction, which is what keeps exact evaluation at
-dimension ~15 affordable.
+state sum (the trilinear form with raised legs, units, the boundary chains)
+are very sparse and stay sparse under contraction, which is what keeps exact
+evaluation at dimension ~15 affordable.
 
 Over Q a network is contracted over Python ints, not ``Fraction``s.  A
 contraction is multilinear: every entry of the result is a sum of products

@@ -172,3 +172,15 @@ def test_eval_keeps_the_contract_on_complex_documents(workdir, doc, mode):
     apath = _write(workdir / "a.json", _Z2)
     cpath = _write(workdir / "c.json", doc)
     _check_contract(["eval", "--algebra", apath, "--complex", cpath, "--mode", mode, "--json"])
+
+
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-1"], ["--moves", "-1"]])
+def test_fuzz_refuses_a_vacuous_run(workdir, flags):
+    # zero trials, or a walk of negative length, would check nothing
+    apath = _write(workdir / "a.json", _Z2)
+    cpath = _write(workdir / "c.json", _CATALOG[0])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["fuzz", "--algebra", apath, "--complex", cpath, "--json", *flags])
+    assert code == 1
+    assert json.loads(out.getvalue())["error"] == "InvalidInput"

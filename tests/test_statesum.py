@@ -24,13 +24,13 @@ from statesum.cobordisms import (
     strip,
     zipper,
 )
-from statesum.complexes import pachner_22, random_moves, shelling_split_edge
+from statesum.complexes import pachner_13, pachner_22, random_moves, shelling_split_edge
 from statesum.errors import HasBlackBoundaryError, SignatureMismatchError
 from statesum.evaluation import (
     _chain_data,
     _close_component,
-    _gstar_sparse,
     _join_legs,
+    _triangle_data,
     build_dual_network,
     evaluate_closed,
     state_sum,
@@ -375,7 +375,32 @@ def test_contraction_order_ignores_the_hash_seed():
         out = subprocess.run([sys.executable, "-c", _ORDER_DIGEST.format(surfaces=_BENCH_SURFACES)],
                              env=env, capture_output=True, text=True, check=True)
         digests.append(out.stdout.strip())
-    assert digests == ["18e6ba0e171186ac77f9820279d1a36fdf920734"] * 2
+    assert digests == ["3d8aa06ffe0b29c327700cce42e8be6aa1104f23"] * 2
+
+
+def test_network_is_one_tensor_per_triangle_and_coloured_edge(m2):
+    # every edge is one leg: a triangle raises the legs it owns, so no
+    # pairing tensor joins two ends of an edge
+    _, F = m2
+    _, F13 = S.matrix_direct_sum(QQ, [2, 3], [1, 2])
+    suite = S.generator_suite()
+    cases = [(F, c) for c in suite.values()]
+    cases += [(F13, closed_surface(g, w)) for g, w in _BENCH_SURFACES]
+    cases += [(F, S.random_moves(c, seed=17, n=30)) for c in suite.values()]
+    for G, c in cases:
+        tensors = build_dual_network(G, c).tensors
+        assert len(tensors) == len(c.triangles) + len(c.coloured_edges)
+        holders = {}
+        for t in tensors:
+            for leg in t.legs:
+                holders[leg] = holders.get(leg, 0) + 1
+        assert max(holders.values()) <= 2
+
+
+def test_triangle_with_one_raised_leg_is_the_structure_tensor(m2):
+    alg, F = m2
+    assert _triangle_data(F, (2,)) == alg.structure_tensor(("i", "j", "k")).data
+    assert _triangle_data(F, ()) == F.trilinear()
 
 
 def test_window_factor_placement_independence(z2, structures):
@@ -408,6 +433,14 @@ def test_window_factor_acts_as_a_form_on_its_triangle():
     gens = S.generator_suite()
     assert state_sum(F, gens["closed_mult"]).matrix == K.C.mu_matrix()
     assert state_sum(F, gens["cozipper"]).matrix == K.iota_star
+    # a closed surface's first leg is raised (W acts on it as on a vector);
+    # after a 1-3 move on triangle 0 of these, the first leg is a black
+    # in-edge, which stays lowered and carries a^-1 as a form
+    for name in ("closed_counit", "open_counit", "zipper", "open_comult"):
+        moved = pachner_13(gens[name], 0)
+        net = build_dual_network(F, moved)
+        assert net.tensors[0].legs[0][0] == "in" and sum(net.exponents.values()) == 1
+        assert state_sum(F, moved) == state_sum(F, gens[name]), name
 
 
 @pytest.mark.parametrize("h", [2, 3])
@@ -640,14 +673,10 @@ def test_degenerate_circle_network_matches_closed_projector(z2):
     alg, F = z2
     n = alg.dim
     g3 = F.trilinear()
-    gs = _gstar_sparse(F)
     t1 = Tensor(QQ, ("in", "side0", "diag0"), (n, n, n), g3)
     t2 = Tensor(QQ, ("diag1", "top", "side1"), (n, n, n), g3)
-    conns = [
-        Tensor(QQ, ("side0", "side1"), (n, n), gs),
-        Tensor(QQ, ("diag0", "diag1"), (n, n), gs),
-        Tensor(QQ, ("top", "out"), (n, n), gs),
-    ]
+    conns = [Tensor.from_matrix_sparse(QQ, legs, (n, n), F.pairing_inverse)
+             for legs in (("side0", "side1"), ("diag0", "diag1"), ("top", "out"))]
     res = greedy_contract([t1, t2] + conns)
     m = res.apply_matrix("out", F.window_power_matrix(-1)).to_matrix(["out"], ["in"])
     assert m == F.idempotent_matrix()

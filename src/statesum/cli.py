@@ -177,7 +177,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# Budgets on declared sizes, refused before anything loads: a walk's work grows
+# with the square of its length, and so does digging many windows.  The README
+# gives the times they were set from.
+FUZZ_MOVES_BUDGET = 1_000  # moves per walk
+FUZZ_TOTAL_MOVES_BUDGET = 10_000  # moves * trials
+SURFACE_GENUS_BUDGET = 200
+SURFACE_WINDOWS_BUDGET = 200
+
+
 def cmd_surface(args) -> int:
+    if args.genus > SURFACE_GENUS_BUDGET or args.windows > SURFACE_WINDOWS_BUDGET:
+        raise InvalidInput(f"surface takes --genus <= {SURFACE_GENUS_BUDGET} and --windows <= "
+                           f"{SURFACE_WINDOWS_BUDGET}; got {args.genus}, {args.windows}")
     alg, F, blocks = _load_algebra(args.algebra)
     f = alg.field
     surf = closed_surface(args.genus, args.windows)
@@ -207,6 +219,9 @@ def cmd_surface(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.trials < 1 or args.moves < 0:  # all_equal would hold with nothing checked
         raise InvalidInput(f"fuzz needs --trials >= 1, --moves >= 0; got {args.trials}, {args.moves}")
+    if args.moves > FUZZ_MOVES_BUDGET or args.moves * args.trials > FUZZ_TOTAL_MOVES_BUDGET:
+        raise InvalidInput(f"fuzz takes --moves <= {FUZZ_MOVES_BUDGET} and --moves * --trials <= "
+                           f"{FUZZ_TOTAL_MOVES_BUDGET}; got {args.moves} and {args.trials}")
     alg, F, _ = _load_algebra(args.algebra)
     c = _load_complex(args.complex)
     base = state_sum_raw(F, c)

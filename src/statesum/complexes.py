@@ -14,8 +14,19 @@ precondition is written once, as a site check that returns what the move
 needs or ``None``.  The move raises ``NotApplicableError`` on ``None`` or on
 a site not shaped like a vertex, edge or triangle, and ``applicable_moves``
 lists exactly the sites the checks accept, so a listed move always applies.
-The checks read a vertex -> triangles and a boundary vertex -> boundary
-edges index, built once per complex, so each costs O(degree).
+
+The checks share one edge index: each edge maps to its triangles in
+ascending index order, each with its apex, the vertex opposite the edge.  So
+the flip check reads both apexes in O(1), and the other checks, which also
+read a lazy vertex -> triangles and boundary vertex -> boundary edges index,
+cost O(degree).  One pair of primitives edits the edge index, adding or
+dropping one triangle.  The constructor adds every triangle to empty
+indexes.  A move that keeps every triangle's index (2-2, 1-3, and the
+shellings that split an edge or close a vertex, which only append) copies
+its parent's index and drops and adds just the triangles it changes; 2-2 and
+1-3 keep the parent's boundary index too.  The moves that renumber vertices
+or shift indices (3-1 and the other two shellings) go through the
+constructor.
 """
 
 from __future__ import annotations
@@ -81,20 +92,50 @@ class OpenClosedComplex:
         )
         self.edge_colours = {ekey(u, v): c for (u, v), c in (edge_colours or {}).items()}
 
-        et = {}
-        directed = {}
-        for idx, (a, b, c) in enumerate(self.triangles):
-            for (u, v) in ((a, b), (b, c), (c, a)):
-                et.setdefault(ekey(u, v), []).append(idx)
-                directed[(u, v)] = directed.get((u, v), 0) + 1
-        self._edge_tris = et
-        self._directed = directed
+        self._edge_tris = {}
+        self._directed = {}
+        for idx in range(len(self.triangles)):
+            self._add_triangle(idx)
         self._vertex_tris = None  # incidence for the move checks, built on first use
         self._boundary_at = None
+
+    # -- the edge index: the one pair of primitives that edits it -----------------
+
+    def _add_triangle(self, i):
+        """Enter ``triangles[i]`` into the edge index: each of its edges gets the
+        entry ``(i, apex)``, kept in ascending index order, and each directed
+        edge's count goes up by one."""
+        a, b, c = self.triangles[i]
+        et, directed = self._edge_tris, self._directed
+        for (u, v, x) in ((a, b, c), (b, c, a), (c, a, b)):
+            e = (u, v) if u < v else (v, u)
+            old = et.get(e, ())
+            entries = old + ((i, x),)
+            et[e] = entries if not old or old[-1][0] < i else tuple(sorted(entries))
+            directed[(u, v)] = directed.get((u, v), 0) + 1
+
+    def _drop_triangle(self, i):
+        """Remove ``triangles[i]`` from the edge index, the inverse of ``_add_triangle``."""
+        a, b, c = self.triangles[i]
+        et, directed = self._edge_tris, self._directed
+        for (u, v) in ((a, b), (b, c), (c, a)):
+            e = (u, v) if u < v else (v, u)
+            kept = tuple(entry for entry in et[e] if entry[0] != i)
+            if kept:
+                et[e] = kept
+            else:
+                del et[e]
+            count = directed[(u, v)] - 1
+            if count:
+                directed[(u, v)] = count
+            else:
+                del directed[(u, v)]
 
     # -- derived sets -----------------------------------------------------------
 
     def edge_triangles(self):
+        """Edge -> ``((index, apex), ...)``: the triangles on the edge in ascending
+        index order, each with its vertex opposite the edge."""
         return self._edge_tris
 
     def edges(self):
@@ -471,6 +512,32 @@ class OpenClosedComplex:
             edge_colours if edge_colours is not None else self.edge_colours,
         )
 
+    def _patched(self, changes, vertex_count=None, coloured_edges=None,
+                 edge_colours=None) -> "OpenClosedComplex":
+        """This complex with the triangles at the indices of ``changes`` replaced
+        by its values (indices past the end append), equal to what ``replaced``
+        builds.  The edge index is a copy of this one's with just the changed
+        triangles dropped and added; the lazy indexes start empty."""
+        child = object.__new__(OpenClosedComplex)
+        child.vertex_count = vertex_count if vertex_count is not None else self.vertex_count
+        child.coloured_edges = (frozenset(coloured_edges) if coloured_edges is not None
+                                else self.coloured_edges)
+        child.black_in, child.black_out = self.black_in, self.black_out
+        child.edge_colours = edge_colours if edge_colours is not None else self.edge_colours
+        child._edge_tris, child._directed = dict(self._edge_tris), dict(self._directed)
+        child._vertex_tris = child._boundary_at = None
+        child.triangles = self.triangles
+        for i in changes:
+            if i < len(self.triangles):
+                child._drop_triangle(i)
+        triangles = list(self.triangles) + [None] * (max(changes) + 1 - len(self.triangles))
+        for i, t in changes.items():
+            triangles[i] = canonical_triangle(t)
+        child.triangles = tuple(triangles)
+        for i in changes:
+            child._add_triangle(i)
+        return child
+
     def relabelled(self, vmap, new_count) -> "OpenClosedComplex":
         def m(v):
             return vmap[v]
@@ -537,31 +604,23 @@ def _flip_site(c, edge):
     """For an interior edge: its directed form ``(u, v)`` in triangle ``t1``
     with apex ``x``, and triangle ``t2`` with apex ``y``, unless ``x``-``y``
     is already an edge."""
-    e = ekey(*edge)
-    tris = c.edge_triangles().get(e, ())
+    tris = c._edge_tris.get(ekey(*edge), ())
     if len(tris) != 2:
         return None
-    occ = []
-    for idx in tris:
-        a, b, cc = c.triangles[idx]
-        for (x, y, z) in ((a, b, cc), (b, cc, a), (cc, a, b)):
-            if ekey(x, y) == e:
-                occ.append(((x, y), idx, z))
-    if len(occ) != 2:
+    (t1, x), (t2, y) = tris
+    if x == y or ekey(x, y) in c._edge_tris:
         return None
-    ((u, v), t1, x), (_, t2, y) = occ
-    if x == y or ekey(x, y) in c.edge_triangles():
-        return None
+    a, b, cc = c.triangles[t1]
+    u, v = (b, cc) if x == a else (cc, a) if x == b else (a, b)
     return (u, v), t1, x, t2, y
 
 
 def pachner_22(c: OpenClosedComplex, edge) -> OpenClosedComplex:
     """Flip the diagonal of the quadrilateral around an interior edge."""
     (u, v), t1, x, t2, y = _site(_flip_site, c, edge, "flip")
-    new_tris = list(c.triangles)
-    new_tris[t1] = (x, u, y)
-    new_tris[t2] = (y, v, x)
-    return c.replaced(triangles=new_tris)
+    child = c._patched({t1: (x, u, y), t2: (y, v, x)})
+    child._boundary_at = c._boundary_at  # the boundary is untouched
+    return child
 
 
 def _split_site(c, triangle):
@@ -576,12 +635,10 @@ def pachner_13(c: OpenClosedComplex, triangle) -> OpenClosedComplex:
     """Star-subdivide one triangle with a fresh interior vertex."""
     idx = _site(_split_site, c, triangle, "split")
     i, j, k = c.triangles[idx]
-    w = c.vertex_count
-    new_tris = list(c.triangles)
-    new_tris[idx] = (i, j, w)
-    new_tris.append((j, k, w))
-    new_tris.append((k, i, w))
-    return c.replaced(vertex_count=c.vertex_count + 1, triangles=new_tris)
+    w, n = c.vertex_count, len(c.triangles)
+    child = c._patched({idx: (i, j, w), n: (j, k, w), n + 1: (k, i, w)}, vertex_count=w + 1)
+    child._boundary_at = c._boundary_at  # the boundary is untouched
+    return child
 
 
 def _merge_site(c, v):
@@ -600,8 +657,7 @@ def _merge_site(c, v):
     cyc = (start, opp.get(start), opp.get(opp.get(start)))
     if None in cyc or len(set(cyc)) != 3 or opp.get(cyc[2]) != start:
         return None
-    outer = set(cyc)
-    if any(set(c.triangles[idx]) == outer for idx in c.vertex_triangles()[start]):
+    if any(apex == cyc[2] for _, apex in c._edge_tris[ekey(cyc[0], cyc[1])]):
         return None
     return incident, cyc
 
@@ -625,34 +681,35 @@ def _boundary_direction(c, e):
     return (v, u)
 
 
-def _recoloured(c, removed, added, **changes):
-    """``c`` with the coloured edges ``removed`` replaced by ``added``, which
-    take the brane colour of ``removed[0]``, and with the other ``changes``."""
+def _recoloured(c, removed, added):
+    """The ``coloured_edges`` and ``edge_colours`` of ``c`` with the coloured
+    edges ``removed`` replaced by ``added``, which take the brane colour of
+    ``removed[0]``."""
     colour = c.edge_colours.get(removed[0])
     new_cols = {k: col for k, col in c.edge_colours.items() if k not in removed}
     if colour is not None:
         new_cols.update(dict.fromkeys(added, colour))
     new_coloured = set(c.coloured_edges) - set(removed) | set(added)
-    return c.replaced(coloured_edges=new_coloured, edge_colours=new_cols, **changes)
+    return {"coloured_edges": new_coloured, "edge_colours": new_cols}
 
 
 def _coloured_boundary_edge(c, edge):
-    """A coloured boundary edge and its triangle (black sites would change the
-    black boundary)."""
+    """A coloured boundary edge, its triangle and that triangle's apex (black
+    sites would change the black boundary)."""
     e = ekey(*edge)
-    tris = c.edge_triangles().get(e, ())
+    tris = c._edge_tris.get(e, ())
     if len(tris) != 1 or e not in c.coloured_edges:
         return None
-    return e, tris[0]
+    return (e,) + tris[0]
 
 
 def shelling_split_edge(c: OpenClosedComplex, edge) -> OpenClosedComplex:
     """One coloured edge -> two: glue a triangle with a fresh boundary vertex."""
-    e, _ = _site(_coloured_boundary_edge, c, edge, "shell_split")
+    e, _, _ = _site(_coloured_boundary_edge, c, edge, "shell_split")
     (u, v) = _boundary_direction(c, e)
     w = c.vertex_count
-    return _recoloured(c, (e,), (ekey(u, w), ekey(w, v)),
-                       vertex_count=w + 1, triangles=list(c.triangles) + [(v, u, w)])
+    return c._patched({len(c.triangles): (v, u, w)}, vertex_count=w + 1,
+                      **_recoloured(c, (e,), (ekey(u, w), ekey(w, v))))
 
 
 def _coloured_pair(c, e1, e2):
@@ -677,7 +734,8 @@ def shelling_merge_edges(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex
     """Two coloured edges -> one: remove a boundary vertex spanning one triangle."""
     t_idx, e1, e2, inner = _site(_shell_merge_site, c, vertex, "shell_merge")
     new_tris = [t for idx, t in enumerate(c.triangles) if idx != t_idx]
-    return _without_vertex(_recoloured(c, (e1, e2), (inner,), triangles=new_tris), vertex)
+    return _without_vertex(c.replaced(triangles=new_tris, **_recoloured(c, (e1, e2), (inner,))),
+                           vertex)
 
 
 def _shell_open_site(c, edge):
@@ -686,8 +744,7 @@ def _shell_open_site(c, edge):
     found = _coloured_boundary_edge(c, edge)
     if found is None:
         return None
-    e, t_idx = found
-    w = next(x for x in c.triangles[t_idx] if x not in e)
+    e, t_idx, w = found
     vt = c.vertex_triangles()
     if w in c.boundary_edges_at() or any(len(vt[x]) < 2 for x in e):
         return None
@@ -699,7 +756,7 @@ def shelling_open_vertex(c: OpenClosedComplex, edge) -> OpenClosedComplex:
     e, t_idx, w = _site(_shell_open_site, c, edge, "shell_open")
     u, v = e
     new_tris = [t for idx, t in enumerate(c.triangles) if idx != t_idx]
-    return _recoloured(c, (e,), (ekey(u, w), ekey(w, v)), triangles=new_tris)
+    return c.replaced(triangles=new_tris, **_recoloured(c, (e,), (ekey(u, w), ekey(w, v))))
 
 
 def _shell_close_site(c, w):
@@ -726,7 +783,7 @@ def _shell_close_site(c, w):
 def shelling_close_vertex(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
     """Fill the notch at a boundary vertex with two coloured edges, making it interior."""
     e1, e2, u, v = _site(_shell_close_site, c, vertex, "shell_close")
-    return _recoloured(c, (e1, e2), (ekey(u, v),), triangles=list(c.triangles) + [(vertex, u, v)])
+    return c._patched({len(c.triangles): (vertex, u, v)}, **_recoloured(c, (e1, e2), (ekey(u, v),)))
 
 
 _MOVES = {
@@ -746,8 +803,10 @@ def applicable_moves(c: OpenClosedComplex):
     """Deterministically ordered list of the ``(kind, site)`` pairs whose move
     applies: the sites that the moves' own checks accept."""
     moves = [("flip", e) for e in c.interior_edges() if _flip_site(c, e) is not None]
-    moves += [("split", t) for t in range(len(c.triangles)) if _split_site(c, t) is not None]
-    moves += [("merge", v) for v in range(c.vertex_count) if _merge_site(c, v) is not None]
+    moves += [("split", t) for t in range(len(c.triangles))]  # every index in range splits
+    vt = c.vertex_triangles()
+    moves += [("merge", v) for v in sorted(vt)  # only a vertex of degree 3 can merge
+              if len(vt[v]) == 3 and _merge_site(c, v) is not None]
     for e in sorted(c.coloured_edges):
         if _coloured_boundary_edge(c, e) is not None:
             moves.append(("shell_split", e))

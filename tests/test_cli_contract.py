@@ -184,3 +184,19 @@ def test_fuzz_refuses_a_vacuous_run(workdir, flags):
         code = main(["fuzz", "--algebra", apath, "--complex", cpath, "--json", *flags])
     assert code == 1
     assert json.loads(out.getvalue())["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--complex", "c.json", "--moves", "100000000"],
+    ["fuzz", "--complex", "c.json", "--moves", "1000", "--trials", "11"],
+    ["surface", "--genus", "1", "--windows", "100000"],
+    ["surface", "--genus", "201"],
+])
+def test_declared_sizes_past_the_budgets_are_refused_at_once(workdir, argv):
+    # a walk or a surface this large would run for hours; the algebra file
+    # does not exist, so the refusal must come before anything loads
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--algebra", str(workdir / "missing.json"), "--json"])
+    assert code == 1
+    assert json.loads(out.getvalue())["error"] == "InvalidInput"

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -196,8 +197,7 @@ def test_shelling_open_and_close_roundtrip():
     # find a coloured edge whose apex is interior
     site = None
     for e in sorted(c.coloured_edges):
-        tri = c.triangles[c.edge_triangles()[e][0]]
-        apex = next(x for x in tri if x not in e)
+        [(_, apex)] = c.edge_triangles()[e]
         if apex not in c.boundary_vertex_set():
             site = e
             break
@@ -206,7 +206,6 @@ def test_shelling_open_and_close_roundtrip():
     opened = shelling_open_vertex(c, site)
     assert opened.validate().ok
     assert len(opened.triangles) == len(c.triangles) - 1
-    apex = next(x for x in c.triangles[c.edge_triangles()[site][0]] if x not in site)
     closed = shelling_close_vertex(opened, apex)
     assert closed.validate().ok
     assert set(closed.triangles) == set(c.triangles)
@@ -464,6 +463,34 @@ def test_applicable_moves_are_exactly_the_moves_that_apply():
                 kinds_seen.update(kind for kind, _ in listed)
                 c = random_moves(c, seed=100 * seed + step, n=1)
     assert kinds_seen == set(_MOVE_BY_KIND)
+
+
+def _indexes(c):
+    return (c.triangles, c._edge_tris, c._directed, c.vertex_triangles(), c.boundary_edges_at())
+
+
+def test_moves_build_the_complex_the_constructor_builds():
+    """At every step of the pinned walks, the child a move builds from its
+    parent's indexes has the indexes the constructor builds from the child's
+    own fields, and lists the same moves."""
+    suite = dict(generator_suite(), torus=closed_surface(1, 0),
+                 genus2_window=closed_surface(2, 1))
+    for start in suite.values():
+        for trial in range(20):
+            rng = random.Random(1000 * trial + 17)  # random_moves' walk, step by step
+            c = start
+            moves = applicable_moves(c)
+            for _ in range(30):
+                if not moves:
+                    break
+                kind, site = moves[rng.randrange(len(moves))]
+                c = _MOVE_BY_KIND[kind](c, site)
+                moves = applicable_moves(c)
+                scratch = OpenClosedComplex(c.vertex_count, c.triangles, c.coloured_edges,
+                                            c.black_in, c.black_out, c.edge_colours)
+                assert _indexes(c) == _indexes(scratch), (kind, site)
+                assert moves == applicable_moves(scratch), (kind, site)
+            assert _walk_state(c) == _walk_state(random_moves(start, seed=1000 * trial + 17, n=30))
 
 
 @pytest.mark.parametrize("kind,site", [

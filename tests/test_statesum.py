@@ -403,11 +403,20 @@ def test_triangle_with_one_raised_leg_is_the_structure_tensor(m2):
     assert _triangle_data(F, ()) == F.trilinear()
 
 
+def _z3_window_e_2g():
+    # in Q[Z/3] the window e + 2g has a non-symmetric matrix
+    alg, _ = S.group_algebra(QQ, S.GroupTable.cyclic(3))
+    return alg, S.frobenius_from_window(alg, alg.element([QQ.one(), QQ.of_int(2), QQ.zero()]))
+
+
 def test_window_factor_placement_independence(z2, structures):
     # the window element is central, so a^k on triangle X and a^-k on triangle
-    # Y of the default network cancel wherever X and Y sit
+    # Y of the default network cancel wherever X and Y sit.  On a closed
+    # surface every leg is an interior edge, raised by the triangle that
+    # traverses it upwards (u < v): a^j acts there as W^j, and as (W^j)^T on
+    # the lowered end
     c = closed_surface(1, 0)
-    for alg, F in (z2, structures["Q[Z/2] window 2e+g"]):
+    for alg, F in (z2, structures["Q[Z/2] window 2e+g"], _z3_window_e_2g()):
         default = evaluate_closed(F, c)
         for x, y in ((0, 7), (7, 17), (17, 0)):
             net = build_dual_network(F, c)
@@ -415,15 +424,18 @@ def test_window_factor_placement_independence(z2, structures):
             for tid, power in ((x, k), (y, -k)):
                 t = net.tensors[tid]
                 assert len(t.legs) == 3  # a triangle tensor
-                net.tensors[tid] = t.apply_matrix(min(t.legs), F.window_power_matrix(power))
+                leg = min(t.legs)
+                a, b, cc = c.triangles[tid]
+                u, v = ((a, b), (b, cc), (cc, a))[t.legs.index(leg)]
+                w = F.window_power_matrix(power)
+                net.tensors[tid] = t.apply_matrix(leg, w if u < v else w.transpose())
             assert greedy_contract(net.tensors).scalar() == default
 
 
 def test_window_factor_acts_as_a_form_on_its_triangle():
     # in Q[Z/3] the window e + 2g has a non-symmetric matrix, so acting on the
     # triangle's form with W instead of W^T would change these values
-    alg, _ = S.group_algebra(QQ, S.GroupTable.cyclic(3))
-    F = S.frobenius_from_window(alg, alg.element([QQ.one(), QQ.of_int(2), QQ.zero()]))
+    alg, F = _z3_window_e_2g()
     w = F.window_power_matrix(1)
     assert w.data != [list(col) for col in zip(*w.data)]
     K = F.knowledgeable()

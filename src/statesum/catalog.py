@@ -9,7 +9,6 @@ composite give two independent oracles for the contracted state sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .algebra import Algebra
@@ -302,13 +301,13 @@ class FiniteGroupoid:
         return cls.transitive(num_objects, GroupTable.cyclic(1))
 
 
-@dataclass
 class BlockModel:
     """Block decomposition ``A = (+)_{x,y} A_xy`` of a groupoid algebra."""
 
-    num_objects: int
-    block_indices: dict   # (x, y) -> tuple of basis indices
-    object_idempotents: dict  # x -> Element
+    def __init__(self, num_objects: int, block_indices: dict, object_idempotents: dict):
+        self.num_objects = num_objects
+        self.block_indices = block_indices  # (x, y) -> tuple of basis indices
+        self.object_idempotents = object_idempotents  # x -> Element
 
     def block(self, x, y):
         return self.block_indices.get((x, y), ())

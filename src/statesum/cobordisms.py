@@ -14,7 +14,7 @@ not depend on those counts.
 
 from __future__ import annotations
 
-from .complexes import BoundaryComponent, OpenClosedComplex, ekey
+from .complexes import BoundaryComponent, OpenClosedComplex, canonical_triangle, ekey
 from .errors import InvalidComplexError, UnknownCatalogError
 
 
@@ -185,25 +185,35 @@ def dig_hole(c: OpenClosedComplex, tri_index: int, role: str) -> OpenClosedCompl
 
     ``role`` is "window" (coloured hole), "in" or "out" (black circle hole).
     """
-    u, v, w = c.triangles[tri_index]
-    a, b, d = c.vertex_count, c.vertex_count + 1, c.vertex_count + 2
-    ring = [(u, v, a), (v, b, a), (v, w, b), (w, d, b), (w, u, d), (u, a, d)]
-    tris = [t for i, t in enumerate(c.triangles) if i != tri_index] + ring
-    # induced orientation of the hole boundary is a -> d -> b -> a
-    hole_chain = [(a, d), (d, b), (b, a)] if role == "in" else [(a, b), (b, d), (d, a)]
+    return _dig_holes(c, [tri_index], role)
+
+
+def _dig_holes(c: OpenClosedComplex, tri_indices, role: str) -> OpenClosedComplex:
+    """``c`` with a ``role`` hole dug at each of ``tri_indices`` in turn, as
+    repeated :func:`dig_hole` would, but built once: each dig deletes its
+    triangle from the list and appends its ring (in canonical form, as the
+    constructor would store it), so later indices see the same list."""
+    tris = list(c.triangles)
     coloured = set(c.coloured_edges)
     black_in, black_out = list(c.black_in), list(c.black_out)
-    if role == "window":
-        coloured.update(ekey(x, y) for (x, y) in hole_chain)
-    elif role == "in":
-        black_in.append(BoundaryComponent("circle", hole_chain))
-    elif role == "out":
-        black_out.append(BoundaryComponent("circle", hole_chain))
-    else:
-        raise UnknownCatalogError(f"unknown hole role {role!r}")
-    return OpenClosedComplex(
-        c.vertex_count + 3, tris, coloured, black_in, black_out, c.edge_colours
-    )
+    vertex_count = c.vertex_count
+    for tri_index in tri_indices:
+        u, v, w = tris.pop(tri_index)
+        a, b, d = vertex_count, vertex_count + 1, vertex_count + 2
+        vertex_count += 3
+        tris += map(canonical_triangle,
+                    [(u, v, a), (v, b, a), (v, w, b), (w, d, b), (w, u, d), (u, a, d)])
+        # induced orientation of the hole boundary is a -> d -> b -> a
+        hole_chain = [(a, d), (d, b), (b, a)] if role == "in" else [(a, b), (b, d), (d, a)]
+        if role == "window":
+            coloured.update(ekey(x, y) for (x, y) in hole_chain)
+        elif role == "in":
+            black_in.append(BoundaryComponent("circle", hole_chain))
+        elif role == "out":
+            black_out.append(BoundaryComponent("circle", hole_chain))
+        else:
+            raise UnknownCatalogError(f"unknown hole role {role!r}")
+    return OpenClosedComplex(vertex_count, tris, coloured, black_in, black_out, c.edge_colours)
 
 
 def closed_mult() -> OpenClosedComplex:
@@ -269,9 +279,7 @@ def closed_surface(genus: int, windows: int) -> OpenClosedComplex:
         surf = minimal_torus()
         for _ in range(genus - 1):
             surf = connected_sum(surf, 0, minimal_torus(), 0)
-    for h in range(windows):
-        surf = dig_hole(surf, h, "window")
-    return surf.require_valid()
+    return _dig_holes(surf, range(windows), "window").require_valid()
 
 
 # -- composition helpers ---------------------------------------------------------------

@@ -32,7 +32,6 @@ constructor.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import InvalidComplexError, NotApplicableError
 
@@ -51,17 +50,32 @@ def canonical_triangle(tri):
     return tri
 
 
-@dataclass(frozen=True)
 class BoundaryComponent:
-    """An ordered black boundary piece: the edge list fixes the leg order."""
+    """An ordered black boundary piece: the edge list fixes the leg order.
+    Immutable and compared by value."""
 
-    kind: str  # "interval" | "circle"
-    edges: tuple  # tuple of directed (u, v) pairs chaining head-to-tail
+    __slots__ = ("kind", "edges")
 
-    def __post_init__(self):
-        if self.kind not in ("interval", "circle"):
-            raise InvalidComplexError([f"unknown boundary kind {self.kind!r}"])
-        object.__setattr__(self, "edges", tuple((u, v) for (u, v) in self.edges))
+    def __init__(self, kind: str, edges):
+        if kind not in ("interval", "circle"):
+            raise InvalidComplexError([f"unknown boundary kind {kind!r}"])
+        object.__setattr__(self, "kind", kind)
+        # directed (u, v) pairs chaining head-to-tail
+        object.__setattr__(self, "edges", tuple((u, v) for (u, v) in edges))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BoundaryComponent is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.edges) == (other.kind, other.edges)
+
+    def __hash__(self):
+        return hash((self.kind, self.edges))
+
+    def __repr__(self):
+        return f"BoundaryComponent(kind={self.kind!r}, edges={self.edges!r})"
 
     def edge_keys(self):
         return [ekey(u, v) for (u, v) in self.edges]
@@ -557,11 +571,11 @@ class OpenClosedComplex:
                 f"coloured={len(self.coloured_edges)})")
 
 
-@dataclass
 class ComplexReport:
-    ok: bool
-    violations: list
-    components: list
+    def __init__(self, ok: bool, violations: list, components: list):
+        self.ok = ok
+        self.violations = violations
+        self.components = components
 
     def __bool__(self):
         return self.ok

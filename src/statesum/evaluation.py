@@ -38,8 +38,6 @@ level, which is triangulation independent, differs only by the central
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-
 from .algebra import _cached
 from .complexes import OpenClosedComplex, ekey
 from .errors import HasBlackBoundaryError
@@ -71,12 +69,13 @@ def signature(F: FrobeniusStructure, components, level):
             for comp in components]
 
 
-@dataclass
 class DualNetwork:
-    tensors: list
-    in_components: list  # (kind, [leg ids]) per black_in component
-    out_components: list
-    exponents: dict = dataclass_field(default_factory=dict)  # component root -> a^-k power
+    def __init__(self, tensors: list, in_components: list, out_components: list,
+                 exponents: dict | None = None):
+        self.tensors = tensors
+        self.in_components = in_components  # (kind, [leg ids]) per black_in component
+        self.out_components = out_components
+        self.exponents = {} if exponents is None else exponents  # component root -> a^-k power
 
 
 def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,

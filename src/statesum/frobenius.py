@@ -33,8 +33,6 @@ constructor insists on one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Algebra, Element, _cached
 from .errors import (
     ArityError,
@@ -400,14 +398,15 @@ def idempotent_property_report(F: FrobeniusStructure):
     return results
 
 
-@dataclass
 class KnowledgeableFrobenius:
     """Open/closed pair ``(A, C, iota, iota_star)`` with its structure maps."""
 
-    A: FrobeniusStructure
-    C: FrobeniusStructure
-    iota: Matrix       # C -> A, n x d
-    iota_star: Matrix  # A -> C, d x n
+    def __init__(self, A: FrobeniusStructure, C: FrobeniusStructure, iota: Matrix,
+                 iota_star: Matrix):
+        self.A = A
+        self.C = C
+        self.iota = iota            # C -> A, n x d
+        self.iota_star = iota_star  # A -> C, d x n
 
 
 def knowledgeable_from_frobenius(F: FrobeniusStructure) -> KnowledgeableFrobenius:

@@ -24,8 +24,6 @@ with the wrong leg type fails loudly instead of silently reindexing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SignatureMismatchError
 from .fields import Field
 from .linalg import Matrix
@@ -35,10 +33,25 @@ FULL = "full"    # the algebra A itself
 SPLIT = "split"  # a split image, e.g. C = p(A) or im P_kk
 
 
-@dataclass(frozen=True)
 class Factor:
-    kind: str
-    dim: int
+    """One tensor factor of a signature, immutable and compared by value."""
+
+    __slots__ = ("kind", "dim")
+
+    def __init__(self, kind: str, dim: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dim", dim)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Factor is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.dim) == (other.kind, other.dim)
+
+    def __hash__(self):
+        return hash((self.kind, self.dim))
 
     def __repr__(self):
         return f"{self.kind}({self.dim})"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -533,3 +536,15 @@ def test_eval_refuses_an_over_budget_output_before_contracting(tmp_path, capsys,
                     "--json")
     assert code == 1
     assert json.loads(out)["error"] == "DenseBudgetError"
+
+
+def test_cli_import_closure_stays_small():
+    # a cold `statesum` process pays for every module the CLI imports; these
+    # (dataclasses and what it pulls in, and typing) take about 11 ms of a
+    # 66 ms interpreter start, so src/ uses none of them
+    src = os.path.dirname(os.path.dirname(S.__file__))
+    probe = ("import sys, statesum.cli; print(' '.join(m for m in ('dataclasses', 'inspect', "
+             "'ast', 'dis', 'tokenize', 'typing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

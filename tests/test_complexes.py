@@ -25,6 +25,8 @@ from statesum.cobordisms import (
     zipper,
 )
 from statesum.complexes import (
+    BoundaryComponent,
+    ComplexReport,
     OpenClosedComplex,
     applicable_moves,
     pachner_13,
@@ -36,7 +38,7 @@ from statesum.complexes import (
     shelling_open_vertex,
     shelling_split_edge,
 )
-from statesum.errors import NotApplicableError, UnknownCatalogError
+from statesum.errors import InvalidComplexError, NotApplicableError, UnknownCatalogError
 
 
 def euler(c):
@@ -340,6 +342,42 @@ def test_dig_hole_roles():
         else:
             comps = getattr(dug, slot)
             assert len(comps) == 2 and comps[1].kind == "circle"
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_closed_surface_digs_its_windows_like_dig_hole(genus):
+    # closed_surface digs every window on one triangle list; it must build the
+    # complex that digging one hole at a time through dig_hole builds
+    for windows in range(7):
+        surf = closed_surface(genus, 0)
+        for h in range(windows):
+            surf = dig_hole(surf, h, "window")
+        batched = closed_surface(genus, windows)
+        assert batched.vertex_count == surf.vertex_count
+        assert batched.triangles == surf.triangles
+        assert batched.coloured_edges == surf.coloured_edges
+        assert batched.edge_colours == surf.edge_colours
+        assert (batched.black_in, batched.black_out) == (surf.black_in, surf.black_out) == ((), ())
+
+
+def test_boundary_component_is_a_value():
+    b = BoundaryComponent(**{"kind": "circle", "edges": [[0, 1], [1, 2], [2, 0]]})
+    assert b.edges == ((0, 1), (1, 2), (2, 0))
+    same = BoundaryComponent("circle", [(0, 1), (1, 2), (2, 0)])
+    assert b == same and hash(b) == hash(same)
+    assert len({b, same}) == 1
+    assert b != BoundaryComponent("interval", [(0, 1), (1, 2), (2, 0)])
+    assert b != BoundaryComponent("circle", [(1, 2), (2, 0), (0, 1)])
+    assert b != ("circle", b.edges)
+    with pytest.raises(AttributeError):
+        b.kind = "interval"
+    with pytest.raises(InvalidComplexError):
+        BoundaryComponent("disk", [(0, 1)])
+
+
+def test_complex_report_truth_follows_ok():
+    assert ComplexReport(ok=True, violations=[], components=[])
+    assert not ComplexReport(False, ["bad"], [])
 
 
 def test_connected_sum_genus_adds():

@@ -9,7 +9,7 @@ import pytest
 import statesum as S
 from statesum.errors import DenseBudgetError, SignatureMismatchError
 from statesum.linalg import DENSE_BUDGET, Matrix, check_dense
-from statesum.morphism import Morphism, full_factor, signature_dim, split_factor
+from statesum.morphism import Factor, Morphism, full_factor, signature_dim, split_factor
 
 FIELDS = {"Q": S.QQ, "F7": S.GF(7)}
 
@@ -65,6 +65,18 @@ def test_sparse_operations_match_dense_oracles(name):
     f = _random_morphism(rng, field, sig, sig)
     assert Morphism.identity(field, sig).compose(f).equal(f)
     assert Morphism.identity(field, sig).matrix == Matrix.identity(field, 6)
+
+
+def test_factor_is_a_value():
+    f = Factor("full", 3)
+    assert f == full_factor(3) and hash(f) == hash(full_factor(3))
+    assert Factor(kind="full", dim=3) == f
+    assert len({f, full_factor(3), split_factor(3)}) == 2
+    assert f != split_factor(3) and f != full_factor(2)
+    assert f != ("full", 3)
+    assert repr(f) == "full(3)"
+    with pytest.raises(AttributeError):
+        f.dim = 4
 
 
 def test_compose_checks_signatures():

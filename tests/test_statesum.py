@@ -31,6 +31,7 @@ from statesum.evaluation import (
     _close_component,
     _join_legs,
     _triangle_data,
+    DualNetwork,
     build_dual_network,
     evaluate_closed,
     state_sum,
@@ -376,6 +377,13 @@ def test_contraction_order_ignores_the_hash_seed():
                              env=env, capture_output=True, text=True, check=True)
         digests.append(out.stdout.strip())
     assert digests == ["3d8aa06ffe0b29c327700cce42e8be6aa1104f23"] * 2
+
+
+def test_dual_network_exponents_default_to_a_fresh_dict():
+    first, second = DualNetwork([], [], []), DualNetwork([], [], [])
+    assert first.exponents == {} and first.exponents is not second.exponents
+    first.exponents[0] = 1
+    assert second.exponents == {}
 
 
 def test_network_is_one_tensor_per_triangle_and_coloured_edge(m2):

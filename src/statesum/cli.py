@@ -178,12 +178,14 @@ def cmd_eval(args) -> int:
 
 
 # Budgets on declared sizes, refused before anything loads: a walk's work grows
-# with the square of its length, and so does digging many windows.  The README
-# gives the times they were set from.
+# with the square of its length, and so does digging many windows; checking a
+# group table's associativity grows with the cube of the group's order.  The
+# README gives the times they were set from.
 FUZZ_MOVES_BUDGET = 1_000  # moves per walk
 FUZZ_TOTAL_MOVES_BUDGET = 10_000  # moves * trials
 SURFACE_GENUS_BUDGET = 200
 SURFACE_WINDOWS_BUDGET = 200
+GROUP_ORDER_BUDGET = 120  # the order of S_5
 
 
 def cmd_surface(args) -> int:
@@ -269,6 +271,15 @@ def _catalog_algebra_doc(name: str, params):
         raise UnknownCatalogError(f"unknown group kind {kind!r} (cyclic, symmetric)")
     if n < 1:
         raise InvalidInput(f"group needs N >= 1, got {n}")
+    order = n
+    if kind == "symmetric":  # n!, not multiplied out past the budget
+        order = 1
+        for k in range(2, n + 1):
+            order *= k
+            if order > GROUP_ORDER_BUDGET:
+                break
+    if order > GROUP_ORDER_BUDGET:
+        raise InvalidInput(f"group takes orders <= {GROUP_ORDER_BUDGET}; {kind} {n} has more")
     group = GroupTable.cyclic(n) if kind == "cyclic" else GroupTable.symmetric(n)
     alg = group_table_algebra(field, group)
     # delta at the identity, which is the unit vector

@@ -191,12 +191,17 @@ def test_fuzz_refuses_a_vacuous_run(workdir, flags):
     ["fuzz", "--complex", "c.json", "--moves", "1000", "--trials", "11"],
     ["surface", "--genus", "1", "--windows", "100000"],
     ["surface", "--genus", "201"],
+    ["catalog", "algebra", "group", "symmetric", "6"],
+    ["catalog", "algebra", "group", "cyclic", "2000"],
 ])
 def test_declared_sizes_past_the_budgets_are_refused_at_once(workdir, argv):
-    # a walk or a surface this large would run for hours; the algebra file
-    # does not exist, so the refusal must come before anything loads
+    # a walk, a surface or a group table this large would run for minutes to
+    # hours; fuzz and surface name an algebra file that does not exist, so
+    # the refusal must come before anything loads
+    if argv[0] != "catalog":
+        argv = [*argv, "--algebra", str(workdir / "missing.json"), "--json"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([*argv, "--algebra", str(workdir / "missing.json"), "--json"])
+        code = main(argv)
     assert code == 1
     assert json.loads(out.getvalue())["error"] == "InvalidInput"

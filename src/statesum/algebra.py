@@ -1,21 +1,24 @@
 """Finite-dimensional associative unital algebras over an exact field.
 
 An algebra is given by sparse structure constants ``e_i * e_j = sum_k
-c[i,j,k] e_k`` and a unit vector.  Construction validates associativity and
-the unit laws exhaustively over the ``n^3`` basis triples: cheap at desk
-scale, about 26 s for ``Q[S_5]`` (dimension 120).  What follows from them is
-not checked again; so a right inverse is taken as two-sided (see below).
+c[i,j,k] e_k`` and a unit vector.  Construction validates the unit laws and
+associativity exhaustively over the ``n^3`` basis triples, as contractions
+of the structure tensor, one basis index ``i`` at a time for associativity:
+cheap at desk scale, about 8 s for ``Q[S_5]`` (dimension 120, so 120^3
+multiply-adds on each side).  What follows from them is not checked again;
+so a right inverse is taken as two-sided (see below).
 
 The canonical bilinear form ``(a, b) -> trace(L_{ab})`` of the left-regular
 representation is the workhorse here: the algebra is *strongly separable*
 precisely when that form is nondegenerate, and that is the precondition for
 everything the state sum does later.
 
-Every derived map, here and in ``frobenius``, is a contraction of the one
-structure tensor ``c_ijk`` (:meth:`Algebra.structure_tensor`) with vectors
-and pairings, through the kernel the state sum runs on,
-``tensors.contract_pair``.  Each memoised derivation goes through
-:func:`_cached`, the one place that decides the cache's keys.
+Every law check, product and derived map, here and in ``frobenius``, is a
+contraction of the one structure tensor ``c_ijk``
+(:meth:`Algebra.structure_tensor`) with vectors, pairings or its own slices,
+through the kernel the state sum runs on, ``tensors.contract_pair``.  Each
+memoised derivation goes through :func:`_cached`, the one place that decides
+the cache's keys.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ import functools
 from .errors import BadUnitError, NotAssociativeError
 from .fields import Field
 from .linalg import Matrix
-from .tensors import Tensor, contract_pair
+from .tensors import Tensor, _clear_denominators, contract_pair
+
+_LEFT, _RIGHT = ("v", "b", "k"), ("b", "v", "k")  # see Algebra._translation
 
 
 def _cached(method):
@@ -48,10 +53,15 @@ def _cached(method):
     return cached
 
 
+def _first_difference(a, b):
+    """The smallest key on which two unequal sparse dicts differ."""
+    return min(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+
+
 class Algebra:
     """Associative unital algebra with a distinguished basis."""
 
-    __slots__ = ("field", "dim", "basis_names", "unit", "_mul", "_mul_sparse", "_cache")
+    __slots__ = ("field", "dim", "basis_names", "unit", "_mul", "_cache")
 
     def __init__(self, field: Field, dim: int, mul_entries, unit, basis_names=None):
         """``mul_entries`` iterates sparse quadruples ``(i, j, k, coeff)``.
@@ -75,22 +85,13 @@ class Algebra:
                 raise ValueError(f"structure constant index out of range: ({i},{j},{k})")
             if c != 0:
                 table[(i, j, k)] = field.add(table.get((i, j, k), field.zero()), c)
-        # the structure tensor's data {(i, j, k): c_ijk}, and its sparse rows
-        # e_i e_j -> tuple of (k, coeff)
+        # the structure tensor's data {(i, j, k): c_ijk}
         self._mul = {key: c for key, c in sorted(table.items()) if c != 0}
-        rows = {}
-        for (i, j, k), c in self._mul.items():
-            rows.setdefault((i, j), []).append((k, c))
-        self._mul_sparse = {key: tuple(row) for key, row in rows.items()}
         self.unit = tuple(unit)
         self._cache = {}
         self._validate()
 
     # -- structure constants -----------------------------------------------
-
-    def mul_row(self, i: int, j: int):
-        """Sparse product of basis elements: tuple of ``(k, coeff)``."""
-        return self._mul_sparse.get((i, j), ())
 
     def mul_entries(self):
         """All nonzero structure constants as quadruples, sorted."""
@@ -117,62 +118,53 @@ class Algebra:
     def zero_element(self) -> "Element":
         return Element(self, [self.field.zero()] * self.dim)
 
-    def mul_vectors(self, a, b):
-        """Bilinear extension of the structure constants on coefficient vectors."""
-        f = self.field
-        out = [f.zero()] * self.dim
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                c = f.mul(ai, bj)
-                for k, coeff in self.mul_row(i, j):
-                    out[k] = f.add(out[k], f.mul(c, coeff))
-        return out
+    def _translation(self, v, legs) -> Tensor:
+        """``v`` contracted into the leg ``"v"`` of the structure tensor with
+        ``legs``: ``_LEFT`` gives ``L_v`` and ``_RIGHT`` gives ``R_v``, each
+        keyed ``(b, k)`` for the ``e_k`` coefficient of ``v e_b``, resp. ``e_b v``."""
+        return contract_pair(Tensor.vector(self.field, "v", self.dim, v),
+                             self.structure_tensor(legs))
 
     # -- validation -----------------------------------------------------------
 
     def _validate(self):
+        """The unit laws, then associativity, on the structure tensor; the
+        first failure in basis order is raised, at one ``i`` the left unit
+        law before the right, so the witness is the dense scan's."""
         f = self.field
         n = self.dim
+        identity = {(i, i): f.one() for i in range(n)}
+        bad = []
+        for side, legs in (("left", _LEFT), ("right", _RIGHT)):
+            data = self._translation(self.unit, legs).data
+            if data != identity:
+                bad.append((_first_difference(data, identity)[0], side))
+        if bad:
+            # "left" < "right": at equal i the left law is reported
+            raise BadUnitError(*min(bad))
+        # Associativity is the 2-2 move on two triangles: for each i,
+        # c_ijm c_mkl = c_jkm c_iml, both sides keyed (j, k, l).  Over Q the
+        # integer copy c * L is contracted: both sides scale by L^2.
+        c = self.structure_tensor(("j", "k", "m"))
+        if f.p is None:
+            (c,), _ = _clear_denominators([c])
+        slices = {}
+        for (i, j, m), v in c.data.items():
+            slices.setdefault(i, {})[j, m] = v
+        c_mkl = Tensor(f, ("m", "k", "l"), c.dims, c.data)
         for i in range(n):
-            ei = [f.one() if t == i else f.zero() for t in range(n)]
-            left = self.mul_vectors(self.unit, ei)
-            if left != ei:
-                raise BadUnitError(i, "left")
-            right = self.mul_vectors(ei, self.unit)
-            if right != ei:
-                raise BadUnitError(i, "right")
-        for i in range(n):
-            for j in range(n):
-                ij = self.mul_row(i, j)
-                for k in range(n):
-                    # (e_i e_j) e_k and e_i (e_j e_k), on the sparse rows
-                    lhs = self._combine(ij, lambda m: self.mul_row(m, k))
-                    rhs = self._combine(self.mul_row(j, k), lambda m: self.mul_row(i, m))
-                    if lhs != rhs:
-                        raise NotAssociativeError(i, j, k)
-
-    def _combine(self, row, product_row):
-        """``sum_m c_m product_row(m)`` over a sparse row ``((m, c_m), ...)``,
-        as a dict of its nonzero coefficients."""
-        f = self.field
-        out = {}
-        for m, c in row:
-            for k, coeff in product_row(m):
-                out[k] = f.add(out.get(k, 0), f.mul(c, coeff))
-        return {k: v for k, v in out.items() if v != 0}
+            row = slices.get(i, {})
+            lhs = contract_pair(Tensor(f, ("j", "m"), (n, n), row), c_mkl).data
+            rhs = contract_pair(c, Tensor(f, ("m", "l"), (n, n), row)).data
+            if lhs != rhs:
+                raise NotAssociativeError(i, *_first_difference(lhs, rhs)[:2])
 
     # -- representation-theoretic data ----------------------------------------
 
     def left_regular_matrix(self, a) -> Matrix:
         """Matrix of ``L_a : b -> a*b``, ``L_a[k][j] = sum_i a_i c_ijk``."""
         coeffs = a.coeffs if isinstance(a, Element) else a
-        la = contract_pair(Tensor.vector(self.field, "i", self.dim, coeffs),
-                           self.structure_tensor(("i", "j", "k")))
-        return la.to_matrix(("k",), ("j",))
+        return self._translation(coeffs, _LEFT).to_matrix(("k",), ("b",))
 
     def bilinear_form(self, v) -> Matrix:
         """Gram matrix ``G[i][j] = sum_k c_ijk v_k`` of the form ``(a, b) -> v(ab)``
@@ -256,7 +248,11 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         if self.algebra is not other.algebra:
             raise ValueError("elements live in different algebras")
-        return Element(self.algebra, self.algebra.mul_vectors(self.coeffs, other.coeffs))
+        alg = self.algebra
+        # a b = L_a b
+        ab = contract_pair(alg._translation(self.coeffs, _LEFT),
+                           Tensor.vector(alg.field, "b", alg.dim, other.coeffs))
+        return Element(alg, ab.to_matrix(("k",), ()).column(0))
 
     def __add__(self, other: "Element") -> "Element":
         f = self.algebra.field
@@ -274,12 +270,8 @@ class Element:
         return all(c == 0 for c in self.coeffs)
 
     def is_central(self) -> bool:
-        alg = self.algebra
-        for i in range(alg.dim):
-            ei = alg.basis_element(i)
-            if alg.mul_vectors(self.coeffs, ei.coeffs) != alg.mul_vectors(ei.coeffs, self.coeffs):
-                return False
-        return True
+        left, right = (self.algebra._translation(self.coeffs, legs) for legs in (_LEFT, _RIGHT))
+        return left.data == right.data
 
     def inverse(self):
         """Two-sided inverse, or ``None`` if the element is not invertible."""

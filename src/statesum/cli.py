@@ -179,8 +179,9 @@ def cmd_eval(args) -> int:
 
 # Budgets on declared sizes, refused before anything loads: a walk's work grows
 # with the square of its length, and so does digging many windows; checking a
-# group table's associativity grows with the cube of the group's order.  The
-# README gives the times they were set from.
+# group table's associativity takes the cube of the group's order in
+# multiply-adds on each side, about 8 s for S_5.  The README gives the times
+# they were set from.
 FUZZ_MOVES_BUDGET = 1_000  # moves per walk
 FUZZ_TOTAL_MOVES_BUDGET = 10_000  # moves * trials
 SURFACE_GENUS_BUDGET = 200

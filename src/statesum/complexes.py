@@ -310,6 +310,13 @@ class OpenClosedComplex:
     # -- validation ----------------------------------------------------------------
 
     def validate(self) -> "ComplexReport":
+        violations = self._violations()
+        components = self._component_reports() if not violations else []
+        return ComplexReport(ok=not violations, violations=violations, components=components)
+
+    def _violations(self):
+        """Every ``(kind, message)`` by which the complex is not a valid
+        open-closed cobordism, in a fixed order; empty when it is one."""
         violations = []
         n = self.vertex_count
 
@@ -416,9 +423,7 @@ class OpenClosedComplex:
         for e in self.edge_colours:
             if e not in self.coloured_edges:
                 violations.append(("brane_colours", f"colour on non-coloured edge {e}"))
-
-        components = self._component_reports() if not violations else []
-        return ComplexReport(ok=not violations, violations=violations, components=components)
+        return violations
 
     def _link_violations(self):
         violations = []
@@ -508,9 +513,9 @@ class OpenClosedComplex:
         return reports
 
     def require_valid(self):
-        report = self.validate()
-        if not report.ok:
-            raise InvalidComplexError(report.violations)
+        violations = self._violations()
+        if violations:
+            raise InvalidComplexError(violations)
         return self
 
     # -- rebuilding helpers -----------------------------------------------------

@@ -310,13 +310,9 @@ def window_element(F: FrobeniusStructure) -> Element:
         for (j, b, v) in F.comul[i]:
             two[j * n + b] = f.add(two[j * n + b], f.mul(ui, v))
     out = [f.zero()] * n
-    for j in range(n):
-        for b in range(n):
-            c = two[j * n + b]
-            if c == 0:
-                continue
-            for k, cc in alg.mul_row(j, b):
-                out[k] = f.add(out[k], f.mul(c, cc))
+    for j, b, k, cc in alg.mul_entries():
+        if c := two[j * n + b]:
+            out[k] = f.add(out[k], f.mul(c, cc))
     return Element(alg, out)
 
 

@@ -23,9 +23,10 @@ The first tensor's entries are grouped by their free part, the output row.
 Each row sums its products in a dict keyed by column id, so a multiply-add
 builds and hashes no tuple; each sum is then reduced once (mod ``p`` over
 F_p, a zero test over Q), and only a nonzero one pays for its output index
-tuple.  One code path serves the integers of a Q network, residues mod ``p``
-and direct ``Fraction`` calls; the last are the derived structure maps of
-``algebra`` and ``frobenius``, each a contraction of the structure tensor.
+tuple.  One code path serves the integers of a Q network or of the
+associativity check, residues mod ``p`` and direct ``Fraction`` calls; the
+last are the products, unit checks and derived structure maps of ``algebra``
+and ``frobenius``, each a contraction of the structure tensor.
 
 Contraction is planned on shapes alone, then executed.  The plan is greedy
 on the *dense* size of the result: of the pairs sharing a leg that only they

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -44,18 +45,30 @@ def test_make_algebra_rejects_non_associative():
         S.Algebra(field, 3, entries, unit)
 
 
-def _dense_first_failure(n, entries, unit):
+def _brute_product(field, n, table, a, b):
+    """``a b`` by the triple loop over the structure constants ``table``."""
+    out = []
+    for k in range(n):
+        s = field.zero()
+        for i in range(n):
+            for j in range(n):
+                if a[i] != 0 and b[j] != 0 and (i, j, k) in table:
+                    s = field.add(s, field.mul(field.mul(a[i], b[j]), table[i, j, k]))
+        out.append(s)
+    return out
+
+
+def _dense_first_failure(field, n, entries, unit):
     """The first failing unit law or basis triple, found by dense brute force
-    over Q in the order the validator promises, or ``None``."""
+    over ``field`` in the order the validator promises, or ``None``."""
     table = {}
     for i, j, k, c in entries:
-        table[i, j, k] = table.get((i, j, k), 0) + c
+        table[i, j, k] = field.add(table.get((i, j, k), field.zero()), c)
 
     def mul(a, b):
-        return [sum(a[i] * b[j] * table.get((i, j, k), 0) for i in range(n) for j in range(n))
-                for k in range(n)]
+        return _brute_product(field, n, table, a, b)
 
-    basis = [[Fraction(int(t == i)) for t in range(n)] for i in range(n)]
+    basis = [[field.of_int(int(t == i)) for t in range(n)] for i in range(n)]
     for i in range(n):
         if mul(unit, basis[i]) != basis[i]:
             return BadUnitError, (i, "left")
@@ -69,13 +82,25 @@ def _dense_first_failure(n, entries, unit):
     return None
 
 
-@pytest.mark.parametrize("base,seed", [(b, s) for b in ("Z3", "S3", "M2") for s in range(4)])
-def test_validation_witness_is_the_first_dense_failure(base, seed):
-    alg = {
-        "Z3": lambda: S.group_algebra(QQ, S.GroupTable.cyclic(3))[0],
-        "S3": lambda: S.group_algebra(QQ, S.GroupTable.symmetric(3))[0],
-        "M2": lambda: S.matrix_direct_sum(QQ, [2], [1])[0],
-    }[base]()
+def _halved_group_algebra(field, group):
+    """``k[G]`` in the basis ``g / 2``: ``c = 1/2`` and the unit ``2 e``, so
+    over Q the structure tensor is not integral."""
+    alg = S.group_algebra(field, group)[0]
+    half = field.div(field.one(), field.of_int(2))
+    entries = [(i, j, k, field.mul(half, c)) for i, j, k, c in alg.mul_entries()]
+    return S.Algebra(field, alg.dim, entries, [field.mul(field.of_int(2), u) for u in alg.unit])
+
+
+_BASES = {
+    "Z3": lambda field: S.group_algebra(field, S.GroupTable.cyclic(3))[0],
+    "S3": lambda field: S.group_algebra(field, S.GroupTable.symmetric(3))[0],
+    "M2": lambda field: S.matrix_direct_sum(field, [2], [1])[0],
+    "S3/2": lambda field: _halved_group_algebra(field, S.GroupTable.symmetric(3)),
+}
+
+
+def _assert_first_witness(field, base, seed):
+    alg = _BASES[base](field)
     n = alg.dim
     rng = random.Random(seed)
     entries = list(alg.mul_entries())
@@ -84,12 +109,70 @@ def test_validation_witness_is_the_first_dense_failure(base, seed):
     free = [b for b in range(n) if alg.unit[b] == 0] if seed < 2 else range(n)
     for _ in range(1 + seed % 2):
         i, j, k = rng.choice(free), rng.choice(free), rng.randrange(n)
-        entries.append((i, j, k, Fraction(rng.choice([-2, 1, 3]), rng.choice([1, 2]))))
-    expected = _dense_first_failure(n, entries, list(alg.unit))
+        c = field.div(field.of_int(rng.choice([-2, 1, 3])), field.of_int(rng.choice([1, 2])))
+        entries.append((i, j, k, c))
+    expected = _dense_first_failure(field, n, entries, list(alg.unit))
     assert expected is not None
     with pytest.raises(expected[0]) as err:
-        S.Algebra(QQ, n, entries, alg.unit)
+        S.Algebra(field, n, entries, alg.unit)
     assert err.value.witness == expected[1]
+
+
+@pytest.mark.parametrize("base,seed", [(b, s) for b in ("Z3", "S3", "M2") for s in range(4)])
+def test_validation_witness_is_the_first_dense_failure(base, seed):
+    _assert_first_witness(QQ, base, seed)
+
+
+@pytest.mark.parametrize("base,seed", [(b, s) for b in ("Z3", "S3", "M2") for s in range(4)])
+def test_validation_witness_is_the_first_dense_failure_mod_p(base, seed):
+    _assert_first_witness(GF(7), base, seed)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("base", list(_BASES))
+def test_products_centrality_and_unit_check_match_brute_force(field, base):
+    alg = _BASES[base](field)
+    n = alg.dim
+    entries = list(alg.mul_entries())
+    table = {(i, j, k): c for i, j, k, c in entries}
+    rng = random.Random(0)
+
+    def brute(a, b):
+        return _brute_product(field, n, table, a, b)
+
+    def random_vector(density):
+        return [field.div(field.of_int(rng.randrange(-3, 4)), field.of_int(rng.choice([1, 2, 3])))
+                if rng.random() < density else field.zero() for _ in range(n)]
+
+    vectors = [random_vector(d) for d in (0.2, 0.5, 1.0) for _ in range(3)]
+    centre = [z.coeffs for z in alg.centre_basis()]
+    mix = [field.of_int(rng.randrange(-2, 3)) for _ in centre]
+    combination = [functools.reduce(field.add, (field.mul(m, z[t]) for m, z in zip(mix, centre)))
+                   for t in range(n)]
+    central = centre + [combination]
+    for a in vectors + central:
+        for b in vectors:
+            assert list((alg.element(a) * alg.element(b)).coeffs) == brute(a, b)
+        commutes = all(brute(a, e.coeffs) == brute(e.coeffs, a)
+                       for e in (alg.basis_element(i) for i in range(n)))
+        assert alg.element(a).is_central() == commutes
+    assert all(alg.element(z).is_central() for z in central)
+    if base == "M2":
+        assert not alg.basis_element(0).is_central()  # e00
+    # the true unit, and candidates that break it at one or at every entry
+    units = [list(alg.unit)] + vectors[:3]
+    for _ in range(3):
+        u = list(alg.unit)
+        u[rng.randrange(n)] = field.of_int(rng.randrange(-2, 3))
+        units.append(u)
+    for u in units:
+        expected = _dense_first_failure(field, n, entries, u)
+        if expected is None:
+            assert S.Algebra(field, n, entries, u).unit == tuple(u)
+        else:
+            with pytest.raises(expected[0]) as err:
+                S.Algebra(field, n, entries, u)
+            assert err.value.witness == expected[1]
 
 
 def test_make_algebra_rejects_bad_unit():

@@ -102,6 +102,20 @@ def test_unclassified_boundary_detected():
     assert any(code == "classification" for code, _ in report.violations)
 
 
+def test_require_valid_raises_exactly_the_violations_validate_reports():
+    invalid = [
+        OpenClosedComplex(5, [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [], [], []),
+        OpenClosedComplex(4, [(0, 1, 2), (0, 1, 3)], [(0, 2), (2, 1), (1, 3), (3, 0)], [], []),
+        OpenClosedComplex(3, [(0, 1, 2)], [(0, 2)], [], []),
+    ]
+    for c in invalid:
+        with pytest.raises(InvalidComplexError) as err:
+            c.require_valid()
+        assert err.value.violations == c.validate().violations
+    for c in (closed_surface(2, 1), disjoint_union(strip(1, 1), open_unit())):
+        assert c.require_valid() is c
+
+
 def test_genus_and_windows_reported():
     c = closed_surface(2, 1)
     report = c.validate()

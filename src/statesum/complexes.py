@@ -17,16 +17,19 @@ lists exactly the sites the checks accept, so a listed move always applies.
 
 The checks share one edge index: each edge maps to its triangles in
 ascending index order, each with its apex, the vertex opposite the edge.  So
-the flip check reads both apexes in O(1), and the other checks, which also
-read a lazy vertex -> triangles and boundary vertex -> boundary edges index,
-cost O(degree).  One pair of primitives edits the edge index, adding or
-dropping one triangle.  The constructor adds every triangle to empty
-indexes.  A move that keeps every triangle's index (2-2, 1-3, and the
-shellings that split an edge or close a vertex, which only append) copies
-its parent's index and drops and adds just the triangles it changes; 2-2 and
-1-3 keep the parent's boundary index too.  The moves that renumber vertices
-or shift indices (3-1 and the other two shellings) go through the
-constructor.
+the flip precondition (``_flippable``: two triangles whose apexes differ and
+are not already joined) reads one edge's entries and one membership in
+O(1).  ``pachner_22`` checks it through its site, and ``applicable_moves``
+filters the edge index with it directly, so listing the flips builds no
+site.  The other checks, which also read a lazy vertex -> triangles and
+boundary vertex -> boundary edges index, cost O(degree).  One pair of
+primitives edits the edge index, adding or dropping one triangle.  The
+constructor adds every triangle to empty indexes.  A move that keeps every
+triangle's index (2-2, 1-3, and the shellings that split an edge or close a
+vertex, which only append) copies its parent's index and drops and adds just
+the triangles it changes; 2-2 and 1-3 keep the parent's boundary index
+too.  The moves that renumber vertices or shift indices (3-1 and the other
+two shellings) go through the constructor.
 """
 
 from __future__ import annotations
@@ -619,16 +622,23 @@ def _without_vertex(c, w):
     return c.relabelled(vmap, c.vertex_count - 1)
 
 
-def _flip_site(c, edge):
-    """For an interior edge: its directed form ``(u, v)`` in triangle ``t1``
-    with apex ``x``, and triangle ``t2`` with apex ``y``, unless ``x``-``y``
-    is already an edge."""
-    tris = c._edge_tris.get(ekey(*edge), ())
+def _flippable(et, tris):
+    """The flip precondition, read off the edge index ``et`` for an edge with
+    the entries ``tris``: the edge is interior (two triangles), and their
+    apexes differ and are not already joined by an edge."""
     if len(tris) != 2:
+        return False
+    (_, x), (_, y) = tris
+    return x != y and ((x, y) if x < y else (y, x)) not in et
+
+
+def _flip_site(c, edge):
+    """For a flippable edge (``_flippable``): its directed form ``(u, v)`` in
+    triangle ``t1`` with apex ``x``, and triangle ``t2`` with apex ``y``."""
+    tris = c._edge_tris.get(ekey(*edge), ())
+    if not _flippable(c._edge_tris, tris):
         return None
     (t1, x), (t2, y) = tris
-    if x == y or ekey(x, y) in c._edge_tris:
-        return None
     a, b, cc = c.triangles[t1]
     u, v = (b, cc) if x == a else (cc, a) if x == b else (a, b)
     return (u, v), t1, x, t2, y
@@ -821,7 +831,8 @@ _MOVES = {
 def applicable_moves(c: OpenClosedComplex):
     """Deterministically ordered list of the ``(kind, site)`` pairs whose move
     applies: the sites that the moves' own checks accept."""
-    moves = [("flip", e) for e in c.interior_edges() if _flip_site(c, e) is not None]
+    et = c._edge_tris
+    moves = [("flip", e) for e in sorted(e for e, ts in et.items() if _flippable(et, ts))]
     moves += [("split", t) for t in range(len(c.triangles))]  # every index in range splits
     vt = c.vertex_triangles()
     moves += [("merge", v) for v in sorted(vt)  # only a vertex of degree 3 can merge

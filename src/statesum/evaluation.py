@@ -1,10 +1,12 @@
 """The state sum: dual tensor network of a triangulation and its evaluations.
 
 All levels run one pipeline (``_evaluate``): build the network dual to the
-triangulation, close its black components unless the level is raw, contract,
-and read the result off as a sparse morphism, its nonzero entries grouped by
-row.  Nothing dense is built on the way, so results far larger than any
-dense matrix (raw ``strip(5, 5)`` over a 13-dimensional algebra is a
+triangulation, close its black components unless the level is raw, and
+contract.  The last contraction step writes the result as a sparse
+morphism's nonzero entries grouped by row, output legs as rows and input legs
+as columns (``greedy_contract`` given those legs); no result tensor is built
+and read off again.  Nothing dense is built on the way, so results far larger
+than any dense matrix (raw ``strip(5, 5)`` over a 13-dimensional algebra is a
 371,293 x 371,293 map with 60,073 nonzeros) evaluate.
 
 The network is one tensor per triangle and one vector per coloured edge.  A
@@ -195,9 +197,9 @@ def _close_component(F, side, ci, kind, legs, full):
 
 def _evaluate(F, c, coloured_elements, level) -> Morphism:
     """The one pipeline behind every level: build the dual network, close each
-    black component unless ``level`` is ``"raw"``, contract, and read the
-    result's nonzeros off with output legs as rows and input legs as columns.
-    No dense matrix is formed."""
+    black component unless ``level`` is ``"raw"``, and contract; the last step
+    writes the result's nonzeros with output legs as rows and input legs as
+    columns.  No dense matrix is formed."""
     net = build_dual_network(F, c, coloured_elements)
     legs = {"in": [], "out": []}
     for side, components in (("in", net.in_components), ("out", net.out_components)):
@@ -208,10 +210,10 @@ def _evaluate(F, c, coloured_elements, level) -> Morphism:
                 tensors, leg = _close_component(F, side, ci, kind, comp_legs, level == "full")
                 net.tensors += tensors
                 legs[side].append(leg)
-    # the empty complex has no tensors; their empty product is the scalar 1
-    t = (greedy_contract(net.tensors) if net.tensors
-         else Tensor(F.field, (), (), {(): F.field.one()}))
-    nonzeros = t.read_off(legs["out"], legs["in"])[2]
+    if net.tensors:
+        nonzeros = greedy_contract(net.tensors, legs["out"], legs["in"])[2]
+    else:  # the empty complex: the empty product is the scalar 1
+        nonzeros = {0: {0: F.field.one()}}
     return Morphism(F.field, signature(F, c.black_in, level), signature(F, c.black_out, level),
                     nonzeros)
 

@@ -121,8 +121,9 @@ class Morphism:
             raise SignatureMismatchError(
                 f"cannot compose: domain {self.domain} != codomain {other.codomain}"
             )
-        t = greedy_contract([self._tensor(("out", "mid")), other._tensor(("mid", "in"))])
-        return Morphism(self.field, other.domain, self.codomain, t.read_off(["out"], ["in"])[2])
+        nonzeros = greedy_contract([self._tensor(("out", "mid")), other._tensor(("mid", "in"))],
+                                   ["out"], ["in"])[2]
+        return Morphism(self.field, other.domain, self.codomain, nonzeros)
 
     def tensor(self, other: "Morphism") -> "Morphism":
         mul = self.field.mul

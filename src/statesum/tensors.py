@@ -28,6 +28,16 @@ associativity check, residues mod ``p`` and direct ``Fraction`` calls; the
 last are the products, unit checks and derived structure maps of ``algebra``
 and ``frobenius``, each a contraction of the structure tensor.
 
+A state sum or a composite is wanted as a sparse matrix, ``Tensor.read_off``'s
+``{row: {col: value}}``, not as a tensor.  Given its row and column legs,
+``greedy_contract`` has the last step write that matrix itself
+(``_contract_read_off``).  Each leg has a fixed place value in the row or the
+column number, so each output row of the first operand and each column id of
+the second gets its share of both numbers once, and each nonzero adds the two
+shares.  The division by ``D`` over Q and the reduction mod ``p`` over F_p
+happen in the same loop.  No output index tuple is built, and the nonzeros
+come out in ``read_off``'s order.
+
 Contraction is planned on shapes alone, then executed.  The plan is greedy
 on the *dense* size of the result: of the pairs sharing a leg that only they
 hold, it takes the smallest result, ties broken by the smallest shared leg,
@@ -180,13 +190,14 @@ def _getter(positions):
     return itemgetter(slice(p, p + len(positions)))
 
 
-def contract_pair(t1: Tensor, t2: Tensor) -> Tensor:
-    """Contract all legs shared by name between two tensors; the result's
-    legs are ``t1``'s free legs, then ``t2``'s, each in their own order.
+def _row_sums(t1, t2):
+    """The row-by-row product of two tensors (see the module docstring).
 
-    Row by row (see the module docstring): ``t2``'s entries are bucketed by
-    shared key as ``(column id, value)``, ``t1``'s grouped by output row, and
-    each row accumulates over column ids and reduces each sum once.
+    ``t2``'s entries are bucketed by shared key as ``(column id, value)`` and
+    ``t1``'s grouped by output row.  Returns the positions of ``t1``'s and
+    ``t2``'s free legs, ``t2``'s free parts by column id, and an iterator over
+    the output rows as ``(t1's free part, {column id: sum})``, in order of
+    first appearance, with the sums unreduced.
     """
     legs2 = set(t2.legs)
     shared = [l for l in t1.legs if l in legs2]
@@ -208,14 +219,28 @@ def contract_pair(t1: Tensor, t2: Tensor) -> Tensor:
         if hits:
             rows.setdefault(free1(idx), []).append((v, hits))
 
-    col = list(cols)
+    def sums():
+        for base, terms in rows.items():
+            acc = defaultdict(int)
+            for v, hits in terms:
+                for j, v2 in hits:
+                    acc[j] += v * v2
+            yield base, acc
+
+    return keep1, keep2, list(cols), sums()
+
+
+def contract_pair(t1: Tensor, t2: Tensor) -> Tensor:
+    """Contract all legs shared by name between two tensors; the result's
+    legs are ``t1``'s free legs, then ``t2``'s, each in their own order.
+
+    Row by row (see ``_row_sums``); each sum is reduced once, and only a
+    nonzero one pays for its output index tuple.
+    """
+    keep1, keep2, col, rows = _row_sums(t1, t2)
     p = t1.field.p
     data = {}
-    for base, terms in rows.items():
-        acc = defaultdict(int)
-        for v, hits in terms:
-            for j, v2 in hits:
-                acc[j] += v * v2
+    for base, acc in rows:
         if p is None:
             for j, s in acc.items():
                 if s:
@@ -227,6 +252,47 @@ def contract_pair(t1: Tensor, t2: Tensor) -> Tensor:
     legs = tuple(t1.legs[i] for i in keep1) + tuple(t2.legs[i] for i in keep2)
     dims = tuple(t1.dims[i] for i in keep1) + tuple(t2.dims[i] for i in keep2)
     return Tensor(t1.field, legs, dims, data)
+
+
+def _contract_read_off(t1, t2, row_legs, col_legs, D):
+    """``contract_pair(t1, t2).read_off(row_legs, col_legs)``, written by the
+    contraction itself (see the module docstring).  Over Q the integer sums
+    are divided by ``D``, one ``Fraction`` per distinct value; over F_p they
+    are reduced mod ``p``."""
+    dim = dict(zip(t1.legs, t1.dims))
+    dim.update(zip(t2.legs, t2.dims))
+    rdims, cdims = [dim[l] for l in row_legs], [dim[l] for l in col_legs]
+    rplace = dict(zip(row_legs, _strides(rdims)))
+    cplace = dict(zip(col_legs, _strides(cdims)))
+    keep1, keep2, col, rows = _row_sums(t1, t2)
+    r1 = [rplace.get(t1.legs[i], 0) for i in keep1]
+    c1 = [cplace.get(t1.legs[i], 0) for i in keep1]
+    rp2 = [rplace.get(t2.legs[i], 0) for i in keep2]
+    cp2 = [cplace.get(t2.legs[i], 0) for i in keep2]
+    r2 = [sum(map(mul, rp2, part)) for part in col]
+    c2 = [sum(map(mul, cp2, part)) for part in col]
+    p = t1.field.p
+    values = {}  # one Fraction per distinct integer sum: equal entries share it
+    col_ids = {}  # every row keys a column by the same int object
+    nonzeros = {}
+    for base, acc in rows:
+        rb, cb = sum(map(mul, r1, base)), sum(map(mul, c1, base))
+        for j, s in acc.items():
+            if p is None:
+                if not s:
+                    continue
+                v = values.get(s)
+                if v is None:
+                    values[s] = v = Fraction(s, D)
+            elif not (v := s % p):
+                continue
+            r = rb + r2[j]
+            row = nonzeros.get(r)
+            if row is None:
+                nonzeros[r] = row = {}
+            c = cb + c2[j]
+            row[col_ids.setdefault(c, c)] = v
+    return prod(rdims), prod(cdims), nonzeros
 
 
 def _clear_denominators(tensors):
@@ -401,22 +467,32 @@ def contraction_order(shapes):
     return steps
 
 
-def greedy_contract(tensors) -> Tensor:
+def greedy_contract(tensors, row_legs=None, col_legs=None):
     """Contract a list of tensors down to one, in the order
     ``contraction_order`` gives for their shapes.
 
     Over Q the contraction runs on integer copies (see the module docstring)
     and the result is divided by their common scale once, at the end.
+
+    Given ``row_legs`` and ``col_legs``, returns the result's
+    ``Tensor.read_off(row_legs, col_legs)`` instead; the last contraction
+    step writes it directly (``_contract_read_off``), so the result is
+    never built as a tensor.
     """
     rational = tensors[0].field.p is None
     items, D = _clear_denominators(tensors) if rational else (list(tensors), 1)
-    for a, b in contraction_order([(t.legs, t.dims) for t in items]):
+    steps = contraction_order([(t.legs, t.dims) for t in items])
+    fused = row_legs is not None and steps
+    for a, b in steps[:-1] if fused else steps:
         items.append(contract_pair(items[a], items[b]))
         items[a] = items[b] = None  # frees the integer copies as they are used
+    if fused:
+        a, b = steps[-1]
+        return _contract_read_off(items[a], items[b], row_legs, col_legs, D)
     result = items[-1]
     if rational:
         # one Fraction per distinct value: a state sum has few, and equal
         # entries then share one object
         values = {v: Fraction(v, D) for v in set(result.data.values())}
         result.data = {k: values[v] for k, v in result.data.items()}
-    return result
+    return result if row_legs is None else result.read_off(row_legs, col_legs)

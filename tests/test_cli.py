@@ -528,7 +528,7 @@ def test_eval_refuses_an_over_budget_output_before_contracting(tmp_path, capsys,
     assert json.loads(out)["matrix"] == [["1" if i == j else "0" for j in range(13)]
                                          for i in range(13)]
 
-    def contract(tensors):
+    def contract(*args):
         raise AssertionError("the network was contracted")
 
     monkeypatch.setattr("statesum.evaluation.greedy_contract", contract)

@@ -159,6 +159,16 @@ def test_flip_blocked_when_diagonal_exists():
             pachner_22(c, e)
 
 
+def test_flip_blocked_when_both_triangles_have_one_apex():
+    # two triangles on one vertex set (validation rejects the duplicate): each
+    # edge's apexes coincide, and flipping would make a degenerate triangle
+    c = OpenClosedComplex(3, [(0, 1, 2), (0, 2, 1)], [], [], [])
+    assert not any(kind == "flip" for kind, _ in applicable_moves(c))
+    for e in c.interior_edges():
+        with pytest.raises(NotApplicableError):
+            pachner_22(c, e)
+
+
 def test_split_counts_and_inverse():
     c = grid_torus()
     split = pachner_13(c, 0)

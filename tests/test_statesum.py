@@ -637,11 +637,65 @@ def test_contract_pair_drops_sums_that_cancel(kind):
     t2 = Tensor(field, ("s", "b"), (2, 2), {(0, 0): one, (1, 0): minus_one, (0, 1): one})
     assert contract_pair(t1, t2).data == {(0, 1): one, (1, 0): one, (1, 1): one}
     _assert_matches_brute_force(kind, t1, t2)
+    assert _assert_fused_read_off([t1, t2], ["a"], ["b"]) == (2, 2, {0: {1: 1}, 1: {0: 1, 1: 1}})
     # all legs shared: a scalar sum that cancels leaves no entry at all
     v1 = Tensor(field, ("s",), (2,), {(0,): one, (1,): one})
     v2 = Tensor(field, ("s",), (2,), {(0,): one, (1,): minus_one})
     assert contract_pair(v1, v2).data == {}
     _assert_matches_brute_force(kind, v1, v2)
+    assert _assert_fused_read_off([v1, v2], [], []) == (1, 1, {})
+
+
+# -- the read-off written by the last contraction step --------------------------------
+
+_FUSED = {  # tensor (legs, dims), then the row legs and the column legs
+    # the final operands each hold a row leg and a column leg, and the row
+    # legs name the second operand's leg first
+    "split": ([(("a", "s", "b"), (2, 3, 2)), (("s", "c", "d"), (3, 3, 2))],
+              ["c", "a"], ["d", "b"]),
+    "all_rows": ([(("a", "s", "b"), (2, 3, 2)), (("s", "c", "d"), (3, 3, 2))],
+                 ["a", "b", "c", "d"], []),
+    "all_cols": ([(("a", "s", "b"), (2, 3, 2)), (("s", "c", "d"), (3, 3, 2))],
+                 [], ["d", "a", "c", "b"]),
+    "scalar": ([(("s", "t"), (2, 3)), (("t", "s"), (3, 2))], [], []),
+    "outer": ([(("a",), (3,)), (("b",), (2,))], ["b"], ["a"]),
+    "chain": ([(("a", "x"), (2, 3)), (("x", "b", "y"), (3, 2, 2)), (("y", "z"), (2, 3)),
+               (("z", "c"), (3, 2))], ["b"], ["c", "a"]),
+    "single": ([(("a", "b", "c"), (2, 3, 2))], ["c", "a"], ["b"]),
+}
+
+
+def _typed(read_off):
+    rows, cols, nonzeros = read_off
+    return rows, cols, [(r, [(c, type(v), v) for c, v in row.items()])
+                        for r, row in nonzeros.items()]
+
+
+def _assert_fused_read_off(tensors, row_legs, col_legs):
+    got = greedy_contract(tensors, row_legs, col_legs)
+    want = greedy_contract(tensors).read_off(row_legs, col_legs)
+    assert _typed(got) == _typed(want)  # values, value types and insertion order
+    return got
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "fp"])
+@pytest.mark.parametrize("network", list(_FUSED))
+def test_fused_read_off_equals_read_off_of_the_contraction(kind, network):
+    shapes, row_legs, col_legs = _FUSED[network]
+    rng = random.Random(f"fused/{kind}/{network}")
+    value_type = int if kind == "fp" else Fraction
+    seen = set()
+    for density in (0.0, 0.4, 1.0):  # 0.0: every input empty, so is the result
+        for _ in range(5):
+            tensors = [_random_tensor(kind, legs, dims, rng, density) for legs, dims in shapes]
+            got = _assert_fused_read_off(tensors, row_legs, col_legs)
+            values = [v for row in got[2].values() for v in row.values()]
+            assert all(type(v) is value_type for v in values)
+            if kind == "fp":
+                assert all(0 < v < _P for v in values)
+            seen.update(v for t in tensors for v in t.data.values())
+    if kind == "fraction":  # the integer contraction is divided by some D != 1
+        assert any(v.denominator != 1 for v in seen)
 
 
 # -- pinned results -------------------------------------------------------------------

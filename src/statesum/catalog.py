@@ -227,8 +227,20 @@ class FiniteGroupoid:
     def _validate(self):
         n = self.num_morphisms
         X = self.num_objects
+        if len(self.target) != n or len(self.inverse) != n:
+            raise InvalidInput("source, target and inverse must list one entry per morphism")
+        if len(self.compose_table) != n or any(len(row) != n for row in self.compose_table):
+            raise InvalidInput(f"composition table must be {n} x {n}")
         if len(self.identity_of) != X:
             raise InvalidInput("identity map must assign one morphism per object")
+        for name, values, bound in (("source", self.source, X), ("target", self.target, X),
+                                    ("identity_of", self.identity_of, n),
+                                    ("inverse", self.inverse, n),
+                                    ("composite", [v for row in self.compose_table for v in row
+                                                   if v is not None], n)):
+            bad = next((v for v in values if not (isinstance(v, int) and 0 <= v < bound)), None)
+            if bad is not None:
+                raise InvalidInput(f"{name} entry {bad!r} is not in range({bound})")
         for x in range(X):
             i = self.identity_of[x]
             if self.source[i] != x or self.target[i] != x:

@@ -3,10 +3,11 @@
 A complex stores oriented triangles as vertex triples (canonically rotated so
 the smallest vertex comes first), a set of coloured (free) boundary edges,
 and ordered black boundary components split into inputs and outputs.  Edge
-identity is the unordered vertex pair; all orientation data lives on the
-triangles.  Degenerate triangulations (loop edges, parallel edges, repeated
-triangles) are rejected -- in particular a boundary circle needs at least
-three edges.
+identity is the unordered vertex pair.  All orientation data lives on the
+triangles and is read from them: validation counts the directed edges
+itself, and a boundary edge runs as its one triangle traverses it.
+Degenerate triangulations (loop edges, parallel edges, repeated triangles)
+are rejected -- in particular a boundary circle needs at least three edges.
 
 Moves (bistellar 1-3 / 3-1 / 2-2 and the coloured elementary shellings)
 return new complexes; values are immutable after construction.  Each move's
@@ -15,16 +16,16 @@ needs or ``None``.  The move raises ``NotApplicableError`` on ``None`` or on
 a site not shaped like a vertex, edge or triangle, and ``applicable_moves``
 lists exactly the sites the checks accept, so a listed move always applies.
 
-The checks share one edge index: each edge maps to its triangles in
-ascending index order, each with its apex, the vertex opposite the edge.  So
-the flip precondition (``_flippable``: two triangles whose apexes differ and
-are not already joined) reads one edge's entries and one membership in
-O(1).  ``pachner_22`` checks it through its site, and ``applicable_moves``
-filters the edge index with it directly, so listing the flips builds no
-site.  The other checks, which also read a lazy vertex -> triangles and
-boundary vertex -> boundary edges index, cost O(degree).  One pair of
-primitives edits the edge index, adding or dropping one triangle.  The
-constructor adds every triangle to empty indexes.  A move that keeps every
+The checks share one edge index, the complex's only one: each edge maps to
+its triangles in ascending index order, each with its apex, the vertex
+opposite the edge.  So the flip precondition (``_flippable``: two triangles
+whose apexes differ and are not already joined) reads one edge's entries and
+one membership in O(1).  ``pachner_22`` checks it through its site, and
+``applicable_moves`` filters the edge index with it directly, so listing the
+flips builds no site.  The other checks, which also read a lazy vertex ->
+triangles and boundary vertex -> boundary edges index, cost O(degree).  One
+pair of primitives edits the edge index, adding or dropping one triangle.
+The constructor adds every triangle to empty indexes.  A move that keeps every
 triangle's index (2-2, 1-3, and the shellings that split an edge or close a
 vertex, which only append) copies its parent's index and drops and adds just
 the triangles it changes; 2-2 and 1-3 keep the parent's boundary index
@@ -94,7 +95,7 @@ class OpenClosedComplex:
     """Oriented triangulated 2-manifold with black/coloured boundary."""
 
     __slots__ = ("vertex_count", "triangles", "coloured_edges", "black_in", "black_out",
-                 "edge_colours", "_edge_tris", "_directed", "_vertex_tris", "_boundary_at")
+                 "edge_colours", "_edge_tris", "_vertex_tris", "_boundary_at")
 
     def __init__(self, vertex_count, triangles, coloured_edges, black_in, black_out,
                  edge_colours=None):
@@ -110,7 +111,6 @@ class OpenClosedComplex:
         self.edge_colours = {ekey(u, v): c for (u, v), c in (edge_colours or {}).items()}
 
         self._edge_tris = {}
-        self._directed = {}
         for idx in range(len(self.triangles)):
             self._add_triangle(idx)
         self._vertex_tris = None  # incidence for the move checks, built on first use
@@ -120,21 +120,19 @@ class OpenClosedComplex:
 
     def _add_triangle(self, i):
         """Enter ``triangles[i]`` into the edge index: each of its edges gets the
-        entry ``(i, apex)``, kept in ascending index order, and each directed
-        edge's count goes up by one."""
+        entry ``(i, apex)``, kept in ascending index order."""
         a, b, c = self.triangles[i]
-        et, directed = self._edge_tris, self._directed
+        et = self._edge_tris
         for (u, v, x) in ((a, b, c), (b, c, a), (c, a, b)):
             e = (u, v) if u < v else (v, u)
             old = et.get(e, ())
             entries = old + ((i, x),)
             et[e] = entries if not old or old[-1][0] < i else tuple(sorted(entries))
-            directed[(u, v)] = directed.get((u, v), 0) + 1
 
     def _drop_triangle(self, i):
         """Remove ``triangles[i]`` from the edge index, the inverse of ``_add_triangle``."""
         a, b, c = self.triangles[i]
-        et, directed = self._edge_tris, self._directed
+        et = self._edge_tris
         for (u, v) in ((a, b), (b, c), (c, a)):
             e = (u, v) if u < v else (v, u)
             kept = tuple(entry for entry in et[e] if entry[0] != i)
@@ -142,11 +140,6 @@ class OpenClosedComplex:
                 et[e] = kept
             else:
                 del et[e]
-            count = directed[(u, v)] - 1
-            if count:
-                directed[(u, v)] = count
-            else:
-                del directed[(u, v)]
 
     # -- derived sets -----------------------------------------------------------
 
@@ -346,13 +339,17 @@ class OpenClosedComplex:
         for e, ts in sorted(self._edge_tris.items()):
             if len(ts) > 2:
                 violations.append(("edge_in_many_triangles", f"edge {e} lies in {len(ts)} triangles"))
-        for (u, v), cnt in sorted(self._directed.items()):
+        directed = {}
+        for (a, b, c) in self.triangles:
+            for d in ((a, b), (b, c), (c, a)):
+                directed[d] = directed.get(d, 0) + 1
+        for (u, v), cnt in sorted(directed.items()):
             if cnt > 1:
                 violations.append(("orientation", f"directed edge {(u, v)} repeats; orientations clash"))
         for e, ts in sorted(self._edge_tris.items()):
             if len(ts) == 2:
                 u, v = e
-                if self._directed.get((u, v), 0) != 1 or self._directed.get((v, u), 0) != 1:
+                if directed.get((u, v), 0) != 1 or directed.get((v, u), 0) != 1:
                     violations.append(("orientation", f"interior edge {e} not traversed both ways"))
 
         boundary = set(self.boundary_edges())
@@ -546,7 +543,7 @@ class OpenClosedComplex:
                                 else self.coloured_edges)
         child.black_in, child.black_out = self.black_in, self.black_out
         child.edge_colours = edge_colours if edge_colours is not None else self.edge_colours
-        child._edge_tris, child._directed = dict(self._edge_tris), dict(self._directed)
+        child._edge_tris = dict(self._edge_tris)
         child._vertex_tris = child._boundary_at = None
         child.triangles = self.triangles
         for i in changes:
@@ -632,6 +629,12 @@ def _flippable(et, tris):
     return x != y and ((x, y) if x < y else (y, x)) not in et
 
 
+def _opposite(c, t, x):
+    """The directed edge of triangle ``t`` opposite its vertex ``x``."""
+    a, b, cc = c.triangles[t]
+    return (b, cc) if x == a else (cc, a) if x == b else (a, b)
+
+
 def _flip_site(c, edge):
     """For a flippable edge (``_flippable``): its directed form ``(u, v)`` in
     triangle ``t1`` with apex ``x``, and triangle ``t2`` with apex ``y``."""
@@ -639,9 +642,7 @@ def _flip_site(c, edge):
     if not _flippable(c._edge_tris, tris):
         return None
     (t1, x), (t2, y) = tris
-    a, b, cc = c.triangles[t1]
-    u, v = (b, cc) if x == a else (cc, a) if x == b else (a, b)
-    return (u, v), t1, x, t2, y
+    return _opposite(c, t1, x), t1, x, t2, y
 
 
 def pachner_22(c: OpenClosedComplex, edge) -> OpenClosedComplex:
@@ -704,10 +705,8 @@ def pachner_31(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
 
 def _boundary_direction(c, e):
     """Directed form of a boundary edge as induced by its triangle."""
-    u, v = e
-    if c._directed.get((u, v), 0) == 1:
-        return (u, v)
-    return (v, u)
+    (t, x), = c._edge_tris[e]
+    return _opposite(c, t, x)
 
 
 def _recoloured(c, removed, added):

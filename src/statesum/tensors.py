@@ -38,21 +38,27 @@ shares.  The division by ``D`` over Q and the reduction mod ``p`` over F_p
 happen in the same loop.  No output index tuple is built, and the nonzeros
 come out in ``read_off``'s order.
 
+A network is a graph, as the dual of a triangulation is: each leg joins at
+most two tensors, and at most once each; a leg is free if one tensor holds
+it.  ``_intern`` refuses a leg held by three tensors, or named twice in one,
+with ``ValueError``.  ``Tensor.apply_matrix`` is a contraction too: the
+matrix becomes a two-leg tensor, and ``contract_pair`` acts with it.
+
 Contraction is planned on shapes alone, then executed.  The plan is greedy
-on the *dense* size of the result: of the pairs sharing a leg that only they
-hold, it takes the smallest result, ties broken by the smallest shared leg,
-then creation order.  A heap keyed by exactly that holds the candidates;
-each merge scores only the merged tensor's new pairs, and entries naming a
-merged tensor are dropped when they reach the top, so there is no rescan of
-every pair per step.  The planner interns a network once: each leg is one
-bit, numbered in sorted leg order, so a tensor is an int mask, the legs two
-tensors share are ``ma & mb`` and the smallest shared leg is the lowest set
-bit; a result's dense size is the product of the two sizes over ``d * d``
-for each shared leg of dim ``d``.  Each tensor also carries the mask of its
-partners, the tensors it shares a leg with that only the two of them hold;
-a merged tensor's partners are those of its two inputs, so a merge visits
-its neighbours, not its legs.  The initial pairs and their keys are
-computed once too, and every greedy pass starts from that one list.
+on the *dense* size of the result: of the pairs sharing a leg, it takes the
+smallest result, ties broken by the smallest shared leg, then creation
+order.  A heap keyed by exactly that holds the candidates; each merge scores
+only the merged tensor's new pairs, and entries naming a merged tensor are
+dropped when they reach the top, so there is no rescan of every pair per
+step.  The planner interns a network once: each leg is one bit, numbered in
+sorted leg order, so a tensor is an int mask, the legs two tensors share are
+``ma & mb`` and the smallest shared leg is the lowest set bit; a result's
+dense size is the product of the two sizes over ``d * d`` for each shared
+leg of dim ``d``.  Each tensor also carries the mask of its partners, the
+tensors it shares a leg with; a merged tensor's partners are those of its
+two inputs, so a merge visits its neighbours, not its legs.  The initial
+pairs and their keys are computed once too, and every greedy pass starts
+from that one list.
 
 One greedy pass can still go badly wide: on dim-13 closed surfaces it builds
 8- and 9-leg intermediates (13^9 dense cells) where 6-leg orders exist, and
@@ -69,9 +75,9 @@ later candidate, and with it the chosen order, would change.  The search
 pays for itself on small networks too: over the benchmark's Pachner fuzz
 slice (dims 2 and 3) it cuts the multiply-adds to a quarter and the
 contraction time to a third, for 0.07 s more planning (see the README).
-Any order yields the same result, by multilinearity: over Q the same
-integers, hence the same canonical ``Fraction``s, and over F_p the same
-residues.
+Since a network is a graph, any order yields the same result, by
+multilinearity: over Q the same integers, hence the same canonical
+``Fraction``s, and over F_p the same residues.
 """
 
 from __future__ import annotations
@@ -84,6 +90,8 @@ from math import lcm, prod
 from operator import itemgetter, mul
 
 from .linalg import Matrix
+
+_SPARE = object()  # apply_matrix's name for the leg it writes, equal to no other leg
 
 
 class Tensor:
@@ -115,23 +123,12 @@ class Tensor:
         return self.data.get((), self.field.zero())
 
     def apply_matrix(self, leg, matrix: Matrix) -> "Tensor":
-        """Act with a matrix on one leg: ``T'[.. j ..] = sum_i M[j][i] T[.. i ..]``."""
+        """Act with a matrix on one leg: ``T'[.. j ..] = sum_i M[j][i] T[.. i ..]``,
+        the contraction of ``leg`` with the matrix's column leg."""
         pos = self.legs.index(leg)
-        cols = {}
-        for r, row in enumerate(matrix.data):
-            for c, v in enumerate(row):
-                if v != 0:
-                    cols.setdefault(c, []).append((r, v))
-        acc = {}
-        for idx, v in self.data.items():
-            hits = cols.get(idx[pos])
-            if not hits:
-                continue
-            for out_i, m in hits:
-                key = idx[:pos] + (out_i,) + idx[pos + 1:]
-                prev = acc.get(key)
-                acc[key] = v * m if prev is None else prev + v * m
-        data = _nonzero(acc, self.field.p)
+        m = Tensor.from_matrix_sparse(self.field, (_SPARE, leg), (matrix.rows, matrix.cols), matrix)
+        t = contract_pair(self, m)  # the new leg comes last: move it back to ``pos``
+        data = {k[:pos] + k[-1:] + k[pos:-1]: v for k, v in t.data.items()}
         dims = self.dims[:pos] + (matrix.rows,) + self.dims[pos + 1:]
         return Tensor(self.field, self.legs, dims, data)
 
@@ -163,14 +160,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(legs={list(self.legs)}, nnz={len(self.data)})"
-
-
-def _nonzero(acc, p):
-    """The nonzero entries of accumulated sums; over F_p each sum is reduced
-    once, here, rather than on every multiply-add."""
-    if p is None:
-        return {k: v for k, v in acc.items() if v != 0}
-    return {k: r for k, v in acc.items() if (r := v % p)}
 
 
 def _strides(dims):
@@ -315,10 +304,10 @@ def _intern(shapes):
     Legs of one type are sorted by ``<``, and types by their names, so a
     network may name some legs by strings and others by tuples.  Returns
     each tensor's leg mask, dense size and partners (the mask of the
-    tensors it shares a leg with that only the two of them hold),
-    ``{bit: dim * dim}``, the holders of each leg that more than two
-    tensors hold, as masks of tensor ids, and the heap entries of the
-    initial pairs in sorted ``(a, b)`` order.
+    tensors it shares a leg with), ``{bit: dim * dim}``, and the heap
+    entries of the initial pairs in sorted ``(a, b)`` order.  A network is
+    a graph: a leg named twice in one tensor, or held by three tensors, is
+    refused with ``ValueError``.
     """
     names = sorted({l for legs, _ in shapes for l in legs}, key=lambda l: (type(l).__name__, l))
     bits = {l: 1 << i for i, l in enumerate(names)}
@@ -327,30 +316,29 @@ def _intern(shapes):
         mask = 0
         for l, d in zip(legs, ds):
             bit = bits[l]
+            if mask & bit:
+                raise ValueError(f"leg {l!r} appears twice in tensor {tid}")
             mask |= bit
             sq[bit] = d * d
-            holders[bit] = holders.get(bit, 0) | 1 << tid
+            h = holders.get(bit, 0)
+            if h.bit_count() == 2:
+                raise ValueError(f"leg {l!r} joins more than two tensors")
+            holders[bit] = h | 1 << tid
         masks.append(mask)
     size = [prod(ds) for _, ds in shapes]
     partners = [0] * len(shapes)
     pairs = set()
     for h in holders.values():
         if h.bit_count() == 2:
-            a, b = _ends(h)
+            a, b = (h & -h).bit_length() - 1, h.bit_length() - 1
             partners[a] |= 1 << b
             partners[b] |= 1 << a
             pairs.add((a, b))
-    crowded = {bit: h for bit, h in holders.items() if h.bit_count() > 2}
     start = []
     for a, b in sorted(pairs):
         shared = masks[a] & masks[b]
         start.append((size[a] * size[b] // _cut(shared, sq), shared & -shared, a, b))
-    return masks, size, partners, sq, crowded, start
-
-
-def _ends(h):
-    """The ids ``(a, b)``, ``a < b``, of a holder mask with two bits set."""
-    return (h & -h).bit_length() - 1, h.bit_length() - 1
+    return masks, size, partners, sq, start
 
 
 def _cut(shared, sq):
@@ -371,17 +359,15 @@ def _search(net, rng=None):
     The heap holds ``(dense size of the result, lowest shared leg bit, a,
     b)``.  After a merge only the pairs of the merged tensor ``m`` are new:
     its partners are those of ``a`` and ``b`` but for ``a`` and ``b``, and
-    each partner's mask swaps them for ``m``.  A leg that more than two
-    tensors hold keeps its holders, and gives a pair once only two do.
-    Entries naming a merged tensor are stale and skipped when they reach
-    the top.  With no pair left the two smallest tensors by ``(dense size,
-    id)`` are combined.  Given a ``random.Random``, each key is multiplied
-    by ``1 + rng.random()``, drawn for the new pairs in sorted order.
+    each partner's mask swaps them for ``m``.  Entries naming a merged
+    tensor are stale and skipped when they reach the top.  With no pair
+    left the two smallest tensors by ``(dense size, id)`` are combined.
+    Given a ``random.Random``, each key is multiplied by ``1 + rng.random()``,
+    drawn for the new pairs in sorted order.
     """
-    masks, size, partners, sq, crowded, start = net
+    masks, size, partners, sq, start = net
     n = len(masks)
-    masks, size, partners, crowded = list(masks), list(size), list(partners), dict(crowded)
-    crowded_legs = sum(crowded)
+    masks, size, partners = list(masks), list(size), list(partners)
     if rng is None:
         heap = list(start)
     else:
@@ -401,41 +387,24 @@ def _search(net, rng=None):
             a, b = sorted(alive, key=lambda t: (size[t], t))[:2]
         merged_away[a] = merged_away[b] = 1
         ma, mb = masks[a], masks[b]
-        merged = ma ^ mb
         result = size[a] * size[b] // _cut(ma & mb, sq)
-        masks.append(merged)
+        masks.append(ma ^ mb)
         size.append(result)
         total += result
         steps.append((a, b))
         keep, new = ~(1 << a | 1 << b), 1 << m
         near = (partners[a] | partners[b]) & keep
         partners.append(near)
-        pairs = []
         while near:
             low = near & -near
             near ^= low
             c = low.bit_length() - 1
             partners[c] = partners[c] & keep | new
-            pairs.append((c, m))
-        legs = (ma | mb) & crowded_legs
-        if legs:
-            pairs = set(pairs)
-            while legs:
-                low = legs & -legs
-                legs ^= low
-                h = crowded[low] & keep
-                if merged & low:
-                    h |= new
-                crowded[low] = h
-                if h.bit_count() == 2:
-                    pairs.add(_ends(h))
-            pairs = sorted(pairs)
-        for c, d in pairs:
-            shared = masks[c] & masks[d]
-            key = size[c] * size[d] // _cut(shared, sq)
+            shared = masks[c] & masks[m]
+            key = size[c] * result // _cut(shared, sq)
             if rng is not None:
                 key *= 1 + rng.random()
-            push(heap, (key, shared & -shared, c, d))
+            push(heap, (key, shared & -shared, c, m))
     return steps, total
 
 

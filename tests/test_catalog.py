@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,18 @@ def test_group_table_validation():
         S.GroupTable([[1, 0], [1, 0]])  # no identity
     g = S.GroupTable.symmetric(3)
     assert g.order == 6 and g.identity == 0
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 2], [1, 0]], "multiplication table is not closed"),
+    ([[0, 1], [1]], "multiplication table is not closed"),
+    # a loop of order 5: an identity and two-sided inverses, but no group
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+     "table is not associative at (1,1,2)"),
+])
+def test_group_table_refuses_tables_that_are_not_groups(table, message):
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        S.GroupTable(table)
 
 
 def test_group_algebra_values():
@@ -148,6 +161,56 @@ def test_three_way_invariant_agreement():
 def test_groupoid_axiom_validation():
     with pytest.raises(InvalidInput):
         S.FiniteGroupoid(1, [0], [0], [0], [[None]], [0])  # identity not composable with itself
+
+
+def _pair_with(**changes):
+    """The arguments of ``FiniteGroupoid.pair(2)`` (morphisms 0: 0->0, 1: 0->1,
+    2: 1->0, 3: 1->1), with some replaced."""
+    gd = S.FiniteGroupoid.pair(2)
+    args = dict(num_objects=2, source=gd.source, target=gd.target, identity_of=gd.identity_of,
+                compose_table=gd.compose_table, inverse=gd.inverse)
+    return {**args, **changes}
+
+
+def _args(*values):
+    return dict(zip(("num_objects", "source", "target", "identity_of", "compose_table",
+                     "inverse"), values))
+
+
+# objects 0, 1; morphisms id0, id1, s: 0 -> 1, r: 1 -> 0 and e = r then s,
+# with s then r = id0 but e != id1: r is a one-sided inverse of s
+_SPLIT_IDEMPOTENT = _args(2, [0, 1, 0, 1, 1], [0, 1, 1, 0, 1], [0, 1],
+                          [[0, None, 2, None, None], [None, 1, None, 3, 4], [None, 2, None, 0, 2],
+                           [3, None, 4, None, None], [None, 4, None, 3, 4]],
+                          [0, 1, 3, 2, 4])
+
+
+@pytest.mark.parametrize("args, message", [
+    # malformed tables: refused before any entry is used as an index
+    (_args(1, [0], [0], [0], [[]], [0]), "composition table must be 1 x 1"),
+    (_args(1, [0], [0, 0], [0], [[0]], [0]), "source, target and inverse must list one entry"),
+    (_args(1, [1], [0], [0], [[0]], [0]), "source entry 1 is not in range(1)"),
+    (_args(1, [0], [0], [0], [[5]], [0]), "composite entry 5 is not in range(1)"),
+    (_args(1, [0], [0], [3], [[0]], [0]), "identity_of entry 3 is not in range(1)"),
+    (_args(1, [0], [0], [0], [[0]], [7]), "inverse entry 7 is not in range(1)"),
+    # well-formed tables that break a groupoid law (test_groupoid_axiom_validation
+    # has the composability mismatch)
+    (_args(1, [0], [0], [], [[0]], [0]), "identity map must assign one morphism per object"),
+    (_args(2, [0, 1], [0, 1], [0, 0], [[0, None], [None, 1]], [0, 1]),
+     "identity of object 1 has wrong endpoints"),
+    (_pair_with(compose_table=[[0, 0, None, None], [None, None, 0, 1],
+                               [2, 3, None, None], [None, None, 2, 3]]),
+     "composite (0,1) has wrong endpoints"),
+    (_args(1, [0, 0], [0, 0], [0], [[1, 0], [0, 0]], [0, 1]), "composition not associative at (0,0,1)"),
+    (_args(1, [0, 0], [0, 0], [0], [[0, 0], [1, 1]], [0, 1]), "left identity law fails at 1"),
+    (_args(1, [0, 0], [0, 0], [0], [[0, 1], [0, 1]], [0, 1]), "right identity law fails at 1"),
+    (_pair_with(inverse=[0, 1, 1, 3]), "inverse of 1 has wrong endpoints"),
+    (_args(1, [0, 0], [0, 0], [0], [[0, 1], [1, 0]], [0, 0]), "g o g^-1 is not an identity at 1"),
+    (_SPLIT_IDEMPOTENT, "g^-1 o g is not an identity at 2"),
+])
+def test_groupoid_refuses_every_malformed_or_lawless_table(args, message):
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        S.FiniteGroupoid(**args)
 
 
 def test_groupoid_star_sizes():

@@ -116,6 +116,105 @@ def test_require_valid_raises_exactly_the_violations_validate_reports():
         assert c.require_valid() is c
 
 
+def _interval(*edges):
+    return BoundaryComponent("interval", edges)
+
+
+def _circle(*edges):
+    return BoundaryComponent("circle", edges)
+
+
+_TRI, _RING = [(0, 1, 2)], [(0, 1), (1, 2), (2, 0)]  # one triangle; its boundary
+_SQUARE = [(0, 3, 2), (0, 1, 3)]  # boundary 0 -> 1 -> 3 -> 2 -> 0
+
+# one minimal bad complex per violation, with every (kind, message) it reports
+_VIOLATIONS = {
+    "vertex_range": (
+        lambda: OpenClosedComplex(3, [(0, 1, 3)], [(0, 1), (1, 3), (3, 0)], [], []),
+        [("vertex_range", "triangle (0, 1, 3) references vertex 3"),
+         ("isolated_vertex", "1 of 3 vertices lie in no triangle, the smallest 2")]),
+    "isolated_vertex": (
+        lambda: OpenClosedComplex(4, _TRI, _RING, [], []),
+        [("isolated_vertex", "1 of 4 vertices lie in no triangle, the smallest 3")]),
+    "duplicate_triangle": (
+        lambda: OpenClosedComplex(3, [(0, 1, 2), (0, 2, 1)], [], [], []),
+        [("duplicate_triangle", "(0, 2, 1)")]),
+    "edge_in_many_triangles": (
+        lambda: OpenClosedComplex(5, [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [], [], []),
+        [("edge_in_many_triangles", "edge (0, 1) lies in 3 triangles"),
+         ("orientation", "directed edge (0, 1) repeats; orientations clash"),
+         *[("classification", f"boundary edge {e} is unclassified")
+           for e in ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))],
+         ("pinched_boundary", "vertex 0 lies on 3 boundary edges"),
+         ("pinched_boundary", "vertex 1 lies on 3 boundary edges"),
+         ("link", "link of vertex 0 branches at [1]"),
+         ("link", "link of vertex 1 branches at [0]")]),
+    "orientation": (
+        lambda: OpenClosedComplex(4, [(0, 1, 2), (0, 1, 3)], [(0, 2), (2, 1), (1, 3), (3, 0)], [], []),
+        [("orientation", "directed edge (0, 1) repeats; orientations clash"),
+         ("orientation", "interior edge (0, 1) not traversed both ways")]),
+    "component_overlap": (
+        lambda: OpenClosedComplex(3, _TRI, [(1, 2), (2, 0)], [_interval((0, 1))], [_interval((0, 1))]),
+        [("component_overlap", "edge (0, 1) in two black components")]),
+    "black_and_coloured": (
+        lambda: OpenClosedComplex(3, _TRI, _RING, [_interval((0, 1))], []),
+        [("classification", "edge (0, 1) is both black and coloured")]),
+    "classified_interior_edge": (
+        lambda: OpenClosedComplex(4, _SQUARE, [(1, 3), (3, 2), (2, 0), (0, 3)], [_interval((0, 1))], []),
+        [("classification", "classified edge (0, 3) is not a boundary edge")]),
+    "unclassified": (
+        lambda: OpenClosedComplex(3, _TRI, [(0, 2)], [], []),
+        [("classification", "boundary edge (0, 1) is unclassified"),
+         ("classification", "boundary edge (1, 2) is unclassified")]),
+    "component_empty": (
+        lambda: OpenClosedComplex(3, _TRI, _RING, [_interval()], []),
+        [("component_empty", "black_in[0] has no edges")]),
+    "loop_edge": (
+        lambda: OpenClosedComplex(3, _TRI, [(1, 2), (2, 0)], [_interval((0, 1), (1, 1))], []),
+        [("classification", "classified edge (1, 1) is not a boundary edge"),
+         ("component_chain", "black_in[0] has loop edge")]),
+    "edges_do_not_chain": (
+        lambda: OpenClosedComplex(4, _SQUARE, [(1, 3), (2, 0)], [_interval((0, 1), (3, 2))], []),
+        [("component_chain", "black_in[0] edges 0,1 do not chain")]),
+    "circle_does_not_close": (
+        lambda: OpenClosedComplex(4, _SQUARE, [(2, 0)], [_circle((0, 1), (1, 3), (3, 2))], []),
+        [("component_chain", "black_in[0] circle does not close")]),
+    "interval_closes_up": (
+        lambda: OpenClosedComplex(3, _TRI, [], [_interval(*_RING)], []),
+        [("component_chain", "black_in[0] interval closes up"),
+         ("corner", "black_in[0] endpoint 0 is not a corner"),
+         ("corner", "black_in[0] endpoint 0 is not a corner")]),
+    "circle_too_short": (
+        lambda: OpenClosedComplex(3, _TRI, [(2, 0)], [_circle((0, 1), (1, 2))], []),
+        [("circle_too_short", "black_in[0] circle has 2 edges; needs >= 3")]),
+    "pinched_boundary": (
+        lambda: OpenClosedComplex(5, [(0, 1, 2), (0, 3, 4)], _RING + [(0, 3), (3, 4), (4, 0)], [], []),
+        [("pinched_boundary", "vertex 0 lies on 4 boundary edges"),
+         ("link", "link of vertex 0 is disconnected")]),
+    "corner": (
+        lambda: OpenClosedComplex(3, _TRI, [], [_interval((0, 1))], [_interval((1, 2), (2, 0))]),
+        [("corner", "black_in[0] endpoint 0 is not a corner"),
+         ("corner", "black_in[0] endpoint 1 is not a corner"),
+         ("corner", "black_out[0] endpoint 1 is not a corner"),
+         ("corner", "black_out[0] endpoint 0 is not a corner")]),
+    "inconsistent_brane_colours": (
+        lambda: OpenClosedComplex(3, _TRI, _RING, [], [], {(0, 1): "a", (1, 2): "b"}),
+        [("brane_colours", "arc 0 carries inconsistent colours ['a', 'b']")]),
+    "colour_on_black_edge": (
+        lambda: OpenClosedComplex(4, _SQUARE, [(1, 3), (0, 2)], [_interval((0, 1))],
+                                  [_interval((2, 3))], {(0, 1): "a"}),
+        [("brane_colours", "colour on non-coloured edge (0, 1)")]),
+}
+
+
+@pytest.mark.parametrize("case", list(_VIOLATIONS))
+def test_each_violation_reports_its_exact_messages(case):
+    build, want = _VIOLATIONS[case]
+    report = build().validate()
+    assert not report.ok and report.components == []
+    assert report.violations == want
+
+
 def test_genus_and_windows_reported():
     c = closed_surface(2, 1)
     report = c.validate()
@@ -528,7 +627,7 @@ def test_applicable_moves_are_exactly_the_moves_that_apply():
 
 
 def _indexes(c):
-    return (c.triangles, c._edge_tris, c._directed, c.vertex_triangles(), c.boundary_edges_at())
+    return (c.triangles, c._edge_tris, c.vertex_triangles(), c.boundary_edges_at())
 
 
 def test_moves_build_the_complex_the_constructor_builds():

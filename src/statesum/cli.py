@@ -5,15 +5,21 @@ Commands: ``algebra check``, ``frobenius show``, ``knowledgeable``, ``eval``,
 machine-readable output (human-readable tables otherwise).
 
 Exit codes: 0 success; 1 input or validation error (malformed files,
-non-algebras, invalid complexes); 2 mathematical precondition violation
-(degenerate pairing, algebra not strongly separable, ...), so shell-level
-tests can tell a bad file from a bad algebra.
+non-algebras, invalid complexes), or a standard output closed by its reader
+(``statesum ... | head``: nothing goes to stderr); 2 mathematical
+precondition violation (degenerate pairing, algebra not strongly separable,
+...), so shell-level tests can tell a bad file from a bad algebra.
+
+Every document is written to standard output piece by piece as it is
+encoded (see ``io.dumps``), so memory does not grow with the output.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from itertools import chain
 
 from . import io as sio
 from .catalog import (
@@ -41,7 +47,7 @@ from .morphism import Morphism, signature_dim
 
 def _print(doc, as_json: bool, human_lines):
     if as_json:
-        sys.stdout.write(sio.dumps(doc))
+        sio.dumps(doc, sys.stdout.write)
     else:
         for line in human_lines:
             print(line)
@@ -127,7 +133,7 @@ def cmd_frobenius_show(args) -> int:
     }
     human = [
         f"counit: {doc['counit']}",
-        f"pairing: {doc['pairing'].render(str, list)}",
+        f"pairing: {list(doc['pairing'].render(str, list))}",
         f"window: {doc['window']}",
         f"window inverse: {doc['window_inverse']}",
         f"special: {doc['special']}",
@@ -152,10 +158,10 @@ def cmd_knowledgeable(args) -> int:
         "axioms": [{"axiom": name, "ok": ok} for (name, ok, _) in report],
     }
     human = [f"closed space dimension: {K.C.dim}",
-             f"iota columns (C basis in A coordinates): {doc['iota'].render(str, list)}",
-             f"iota_star: {doc['iota_star'].render(str, list)}",
-             f"mu_C: {doc['mu_C'].render(str, list)}",
-             f"delta_C: {doc['delta_C'].render(str, list)}",
+             f"iota columns (C basis in A coordinates): {list(doc['iota'].render(str, list))}",
+             f"iota_star: {list(doc['iota_star'].render(str, list))}",
+             f"mu_C: {list(doc['mu_C'].render(str, list))}",
+             f"delta_C: {list(doc['delta_C'].render(str, list))}",
              f"eps_C: {doc['eps_C']}"]
     human += [f"axiom {r['axiom']}: {'pass' if r['ok'] else 'FAIL'}" for r in doc["axioms"]]
     _print(doc, args.json, human)
@@ -171,8 +177,8 @@ def cmd_eval(args) -> int:
     fn = {"raw": state_sum_raw, "reduced": state_sum_reduced, "full": state_sum}[args.mode]
     z = fn(F, c)
     doc = _morphism_json(z)
-    human = [f"domain: {list(z.domain)}", f"codomain: {list(z.codomain)}"]
-    human += doc["matrix"].render(str, " ".join)
+    human = chain([f"domain: {list(z.domain)}", f"codomain: {list(z.codomain)}"],
+                  doc["matrix"].render(str, " ".join))
     _print(doc, args.json, human)
     return 0
 
@@ -296,12 +302,11 @@ def cmd_catalog(args) -> int:
         doc = sio.complex_to_json(c)
     else:
         raise UnknownCatalogError(f"unknown catalog kind {kind!r}")
-    text = sio.dumps(doc)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            sio.dumps(doc, fh.write)
     else:
-        sys.stdout.write(text)
+        sio.dumps(doc, sys.stdout.write)
     return 0
 
 
@@ -368,15 +373,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _run(args) -> int:
+    try:
+        return args.fn(args)
+    except BrokenPipeError:
+        raise  # stdout is gone: no error document can be written to it
+    except MathPrecondition as exc:
+        sio.dumps({"error": type(exc).__name__, "message": str(exc)}, sys.stdout.write)
+        return 2
+    except (StateSumError, OSError) as exc:
+        sio.dumps({"error": type(exc).__name__, "message": str(exc)}, sys.stdout.write)
+        return 1
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except MathPrecondition as exc:
-        sys.stdout.write(sio.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
-    except (StateSumError, OSError) as exc:
-        sys.stdout.write(sio.dumps({"error": type(exc).__name__, "message": str(exc)}))
+        code = _run(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone (``statesum ... | head``).  As the SIGPIPE note
+        # of the Python docs does: what is still buffered, and the flush at
+        # exit, go to devnull instead of a second BrokenPipeError.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

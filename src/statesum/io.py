@@ -7,15 +7,21 @@ orders are canonical.
 
 ``dumps`` writes the layout of ``json.dumps(doc, sort_keys=True,
 separators=(",", ": "), indent=1)`` byte for byte, with its own small
-writer: strings and integers are encoded as ``json.dumps`` encodes them,
+encoder: strings and integers are encoded as ``json.dumps`` encodes them,
 other scalars go to ``json.dumps`` itself, and a :class:`MatrixText` value
 is written from its nonzero entries, so a mostly-zero matrix costs its
 nonzeros and one rendered all-zero row.  Keys must be strings.
+
+The encoder yields the text in pieces, a matrix one rendered row at a time.
+``dumps(doc)`` joins them; ``dumps(doc, write)`` hands each to ``write`` as
+it is made, which is how the command line writes every document, so a
+printed result holds at most one rendered row in memory however large it is.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .algebra import Algebra, Element
 from .complexes import BoundaryComponent, OpenClosedComplex
@@ -179,17 +185,23 @@ class MatrixText:
         fmt = field.format
         self.cells = {i: {j: fmt(v) for j, v in row.items()} for i, row in nonzeros.items()}
 
-    def render(self, cell, row) -> list:
-        """Every row as ``row([cell(text), ...])``; zero cells are
-        ``cell("0")``, and the all-zero row is rendered once and reused."""
+    def render(self, cell, row):
+        """Yield every row, in order, as ``row([cell(text), ...])``; zero
+        cells are ``cell("0")``, and the all-zero row is rendered once and
+        reused."""
         zero = cell("0")
-        out = [row([zero] * self.cols)] * self.rows
-        for i, nonzero in self.cells.items():
+        zero_row = None
+        for i in range(self.rows):
+            nonzero = self.cells.get(i)
+            if nonzero is None:
+                if zero_row is None:
+                    zero_row = row([zero] * self.cols)
+                yield zero_row
+                continue
             texts = [zero] * self.cols
             for j, t in nonzero.items():
                 texts[j] = cell(t)
-            out[i] = row(texts)
-        return out
+            yield row(texts)
 
 
 def _array(items, nl) -> str:
@@ -201,29 +213,52 @@ def _array(items, nl) -> str:
     return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
-def _encode(x, nl) -> str:
+def _members(brackets, members, nl):
+    """Yield a JSON array or object in pieces; each of ``members`` is the
+    pieces of one member, and ``nl`` is a newline and the container's indent."""
+    inner = nl + " "
+    sep = brackets[0] + inner
+    for pieces in members:
+        yield sep
+        yield from pieces
+        sep = "," + inner
+    if sep[0] == ",":
+        yield nl + brackets[1]
+    else:  # no members
+        yield brackets
+
+
+def _encode(x, nl):
+    """Yield the JSON text of ``x`` in pieces; ``nl`` is a newline and the
+    indent of ``x``.  A :class:`MatrixText` is one piece per row."""
     t = type(x)
     if t is str:
-        return _quote(x)
-    if t is int:
-        return int.__repr__(x)
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
+        yield _quote(x)
+    elif t is int:
+        yield int.__repr__(x)
+    elif isinstance(x, dict):
         inner = nl + " "
-        return ("{" + inner + ("," + inner).join(
-            _quote(k) + ": " + _encode(x[k], inner) for k in sorted(x)) + nl + "}")
-    if isinstance(x, (list, tuple)):
+        yield from _members("{}", (chain((_quote(k) + ": ",), _encode(x[k], inner))
+                                   for k in sorted(x)), nl)
+    elif isinstance(x, (list, tuple)):
         inner = nl + " "
-        return _array([_encode(v, inner) for v in x], nl)
-    if isinstance(x, MatrixText):
+        yield from _members("[]", (_encode(v, inner) for v in x), nl)
+    elif isinstance(x, MatrixText):
         inner = nl + " "
-        return _array(x.render(_quote, lambda texts: _array(texts, inner)), nl)
-    return json.dumps(x)
+        rows = x.render(_quote, lambda texts: _array(texts, inner))
+        yield from _members("[]", ((text,) for text in rows), nl)
+    else:
+        yield json.dumps(x)
 
 
-def dumps(doc) -> str:
-    return _encode(doc, "\n") + "\n"
+def dumps(doc, write=None):
+    """The text of ``doc``; with ``write``, its pieces are passed to
+    ``write`` as they are made, and nothing is returned."""
+    if write is None:
+        return "".join(_encode(doc, "\n")) + "\n"
+    for piece in _encode(doc, "\n"):
+        write(piece)
+    write("\n")
 
 
 def loads(text: str):

@@ -84,7 +84,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import defaultdict
 from fractions import Fraction
 from math import lcm, prod
 from operator import itemgetter, mul
@@ -209,11 +208,17 @@ def _row_sums(t1, t2):
             rows.setdefault(free1(idx), []).append((v, hits))
 
     def sums():
+        # each sum starts at its first product, not at the int 0, so a
+        # Fraction sum never goes through Fraction.__radd__
         for base, terms in rows.items():
-            acc = defaultdict(int)
-            for v, hits in terms:
+            v, hits = terms[0]
+            acc = {j: v * v2 for j, v2 in hits}
+            for v, hits in terms[1:]:
                 for j, v2 in hits:
-                    acc[j] += v * v2
+                    if j in acc:
+                        acc[j] += v * v2
+                    else:
+                        acc[j] = v * v2
             yield base, acc
 
     return keep1, keep2, list(cols), sums()

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -475,6 +476,9 @@ def test_inspection_commands_print_the_dense_rendering(m23_file, capsys):
 def test_dumps_is_json_dumps_with_indent_one(doc):
     assert sio.dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ": "),
                                         indent=1) + "\n"
+    pieces = []  # the same text, written piece by piece
+    assert sio.dumps(doc, pieces.append) is None
+    assert "".join(pieces) == sio.dumps(doc)
 
 
 @pytest.mark.parametrize("rows,cols,nonzeros", [
@@ -493,8 +497,131 @@ def test_matrix_text_is_written_as_its_dense_rows(rows, cols, nonzeros):
     dense = [[nonzeros.get((i, j), "0") for j in range(cols)] for i in range(rows)]
     assert sio.dumps({"matrix": m, "k": [m]}) == json.dumps(
         {"matrix": dense, "k": [dense]}, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-    assert m.render(str, list) == dense
-    assert m.render(str, " ".join) == [" ".join(row) for row in dense]
+    pieces = []
+    sio.dumps({"matrix": m, "k": [m]}, pieces.append)
+    assert "".join(pieces) == sio.dumps({"matrix": m, "k": [m]})
+    assert list(m.render(str, list)) == dense
+    assert list(m.render(str, " ".join)) == [" ".join(row) for row in dense]
+
+
+def test_no_written_piece_is_longer_than_a_row():
+    # a 40 x 300 matrix four levels deep: each piece is at most one rendered
+    # row plus the separator before it
+    rows, cols = 40, 300
+    m = sio.MatrixText(S.QQ, rows, cols, {3: {7: S.QQ.parse("-123/457")}, 39: {299: S.QQ.one()}})
+    dense = [["0"] * cols for _ in range(rows)]
+    dense[3][7], dense[39][299] = "-123/457", "1"
+    doc = {"outer": [{"m": m}]}
+    depth = 4  # doc, "outer", its dict, "m": the rows of m sit 4 levels deep
+    row_text = max(len(json.dumps(row, indent=1).replace("\n", "\n" + " " * depth))
+                   for row in dense)
+    pieces = []
+    sio.dumps(doc, pieces.append)
+    assert "".join(pieces) == json.dumps({"outer": [{"m": dense}]}, sort_keys=True,
+                                         separators=(",", ": "), indent=1) + "\n"
+    assert max(map(len, pieces)) <= row_text + len(",\n" + " " * depth)
+    assert len(pieces) > rows
+
+
+class _CountingStdout:
+    """A standard output that keeps only the number of characters written and
+    the longest single write."""
+
+    def __init__(self):
+        self.chars = 0
+        self.longest = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        self.longest = max(self.longest, len(text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_eval_output_memory_does_not_grow_with_its_size(tmp_path, capsys, monkeypatch):
+    # raw strip(5, 5) over M1+M2 is a 3125 x 3125 matrix with 257 nonzeros:
+    # 78,153,525 bytes of JSON, written one row (about 25 KB) at a time.  As
+    # one string and its copies it peaked at 151.5 MB of traced memory.
+    apath, cpath = str(tmp_path / "m1m2.json"), str(tmp_path / "strip55.json")
+    assert main(["catalog", "algebra", "matsum", "1,2", "1,1", "-o", apath]) == 0
+    assert main(["catalog", "complex", "strip", "5", "5", "-o", cpath]) == 0
+    capsys.readouterr()
+    sink = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["eval", "--algebra", apath, "--complex", cpath, "--mode", "raw", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars == 78_153_525
+    assert peak < 8_000_000
+    assert sink.longest < 64_000
+
+
+class _ClosedStdout:
+    """A standard output whose reader goes away after ``limit`` characters;
+    its file descriptor is a file under the test's directory."""
+
+    def __init__(self, limit, fd):
+        self.limit, self.fd, self.text = limit, fd, ""
+
+    def write(self, text):
+        if len(self.text) + len(text) > self.limit:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.text += text
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.fixture()
+def raw_strip44_argv(tmp_path, capsys):
+    """``eval`` of raw strip(4, 4) over M1+M2, 3.1 MB of JSON."""
+    apath, cpath = str(tmp_path / "m1m2.json"), str(tmp_path / "strip44.json")
+    assert main(["catalog", "algebra", "matsum", "1,2", "1,1", "-o", apath]) == 0
+    assert main(["catalog", "complex", "strip", "4", "4", "-o", cpath]) == 0
+    capsys.readouterr()
+    return ["eval", "--algebra", apath, "--complex", cpath, "--mode", "raw"]
+
+
+@pytest.mark.parametrize("mode_args,limit", [(["--json"], 1000), ([], 1000), (["--json"], 0)],
+                         ids=["json", "human", "nothing_read"])
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(raw_strip44_argv, tmp_path, capsys,
+                                                       monkeypatch, mode_args, limit):
+    argv = raw_strip44_argv + mode_args
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        stdout = _ClosedStdout(limit, fd)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 1
+    finally:
+        os.close(fd)
+    assert len(stdout.text) <= limit and full.startswith(stdout.text)
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_exits_1_with_nothing_on_stderr(raw_strip44_argv):
+    # the process's own stdout: the reader stops after 64 bytes, as
+    # `statesum eval ... | head -c 64` does
+    src = os.path.dirname(os.path.dirname(S.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "statesum.cli", *raw_strip44_argv, "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    head = proc.stdout.read(64)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert head.startswith(b'{\n "codomain": [') and err == b""
 
 
 def test_eval_over_the_dense_budget_is_a_json_error(tmp_path, capsys):

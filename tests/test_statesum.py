@@ -662,6 +662,9 @@ def test_apply_matrix_matches_its_definition(kind):
         got = t.apply_matrix(leg, m)
         assert (got.legs, got.dims) == (t.legs, t.dims[:pos] + (4,) + t.dims[pos + 1:])
         assert got.data == want
+        # every value is of the field's type: over Q a Fraction, each sum
+        # starting at its first product rather than at the int 0
+        assert {type(v) for v in got.data.values()} == {type(field.one())}
 
 
 @pytest.mark.parametrize("kind", ["fraction", "int", "fp"])

@@ -196,6 +196,9 @@ GROUP_ORDER_BUDGET = 120  # the order of S_5
 
 
 def cmd_surface(args) -> int:
+    if args.genus < 0 or args.windows < 0:
+        raise InvalidInput(f"surface needs --genus >= 0, --windows >= 0; "
+                           f"got {args.genus}, {args.windows}")
     if args.genus > SURFACE_GENUS_BUDGET or args.windows > SURFACE_WINDOWS_BUDGET:
         raise InvalidInput(f"surface takes --genus <= {SURFACE_GENUS_BUDGET} and --windows <= "
                            f"{SURFACE_WINDOWS_BUDGET}; got {args.genus}, {args.windows}")

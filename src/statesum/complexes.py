@@ -10,7 +10,8 @@ Degenerate triangulations (loop edges, parallel edges, repeated triangles)
 are rejected -- in particular a boundary circle needs at least three edges.
 
 Moves (bistellar 1-3 / 3-1 / 2-2 and the coloured elementary shellings)
-return new complexes; values are immutable after construction.  Each move's
+return new complexes; a complex is never changed after it is built, which
+lets it remember its indexes and a clean validation scan.  Each move's
 precondition is written once, as a site check that returns what the move
 needs or ``None``.  The move raises ``NotApplicableError`` on ``None`` or on
 a site not shaped like a vertex, edge or triangle, and ``applicable_moves``
@@ -27,10 +28,17 @@ triangles and boundary vertex -> boundary edges index, cost O(degree).  One
 pair of primitives edits the edge index, adding or dropping one triangle.
 The constructor adds every triangle to empty indexes.  A move that keeps every
 triangle's index (2-2, 1-3, and the shellings that split an edge or close a
-vertex, which only append) copies its parent's index and drops and adds just
-the triangles it changes; 2-2 and 1-3 keep the parent's boundary index
-too.  The moves that renumber vertices or shift indices (3-1 and the other
-two shellings) go through the constructor.
+vertex, which only append) copies its parent's edge and vertex indexes and
+edits just the entries of the triangles it changes; 2-2 and 1-3 keep the
+parent's boundary index too.  The moves that renumber vertices or shift
+indices (3-1 and the other two shellings) build their child in one
+constructor call.
+
+``require_valid`` scans a complex once: a clean scan is remembered, so a
+second call is a flag test (``validate`` always scans and reports).  A walk
+(``random_moves``) applies only moves at sites their checks accept, each of
+which turns a valid complex into a valid one, so every complex of a walk
+carries its start's validity along with the two indexes above.
 """
 
 from __future__ import annotations
@@ -92,10 +100,15 @@ class BoundaryComponent:
 
 
 class OpenClosedComplex:
-    """Oriented triangulated 2-manifold with black/coloured boundary."""
+    """Oriented triangulated 2-manifold with black/coloured boundary.
+
+    Not changed after it is built: its indexes and ``_valid``, set by a clean
+    ``require_valid`` scan, describe its fields for good.  A complex reached by
+    a walk carries its start's ``_valid`` and is built from its parent's
+    indexes."""
 
     __slots__ = ("vertex_count", "triangles", "coloured_edges", "black_in", "black_out",
-                 "edge_colours", "_edge_tris", "_vertex_tris", "_boundary_at")
+                 "edge_colours", "_edge_tris", "_vertex_tris", "_boundary_at", "_valid")
 
     def __init__(self, vertex_count, triangles, coloured_edges, black_in, black_out,
                  edge_colours=None):
@@ -115,6 +128,7 @@ class OpenClosedComplex:
             self._add_triangle(idx)
         self._vertex_tris = None  # incidence for the move checks, built on first use
         self._boundary_at = None
+        self._valid = False  # set by the first clean require_valid scan
 
     # -- the edge index: the one pair of primitives that edits it -----------------
 
@@ -509,9 +523,13 @@ class OpenClosedComplex:
         return reports
 
     def require_valid(self):
-        violations = self._violations()
-        if violations:
-            raise InvalidComplexError(violations)
+        """Raise ``InvalidComplexError`` unless the complex is valid; a clean
+        scan is remembered, so each complex is scanned until it passes once."""
+        if not self._valid:
+            violations = self._violations()
+            if violations:
+                raise InvalidComplexError(violations)
+            self._valid = True
         return self
 
     # -- rebuilding helpers -----------------------------------------------------
@@ -531,8 +549,9 @@ class OpenClosedComplex:
                  edge_colours=None) -> "OpenClosedComplex":
         """This complex with the triangles at the indices of ``changes`` replaced
         by its values (indices past the end append), equal to what ``replaced``
-        builds.  The edge index is a copy of this one's with just the changed
-        triangles dropped and added; the lazy indexes start empty."""
+        builds.  The edge index, and the vertex index once this one has built
+        it, are copies of this one's in which just the entries of the changed
+        triangles are edited; the boundary index starts empty."""
         child = object.__new__(OpenClosedComplex)
         child.vertex_count = vertex_count if vertex_count is not None else self.vertex_count
         child.coloured_edges = (frozenset(coloured_edges) if coloured_edges is not None
@@ -540,7 +559,8 @@ class OpenClosedComplex:
         child.black_in, child.black_out = self.black_in, self.black_out
         child.edge_colours = edge_colours if edge_colours is not None else self.edge_colours
         child._edge_tris = dict(self._edge_tris)
-        child._vertex_tris = child._boundary_at = None
+        child._boundary_at = None
+        child._valid = False
         child.triangles = self.triangles
         for i in changes:
             if i < len(self.triangles):
@@ -551,20 +571,21 @@ class OpenClosedComplex:
         child.triangles = tuple(triangles)
         for i in changes:
             child._add_triangle(i)
+
+        vt = self._vertex_tris
+        if vt is not None:
+            vt = dict(vt)  # fresh lists for the touched vertices; the parent's stay as they are
+            touched = {v for i in changes if i < len(self.triangles) for v in self.triangles[i]}
+            touched.update(v for i in changes for v in triangles[i])
+            for v in touched:  # no move that patches leaves a vertex in no triangle
+                kept = [i for i in vt.get(v, ()) if i not in changes]
+                vt[v] = sorted(kept + [i for i in changes if v in triangles[i]])
+        child._vertex_tris = vt
         return child
 
     def relabelled(self, vmap, new_count) -> "OpenClosedComplex":
-        def m(v):
-            return vmap[v]
-
-        return OpenClosedComplex(
-            new_count,
-            [(m(a), m(b), m(c)) for (a, b, c) in self.triangles],
-            [(m(u), m(v)) for (u, v) in self.coloured_edges],
-            [BoundaryComponent(b.kind, [(m(u), m(v)) for (u, v) in b.edges]) for b in self.black_in],
-            [BoundaryComponent(b.kind, [(m(u), m(v)) for (u, v) in b.edges]) for b in self.black_out],
-            {(m(u), m(v)): c for (u, v), c in self.edge_colours.items()},
-        )
+        return _relabelled(self, vmap, new_count, self.triangles, self.coloured_edges,
+                           self.edge_colours)
 
     def __repr__(self):
         return (f"OpenClosedComplex(V={self.vertex_count}, F={len(self.triangles)}, "
@@ -608,11 +629,29 @@ def _site(check, c, where, kind):
     return site
 
 
-def _without_vertex(c, w):
-    """``c`` with the (no longer used) vertex ``w`` deleted and the rest renumbered."""
-    vmap = {x: (x if x < w else x - 1) for x in range(c.vertex_count)}
-    vmap[w] = -1
-    return c.relabelled(vmap, c.vertex_count - 1)
+def _relabelled(c, vmap, new_count, triangles, coloured_edges, edge_colours):
+    """The complex with ``c``'s black boundary and the given triangles,
+    coloured edges and edge colours, every vertex ``v`` renamed ``vmap[v]``,
+    built in one constructor call."""
+    def m(v):
+        return vmap[v]
+
+    return OpenClosedComplex(
+        new_count,
+        [(m(a), m(b), m(x)) for (a, b, x) in triangles],
+        [(m(u), m(v)) for (u, v) in coloured_edges],
+        [BoundaryComponent(b.kind, [(m(u), m(v)) for (u, v) in b.edges]) for b in c.black_in],
+        [BoundaryComponent(b.kind, [(m(u), m(v)) for (u, v) in b.edges]) for b in c.black_out],
+        {(m(u), m(v)): col for (u, v), col in edge_colours.items()},
+    )
+
+
+def _without_vertex(c, w, triangles, coloured_edges, edge_colours):
+    """``c`` with the given triangles, coloured edges and edge colours, none of
+    which uses vertex ``w`` any more, and with ``w`` deleted and the vertices
+    above it renumbered down by one."""
+    vmap = list(range(w)) + [-1] + list(range(w, c.vertex_count - 1))
+    return _relabelled(c, vmap, c.vertex_count - 1, triangles, coloured_edges, edge_colours)
 
 
 def _flippable(et, tris):
@@ -693,7 +732,7 @@ def pachner_31(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
     incident, cyc = _site(_merge_site, c, vertex, "merge")
     new_tris = [t for idx, t in enumerate(c.triangles) if idx not in incident]
     new_tris.append(cyc)
-    return _without_vertex(c.replaced(triangles=new_tris), vertex)
+    return _without_vertex(c, vertex, new_tris, c.coloured_edges, c.edge_colours)
 
 
 # -- type-2 elementary shellings (all involved boundary edges coloured) -------------
@@ -758,8 +797,7 @@ def shelling_merge_edges(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex
     """Two coloured edges -> one: remove a boundary vertex spanning one triangle."""
     t_idx, e1, e2, inner = _site(_shell_merge_site, c, vertex, "shell_merge")
     new_tris = [t for idx, t in enumerate(c.triangles) if idx != t_idx]
-    return _without_vertex(c.replaced(triangles=new_tris, **_recoloured(c, (e1, e2), (inner,))),
-                           vertex)
+    return _without_vertex(c, vertex, new_tris, **_recoloured(c, (e1, e2), (inner,)))
 
 
 def _shell_open_site(c, edge):
@@ -846,12 +884,16 @@ def applicable_moves(c: OpenClosedComplex):
 
 
 def random_moves(c: OpenClosedComplex, seed: int, n: int) -> OpenClosedComplex:
-    """Apply ``n`` uniformly chosen applicable moves with a seeded PRNG."""
+    """Apply ``n`` uniformly chosen applicable moves with a seeded PRNG.  Each
+    move turns a valid complex into a valid one, so every complex of the walk
+    carries ``c``'s ``require_valid`` verdict."""
     rng = random.Random(seed)
+    valid = c._valid
     for _ in range(n):
         moves = applicable_moves(c)
         if not moves:
             break
         kind, site = moves[rng.randrange(len(moves))]
         c = _MOVES[kind](c, site)
+        c._valid = valid
     return c

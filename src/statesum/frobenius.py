@@ -129,12 +129,19 @@ class FrobeniusStructure:
 
     @_cached
     def window_power_matrix(self, k: int) -> Matrix:
-        """Matrix of the central action ``a^k . id`` (negative powers allowed)."""
+        """Matrix of the central action ``a^k . id`` (negative powers allowed),
+        by repeated squaring: the powers of one matrix commute, and exact
+        arithmetic makes every grouping of the product equal."""
         base = self.window if k >= 0 else self.window_inverse
         m = Matrix.identity(self.field, self.dim)
-        lb = self.algebra.left_regular_matrix(base)
-        for _ in range(abs(k)):
-            m = lb @ m
+        square = self.algebra.left_regular_matrix(base)
+        n = abs(k)
+        while n:
+            if n & 1:
+                m = square @ m
+            n >>= 1
+            if n:
+                square = square @ square
         return m
 
     def is_special(self) -> bool:

@@ -193,11 +193,14 @@ def test_fuzz_refuses_a_vacuous_run(workdir, flags):
     ["surface", "--genus", "201"],
     ["catalog", "algebra", "group", "symmetric", "6"],
     ["catalog", "algebra", "group", "cyclic", "2000"],
+    ["surface", "--genus", "-1"],
+    ["surface", "--genus", "1", "--windows", "-1"],
 ])
 def test_declared_sizes_past_the_budgets_are_refused_at_once(workdir, argv):
     # a walk, a surface or a group table this large would run for minutes to
-    # hours; fuzz and surface name an algebra file that does not exist, so
-    # the refusal must come before anything loads
+    # hours, and a negative genus or window count names no surface; fuzz and
+    # surface name an algebra file that does not exist, so the refusal must
+    # come before anything loads
     if argv[0] != "catalog":
         argv = [*argv, "--algebra", str(workdir / "missing.json"), "--json"]
     out = io.StringIO()

@@ -116,6 +116,64 @@ def test_require_valid_raises_exactly_the_violations_validate_reports():
         assert c.require_valid() is c
 
 
+def _rebuilt(c):
+    """``c`` built again by the constructor from its fields alone, never scanned."""
+    return OpenClosedComplex(c.vertex_count, c.triangles, c.coloured_edges, c.black_in,
+                             c.black_out, c.edge_colours)
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    scan = OpenClosedComplex._violations
+
+    def counted(self):
+        calls.append(self)
+        return scan(self)
+
+    monkeypatch.setattr(OpenClosedComplex, "_violations", counted)
+    return calls
+
+
+def test_an_invalid_complex_raises_on_every_require_valid(monkeypatch):
+    calls = _count_scans(monkeypatch)
+    c = OpenClosedComplex(3, [(0, 1, 2)], [(0, 2)], [], [])
+    for attempt in (1, 2):
+        with pytest.raises(InvalidComplexError):
+            c.require_valid()
+        assert len(calls) == attempt  # a failed scan is not remembered
+
+
+def test_validate_scans_a_complex_require_valid_has_passed(monkeypatch):
+    c = _rebuilt(strip(2, 1))
+    expect = c.validate()
+    calls = _count_scans(monkeypatch)
+    assert c.require_valid() is c and c.require_valid() is c
+    assert len(calls) == 1
+    report = c.validate()
+    assert len(calls) == 2
+    assert report.ok and report.violations == expect.violations
+    assert report.components == expect.components and report.components
+
+
+def test_a_walk_is_scanned_when_its_start_never_was(monkeypatch):
+    _, F = S.group_algebra(S.QQ, S.GroupTable.cyclic(2))
+    valid = strip(1, 1)
+    bare = _rebuilt(valid)
+    # a square with unclassified boundary: flips and splits apply all the same
+    unclassified = OpenClosedComplex(4, [(0, 1, 2), (0, 2, 3)], [], [], [])
+    calls = _count_scans(monkeypatch)
+    moved = random_moves(valid, seed=7, n=10)
+    S.state_sum_raw(F, moved)
+    assert calls == []  # the start was scanned when strip() built it
+    moved = random_moves(bare, seed=7, n=10)
+    S.state_sum_raw(F, moved)
+    assert calls == [moved]
+    moved = random_moves(unclassified, seed=7, n=10)
+    assert moved.triangles != unclassified.triangles
+    with pytest.raises(InvalidComplexError):
+        S.state_sum_raw(F, moved)
+
+
 def _interval(*edges):
     return BoundaryComponent("interval", edges)
 
@@ -633,7 +691,8 @@ def _indexes(c):
 def test_moves_build_the_complex_the_constructor_builds():
     """At every step of the pinned walks, the child a move builds from its
     parent's indexes has the indexes the constructor builds from the child's
-    own fields, and lists the same moves."""
+    own fields, and lists the same moves; the constructor's rebuild passes a
+    full scan at every step of the first two walks and at the end of each."""
     suite = dict(generator_suite(), torus=closed_surface(1, 0),
                  genus2_window=closed_surface(2, 1))
     for start in suite.values():
@@ -651,6 +710,10 @@ def test_moves_build_the_complex_the_constructor_builds():
                                             c.black_in, c.black_out, c.edge_colours)
                 assert _indexes(c) == _indexes(scratch), (kind, site)
                 assert moves == applicable_moves(scratch), (kind, site)
+                if trial < 2:  # a full scan of every step costs 3 s; two walks of each start
+                    assert scratch._violations() == [], (kind, site)
+            # a walk carries its start's validity, so evaluation scans none of its complexes
+            assert scratch._violations() == []  # the rebuild of the walk's last complex
             assert _walk_state(c) == _walk_state(random_moves(start, seed=1000 * trial + 17, n=30))
 
 

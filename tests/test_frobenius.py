@@ -272,6 +272,22 @@ def test_bubble_identity(structures):
         assert lhs == S.Matrix.identity(alg.field, alg.dim), label
 
 
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=["Q", "F_10007"])
+def test_window_power_matrix_is_the_iterated_product(field):
+    # squaring groups the product differently; exact arithmetic must give the
+    # same entries, of the same types, as |k| left multiplications
+    _, F = S.matrix_direct_sum(field, [2, 3], [1, 2])
+    for k in range(-13, 14):
+        lb = F.algebra.left_regular_matrix(F.window if k >= 0 else F.window_inverse)
+        expect = S.Matrix.identity(field, F.dim)
+        for _ in range(abs(k)):
+            expect = lb @ expect
+        got = F.window_power_matrix(k)
+        assert got == expect, k
+        assert [list(map(type, row)) for row in got.data] == \
+               [list(map(type, row)) for row in expect.data], k
+
+
 # -- idempotent splitting -------------------------------------------------------------------
 
 

@@ -1,14 +1,21 @@
 """Command-line interface.
 
 Commands: ``algebra check``, ``frobenius show``, ``knowledgeable``, ``eval``,
-``surface``, ``fuzz``, ``catalog``.  All commands accept ``--json`` for
-machine-readable output (human-readable tables otherwise).
+``surface``, ``fuzz``, ``catalog``.  All commands but ``catalog`` accept
+``--json`` for machine-readable output (human-readable tables otherwise).
 
-Exit codes: 0 success; 1 input or validation error (malformed files,
-non-algebras, invalid complexes), or a standard output closed by its reader
-(``statesum ... | head``: nothing goes to stderr); 2 mathematical
-precondition violation (degenerate pairing, algebra not strongly separable,
-...), so shell-level tests can tell a bad file from a bad algebra.
+The grammar is one table, ``COMMANDS``: ``parse_args`` reads the command
+line against it and ``-h``/``--help`` prints it.  Options take
+``--opt value`` or ``--opt=value``, in any order among the positionals, and
+a value is taken as it stands (``--genus -1`` is a genus); the last of a
+repeated option wins, and no prefix of an option name is accepted.
+
+Exit codes: 0 success; 1 a malformed command line, an input or validation
+error (malformed files, non-algebras, invalid complexes), or a standard
+output closed by its reader (``statesum ... | head``: nothing goes to
+stderr); 2 mathematical precondition violation (degenerate pairing, algebra
+not strongly separable, ...), so shell-level tests can tell a bad file from
+a bad algebra.
 
 Every document is written to standard output piece by piece as it is
 encoded (see ``io.dumps``), so memory does not grow with the output.
@@ -16,10 +23,10 @@ encoded (see ``io.dumps``), so memory does not grow with the output.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 from . import io as sio
 from .catalog import (
@@ -316,68 +323,139 @@ def cmd_catalog(args) -> int:
 # -- dispatch ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="statesum",
-                                 description="Exact state sums on triangulated open-closed cobordisms")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("algebra", help="inspect an algebra file")
-    asub = p.add_subparsers(dest="subcommand", required=True)
-    pc = asub.add_parser("check", help="validate and summarise an algebra file")
-    pc.add_argument("file")
-    pc.add_argument("--json", action="store_true")
-    pc.set_defaults(fn=cmd_algebra_check)
-
-    p = sub.add_parser("frobenius", help="inspect a frobenius structure")
-    fsub = p.add_subparsers(dest="subcommand", required=True)
-    pf = fsub.add_parser("show", help="print the derived structure data")
-    pf.add_argument("file")
-    pf.add_argument("--json", action="store_true")
-    pf.set_defaults(fn=cmd_frobenius_show)
-
-    pk = sub.add_parser("knowledgeable", help="split the canonical idempotent and report the axioms")
-    pk.add_argument("file")
-    pk.add_argument("--json", action="store_true")
-    pk.set_defaults(fn=cmd_knowledgeable)
-
-    pe = sub.add_parser("eval", help="evaluate the state sum of a complex")
-    pe.add_argument("--algebra", required=True)
-    pe.add_argument("--complex", required=True)
-    pe.add_argument("--mode", choices=("raw", "reduced", "full"), default="full")
-    pe.add_argument("--json", action="store_true")
-    pe.set_defaults(fn=cmd_eval)
-
-    ps = sub.add_parser("surface", help="closed-surface invariant and its oracles")
-    ps.add_argument("--algebra", required=True)
-    ps.add_argument("--genus", type=int, required=True)
-    ps.add_argument("--windows", type=int, default=0)
-    ps.add_argument("--oracle", action="store_true",
-                    help="report \"closed_form\": null when the algebra file has no block "
-                         "data (with block data the closed form is always checked)")
-    ps.add_argument("--json", action="store_true")
-    ps.set_defaults(fn=cmd_surface)
-
-    pz = sub.add_parser("fuzz", help="random-move invariance check")
-    pz.add_argument("--algebra", required=True)
-    pz.add_argument("--complex", required=True)
-    pz.add_argument("--moves", type=int, default=30)
-    pz.add_argument("--trials", type=int, default=20)
-    pz.add_argument("--seed", type=int, default=0)
-    pz.add_argument("--json", action="store_true")
-    pz.set_defaults(fn=cmd_fuzz)
-
-    pcat = sub.add_parser("catalog", help="write builtin algebra/complex files")
-    pcat.add_argument("kind", choices=("algebra", "complex"))
-    pcat.add_argument("name")
-    pcat.add_argument("params", nargs="*")
-    pcat.add_argument("-o", "--output")
-    pcat.set_defaults(fn=cmd_catalog)
-
-    return ap
+# The grammar of the command line, which ``parse_args`` reads and ``-h``
+# prints.  The words of each command map to its handler, a line of help, the
+# names of its positionals and its options.  A last positional name ending in
+# ``...`` takes the rest of them, as a list.  An option maps to
+# ``(type, default)``: the type is ``bool`` for a switch (default False),
+# ``str``, ``int`` or a tuple of the values it may take, and the default
+# ``REQUIRED`` makes the option required.  A handler reads each value under
+# the name of its positional or option: ``--output`` as ``args.output``.
+REQUIRED = object()
+_JSON = {"--json": (bool, False)}
+_FILES = {"--algebra": (str, REQUIRED), "--complex": (str, REQUIRED)}
+COMMANDS = {
+    ("algebra", "check"): (cmd_algebra_check, "validate and summarise an algebra file",
+                           ("file",), _JSON),
+    ("frobenius", "show"): (cmd_frobenius_show, "print the derived structure data",
+                            ("file",), _JSON),
+    ("knowledgeable",): (cmd_knowledgeable, "split the canonical idempotent and report the axioms",
+                         ("file",), _JSON),
+    ("eval",): (cmd_eval, "evaluate the state sum of a complex", (),
+                {**_FILES, "--mode": (("raw", "reduced", "full"), "full"), **_JSON}),
+    ("surface",): (cmd_surface, "closed-surface invariant and its oracles; --oracle reports "
+                   "\"closed_form\": null when the algebra file has no block data (with block "
+                   "data the closed form is always checked)", (),
+                   {"--algebra": (str, REQUIRED), "--genus": (int, REQUIRED),
+                    "--windows": (int, 0), "--oracle": (bool, False), **_JSON}),
+    ("fuzz",): (cmd_fuzz, "random-move invariance check", (),
+                {**_FILES, "--moves": (int, 30), "--trials": (int, 20), "--seed": (int, 0),
+                 **_JSON}),
+    ("catalog",): (cmd_catalog, "write builtin algebra/complex files",
+                   ("kind", "name", "params..."), {"--output": (str, None)}),
+}
+_SHORT = {"-o": "--output"}
+_HELP = ("-h", "--help")
 
 
-def _run(args) -> int:
+def _usage(words) -> str:
+    _, _, names, options = COMMANDS[words]
+    parts = ["statesum", *words]
+    parts += [f"[{n[:-3].upper()} ...]" if n.endswith("...") else n.upper() for n in names]
+    for option, (kind, default) in options.items():
+        flag = "|".join([*(s for s, o in _SHORT.items() if o == option), option])
+        if kind is not bool:
+            flag += " " + ("|".join(kind) if isinstance(kind, tuple) else option[2:].upper())
+        parts.append(flag if default is REQUIRED else f"[{flag}]")
+    return " ".join(parts)
+
+
+def _print_usage(args) -> int:
+    if args.words:
+        _, about, _, options = COMMANDS[args.words]
+        lines = [f"usage: {_usage(args.words)}", "", about]
+        defaults = [f"{option} {default}" for option, (kind, default) in options.items()
+                    if kind is not bool and default not in (REQUIRED, None)]
+        if defaults:
+            lines.append(f"defaults: {', '.join(defaults)}")
+    else:
+        lines = ["usage: statesum COMMAND ... [-h]", "",
+                 "Exact state sums on triangulated open-closed cobordisms", "", "commands:"]
+        for words, (_, about, _, _) in COMMANDS.items():
+            lines += [f"  {_usage(words)}", f"      {about}"]
+    print("\n".join(lines))
+    return 0
+
+
+def _is_option(token) -> bool:
+    # "-" alone and negative numbers ("catalog complex strip -1 1") are positionals
+    return len(token) > 1 and token[0] == "-" and not token[1].isdigit()
+
+
+def _value(option, kind, text):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise InvalidInput(f"{option} takes an integer, got {text!r}") from None
+    if kind is not str and text not in kind:
+        raise InvalidInput(f"{option} takes one of {', '.join(kind)}; got {text!r}")
+    return text
+
+
+def parse_args(argv):
+    """The command line ``argv`` as a namespace: ``fn``, the handler of its
+    command, and a value for each positional and option that ``COMMANDS``
+    declares for it.  ``-h`` or ``--help`` gives the handler that prints the
+    usage.  A malformed command line raises ``InvalidInput``."""
+    words = next((w for w in (tuple(argv[:2]), tuple(argv[:1])) if w in COMMANDS), None)
+    if words is None:
+        if any(token in _HELP for token in argv):
+            return SimpleNamespace(fn=_print_usage, words=())
+        raise InvalidInput(f"expected a command ({', '.join(' '.join(w) for w in COMMANDS)}), "
+                           f"got {list(argv[:2])}")
+    fn, _, names, options = COMMANDS[words]
+    values = {option[2:]: default for option, (_, default) in options.items()}
+    positionals = []
+    tokens = iter(argv[len(words):])
+    for token in tokens:
+        if not _is_option(token):
+            positionals.append(token)
+            continue
+        option, eq, text = token.partition("=")
+        option = _SHORT.get(option, option)
+        if option in _HELP:
+            return SimpleNamespace(fn=_print_usage, words=words)
+        if option not in options:
+            raise InvalidInput(f"{' '.join(words)} has no option {option}; usage: {_usage(words)}")
+        kind = options[option][0]
+        if kind is bool:
+            if eq:
+                raise InvalidInput(f"{option} takes no value")
+            values[option[2:]] = True
+            continue
+        if not eq:  # the next token, as it stands: "--genus -1" is a genus
+            text = next(tokens, None)
+            if text is None:
+                raise InvalidInput(f"{option} needs a value")
+        values[option[2:]] = _value(option, kind, text)
+    rest = names[-1][:-3] if names and names[-1].endswith("...") else None
+    fixed = names[:-1] if rest else names
+    if len(positionals) < len(fixed) or (rest is None and len(positionals) > len(fixed)):
+        raise InvalidInput(f"{' '.join(words)} got the arguments {positionals}; "
+                           f"usage: {_usage(words)}")
+    values.update(zip(fixed, positionals))
+    if rest:
+        values[rest] = positionals[len(fixed):]
+    missing = [option for option in options if values[option[2:]] is REQUIRED]
+    if missing:
+        raise InvalidInput(f"{' '.join(words)} needs {', '.join(missing)}; usage: {_usage(words)}")
+    return SimpleNamespace(fn=fn, **values)
+
+
+def _run(argv) -> int:
     try:
+        args = parse_args(argv)
         return args.fn(args)
     except BrokenPipeError:
         raise  # stdout is gone: no error document can be written to it
@@ -390,9 +468,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = _run(args)
+        code = _run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()  # so a closed stdout shows here, not at exit
         return code
     except BrokenPipeError:

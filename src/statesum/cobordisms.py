@@ -259,16 +259,25 @@ def minimal_torus() -> OpenClosedComplex:
 def connected_sum(c1: OpenClosedComplex, t1: int, c2: OpenClosedComplex,
                   t2: int) -> OpenClosedComplex:
     """Glue two closed surfaces along removed triangles ``t1`` and ``t2``."""
+    return _connected_sum(c1, t1, c2, t2).require_valid()
+
+
+def _connected_sum(c1, t1, c2, t2):
+    """:func:`connected_sum` before its scan."""
     u1, v1, w1 = c1.triangles[t1]
     u2, v2, w2 = c2.triangles[t2]
     holed = [c.replaced(triangles=[x for i, x in enumerate(c.triangles) if i != t])
              for c, t in ((c1, t1), (c2, t2))]
     # orientation-reversing identification of the removed boundaries
-    return _union(*holed, {v2: u1, u2: v1, w2: w1}).require_valid()
+    return _union(*holed, {v2: u1, u2: v1, w2: w1})
 
 
 def closed_surface(genus: int, windows: int) -> OpenClosedComplex:
-    """Closed oriented surface of the given genus with ``windows`` coloured holes."""
+    """Closed oriented surface of the given genus with ``windows`` coloured holes.
+
+    Only the sphere or torus it starts from and the finished surface are
+    scanned: complexes are not changed after they are built, so one torus
+    serves every handle, and no intermediate connected sum is returned."""
     if genus < 0 or windows < 0:
         raise UnknownCatalogError("genus and windows must be >= 0")
     if genus == 0:
@@ -276,9 +285,9 @@ def closed_surface(genus: int, windows: int) -> OpenClosedComplex:
     elif genus == 1:
         surf = grid_torus()
     else:
-        surf = minimal_torus()
+        surf = torus = minimal_torus()
         for _ in range(genus - 1):
-            surf = connected_sum(surf, 0, minimal_torus(), 0)
+            surf = _connected_sum(surf, 0, torus, 0)
     return _dig_holes(surf, range(windows), "window").require_valid()
 
 

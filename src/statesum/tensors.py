@@ -41,8 +41,11 @@ come out in ``read_off``'s order.
 A network is a graph, as the dual of a triangulation is: each leg joins at
 most two tensors, and at most once each; a leg is free if one tensor holds
 it.  ``_intern`` refuses a leg held by three tensors, or named twice in one,
-with ``ValueError``.  ``Tensor.apply_matrix`` is a contraction too: the
-matrix becomes a two-leg tensor, and ``contract_pair`` acts with it.
+with ``ValueError``.  It refuses a leg whose two tensors give it different
+dimensions too: a contraction pairs index ``i`` of one with index ``i`` of
+the other, so the entries past the smaller dimension would be dropped.
+``Tensor.apply_matrix`` is a contraction too: the matrix becomes a two-leg
+tensor, and ``contract_pair`` acts with it.
 
 Contraction is planned on shapes alone, then executed.  The plan is greedy
 on the *dense* size of the result: of the pairs sharing a leg, it takes the
@@ -85,7 +88,7 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from operator import itemgetter, mul
 
 from .linalg import Matrix
@@ -311,8 +314,8 @@ def _intern(shapes):
     each tensor's leg mask, dense size and partners (the mask of the
     tensors it shares a leg with), ``{bit: dim * dim}``, and the heap
     entries of the initial pairs in sorted ``(a, b)`` order.  A network is
-    a graph: a leg named twice in one tensor, or held by three tensors, is
-    refused with ``ValueError``.
+    a graph: a leg named twice in one tensor, held by three tensors, or
+    given two dimensions is refused with ``ValueError``.
     """
     names = sorted({l for legs, _ in shapes for l in legs}, key=lambda l: (type(l).__name__, l))
     bits = {l: 1 << i for i, l in enumerate(names)}
@@ -324,7 +327,10 @@ def _intern(shapes):
             if mask & bit:
                 raise ValueError(f"leg {l!r} appears twice in tensor {tid}")
             mask |= bit
-            sq[bit] = d * d
+            dd = d * d
+            if sq.setdefault(bit, dd) != dd:
+                raise ValueError(f"leg {l!r} has dimension {d} in tensor {tid} "
+                                 f"and {isqrt(sq[bit])} in another")
             h = holders.get(bit, 0)
             if h.bit_count() == 2:
                 raise ValueError(f"leg {l!r} joins more than two tensors")

@@ -1,16 +1,20 @@
+import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import statesum as S
 from statesum import io as sio
-from statesum.cli import main
-from statesum.errors import InvalidComplexError
+from statesum import cli
+from statesum.cli import COMMANDS, main, parse_args
+from statesum.errors import InvalidComplexError, InvalidInput
 
 
 def run(capsys, *argv):
@@ -668,10 +672,160 @@ def test_eval_refuses_an_over_budget_output_before_contracting(tmp_path, capsys,
 def test_cli_import_closure_stays_small():
     # a cold `statesum` process pays for every module the CLI imports; these
     # (dataclasses and what it pulls in, and typing) take about 11 ms of a
-    # 66 ms interpreter start, so src/ uses none of them
+    # 66 ms interpreter start, so src/ uses none of them.  argparse, with the
+    # gettext and locale its parsers load, cost about 9 ms more; the command
+    # line is read from the command table instead.
     src = os.path.dirname(os.path.dirname(S.__file__))
-    probe = ("import sys, statesum.cli; print(' '.join(m for m in ('dataclasses', 'inspect', "
-             "'ast', 'dis', 'tokenize', 'typing') if m in sys.modules))")
+    probe = ("import os, sys, statesum.cli; "
+             "statesum.cli.main(['catalog', 'complex', 'strip', '1', '1', '-o', os.devnull]); "
+             "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', "
+             "'typing', 'argparse', 'gettext', 'locale') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+# -- the command line grammar -------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _reference_parser():
+    """The argparse grammar that ``COMMANDS`` replaced: the reference that
+    every command line it accepts must be read the same by ``parse_args``."""
+    import argparse
+
+    ap = argparse.ArgumentParser(prog="statesum")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for group, word, fn in (("algebra", "check", cli.cmd_algebra_check),
+                            ("frobenius", "show", cli.cmd_frobenius_show)):
+        p = sub.add_parser(group).add_subparsers(dest="subcommand", required=True).add_parser(word)
+        p.add_argument("file")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=fn)
+    pk = sub.add_parser("knowledgeable")
+    pk.add_argument("file")
+    pk.add_argument("--json", action="store_true")
+    pk.set_defaults(fn=cli.cmd_knowledgeable)
+    pe = sub.add_parser("eval")
+    pe.add_argument("--algebra", required=True)
+    pe.add_argument("--complex", required=True)
+    pe.add_argument("--mode", choices=("raw", "reduced", "full"), default="full")
+    pe.add_argument("--json", action="store_true")
+    pe.set_defaults(fn=cli.cmd_eval)
+    ps = sub.add_parser("surface")
+    ps.add_argument("--algebra", required=True)
+    ps.add_argument("--genus", type=int, required=True)
+    ps.add_argument("--windows", type=int, default=0)
+    ps.add_argument("--oracle", action="store_true")
+    ps.add_argument("--json", action="store_true")
+    ps.set_defaults(fn=cli.cmd_surface)
+    pz = sub.add_parser("fuzz")
+    pz.add_argument("--algebra", required=True)
+    pz.add_argument("--complex", required=True)
+    pz.add_argument("--moves", type=int, default=30)
+    pz.add_argument("--trials", type=int, default=20)
+    pz.add_argument("--seed", type=int, default=0)
+    pz.add_argument("--json", action="store_true")
+    pz.set_defaults(fn=cli.cmd_fuzz)
+    pcat = sub.add_parser("catalog")
+    pcat.add_argument("kind", choices=("algebra", "complex"))
+    pcat.add_argument("name")
+    pcat.add_argument("params", nargs="*")
+    pcat.add_argument("-o", "--output")
+    pcat.set_defaults(fn=cli.cmd_catalog)
+    return ap
+
+
+def _shell_command_lines(text):
+    """The ``statesum`` arguments of each shell line of ``text`` that runs
+    it, with a leading ``timeout N`` and any redirection or pipe cut off."""
+    lines = []
+    for line in text.splitlines():
+        words = line.split()
+        if words[:1] == ["timeout"]:
+            words = words[2:]
+        if words[:1] != ["statesum"]:
+            continue
+        argv = []
+        for word in shlex.split(line[line.index("statesum"):])[1:]:
+            if word[0] in ">|" or word.startswith("2>"):
+                break
+            argv.append(word)
+        lines.append(argv)
+    return lines
+
+
+def _bench_command_lines(monkeypatch):
+    """The argv of every benchmark operation and of every set-up ``catalog``."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run_py = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run_py)
+    spec.loader.exec_module(run_py)
+    ops = [list(op.argv) for w in run_py.WORKLOADS.values() for op in w.ops]
+    files = {f for w in run_py.WORKLOADS.values() for op in w.ops for f in op.inputs}
+    setup = [["catalog", *(run_py.ALGEBRAS.get(f) or ["complex", *f[:-5].split("_")]), "-o", f]
+             for f in sorted(files)]
+    return ops + setup
+
+
+# spellings the documented lines do not use
+_OTHER_LINES = [
+    ["eval", "--algebra=a.json", "--complex=c.json", "--mode=raw", "--json"],
+    ["eval", "--json", "--mode", "reduced", "--complex", "c.json", "--algebra", "a.json"],
+    ["eval", "--algebra", "a.json", "--complex", "c.json", "--mode", "raw", "--mode", "full"],
+    ["surface", "--genus", "-1", "--algebra", "a.json"],
+    ["surface", "--genus=-1", "--windows=-2", "--algebra=a.json", "--oracle"],
+    ["fuzz", "--seed", "3", "--algebra", "a.json", "--complex", "c.json", "--seed", "4",
+     "--trials=2", "--moves", "0"],
+    ["algebra", "check", "--json", "a.json"],
+    ["frobenius", "show", "--json", "a.json"],
+    ["knowledgeable", "--json", "a.json"],
+    ["catalog", "-o", "out.json", "complex", "strip", "1", "1"],
+    ["catalog", "--output=out.json", "algebra", "matsum", "2,3", "1,1"],
+    ["catalog", "-o=out.json", "complex", "annulus"],
+    ["catalog", "complex", "strip", "-1", "1"],
+    ["catalog", "algebra", "-o", "out.json", "group", "cyclic", "3"],
+]
+
+
+def test_the_table_reads_every_command_line_as_argparse_did(monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    documented = _shell_command_lines(block)
+    ci = _shell_command_lines(workflow)
+    assert len(documented) == 8 and len(ci) >= 30
+    reference = _reference_parser()
+    lines = documented + ci + _bench_command_lines(monkeypatch) + _OTHER_LINES
+    compared = 0
+    for argv in lines:
+        try:
+            expect = vars(reference.parse_args(argv))
+        except SystemExit as exit:  # CI's help line, and its malformed line
+            if exit.code == 0:
+                assert parse_args(argv).fn is cli._print_usage
+            else:
+                with pytest.raises(InvalidInput):
+                    parse_args(argv)
+            continue
+        # the sub-parsers' own records of the words, which no handler reads
+        expect.pop("command")
+        expect.pop("subcommand", None)
+        assert vars(parse_args(argv)) == expect, argv
+        compared += 1
+    assert compared >= 60
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"], ["catalog", "-h"],
+                                  ["surface", "--genus", "2", "-h"]])
+def test_help_prints_the_table(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    words = tuple(w for w in argv if not w.startswith("-"))[:1]
+    names = list(COMMANDS[words][3]) if words else [" ".join(w) for w in COMMANDS]
+    assert names and all(name in out for name in names)
+    if words == ("catalog",):
+        assert "-o|--output" in out

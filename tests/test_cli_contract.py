@@ -208,3 +208,25 @@ def test_declared_sizes_past_the_budgets_are_refused_at_once(workdir, argv):
         code = main(argv)
     assert code == 1
     assert json.loads(out.getvalue())["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["algebra"],
+    ["eval", "--algebra", "a.json"],
+    ["surface", "--algebra", "a.json", "--genus", "x"],
+    ["eval", "--algebra", "a.json", "--complex", "c.json", "--mode", "bogus"],
+    ["eval", "--algebra", "a.json", "--complex", "c.json", "--bogus"],
+    ["eval", "--algebra", "a.json", "--complex"],
+    ["algebra", "check", "a.json", "b.json"],
+    ["eval", "--alg", "a.json", "--complex", "c.json"],
+    ["knowledgeable", "a.json", "--json=yes"],
+], ids=lambda argv: " ".join(argv) or "nothing")
+def test_a_malformed_command_line_is_a_json_error(capsys, argv):
+    # each of these printed usage on stderr and exited 2, the code of a
+    # failed mathematical precondition; prefixes such as --alg are refused
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["error"] == "InvalidInput"

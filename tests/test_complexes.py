@@ -174,6 +174,15 @@ def test_a_walk_is_scanned_when_its_start_never_was(monkeypatch):
         S.state_sum_raw(F, moved)
 
 
+@pytest.mark.parametrize("g,w", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (4, 0)])
+def test_closed_surface_scans_its_torus_and_itself(monkeypatch, g, w):
+    # the benchmark's surfaces: one torus serves every handle, and the
+    # intermediate connected sums are never returned, so never scanned
+    calls = _count_scans(monkeypatch)
+    surf = closed_surface(g, w)
+    assert len(calls) == 2 and calls[-1] is surf
+
+
 def _interval(*edges):
     return BoundaryComponent("interval", edges)
 

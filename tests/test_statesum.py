@@ -302,8 +302,12 @@ def test_planner_refuses_a_network_that_is_not_a_graph():
     b = Tensor(QQ, ("x", "z"), (2, 2), {(0, 0): 1, (1, 1): 3})
     c = Tensor(QQ, ("x",), (2,), {(0,): 3, (1,): 1})
     twice = Tensor(QQ, ("x", "y", "x"), (2, 2, 2), {(0, 0, 0): 1})
+    # a leg of dimension 2 on one side and 3 on the other: the x = 2 entry
+    # was silently dropped from a plausible ("z",) tensor
+    wide = Tensor(QQ, ("x",), (3,), {(0,): 1, (2,): 5})
     for tensors, message in (([a, b, c], "leg 'x' joins more than two tensors"),
-                             ([a, twice], "leg 'x' appears twice in tensor 1")):
+                             ([a, twice], "leg 'x' appears twice in tensor 1"),
+                             ([b, wide], "leg 'x' has dimension 3 in tensor 1 and 2 in another")):
         with pytest.raises(ValueError, match=message):
             greedy_contract(tensors)
         with pytest.raises(ValueError, match=message):

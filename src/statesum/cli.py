@@ -11,11 +11,11 @@ a value is taken as it stands (``--genus -1`` is a genus); the last of a
 repeated option wins, and no prefix of an option name is accepted.
 
 Exit codes: 0 success; 1 a malformed command line, an input or validation
-error (malformed files, non-algebras, invalid complexes), or a standard
-output closed by its reader (``statesum ... | head``: nothing goes to
-stderr); 2 mathematical precondition violation (degenerate pairing, algebra
-not strongly separable, ...), so shell-level tests can tell a bad file from
-a bad algebra.
+error (malformed files, non-algebras, invalid complexes), a command that ran
+out of memory (a ``MemoryError`` document), or a standard output closed by
+its reader (``statesum ... | head``: nothing goes to stderr); 2 mathematical
+precondition violation (degenerate pairing, algebra not strongly separable,
+...), so shell-level tests can tell a bad file from a bad algebra.
 
 Every document is written to standard output piece by piece as it is
 encoded (see ``io.dumps``), so memory does not grow with the output.
@@ -464,6 +464,10 @@ def _run(argv) -> int:
         return 2
     except (StateSumError, OSError) as exc:
         sio.dumps({"error": type(exc).__name__, "message": str(exc)}, sys.stdout.write)
+        return 1
+    except MemoryError as exc:  # the work is unwound by now, so the document fits
+        sio.dumps({"error": "MemoryError", "message": str(exc) or "out of memory"},
+                  sys.stdout.write)
         return 1
 
 

@@ -81,6 +81,19 @@ contraction time to a third, for 0.07 s more planning (see the README).
 Since a network is a graph, any order yields the same result, by
 multilinearity: over Q the same integers, hence the same canonical
 ``Fraction``s, and over F_p the same residues.
+
+The eight passes cost as much as the contraction they order, and one
+triangulation is evaluated against many Frobenius structures, so
+``contraction_order`` searches each network once per process.  Its memo is
+keyed by the interned network: the tensor count, the two tensors holding
+each leg (the leg masks read leg by leg) and each leg's dimension, packed
+as one ``str``, a code point each.  That is all the search reads, so a hit
+returns the order a search would, and networks that differ only in their
+leg names share an entry.  The network is interned on every call, so a
+malformed one is refused on a hit too.  The memo holds the
+``_MEMO_ENTRIES`` (1024) most recently added networks and drops the
+oldest; an entry of the Pachner fuzz slice, its steps packed the same way,
+takes about 300 bytes.
 """
 
 from __future__ import annotations
@@ -88,7 +101,8 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from itertools import chain
+from math import lcm, prod
 from operator import itemgetter, mul
 
 from .linalg import Matrix
@@ -306,42 +320,52 @@ def _clear_denominators(tensors):
 
 
 def _intern(shapes):
-    """The network of ``(legs, dims)`` shapes as bit masks, built once.
+    """The network of ``(legs, dims)`` shapes as bit masks, built once, and
+    its memo key.
 
     Legs are numbered in sorted order and leg ``i`` is the bit ``1 << i``.
     Legs of one type are sorted by ``<``, and types by their names, so a
     network may name some legs by strings and others by tuples.  Returns
     each tensor's leg mask, dense size and partners (the mask of the
     tensors it shares a leg with), ``{bit: dim * dim}``, and the heap
-    entries of the initial pairs in sorted ``(a, b)`` order.  A network is
-    a graph: a leg named twice in one tensor, held by three tensors, or
-    given two dimensions is refused with ``ValueError``.
+    entries of the initial pairs in sorted ``(a, b)`` order; then the memo
+    key, the tensor count, the lowest and highest holder of each leg and
+    each leg's dimension, packed.  The holders are the leg masks read leg
+    by leg, so the key holds all that ``_search`` reads, in a size linear
+    in the number of legs.  A network is a graph: a leg named twice in one
+    tensor, held by three tensors, or given two dimensions is refused with
+    ``ValueError``.
     """
     names = sorted({l for legs, _ in shapes for l in legs}, key=lambda l: (type(l).__name__, l))
-    bits = {l: 1 << i for i, l in enumerate(names)}
-    masks, sq, holders = [], {}, {}
+    index = {l: i for i, l in enumerate(names)}
+    dims, holders, masks = [None] * len(names), [0] * len(names), []
     for tid, (legs, ds) in enumerate(shapes):
         mask = 0
         for l, d in zip(legs, ds):
-            bit = bits[l]
+            i = index[l]
+            bit = 1 << i
             if mask & bit:
                 raise ValueError(f"leg {l!r} appears twice in tensor {tid}")
             mask |= bit
-            dd = d * d
-            if sq.setdefault(bit, dd) != dd:
+            if dims[i] is None:
+                dims[i] = d
+            elif dims[i] != d:
                 raise ValueError(f"leg {l!r} has dimension {d} in tensor {tid} "
-                                 f"and {isqrt(sq[bit])} in another")
-            h = holders.get(bit, 0)
+                                 f"and {dims[i]} in another")
+            h = holders[i]
             if h.bit_count() == 2:
                 raise ValueError(f"leg {l!r} joins more than two tensors")
-            holders[bit] = h | 1 << tid
+            holders[i] = h | 1 << tid
         masks.append(mask)
+    sq = {1 << i: d * d for i, d in enumerate(dims)}
     size = [prod(ds) for _, ds in shapes]
     partners = [0] * len(shapes)
     pairs = set()
-    for h in holders.values():
-        if h.bit_count() == 2:
-            a, b = (h & -h).bit_length() - 1, h.bit_length() - 1
+    ends = []  # the lowest and highest holder of each leg, equal for a free leg
+    for h in holders:
+        a, b = (h & -h).bit_length() - 1, h.bit_length() - 1
+        ends += (a, b)
+        if a != b:
             partners[a] |= 1 << b
             partners[b] |= 1 << a
             pairs.add((a, b))
@@ -349,7 +373,15 @@ def _intern(shapes):
     for a, b in sorted(pairs):
         shared = masks[a] & masks[b]
         start.append((size[a] * size[b] // _cut(shared, sq), shared & -shared, a, b))
-    return masks, size, partners, sq, start
+    return (masks, size, partners, sq, start), _packed([len(shapes), *ends, *dims])
+
+
+def _packed(values):
+    """Ints from 0 to 1,114,111 as one ``str``, a code point each.  CPython
+    stores it at one, two or four bytes a character, the fewest its largest
+    value needs (PEP 393), so it is the narrowest packing that fits them
+    all; a larger value is refused with ``ValueError``."""
+    return "".join(map(chr, values))
 
 
 def _cut(shared, sq):
@@ -427,23 +459,45 @@ def plan(shapes, rng=None):
     (see ``_search``); given a ``random.Random``, each size is multiplied by
     ``1 + rng.random()``.
     """
-    return _search(_intern(shapes), rng)[0]
+    return _search(_intern(shapes)[0], rng)[0]
 
 
 _CANDIDATES = 8
 
 
-def contraction_order(shapes):
+def _searched_order(net):
     """The cheapest by summed result sizes of ``plan``'s order and
-    ``_CANDIDATES - 1`` noisy plans, the earlier on a tie.  The network is
-    interned once for all candidates."""
-    net = _intern(shapes)
+    ``_CANDIDATES - 1`` noisy plans of an interned network, the earlier on
+    a tie."""
     steps, best = _search(net)
     rng = random.Random(0)
     for _ in range(_CANDIDATES - 1):
         candidate, total = _search(net, rng)
         if total < best:
             steps, best = candidate, total
+    return steps
+
+
+_MEMO_ENTRIES = 1024
+_orders = {}  # memo key -> the searched steps, flattened and packed
+
+
+def contraction_order(shapes):
+    """``_searched_order`` of the network, searched once per process.
+
+    The network is interned, and so checked, on every call; its order is
+    looked up by its key (see ``_intern``), which holds all that the search
+    reads, so a hit is the order a search would return.  The memo keeps the
+    ``_MEMO_ENTRIES`` newest networks.  Each call returns a fresh list."""
+    net, key = _intern(shapes)
+    flat = _orders.get(key)
+    if flat is not None:
+        pairs = map(ord, flat)
+        return list(zip(pairs, pairs))
+    steps = _searched_order(net)
+    if len(_orders) >= _MEMO_ENTRIES:
+        del _orders[next(iter(_orders))]
+    _orders[key] = _packed(chain.from_iterable(steps))
     return steps
 
 

@@ -47,6 +47,15 @@ def z2_file(tmp_path, capsys):
     return path
 
 
+@pytest.fixture()
+def z3_file(tmp_path, capsys):
+    path = str(tmp_path / "z3.json")
+    code = main(["catalog", "algebra", "group", "cyclic", "3", "-o", path])
+    capsys.readouterr()
+    assert code == 0
+    return path
+
+
 # -- round trips ----------------------------------------------------------------------
 
 
@@ -202,6 +211,28 @@ def test_surface_command_matches_oracles(m23_file, capsys):
     doc = json.loads(out)
     assert doc["contracted"] == "2" == doc["closed_form"] == doc["genus_window_operator"]
     assert doc["match"] is True
+
+
+def test_surface_oracle_on_a_group_algebra_has_no_closed_form(z3_file, capsys):
+    # the closed form covers block sums of matrix algebras, and a group
+    # algebra file carries no blocks; the genus-window operator still checks
+    code, out = run(capsys, "surface", "--algebra", z3_file, "--genus", "1", "--oracle", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["closed_form"] is None and doc["match"] is True
+    assert doc["contracted"] == doc["genus_window_operator"] == "3"
+
+
+def test_a_canonical_frobenius_file_loads_the_canonical_structure(z3_file, tmp_path):
+    with open(z3_file) as fh:
+        doc = sio.loads(fh.read())
+    delta = sio.algebra_from_json(doc)[1]
+    doc["frobenius"] = "canonical"
+    alg, F, _ = cli._load_algebra(write(tmp_path, "canonical.json", json.dumps(doc)))
+    want = S.canonical_frobenius(alg)
+    assert F.counit == want.counit != delta.counit
+    for name in ("pairing", "pairing_inverse", "comul"):
+        assert getattr(F, name) == getattr(want, name), name
 
 
 def test_surface_genus2(z2_file, capsys):

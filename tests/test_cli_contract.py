@@ -16,6 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from statesum import cli  # noqa: E402
 from statesum import io as sio  # noqa: E402
 from statesum.cli import main  # noqa: E402
 from statesum.cobordisms import annulus, open_mult, strip, zipper  # noqa: E402
@@ -230,3 +231,39 @@ def test_a_malformed_command_line_is_a_json_error(capsys, argv):
     out, err = capsys.readouterr()
     assert err == ""
     assert json.loads(out)["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "complex", "annulus", "0", "1"],
+    ["catalog", "complex", "zipper", "0", "0"],
+], ids=" ".join)
+def test_a_catalog_complex_with_bad_sizes_is_unknown(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["error"] == "UnknownCatalogError"
+
+
+# a command line that parses for each command; the handler never runs
+_ARGV = {
+    ("algebra", "check"): ["a.json"],
+    ("frobenius", "show"): ["a.json"],
+    ("knowledgeable",): ["a.json"],
+    ("eval",): ["--algebra", "a.json", "--complex", "c.json"],
+    ("surface",): ["--algebra", "a.json", "--genus", "1"],
+    ("fuzz",): ["--algebra", "a.json", "--complex", "c.json"],
+    ("catalog",): ["complex", "strip", "1", "1"],
+}
+
+
+@pytest.mark.parametrize("words", list(cli.COMMANDS), ids=" ".join)
+def test_a_command_out_of_memory_is_a_json_error(capsys, monkeypatch, words):
+    # the Q[S_4] torus under a 2 GB ulimit -v printed a MemoryError traceback
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, words, (exhausted, *cli.COMMANDS[words][1:]))
+    assert main([*words, *_ARGV[words]]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"error": "MemoryError", "message": "out of memory"}

@@ -503,6 +503,8 @@ def test_builtin_unknown_name():
         builtin("klein_bottle")
     with pytest.raises(UnknownCatalogError):
         builtin("strip", 0, 1)
+    with pytest.raises(UnknownCatalogError, match="genus and windows must be >= 0"):
+        closed_surface(-1, 0)
 
 
 def test_generator_suite_is_eleven():

@@ -38,6 +38,7 @@ from statesum.evaluation import (
     state_sum_reduced,
 )
 from statesum.fields import GF, QQ
+from statesum import tensors as T
 from statesum.morphism import Morphism, full_factor, split_factor
 from statesum.tensors import (
     Tensor,
@@ -305,6 +306,9 @@ def test_planner_refuses_a_network_that_is_not_a_graph():
     # a leg of dimension 2 on one side and 3 on the other: the x = 2 entry
     # was silently dropped from a plausible ("z",) tensor
     wide = Tensor(QQ, ("x",), (3,), {(0,): 1, (2,): 5})
+    # refused on a warm memo too, where unchecked [b, wide] would key as [b, a]
+    greedy_contract([b, a])
+    held = dict(T._orders)
     for tensors, message in (([a, b, c], "leg 'x' joins more than two tensors"),
                              ([a, twice], "leg 'x' appears twice in tensor 1"),
                              ([b, wide], "leg 'x' has dimension 3 in tensor 1 and 2 in another")):
@@ -312,6 +316,7 @@ def test_planner_refuses_a_network_that_is_not_a_graph():
             greedy_contract(tensors)
         with pytest.raises(ValueError, match=message):
             contraction_order([(t.legs, t.dims) for t in tensors])
+    assert T._orders == held
 
 
 # the closed surfaces of the benchmark's surface workloads, over M2+M3
@@ -395,6 +400,91 @@ def test_contraction_order_ignores_the_hash_seed():
                              env=env, capture_output=True, text=True, check=True)
         digests.append(out.stdout.strip())
     assert digests == ["fc69220def13c56b64988bbe7a687c6ebb6e5d7c"] * 2
+
+
+# -- the memo of searched orders ----------------------------------------------------------
+
+
+@pytest.fixture()
+def searches(monkeypatch):
+    """An empty memo, and the list of the networks searched since."""
+    searched = []
+    monkeypatch.setattr(T, "_orders", {})
+    monkeypatch.setattr(T, "_searched_order", lambda net: searched.append(net) or _search(net))
+    return searched
+
+
+_search = T._searched_order
+
+
+def _uncached_order(shapes):
+    return _search(T._intern(shapes)[0])
+
+
+def _shapes(F, c):
+    return [(t.legs, t.dims) for t in build_dual_network(F, c).tensors]
+
+
+def _fuzz_slice_networks():
+    """The raw networks of the benchmark's Pachner fuzz slice (3 algebras x
+    13 complexes), walked with the move seeds of trials 0 and 1 and with
+    the held-out ones of moves seed 5."""
+    a7 = S.group_algebra(GF(7), S.GroupTable.cyclic(3))[0]
+    algebras = [S.group_algebra(QQ, S.GroupTable.cyclic(2))[1],
+                S.group_algebra(QQ, S.GroupTable.cyclic(3))[1],
+                S.frobenius_from_window(a7, a7.unit_element())]
+    suite = dict(S.generator_suite(), torus=closed_surface(1, 0),
+                 genus2_window=closed_surface(2, 1))
+    return [_shapes(F, random_moves(c, seed=seed, n=30))
+            for seed in (17, 1017, 100017, 101017) for F in algebras for c in suite.values()]
+
+
+def test_memo_orders_are_the_searched_orders(searches):
+    networks = _fuzz_slice_networks()
+    for field in (QQ, GF(10007)):
+        _, F13 = S.matrix_direct_sum(field, [2, 3], [1, 2])
+        networks += [_shapes(F13, closed_surface(g, w)) for g, w in _BENCH_SURFACES]
+    cold = [contraction_order(shapes) for shapes in networks]
+    # each dim-3 walk recurs under the second dim-3 algebra, and each
+    # surface over F_10007 repeats its shape over Q
+    assert len(searches) == len(T._orders) < len(networks)
+    warm = [contraction_order(shapes) for shapes in networks]
+    assert len(searches) == len(T._orders)
+    assert cold == warm == [_uncached_order(shapes) for shapes in networks]
+
+
+def test_memo_keeps_one_entry_per_dimension(searches):
+    c = random_moves(closed_surface(1, 0), seed=17, n=30)
+    (_, F2), (_, F3) = (S.group_algebra(QQ, S.GroupTable.cyclic(k)) for k in (2, 3))
+    assert state_sum_raw(F2, c) == state_sum_raw(F2, c)
+    assert len(T._orders) == len(searches) == 1
+    state_sum_raw(F3, c)
+    assert len(T._orders) == len(searches) == 2
+
+
+def test_memo_holds_at_most_its_bound_and_drops_the_oldest(searches, monkeypatch):
+    monkeypatch.setattr(T, "_MEMO_ENTRIES", 3)
+    _, F = S.group_algebra(QQ, S.GroupTable.cyclic(2))
+    networks = [_shapes(F, strip(k, k)) for k in range(1, 7)]
+    keys = [T._intern(shapes)[1] for shapes in networks]
+    for i, shapes in enumerate(networks):
+        assert contraction_order(shapes) == _uncached_order(shapes)
+        assert list(T._orders) == keys[max(0, i - 2):i + 1]
+    contraction_order(networks[0])  # dropped, so searched again
+    assert len(searches) == 7 and list(T._orders) == keys[4:] + keys[:1]
+
+
+def test_memo_hands_out_a_fresh_list(searches):
+    _, F = S.group_algebra(QQ, S.GroupTable.cyclic(3))
+    shapes = _shapes(F, closed_surface(2, 1))
+    first = contraction_order(shapes)
+    want = list(first)
+    first.append((0, 0))
+    first[0] = None
+    second = contraction_order(shapes)
+    assert second == want and second is not first
+    second.clear()
+    assert contraction_order(shapes) == want and len(searches) == 1
 
 
 def test_dual_network_exponents_default_to_a_fresh_dict():

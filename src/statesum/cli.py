@@ -191,10 +191,11 @@ def cmd_eval(args) -> int:
 
 
 # Budgets on declared sizes, refused before anything loads: a walk's work grows
-# with the square of its length, and so does digging many windows; checking a
-# group table's associativity takes the cube of the group's order in
-# multiply-adds on each side, about 8 s for S_5.  The README gives the times
-# they were set from.
+# faster than its length (each move copies its parent's indexes, and each move
+# that renumbers vertices rebuilds them), and digging many windows grows with
+# the square of their number; checking a group table's associativity takes the
+# cube of the group's order in multiply-adds on each side, about 8 s for S_5.
+# The README gives the times they were set from.
 FUZZ_MOVES_BUDGET = 1_000  # moves per walk
 FUZZ_TOTAL_MOVES_BUDGET = 10_000  # moves * trials
 SURFACE_GENUS_BUDGET = 200

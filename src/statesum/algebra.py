@@ -235,16 +235,6 @@ class Element:
         self.algebra = algebra
         self.coeffs = tuple(coeffs)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.algebra is other.algebra
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __mul__(self, other: "Element") -> "Element":
         if self.algebra is not other.algebra:
             raise ValueError("elements live in different algebras")
@@ -253,14 +243,6 @@ class Element:
         ab = contract_pair(alg._translation(self.coeffs, _LEFT),
                            Tensor.vector(alg.field, "b", alg.dim, other.coeffs))
         return Element(alg, ab.to_matrix(("k",), ()).column(0))
-
-    def __add__(self, other: "Element") -> "Element":
-        f = self.algebra.field
-        return Element(self.algebra, [f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "Element") -> "Element":
-        f = self.algebra.field
-        return Element(self.algebra, [f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, c) -> "Element":
         f = self.algebra.field

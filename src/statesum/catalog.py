@@ -389,27 +389,18 @@ def groupoid_idempotent_closed_form(field: Field, gd: FiniteGroupoid) -> Matrix:
 
 
 def _interval_blocks(model: BlockModel, c: OpenClosedComplex, colour_of_arc, components):
-    """Block index lists for each black interval, from adjacent arc colours."""
-    arcs = c.coloured_arcs()
-    arc_of_vertex = {}
-    for ai, arc in enumerate(arcs):
-        for e in arc:
-            arc_of_vertex.setdefault(e[0], set()).add(ai)
-            arc_of_vertex.setdefault(e[1], set()).add(ai)
+    """Block index lists for each black interval, from adjacent arc colours.
+
+    ``c`` is valid, so each end of an interval has one coloured boundary
+    edge and lies on one arc."""
+    arc_of_vertex = {v: ai for ai, arc in enumerate(c.coloured_arcs()) for e in arc for v in e}
     out = []
     for comp in components:
         if comp.kind != "interval":
             out.append(None)
             continue
         seq = comp.vertices()
-        first, last = seq[0], seq[-1]
-        cols = []
-        for v in (first, last):
-            ais = arc_of_vertex.get(v, set())
-            vcols = {colour_of_arc[ai] for ai in ais if ai in colour_of_arc}
-            if len(vcols) > 1:
-                raise IncompatibleColoursError(f"corner {v} meets arcs of different colours")
-            cols.append(next(iter(vcols)) if vcols else None)
+        cols = [colour_of_arc.get(arc_of_vertex[v]) for v in (seq[0], seq[-1])]
         if cols[0] is None and cols[1] is None:
             out.append(None)
         elif cols[0] is None or cols[1] is None:
@@ -429,11 +420,9 @@ def colored_evaluate(model: BlockModel, F: FrobeniusStructure,
     Uncoloured arcs keep the unit; a fully uncoloured complex reproduces
     ``state_sum`` exactly.
     """
-    colour_of_arc = c.arc_colours()
+    colour_of_arc = c.arc_colours()  # keyed by indices into coloured_arcs()
     arcs = c.coloured_arcs()
-    for ai, col in colour_of_arc.items():
-        if ai >= len(arcs):
-            raise MissingColourError(f"colour assigned to nonexistent arc {ai}")
+    for col in colour_of_arc.values():
         if col not in model.object_idempotents:
             raise MissingColourError(f"colour {col!r} is not an object of the model")
     overrides = {}

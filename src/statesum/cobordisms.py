@@ -29,12 +29,10 @@ def _circle_component(c: OpenClosedComplex, member_vertex: int, role: str) -> Bo
     along the induced boundary orientation, output circles against it, so the
     two chains of a cylinder wind the same way around it.
     """
-    for cyc in c.boundary_cycles():
-        if member_vertex in cyc:
-            verts = cyc if role == "in" else [cyc[0]] + cyc[1:][::-1]
-            edges = [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
-            return BoundaryComponent("circle", edges)
-    raise InvalidComplexError([f"vertex {member_vertex} is not on the boundary"])
+    cyc = next(cyc for cyc in c.boundary_cycles() if member_vertex in cyc)
+    verts = cyc if role == "in" else [cyc[0]] + cyc[1:][::-1]
+    edges = [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
+    return BoundaryComponent("circle", edges)
 
 
 # -- flat pieces -----------------------------------------------------------------
@@ -297,8 +295,9 @@ def closed_surface(genus: int, windows: int) -> OpenClosedComplex:
 def _union(c1: OpenClosedComplex, c2: OpenClosedComplex, ident) -> OpenClosedComplex:
     """``c1`` and ``c2`` as one complex, with the boundary components of both
     in order.  Vertex ``x`` of ``c2`` becomes ``ident[x]``, a vertex of ``c1``,
-    if it is identified, and otherwise the next label after ``c1``'s; labels
-    that no triangle uses are then compacted away."""
+    if it is identified, and otherwise the next label after ``c1``'s.  No
+    label is dropped, so a vertex that lies in no triangle of ``c1`` or
+    ``c2`` lies in none of the union, and its scan refuses it."""
     vmap = {}
     fresh = c1.vertex_count
     for x in range(c2.vertex_count):
@@ -308,7 +307,7 @@ def _union(c1: OpenClosedComplex, c2: OpenClosedComplex, ident) -> OpenClosedCom
             vmap[x] = fresh
             fresh += 1
     c2 = c2.relabelled(vmap, fresh)
-    out = OpenClosedComplex(
+    return OpenClosedComplex(
         fresh,
         c1.triangles + c2.triangles,
         c1.coloured_edges | c2.coloured_edges,
@@ -316,10 +315,6 @@ def _union(c1: OpenClosedComplex, c2: OpenClosedComplex, ident) -> OpenClosedCom
         c1.black_out + c2.black_out,
         {**c1.edge_colours, **c2.edge_colours},
     )
-    live = sorted({v for t in out.triangles for v in t})
-    if len(live) != out.vertex_count:
-        out = out.relabelled({v: i for i, v in enumerate(live)}, len(live))
-    return out
 
 
 def disjoint_union(c1: OpenClosedComplex, c2: OpenClosedComplex) -> OpenClosedComplex:

@@ -130,12 +130,8 @@ class OpenClosedComplex:
         self.vertex_count = vertex_count
         self.triangles = tuple(canonical_triangle(tuple(t)) for t in triangles)
         self.coloured_edges = frozenset(ekey(u, v) for (u, v) in coloured_edges)
-        self.black_in = tuple(
-            b if isinstance(b, BoundaryComponent) else BoundaryComponent(**b) for b in black_in
-        )
-        self.black_out = tuple(
-            b if isinstance(b, BoundaryComponent) else BoundaryComponent(**b) for b in black_out
-        )
+        self.black_in = tuple(black_in)
+        self.black_out = tuple(black_out)
         self.edge_colours = {ekey(u, v): c for (u, v), c in (edge_colours or {}).items()}
 
         self._edge_tris = {}

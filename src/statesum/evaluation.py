@@ -73,11 +73,11 @@ def signature(F: FrobeniusStructure, components, level):
 
 class DualNetwork:
     def __init__(self, tensors: list, in_components: list, out_components: list,
-                 exponents: dict | None = None):
+                 exponents: dict):
         self.tensors = tensors
         self.in_components = in_components  # (kind, [leg ids]) per black_in component
         self.out_components = out_components
-        self.exponents = {} if exponents is None else exponents  # component root -> a^-k power
+        self.exponents = exponents  # component root -> a^-k power
 
 
 def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,

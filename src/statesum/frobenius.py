@@ -1,9 +1,9 @@
 """Symmetric Frobenius structures on strongly separable algebras.
 
 A structure is keyed by its counit vector; the pairing ``g = eps o mu``, its
-inverse, the comultiplication, and the window element are all derived at
-construction time, so validation errors surface immediately and later
-operations are table lookups.  As in ``algebra``, every derived map is a
+inverse and the window element are derived at construction time, so
+validation errors surface immediately; the comultiplication and every later
+map are derived on first use.  As in ``algebra``, every derived map is a
 contraction of the structure tensor ``c_ijk`` through
 ``tensors.contract_pair``: ``Delta`` contracts it with the inverse pairing,
 the window element contracts the inverse pairing with it, the trilinear
@@ -53,7 +53,7 @@ from .tensors import Tensor, contract_pair, greedy_contract
 class FrobeniusStructure:
     """A symmetric Frobenius algebra with invertible window element."""
 
-    __slots__ = ("algebra", "counit", "pairing", "pairing_inverse", "comul",
+    __slots__ = ("algebra", "counit", "pairing", "pairing_inverse",
                  "window", "window_inverse", "_cache")
 
     def __init__(self, algebra: Algebra, counit):
@@ -74,12 +74,6 @@ class FrobeniusStructure:
             raise DegeneratePairingError("eps o mu is degenerate") from None
         self.pairing = g
         self._cache = {}
-
-        # Delta(e_i) as rows of sorted (j, b, value); its laws follow from g(xy, z) = g(x, yz)
-        comul = [[] for _ in range(n)]
-        for (i, j, b), v in sorted(self.delta_tensor().data.items()):
-            comul[i].append((j, b, v))
-        self.comul = tuple(map(tuple, comul))
 
         # window = mu o Delta o eta = sum g*[a][b] e_a e_b, central: the Casimir commutes with all y
         gstar = Tensor.from_matrix_sparse(f, ("a", "b"), (n, n), self.pairing_inverse)
@@ -115,6 +109,16 @@ class FrobeniusStructure:
         n = self.dim
         gstar = Tensor.from_matrix_sparse(self.field, ("a", "b"), (n, n), self.pairing_inverse)
         return contract_pair(self.algebra.structure_tensor(("i", "a", "j")), gstar)
+
+    @property
+    @_cached
+    def comul(self):
+        """``Delta(e_i)`` as rows of sorted ``(j, b, value)``, one row per ``i``;
+        its laws follow from ``g(xy, z) = g(x, yz)``."""
+        rows = [[] for _ in range(self.dim)]
+        for (i, j, b), v in sorted(self.delta_tensor().data.items()):
+            rows[i].append((j, b, v))
+        return tuple(map(tuple, rows))
 
     @_cached
     def delta_matrix(self) -> Matrix:
@@ -311,10 +315,8 @@ def window_element(F: FrobeniusStructure) -> Element:
     f = alg.field
     n = alg.dim
     two = [f.zero()] * (n * n)
-    for i, ui in enumerate(alg.unit):
-        if ui == 0:
-            continue
-        for (j, b, v) in F.comul[i]:
+    for (i, j, b), v in F.delta_tensor().data.items():
+        if ui := alg.unit[i]:
             two[j * n + b] = f.add(two[j * n + b], f.mul(ui, v))
     out = [f.zero()] * n
     for j, b, k, cc in alg.mul_entries():

@@ -7,6 +7,8 @@ import pytest
 import statesum as S
 from statesum.errors import BadUnitError, NotAssociativeError
 from statesum.fields import GF, QQ
+from statesum.morphism import full_factor
+from statesum.tensors import Tensor
 
 
 def m2_indices():
@@ -340,3 +342,32 @@ def test_is_central_and_inverse():
     inv = two.inverse()
     assert inv.coeffs == one.scale(Fraction(1, 2)).coeffs
     assert (two * inv).coeffs == one.coeffs
+
+
+def test_elements_of_two_algebras_do_not_multiply():
+    alg, _ = S.matrix_direct_sum(QQ, [2], [1])
+    other, _ = S.matrix_direct_sum(QQ, [2], [1])
+    with pytest.raises(ValueError):
+        alg.unit_element() * other.unit_element()
+
+
+def _z2():
+    return S.Algebra(QQ, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)],
+                     [Fraction(1), Fraction(0)])
+
+
+@pytest.mark.parametrize("build,text", [
+    (_z2, "Algebra(dim=2 over Field(Q))"),
+    (lambda: _z2().element([Fraction(1, 2), Fraction(-1)]), "1/2*e0 + -1*e1"),
+    (lambda: _z2().zero_element(), "0"),
+    (lambda: GF(7), "Field(F_7)"),
+    (lambda: S.FrobeniusStructure(_z2(), [Fraction(1), Fraction(0)]),
+     "FrobeniusStructure(dim=2 over Field(Q))"),
+    (lambda: S.Matrix.zeros(GF(7), 2, 3), "Matrix(2x3 over Field(F_7))"),
+    (lambda: S.Morphism.identity(QQ, (full_factor(2),)), "Morphism([full(2)] <- [full(2)])"),
+    (lambda: Tensor.vector(QQ, "i", 3, [1, 0, 2]), "Tensor(legs=['i'], nnz=2)"),
+    (lambda: S.strip(1, 1), "OpenClosedComplex(V=4, F=2, in=1, out=1, coloured=2)"),
+], ids=["Algebra", "Element", "zero Element", "Field", "FrobeniusStructure", "Matrix",
+        "Morphism", "Tensor", "OpenClosedComplex"])
+def test_display_forms(build, text):
+    assert repr(build()) == text

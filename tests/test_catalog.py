@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -316,6 +317,46 @@ def test_uncoloured_complex_equals_state_sum():
     alg, F, model = S.groupoid_algebra(QQ, gd)
     c = strip(1, 2)
     assert S.colored_evaluate(model, F, c).equal(state_sum(F, c))
+
+
+def _flat(factors, ranges):
+    """Flat indices, leftmost leg most significant, of every combination of
+    per-leg indices in ``ranges``."""
+    out = []
+    for combo in product(*ranges):
+        idx = 0
+        for f, i in zip(factors, combo):
+            idx = idx * f.dim + i
+        out.append(idx)
+    return out
+
+
+@pytest.mark.parametrize("build,out_colours,in_colours", [
+    (lambda: coloured_strip(S.zipper(), 1, 1), [(1, 1)], [None]),
+    (lambda: S.disjoint_union(coloured_strip(strip(1, 1), 0, 1), strip(1, 1)),
+     [(0, 1), None], [(0, 1), None]),
+], ids=["circle leg", "uncoloured interval"])
+def test_legs_without_colours_keep_their_whole_factor(build, out_colours, in_colours):
+    """A circle leg, or an interval whose ends are uncoloured, keeps its
+    factor; each interval between colours ``(x, y)`` is cut to ``block(x, y)``."""
+    gd = S.FiniteGroupoid.pair(2)
+    alg, F, model = S.groupoid_algebra(QQ, gd)
+    c = build()
+    z = S.colored_evaluate(model, F, c)
+    arcs = c.coloured_arcs()
+    full = state_sum(F, c, coloured_elements={e: model.object_idempotents[col]
+                                              for ai, col in c.arc_colours().items()
+                                              for e in arcs[ai]})
+
+    def ranges(factors, colours):
+        return [range(f.dim) if xy is None else model.block(*xy)
+                for f, xy in zip(factors, colours)]
+
+    rows = _flat(full.codomain, ranges(full.codomain, out_colours))
+    cols = _flat(full.domain, ranges(full.domain, in_colours))
+    assert z.matrix == S.Matrix.from_rows(QQ, [[full.matrix[r, j] for j in cols] for r in rows])
+    assert [f.kind for f in z.codomain] == ["full" if xy is None else "block"
+                                            for xy in out_colours]
 
 
 def test_coloured_errors():

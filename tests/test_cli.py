@@ -79,6 +79,15 @@ def test_complex_file_roundtrip(tmp_path, capsys):
     assert sio.dumps(sio.complex_to_json(c)) == sio.dumps(doc)
 
 
+def test_catalog_without_output_prints_the_file(tmp_path, capsys):
+    path = str(tmp_path / "c.json")
+    assert main(["catalog", "complex", "zipper", "-o", path]) == 0
+    code, out = run(capsys, "catalog", "complex", "zipper")
+    assert code == 0
+    with open(path) as fh:
+        assert out == fh.read()
+
+
 def test_complex_brane_colours_roundtrip():
     c = S.strip(1, 1)
     arcs = c.coloured_arcs()
@@ -374,11 +383,15 @@ _TRIANGLE = {"vertices": 3, "triangles": [[0, 1, 2]], "coloured_edges": [],
     (_z2_doc(), dict(_TRIANGLE, coloured_edges=[[0, True], [1, 2], [2, 0]])),
     # the declared dim is checked against the unit before anything of its size is built
     (_z2_doc(dim=1000000000, unit=["1"]), _TRIANGLE),
+    (_z2_doc(field={"kind": "real"}), _TRIANGLE),
+    (_z2_doc(frobenius="delta"), _TRIANGLE),
+    (_z2_doc(), dict(sio.complex_to_json(S.strip(1, 1)), brane_colours={"2": 0})),
 ], ids=["index", "unit", "counit", "window", "basis", "negative_dim", "two_vertex_triangle",
         "zero_denominator", "number_coefficients", "infinite_dim", "brane_not_object",
         "brane_list_colour", "fractional_dim", "fractional_prime", "float_indices",
         "boolean_indices", "basis_object", "basis_numbers", "fractional_block_size",
-        "float_vertex_count", "float_triangle_vertex", "boolean_edge_vertex", "huge_dim"])
+        "float_vertex_count", "float_triangle_vertex", "boolean_edge_vertex", "huge_dim",
+        "unknown_field_kind", "unknown_frobenius_spec", "brane_colour_on_missing_arc"])
 def test_malformed_file_shapes_are_file_format_errors(tmp_path, capsys, algebra, complex_):
     apath = write(tmp_path, "a.json", sio.dumps(algebra))
     cpath = write(tmp_path, "c.json", sio.dumps(complex_))

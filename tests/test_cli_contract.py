@@ -236,6 +236,8 @@ def test_a_malformed_command_line_is_a_json_error(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["catalog", "complex", "annulus", "0", "1"],
     ["catalog", "complex", "zipper", "0", "0"],
+    ["catalog", "complex", "strip", "1"],
+    ["catalog", "complex", "open_mult", "1"],
 ], ids=" ".join)
 def test_a_catalog_complex_with_bad_sizes_is_unknown(capsys, argv):
     assert main(argv) == 1

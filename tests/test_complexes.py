@@ -347,6 +347,8 @@ def test_split_counts_and_inverse():
     assert merged.validate().ok
     assert merged.vertex_count == c.vertex_count
     assert set(merged.triangles) == set(c.triangles)
+    u, v, w = c.triangles[0]
+    assert pachner_13(c, (v, w, u)).triangles == split.triangles  # by its vertices
 
 
 def test_merge_requires_interior_degree_three():
@@ -413,6 +415,41 @@ def test_shelling_close_blocked_when_edge_exists():
     c = open_unit()  # apex vertex 2 has two coloured edges but (0,1) exists
     with pytest.raises(NotApplicableError):
         shelling_close_vertex(c, 2)
+
+
+def test_moves_refuse_sites_whose_triangles_disagree_on_orientation():
+    # vertex 0 lies in three triangles and on no boundary edge, but its link
+    # is no oriented 3-cycle
+    twisted = OpenClosedComplex(4, [(0, 1, 2), (0, 2, 3), (0, 1, 3)], [], [], [])
+    with pytest.raises(NotApplicableError):
+        pachner_31(twisted, 0)
+    # both coloured boundary edges at vertex 0 point away from it
+    notch = OpenClosedComplex(4, [(0, 1, 3), (0, 2, 3)], [(0, 1), (0, 2)], [], [])
+    with pytest.raises(NotApplicableError):
+        shelling_close_vertex(notch, 0)
+    assert not twisted.validate().ok and not notch.validate().ok
+
+
+def test_a_split_next_to_an_edge_in_three_triangles_patches_its_edge_index():
+    c = OpenClosedComplex(5, [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [], [], [])
+    split = pachner_13(c, 0)
+    rebuilt = OpenClosedComplex(split.vertex_count, split.triangles, [], [], [])
+    assert split.edge_triangles() == rebuilt.edge_triangles()
+    assert len(split.edge_triangles()[0, 1]) == 3
+
+
+def test_coloured_edges_that_branch_are_reported_not_walked_past_a_dead_end():
+    # three coloured edges meet at vertex 1: the arc from vertex 0 ends at the
+    # first leaf it reaches, and the scan reports the complex
+    c = OpenClosedComplex(4, [(0, 1, 2)], [(0, 1), (1, 2), (1, 3)], [], [])
+    (arc,) = c.coloured_arcs()
+    assert len(arc) == 2 and arc[0] == (0, 1)
+    assert not c.validate().ok
+
+
+def test_a_walk_on_the_empty_complex_makes_no_move():
+    empty = OpenClosedComplex(0, [], [], [], []).require_valid()
+    assert random_moves(empty, seed=0, n=5) is empty
 
 
 def test_shellings_preserve_brane_colours():
@@ -585,12 +622,35 @@ def test_disjoint_union_components():
     assert len(c.black_in) == 1 and len(c.black_out) == 2
 
 
+def test_disjoint_union_keeps_an_isolated_vertex():
+    # a sphere declared on 5 vertices: vertex 4 lies in no triangle
+    loose = OpenClosedComplex(5, sphere().triangles, [], [], [])
+    assert not loose.validate().ok
+    union = disjoint_union(loose, closed_surface(0, 0))
+    assert not union.validate().ok
+    with pytest.raises(InvalidComplexError):
+        union.require_valid()
+
+
 def test_glue_shape_mismatch_rejected():
-    from statesum.errors import InvalidComplexError
     with pytest.raises(InvalidComplexError):
         glue(strip(1, 1), strip(1, 2))  # 1-edge out onto 2-edge in
     with pytest.raises(InvalidComplexError):
         glue(annulus(3, 3), strip(3, 3))  # circle onto interval
+    with pytest.raises(InvalidComplexError, match="counts differ"):
+        glue(strip(1, 1), open_mult())  # one output onto two inputs
+    # two inputs share vertex 1, which the two outputs would send to two vertices
+    shared = OpenClosedComplex(3, [(0, 1, 2)], [], [BoundaryComponent("interval", [(0, 1)]),
+                                                   BoundaryComponent("interval", [(1, 2)])], [])
+    with pytest.raises(InvalidComplexError, match="vertex 1 identified twice"):
+        glue(disjoint_union(strip(1, 1), strip(1, 1)), shared)
+
+
+def test_only_circles_rotate_and_holes_have_a_role():
+    with pytest.raises(InvalidComplexError):
+        S.rotate_circle(strip(1, 1), "in", 0, 1)
+    with pytest.raises(UnknownCatalogError):
+        dig_hole(sphere(), 0, "door")
 
 
 def test_glue_strip_stack():
@@ -786,7 +846,7 @@ def test_patched_move_sites_equal_a_full_scan():
     ("flip", 5), ("flip", (1, 2, 3)), ("flip", (False, 3)), ("flip", "03"), ("flip", (0.0, 3)),
     ("split", (0, 0, 1)), ("split", True), ("split", (0, 3)), ("split", 1.0),
     ("merge", True), ("merge", (4,)), ("shell_split", (True, 3)), ("shell_open", [1, True]),
-    ("shell_merge", False), ("shell_close", None),
+    ("shell_merge", False), ("shell_close", None), ("split", (0, 1, 2)),
 ])
 def test_malformed_sites_are_not_applicable(kind, site):
     c = strip(1, 1)  # flip (0, 3), split 0 and 1, shell_split (0, 2) and (1, 3) apply

@@ -129,6 +129,9 @@ def test_from_window_rejects_non_central_and_non_invertible():
         S.frobenius_from_window(alg, alg.basis_element(0))
     with pytest.raises(NotInvertibleError):
         S.frobenius_from_window(alg, alg.zero_element())
+    other, _ = S.matrix_direct_sum(QQ, [2], [1])
+    with pytest.raises(ValueError):
+        S.frobenius_from_window(alg, other.unit_element())
 
 
 # -- window element -------------------------------------------------------------------
@@ -310,6 +313,8 @@ def test_split_rejects_non_idempotent():
     m = S.Matrix.from_rows(QQ, [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]])
     with pytest.raises(NotIdempotentError):
         split_idempotent(m)
+    with pytest.raises(NotIdempotentError):
+        split_idempotent(S.Matrix.zeros(QQ, 2, 3))
 
 
 def test_split_is_the_cr_factorisation_of_random_idempotents():

@@ -135,6 +135,20 @@ def test_inverse_singular_raises():
         mat(QQ, [[1, 2], [2, 4]]).inverse()
 
 
+@pytest.mark.parametrize("call", [
+    lambda wide: Matrix.from_rows(QQ, [[1, 2], [3]]),
+    lambda wide: wide @ wide,
+    lambda wide: wide.mul_vec([0, 0]),
+    lambda wide: wide.solve([0]),
+    lambda wide: wide.inverse(),
+], ids=["ragged rows", "matmul", "mul_vec", "solve", "inverse"])
+def test_shape_mismatches_are_refused(call):
+    wide = Matrix.zeros(QQ, 2, 3)
+    with pytest.raises(ValueError):
+        call(wide)
+    assert not wide.is_symmetric()
+
+
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(11), GF(2), GF(10007)])
 def test_random_invertible_roundtrip(field):
     rng = random.Random(7)
@@ -219,11 +233,29 @@ def test_large_prime_field_builds():
     assert S.GF(2**61 - 1).p == 2**61 - 1
 
 
-@pytest.mark.parametrize("n", [561, 2047, 2**61 + 1])
+@pytest.mark.parametrize("n", [561, 2047, 2**61 + 1, 3215031751, 3825123056546413051])
 def test_pseudoprimes_are_not_prime_fields(n):
-    # a Carmichael number, a strong pseudoprime to base 2, and 3 * 768614336404564651
+    # a Carmichael number, a strong pseudoprime to base 2, 3 * 768614336404564651,
+    # and strong pseudoprimes to the bases 2..7 (151 * 751 * 28351) and 2..23
+    # (149491 * 747451 * 34233211), whose factors no trial division finds
     with pytest.raises(ValueError):
         S.Field(n)
+
+
+def test_is_prime_matches_trial_division():
+    from math import isqrt
+
+    from statesum.fields import is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial(n)]
+
+
+def test_rational_inverse_of_zero_is_refused():
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(QQ.zero())
 
 
 def test_modulus_beyond_certified_primality_bound_is_refused():

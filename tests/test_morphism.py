@@ -67,6 +67,14 @@ def test_sparse_operations_match_dense_oracles(name):
     assert Morphism.identity(field, sig).matrix == Matrix.identity(field, 6)
 
 
+def test_only_a_scalar_has_a_scalar_value():
+    from statesum.tensors import Tensor
+    with pytest.raises(ValueError):
+        Morphism.identity(S.QQ, (full_factor(2),)).scalar_value()
+    with pytest.raises(ValueError):
+        Tensor.vector(S.QQ, "i", 2, [1, 0]).scalar()
+
+
 def test_factor_is_a_value():
     f = Factor("full", 3)
     assert f == full_factor(3) and hash(f) == hash(full_factor(3))

@@ -30,7 +30,6 @@ from statesum.evaluation import (
     _close_component,
     _join_legs,
     _triangle_data,
-    DualNetwork,
     build_dual_network,
     evaluate_closed,
     state_sum,
@@ -485,13 +484,6 @@ def test_memo_hands_out_a_fresh_list(searches):
     assert second == want and second is not first
     second.clear()
     assert contraction_order(shapes) == want and len(searches) == 1
-
-
-def test_dual_network_exponents_default_to_a_fresh_dict():
-    first, second = DualNetwork([], [], []), DualNetwork([], [], [])
-    assert first.exponents == {} and first.exponents is not second.exponents
-    first.exponents[0] = 1
-    assert second.exponents == {}
 
 
 def test_network_is_one_tensor_per_triangle_and_coloured_edge(m2):

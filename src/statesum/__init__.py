@@ -56,7 +56,6 @@ from .frobenius import (
     idempotent_property_report,
     knowledgeable_from_frobenius,
     split_idempotent,
-    window_element,
 )
 from .linalg import Matrix
 from .morphism import Morphism

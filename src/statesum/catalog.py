@@ -9,8 +9,6 @@ composite give two independent oracles for the contracted state sum.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-
 from .algebra import Algebra
 from .complexes import OpenClosedComplex
 from .errors import (
@@ -27,7 +25,6 @@ from .fields import Field
 from .frobenius import FrobeniusStructure, KnowledgeableFrobenius
 from .linalg import Matrix
 from .morphism import Factor, Morphism
-from .tensors import _strides
 
 
 # -- finite groups ------------------------------------------------------------------
@@ -87,12 +84,22 @@ class GroupTable:
         return cls(table, names=["".join(map(str, p)) for p in perms])
 
 
+def _table_algebra(field: Field, table, identities, names) -> Algebra:
+    """The algebra on the basis ``names`` whose product of basis elements ``i``
+    and ``j`` is ``table[i][j]``, or zero where that is ``None`` (an undefined
+    composite), with unit the sum of ``identities``."""
+    n = len(table)
+    entries = [(i, j, k, field.one()) for i in range(n) for j, k in enumerate(table[i])
+               if k is not None]
+    unit = [field.zero()] * n
+    for i in identities:
+        unit[i] = field.one()
+    return Algebra(field, n, entries, unit, basis_names=names)
+
+
 def group_table_algebra(field: Field, group: GroupTable) -> Algebra:
     """Bare ``k[G]`` on the group elements; no characteristic check."""
-    n = group.order
-    entries = [(i, j, group.table[i][j], field.one()) for i in range(n) for j in range(n)]
-    unit = [field.one() if i == group.identity else field.zero() for i in range(n)]
-    return Algebra(field, n, entries, unit, basis_names=group.names)
+    return _table_algebra(field, group.table, (group.identity,), group.names)
 
 
 def group_algebra(field: Field, group: GroupTable):
@@ -338,17 +345,7 @@ def groupoid_algebra(field: Field, gd: FiniteGroupoid):
                 f"characteristic {p} divides the star size at object {x}"
             )
     n = gd.num_morphisms
-    entries = []
-    for g in range(n):
-        for h in range(n):
-            val = gd.compose_table[g][h]
-            if val is not None:
-                entries.append((g, h, val, field.one()))
-    unit = [field.zero()] * n
-    for x in range(gd.num_objects):
-        unit[gd.identity_of[x]] = field.one()
-    names = [f"m{g}" for g in range(n)]
-    alg = Algebra(field, n, entries, unit, basis_names=names)
+    alg = _table_algebra(field, gd.compose_table, gd.identity_of, [f"m{g}" for g in range(n)])
     eps = [field.zero()] * n
     for x in range(gd.num_objects):
         eps[gd.identity_of[x]] = field.of_int(gd.star_size(x))
@@ -439,34 +436,23 @@ def colored_evaluate(model: BlockModel, F: FrobeniusStructure,
 
 
 def _restrict(z: Morphism, in_blocks, out_blocks) -> Morphism:
-    def leg_ranges(signature, blocks):
-        ranges = []
-        factors = []
+    """``z`` with each leg that has a block cut to it: a 0/1 projection onto
+    the block after such an output leg, its inclusion before such an input
+    leg, and the identity on every other leg."""
+    one = z.field.one()
+
+    def cut(signature, blocks, inclusion):
+        m = Morphism.scalar(z.field, one)
         for fac, blk in zip(signature, blocks):
             if blk is None:
-                ranges.append(range(fac.dim))
-                factors.append(fac)
+                leg = Morphism.identity(z.field, (fac,))
+            elif inclusion:
+                leg = Morphism(z.field, (Factor("block", len(blk)),), (fac,),
+                               {g: {i: one} for i, g in enumerate(blk)})
             else:
-                ranges.append(list(blk))
-                factors.append(Factor("block", len(blk)))
-        return ranges, tuple(factors)
+                leg = Morphism(z.field, (fac,), (Factor("block", len(blk)),),
+                               {i: {g: one} for i, g in enumerate(blk)})
+            m = m.tensor(leg)
+        return m
 
-    in_ranges, dom = leg_ranges(z.domain, in_blocks)
-    out_ranges, cod = leg_ranges(z.codomain, out_blocks)
-
-    def flat_indices(signature, ranges):
-        strides = _strides([f.dim for f in signature])
-        out = []
-        for combo in iproduct(*ranges) if ranges else [()]:
-            out.append(sum(s * v for s, v in zip(strides, combo)))
-        return out
-
-    rows = {r: i for i, r in enumerate(flat_indices(z.codomain, out_ranges))}
-    cols = {cc: j for j, cc in enumerate(flat_indices(z.domain, in_ranges))}
-    nonzeros = {}
-    for r, row in z.nonzeros.items():
-        if r in rows:
-            kept = {cols[cc]: v for cc, v in row.items() if cc in cols}
-            if kept:
-                nonzeros[rows[r]] = kept
-    return Morphism(z.field, dom, cod, nonzeros)
+    return cut(z.codomain, out_blocks, False).compose(z).compose(cut(z.domain, in_blocks, True))

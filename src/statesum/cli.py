@@ -40,6 +40,7 @@ from .catalog import (
 from .cobordisms import builtin, closed_surface
 from .complexes import random_moves
 from .errors import (
+    FileFormatError,
     InvalidInput,
     MathPrecondition,
     StateSumError,
@@ -72,19 +73,24 @@ def _morphism_json(z: Morphism):
     }
 
 
-def _load_algebra(path, need_frobenius=True):
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = sio.loads(fh.read())
-    alg, F, blocks = sio.algebra_from_json(doc)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from None
+    return sio.loads(text)
+
+
+def _load_algebra(path, need_frobenius=True):
+    alg, F, blocks = sio.algebra_from_json(_read_json(path))
     if need_frobenius and F is None:
         raise InvalidInput("algebra file declares no frobenius structure")
     return alg, F, blocks
 
 
 def _load_complex(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = sio.loads(fh.read())
-    c = sio.complex_from_json(doc)
+    c = sio.complex_from_json(_read_json(path))
     c.require_valid()
     return c
 
@@ -194,13 +200,15 @@ def cmd_eval(args) -> int:
 # faster than its length (each move copies its parent's indexes, and each move
 # that renumbers vertices rebuilds them), and digging many windows grows with
 # the square of their number; checking a group table's associativity takes the
-# cube of the group's order in multiply-adds on each side, about 8 s for S_5.
+# cube of the group's order in multiply-adds on each side, about 8 s for S_5;
+# a catalog complex is built in time and memory linear in its edge counts.
 # The README gives the times they were set from.
 FUZZ_MOVES_BUDGET = 1_000  # moves per walk
 FUZZ_TOTAL_MOVES_BUDGET = 10_000  # moves * trials
 SURFACE_GENUS_BUDGET = 200
 SURFACE_WINDOWS_BUDGET = 200
 GROUP_ORDER_BUDGET = 120  # the order of S_5
+COMPLEX_EDGES_BUDGET = 10_000  # each edge count of a catalog strip, annulus, zipper or cozipper
 
 
 def cmd_surface(args) -> int:
@@ -309,8 +317,13 @@ def cmd_catalog(args) -> int:
     if kind == "algebra":
         doc = _catalog_algebra_doc(args.name, args.params)
     elif kind == "complex":
-        c = builtin(args.name, *_ints(args.params))
-        doc = sio.complex_to_json(c)
+        params = _ints(args.params)
+        budget = ((SURFACE_GENUS_BUDGET, SURFACE_WINDOWS_BUDGET) if args.name == "closed_surface"
+                  else (COMPLEX_EDGES_BUDGET,) * 2)
+        if any(p > b for p, b in zip(params, budget)):
+            raise InvalidInput(f"catalog complex {args.name} takes parameters <= {list(budget)}; "
+                               f"got {params}")
+        doc = sio.complex_to_json(builtin(args.name, *params))
     else:
         raise UnknownCatalogError(f"unknown catalog kind {kind!r}")
     if args.output:

@@ -14,7 +14,7 @@ not depend on those counts.
 
 from __future__ import annotations
 
-from .complexes import BoundaryComponent, OpenClosedComplex, canonical_triangle, ekey
+from .complexes import BoundaryComponent, OpenClosedComplex, _relabelled, canonical_triangle, ekey
 from .errors import InvalidComplexError, UnknownCatalogError
 
 
@@ -306,7 +306,7 @@ def _union(c1: OpenClosedComplex, c2: OpenClosedComplex, ident) -> OpenClosedCom
         else:
             vmap[x] = fresh
             fresh += 1
-    c2 = c2.relabelled(vmap, fresh)
+    c2 = _relabelled(c2, vmap, fresh, c2.triangles, c2.coloured_edges, c2.edge_colours)
     return OpenClosedComplex(
         fresh,
         c1.triangles + c2.triangles,

@@ -633,10 +633,6 @@ class OpenClosedComplex:
                         else _resynced_sites(self, child, changes, changed))
         return child
 
-    def relabelled(self, vmap, new_count) -> "OpenClosedComplex":
-        return _relabelled(self, vmap, new_count, self.triangles, self.coloured_edges,
-                           self.edge_colours)
-
     def __repr__(self):
         return (f"OpenClosedComplex(V={self.vertex_count}, F={len(self.triangles)}, "
                 f"in={len(self.black_in)}, out={len(self.black_out)}, "
@@ -1064,16 +1060,18 @@ def applicable_moves(c: OpenClosedComplex):
     """Deterministically ordered list of the ``(kind, site)`` pairs whose move
     applies: the sites that the moves' own checks accept (``_listed_sites``),
     read off the complex's move sites."""
-    flips, merges, edge_sites, vertex_sites = c._move_sites()
-    return ([("flip", e) for e in flips]
-            + [("split", t) for t in range(len(c.triangles))]  # every index in range splits
-            + [("merge", v) for v in merges]
-            + [(_EDGE_SHELLINGS[rank][0], e) for e, rank in edge_sites]
-            + [(_VERTEX_SHELLINGS[rank][0], v) for v, rank in vertex_sites])
+    return [_nth_move(c, k) for k in range(_move_count(c))]
+
+
+def _move_count(c: OpenClosedComplex):
+    """The number of moves that apply to ``c``: every triangle index splits."""
+    return len(c.triangles) + sum(map(len, c._move_sites()))
 
 
 def _nth_move(c: OpenClosedComplex, k):
-    """``applicable_moves(c)[k]``, read off the move sites without building the list."""
+    """Move ``k`` of ``c``, read off its move sites: the flips, the splits of
+    every triangle index, the merges, the edge shellings, then the vertex
+    shellings."""
     flips, merges, edge_sites, vertex_sites = c._move_sites()
     if k < len(flips):
         return "flip", flips[k]
@@ -1100,7 +1098,7 @@ def random_moves(c: OpenClosedComplex, seed: int, n: int) -> OpenClosedComplex:
     rng = random.Random(seed)
     valid = c._valid
     for _ in range(n):
-        count = len(c.triangles) + sum(map(len, c._move_sites()))
+        count = _move_count(c)
         if not count:
             break
         kind, site = _nth_move(c, rng.randrange(count))

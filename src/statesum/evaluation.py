@@ -30,12 +30,12 @@ legs through the closed-form splitting of its boundary projector.
 ``P_kl = Delta^(k) o a^-(k-1) o mu^(l)`` and ``mu^(h) o Delta^(h) = a^(h-1)``
 give ``P_h1 o P_1h = P_hh`` and ``P_1h o P_h1 = id``, so ``im = P_h1``,
 ``coim = P_1h`` split ``P_hh`` through ``A`` itself.  They are built as chains
-of ``h - 1`` sparse three-leg copies of ``P_21`` (input) or ``P_12`` (output)
-and one two-leg closing tensor, so no dense ``n^h x n^h`` matrix appears.
-Circle components also pass through ``im_p``/``coim_p``, splitting ``Q_hh``
-through ``C = p(A)``.  Interval legs are the same at both levels; the full
-level, which is triangulation independent, differs only by the central
-``a_C^(-+1)`` on circle legs.
+of ``h - 1`` sparse three-leg copies of ``P_21`` (input) or ``P_12`` (output),
+so no dense ``n^h x n^h`` matrix appears, and an interval leg is the chain's
+joined leg.  Only a circle component gets one two-leg closing tensor, through
+``im_p``/``coim_p``, which splits ``Q_hh`` through ``C = p(A)``.  Interval
+legs are the same at both levels; the full level, which is triangulation
+independent, differs only by the central ``a_C^(-+1)`` on circle legs.
 """
 
 from __future__ import annotations
@@ -168,30 +168,27 @@ def _join_legs(F, legs, prefix, data):
 
 
 def _close_component(F, side, ci, kind, legs, full):
-    """Tensors closing one black component with ``h`` legs onto the single leg
-    ``("r" + side, ci, 0, 0)``, and that leg.
+    """Tensors closing one black component with ``h`` legs onto a single leg,
+    and that leg.
 
     An input gets ``P_h1 = Delta^(h) o a^-(h-1)``, an output ``P_1h = mu^(h)``;
     ``P_h1 o P_1h = P_hh`` and ``P_1h o P_h1 = id``, so this splits ``P_hh``
-    through ``A``.  A circle also passes through ``im_p``/``coim_p``, which
-    splits ``Q_hh`` through ``C``; the full level adds the central
-    ``a_C^(-+1)`` on circle legs.
+    through ``A``, and an interval ends on the chain's joined leg (a one-edge
+    interval on its free leg).  A circle also passes through ``im_p`` or
+    ``coim_p`` onto the leg ``("r" + side, ci, 0, 0)``, which splits ``Q_hh``
+    through ``C``; the full level adds the central ``a_C^(-+1)`` there.
     """
     delta, mu = _chain_data(F)
+    tensors, joined = _join_legs(F, legs, ("j" + side, ci), delta if side == "in" else mu)
+    if kind == "interval":
+        return tensors, joined
     new_leg = ("r" + side, ci, 0, 0)
-    shift = 1 if full and kind == "circle" else 0
+    shift = 1 if full else 0
     if side == "in":
-        tensors, joined = _join_legs(F, legs, ("jin", ci), delta)
-        m = F.window_power_matrix(-shift)
-        if kind == "circle":
-            m = m @ F.split_p()[0]
-        tensors.append(Tensor.from_matrix_sparse(F.field, (joined, new_leg), (m.rows, m.cols), m))
+        m, ends = F.window_power_matrix(-shift) @ F.split_p()[0], (joined, new_leg)
     else:
-        tensors, joined = _join_legs(F, legs, ("jout", ci), mu)
-        m = F.window_power_matrix(shift)
-        if kind == "circle":
-            m = F.split_p()[1] @ m
-        tensors.append(Tensor.from_matrix_sparse(F.field, (new_leg, joined), (m.rows, m.cols), m))
+        m, ends = F.split_p()[1] @ F.window_power_matrix(shift), (new_leg, joined)
+    tensors.append(Tensor.from_matrix_sparse(F.field, ends, (m.rows, m.cols), m))
     return tensors, new_leg
 
 

@@ -10,6 +10,7 @@ threaded through the linear algebra.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
@@ -133,9 +134,17 @@ class Field:
         return int(s) % self.p
 
     def format(self, a) -> str:
-        if self.p is None:
+        if self.p is not None:
+            return str(a % self.p)
+        try:
             return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
-        return str(a % self.p)
+        except ValueError:  # past CPython's cap on int-to-text digits, which guards parsing only
+            cap = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                return self.format(a)
+            finally:
+                sys.set_int_max_str_digits(cap)
 
 
 #: The rationals, shared instance.

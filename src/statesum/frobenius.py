@@ -110,16 +110,6 @@ class FrobeniusStructure:
         gstar = Tensor.from_matrix_sparse(self.field, ("a", "b"), (n, n), self.pairing_inverse)
         return contract_pair(self.algebra.structure_tensor(("i", "a", "j")), gstar)
 
-    @property
-    @_cached
-    def comul(self):
-        """``Delta(e_i)`` as rows of sorted ``(j, b, value)``, one row per ``i``;
-        its laws follow from ``g(xy, z) = g(x, yz)``."""
-        rows = [[] for _ in range(self.dim)]
-        for (i, j, b), v in sorted(self.delta_tensor().data.items()):
-            rows[i].append((j, b, v))
-        return tuple(map(tuple, rows))
-
     @_cached
     def delta_matrix(self) -> Matrix:
         """Comultiplication as an ``n^2 x n`` matrix (rows indexed j*n+b)."""
@@ -307,22 +297,6 @@ def canonical_frobenius(algebra: Algebra) -> FrobeniusStructure:
 
 
 # -- free-function forms of the structure operations ------------------------------
-
-
-def window_element(F: FrobeniusStructure) -> Element:
-    """Recompute ``mu o Delta o eta`` directly (always central)."""
-    alg = F.algebra
-    f = alg.field
-    n = alg.dim
-    two = [f.zero()] * (n * n)
-    for (i, j, b), v in F.delta_tensor().data.items():
-        if ui := alg.unit[i]:
-            two[j * n + b] = f.add(two[j * n + b], f.mul(ui, v))
-    out = [f.zero()] * n
-    for j, b, k, cc in alg.mul_entries():
-        if c := two[j * n + b]:
-            out[k] = f.add(out[k], f.mul(c, cc))
-    return Element(alg, out)
 
 
 def split_idempotent(p: Matrix):

@@ -264,5 +264,5 @@ def dumps(doc, write=None):
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit cap, deep nesting
         raise FileFormatError(f"invalid JSON: {exc}") from exc

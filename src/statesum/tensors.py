@@ -451,23 +451,12 @@ def _search(net, rng=None):
     return steps, total
 
 
-def plan(shapes, rng=None):
-    """The greedy order for a network of ``(legs, dims)`` shapes: steps
-    ``(a, b)``, where inputs are ``0..n-1`` and step ``s`` makes ``n + s``.
-
-    The heap holds ``(dense size of the result, smallest shared leg, a, b)``
-    (see ``_search``); given a ``random.Random``, each size is multiplied by
-    ``1 + rng.random()``.
-    """
-    return _search(_intern(shapes)[0], rng)[0]
-
-
 _CANDIDATES = 8
 
 
 def _searched_order(net):
-    """The cheapest by summed result sizes of ``plan``'s order and
-    ``_CANDIDATES - 1`` noisy plans of an interned network, the earlier on
+    """The cheapest by summed result sizes of the plain greedy order and
+    ``_CANDIDATES - 1`` noisy orders of an interned network, the earlier on
     a tie."""
     steps, best = _search(net)
     rng = random.Random(0)

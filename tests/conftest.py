@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import statesum as S
+from statesum import tensors as T
 
 
 def frac(s):
@@ -11,6 +12,40 @@ def frac(s):
 
 def _mat(field, rows):
     return S.Matrix.from_rows(field, [[field.parse(str(x)) for x in row] for row in rows])
+
+
+def comul(F):
+    """``Delta(e_i)`` of the structure ``F`` as rows of sorted ``(j, b, value)``,
+    one row per ``i``; its laws follow from ``g(xy, z) = g(x, yz)``."""
+    rows = [[] for _ in range(F.dim)]
+    for (i, j, b), v in sorted(F.delta_tensor().data.items()):
+        rows[i].append((j, b, v))
+    return tuple(map(tuple, rows))
+
+
+def window_element(F):
+    """Recompute the window element ``mu o Delta o eta`` of ``F`` directly
+    (always central)."""
+    alg = F.algebra
+    f = alg.field
+    n = alg.dim
+    two = [f.zero()] * (n * n)
+    for (i, j, b), v in F.delta_tensor().data.items():
+        if ui := alg.unit[i]:
+            two[j * n + b] = f.add(two[j * n + b], f.mul(ui, v))
+    out = [f.zero()] * n
+    for j, b, k, cc in alg.mul_entries():
+        if c := two[j * n + b]:
+            out[k] = f.add(out[k], f.mul(c, cc))
+    return S.Element(alg, out)
+
+
+def plan(shapes, rng=None):
+    """One greedy pass of the contraction planner over a network of ``(legs,
+    dims)`` shapes: steps ``(a, b)``, where inputs are ``0..n-1`` and step
+    ``s`` makes ``n + s``.  Given a ``random.Random``, each key is multiplied
+    by ``1 + rng.random()``."""
+    return T._search(T._intern(shapes)[0], rng)[0]
 
 
 @pytest.fixture(scope="session")

@@ -37,7 +37,7 @@ from statesum.frobenius import (
 )
 from statesum.tensors import Tensor, greedy_contract
 
-from conftest import catalog_structures
+from conftest import catalog_structures, comul
 
 
 def report(number, title):
@@ -251,8 +251,8 @@ def test_09_closed_space_need_not_be_the_centre():
     c_entries = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)]
     C_alg = S.Algebra(f11, 2, c_entries, [1, 0], basis_names=["one", "X"])
     C_F = S.FrobeniusStructure(C_alg, [0, 1])
-    assert {(j, k): v for (j, k, v) in C_F.comul[0]} == {(0, 1): 1, (1, 0): 1}
-    assert {(j, k): v for (j, k, v) in C_F.comul[1]} == {(0, 0): 1, (1, 1): 1}
+    assert {(j, k): v for (j, k, v) in comul(C_F)[0]} == {(0, 1): 1, (1, 0): 1}
+    assert {(j, k): v for (j, k, v) in comul(C_F)[1]} == {(0, 0): 1, (1, 1): 1}
     iota = S.Matrix.from_rows(f11, [[1, 10], [0, 0], [0, 0], [1, 10]]).transpose()
     iota = iota.transpose()  # columns are iota(1) = unit, iota(X) = -unit
     x_minus_one = [(-alpha) % 11, alpha % 11]

@@ -19,6 +19,8 @@ from statesum.errors import (
 from statesum.evaluation import evaluate_closed, state_sum
 from statesum.fields import GF, QQ
 
+from conftest import comul
+
 
 # -- group tables ---------------------------------------------------------------------
 
@@ -253,7 +255,7 @@ def test_groupoid_comultiplication_closed_form():
     alg, F, _ = S.groupoid_algebra(QQ, gd)
     n = gd.num_morphisms
     for g in range(n):
-        got = {(j, k): v for (j, k, v) in F.comul[g]}
+        got = {(j, k): v for (j, k, v) in comul(F)[g]}
         expect = {}
         w = Fraction(1, gd.star_size(gd.target[g]))
         for h in range(n):
@@ -331,16 +333,22 @@ def _flat(factors, ranges):
     return out
 
 
-@pytest.mark.parametrize("build,out_colours,in_colours", [
-    (lambda: coloured_strip(S.zipper(), 1, 1), [(1, 1)], [None]),
-    (lambda: S.disjoint_union(coloured_strip(strip(1, 1), 0, 1), strip(1, 1)),
+_UNCUT_LEGS = [  # (id, build, out_colours, in_colours)
+    ("circle leg", lambda: coloured_strip(S.zipper(), 1, 1), [(1, 1)], [None]),
+    ("uncoloured interval",
+     lambda: S.disjoint_union(coloured_strip(strip(1, 1), 0, 1), strip(1, 1)),
      [(0, 1), None], [(0, 1), None]),
-], ids=["circle leg", "uncoloured interval"])
-def test_legs_without_colours_keep_their_whole_factor(build, out_colours, in_colours):
+]
+
+
+@pytest.mark.parametrize("field,build,out_colours,in_colours", [
+    pytest.param(field, *case, id=name + suffix)
+    for field, suffix in ((QQ, ""), (GF(7), " over F_7")) for name, *case in _UNCUT_LEGS])
+def test_legs_without_colours_keep_their_whole_factor(field, build, out_colours, in_colours):
     """A circle leg, or an interval whose ends are uncoloured, keeps its
     factor; each interval between colours ``(x, y)`` is cut to ``block(x, y)``."""
     gd = S.FiniteGroupoid.pair(2)
-    alg, F, model = S.groupoid_algebra(QQ, gd)
+    alg, F, model = S.groupoid_algebra(field, gd)
     c = build()
     z = S.colored_evaluate(model, F, c)
     arcs = c.coloured_arcs()
@@ -354,7 +362,7 @@ def test_legs_without_colours_keep_their_whole_factor(build, out_colours, in_col
 
     rows = _flat(full.codomain, ranges(full.codomain, out_colours))
     cols = _flat(full.domain, ranges(full.domain, in_colours))
-    assert z.matrix == S.Matrix.from_rows(QQ, [[full.matrix[r, j] for j in cols] for r in rows])
+    assert z.matrix == S.Matrix.from_rows(field, [[full.matrix[r, j] for j in cols] for r in rows])
     assert [f.kind for f in z.codomain] == ["full" if xy is None else "block"
                                             for xy in out_colours]
 

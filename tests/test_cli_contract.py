@@ -9,6 +9,7 @@ the ones that happen to be valid still evaluate quickly.
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -196,12 +197,16 @@ def test_fuzz_refuses_a_vacuous_run(workdir, flags):
     ["catalog", "algebra", "group", "cyclic", "2000"],
     ["surface", "--genus", "-1"],
     ["surface", "--genus", "1", "--windows", "-1"],
+    ["catalog", "complex", "strip", "10001", "1"],
+    ["catalog", "complex", "zipper", "1", "10001"],
+    ["catalog", "complex", "closed_surface", "201", "0"],
+    ["catalog", "complex", "closed_surface", "0", "201"],
 ])
 def test_declared_sizes_past_the_budgets_are_refused_at_once(workdir, argv):
-    # a walk, a surface or a group table this large would run for minutes to
-    # hours, and a negative genus or window count names no surface; fuzz and
-    # surface name an algebra file that does not exist, so the refusal must
-    # come before anything loads
+    # a walk, a surface, a group table or a catalog complex this large would
+    # run for seconds to hours, and a negative genus or window count names no
+    # surface; fuzz and surface name an algebra file that does not exist, so
+    # the refusal must come before anything loads
     if argv[0] != "catalog":
         argv = [*argv, "--algebra", str(workdir / "missing.json"), "--json"]
     out = io.StringIO()
@@ -209,6 +214,49 @@ def test_declared_sizes_past_the_budgets_are_refused_at_once(workdir, argv):
         code = main(argv)
     assert code == 1
     assert json.loads(out.getvalue())["error"] == "InvalidInput"
+
+
+# files that are not JSON text to Python's json module: each printed a traceback
+_BAD_FILES = {
+    "not UTF-8": b"\xff\xfe{}",
+    "nested 100,000 deep": b"[" * 100_000 + b"]" * 100_000,
+    "a 5,000-digit integer": b'{"dim": ' + b"9" * 5_000 + b"}",
+}
+
+
+@pytest.mark.parametrize("command", ["algebra check", "eval --complex"])
+@pytest.mark.parametrize("name", list(_BAD_FILES))
+def test_a_file_that_is_not_json_text_is_a_json_error(workdir, capsys, name, command):
+    bad = workdir / "bad.json"
+    bad.write_bytes(_BAD_FILES[name])
+    if command == "algebra check":
+        argv = ["algebra", "check", str(bad), "--json"]
+    else:
+        argv = ["eval", "--algebra", _write(workdir / "a.json", _Z2), "--complex", str(bad), "--json"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["error"] == "FileFormatError"
+
+
+def test_an_exact_result_past_the_digit_cap_is_printed_in_full(workdir, capsys):
+    # over M_1 with window a the genus-4 surface with two windows is a^8, here
+    # 4,800 digits: more than CPython converts to text unless the cap is lifted
+    window = "7" * 600
+    apath = str(workdir / "big_window.json")
+    cap = sys.get_int_max_str_digits()
+    assert main(["catalog", "algebra", "matsum", "1", window, "-o", apath]) == 0
+    assert main(["surface", "--algebra", apath, "--genus", "4", "--windows", "2", "--json"]) == 0
+    assert sys.get_int_max_str_digits() == cap  # parsing keeps the cap
+    out, err = capsys.readouterr()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = str(int(window) ** 8)
+    finally:
+        sys.set_int_max_str_digits(cap)
+    doc = json.loads(out)
+    assert err == "" and doc["match"]
+    assert doc["contracted"] == doc["genus_window_operator"] == doc["closed_form"] == want
 
 
 @pytest.mark.parametrize("argv", [

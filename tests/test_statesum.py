@@ -44,8 +44,9 @@ from statesum.tensors import (
     contract_pair,
     contraction_order,
     greedy_contract,
-    plan,
 )
+
+from conftest import plan
 
 
 @pytest.fixture(scope="module")

@@ -122,7 +122,7 @@ class Algebra:
         """``v`` contracted into the leg ``"v"`` of the structure tensor with
         ``legs``: ``_LEFT`` gives ``L_v`` and ``_RIGHT`` gives ``R_v``, each
         keyed ``(b, k)`` for the ``e_k`` coefficient of ``v e_b``, resp. ``e_b v``."""
-        return contract_pair(Tensor.vector(self.field, "v", self.dim, v),
+        return contract_pair(Tensor.vector(self.field, "v", v),
                              self.structure_tensor(legs))
 
     # -- validation -----------------------------------------------------------
@@ -170,7 +170,7 @@ class Algebra:
         """Gram matrix ``G[i][j] = sum_k c_ijk v_k`` of the form ``(a, b) -> v(ab)``
         for a linear functional with coefficients ``v``."""
         g = contract_pair(self.structure_tensor(("i", "j", "k")),
-                          Tensor.vector(self.field, "k", self.dim, v))
+                          Tensor.vector(self.field, "k", v))
         return g.to_matrix(("i",), ("j",))
 
     @_cached
@@ -241,7 +241,7 @@ class Element:
         alg = self.algebra
         # a b = L_a b
         ab = contract_pair(alg._translation(self.coeffs, _LEFT),
-                           Tensor.vector(alg.field, "b", alg.dim, other.coeffs))
+                           Tensor.vector(alg.field, "b", other.coeffs))
         return Element(alg, ab.to_matrix(("k",), ()).column(0))
 
     def scale(self, c) -> "Element":

@@ -23,7 +23,6 @@ from .errors import (
 from .evaluation import state_sum
 from .fields import Field
 from .frobenius import FrobeniusStructure, KnowledgeableFrobenius
-from .linalg import Matrix
 from .morphism import Factor, Morphism
 
 
@@ -191,8 +190,6 @@ def genus_window_scalar(K: KnowledgeableFrobenius, genus: int, punctures: int):
     so it serves as a second oracle for the contracted invariant.
     """
     C = K.C
-    d = C.dim
-    f = C.field
     genus_op = C.mu_matrix() @ C.delta_matrix()
     window_op = K.iota_star @ K.iota
     vec = list(C.algebra.unit)
@@ -200,10 +197,7 @@ def genus_window_scalar(K: KnowledgeableFrobenius, genus: int, punctures: int):
         vec = genus_op.mul_vec(vec)
     for _ in range(punctures):
         vec = window_op.mul_vec(vec)
-    acc = f.zero()
-    for ci, v in zip(C.counit, vec):
-        acc = f.add(acc, f.mul(ci, v))
-    return acc
+    return C.eps_matrix().mul_vec(vec)[0]
 
 
 # -- finite groupoids -----------------------------------------------------------------
@@ -359,27 +353,6 @@ def groupoid_algebra(field: Field, gd: FiniteGroupoid):
         {x: alg.basis_element(gd.identity_of[x]) for x in range(gd.num_objects)},
     )
     return alg, frob, model
-
-
-def groupoid_idempotent_closed_form(field: Field, gd: FiniteGroupoid) -> Matrix:
-    """Conjugation average: automorphisms map to ``(1/N_[t(g)]) sum_h h o g o h^-1``
-    over the ``N_[t(g)]`` morphisms ``h`` into ``t(g)``; non-automorphisms to zero.
-
-    Summed over conjugators (with multiplicity), this is the class sum of
-    ``g`` rescaled by the class size -- the normalisation that actually makes
-    the map idempotent.
-    """
-    n = gd.num_morphisms
-    m = Matrix.zeros(field, n, n)
-    for g in range(n):
-        if gd.source[g] != gd.target[g]:
-            continue
-        w = field.inv(field.of_int(gd.star_size(gd.target[g])))
-        for h in range(n):
-            if gd.target[h] == gd.target[g]:
-                conj = gd.compose_table[gd.compose_table[h][g]][gd.inverse[h]]
-                m.data[conj][g] = field.add(m.data[conj][g], w)
-    return m
 
 
 # -- D-brane coloured evaluation ---------------------------------------------------------

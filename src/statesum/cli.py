@@ -24,6 +24,7 @@ encoded (see ``io.dumps``), so memory does not grow with the output.
 from __future__ import annotations
 
 import os
+import re
 import sys
 from itertools import chain
 from types import SimpleNamespace
@@ -47,7 +48,7 @@ from .errors import (
     UnknownCatalogError,
 )
 from .evaluation import evaluate_closed, signature, state_sum, state_sum_raw, state_sum_reduced
-from .fields import Field
+from .fields import MR_BOUND, Field
 from .frobenius import check_knowledgeable
 from .linalg import check_dense
 from .morphism import Morphism, signature_dim
@@ -100,18 +101,32 @@ def _parse_field(spec: str) -> Field:
         return Field()
     modulus = spec[len("prime:"):] if spec.startswith("prime:") else spec
     if modulus.isdigit():
+        p = _int("FIELD", modulus)
         try:
-            return Field(int(modulus))
-        except ValueError as exc:  # composite, or too large to certify prime
-            raise InvalidInput(str(exc)) from None
+            return Field(p)
+        except ValueError:  # composite, or too large to certify prime
+            raise InvalidInput(f"FIELD must be a prime below {MR_BOUND}, got {_shown(p)}") from None
     raise UnknownCatalogError(f"unknown field spec {spec!r} (use 'rational' or a prime)")
 
 
-def _ints(texts):
+def _shown(value) -> str:
+    """``repr(value)``, cut short past 40 characters, so that a message names
+    what it refuses without echoing a whole command-line argument."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(str(value))} characters)"
+
+
+def _int(name, text) -> int:
+    """The command-line parameter ``name`` as an int.  ``InvalidInput`` if
+    ``text`` is no integer, or has more digits than ``int`` reads
+    (``sys.get_int_max_str_digits()``); either message stays short."""
     try:
-        return [int(x) for x in texts]
+        return int(text)
     except ValueError:
-        raise InvalidInput(f"expected integer parameters, got {list(texts)}") from None
+        if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):
+            raise InvalidInput(f"{name} has {sum(map(str.isdigit, text))} digits, more than "
+                               f"the {sys.get_int_max_str_digits()} that int() reads") from None
+        raise InvalidInput(f"{name} must be an integer, got {_shown(text)}") from None
 
 
 # -- commands ------------------------------------------------------------------
@@ -212,12 +227,12 @@ COMPLEX_EDGES_BUDGET = 10_000  # each edge count of a catalog strip, annulus, zi
 
 
 def cmd_surface(args) -> int:
+    got = f"got {_shown(args.genus)}, {_shown(args.windows)}"
     if args.genus < 0 or args.windows < 0:
-        raise InvalidInput(f"surface needs --genus >= 0, --windows >= 0; "
-                           f"got {args.genus}, {args.windows}")
+        raise InvalidInput(f"surface needs --genus >= 0, --windows >= 0; {got}")
     if args.genus > SURFACE_GENUS_BUDGET or args.windows > SURFACE_WINDOWS_BUDGET:
         raise InvalidInput(f"surface takes --genus <= {SURFACE_GENUS_BUDGET} and --windows <= "
-                           f"{SURFACE_WINDOWS_BUDGET}; got {args.genus}, {args.windows}")
+                           f"{SURFACE_WINDOWS_BUDGET}; {got}")
     alg, F, blocks = _load_algebra(args.algebra)
     f = alg.field
     surf = closed_surface(args.genus, args.windows)
@@ -246,10 +261,12 @@ def cmd_surface(args) -> int:
 
 def cmd_fuzz(args) -> int:
     if args.trials < 1 or args.moves < 0:  # all_equal would hold with nothing checked
-        raise InvalidInput(f"fuzz needs --trials >= 1, --moves >= 0; got {args.trials}, {args.moves}")
+        raise InvalidInput(f"fuzz needs --trials >= 1, --moves >= 0; "
+                           f"got {_shown(args.trials)}, {_shown(args.moves)}")
     if args.moves > FUZZ_MOVES_BUDGET or args.moves * args.trials > FUZZ_TOTAL_MOVES_BUDGET:
         raise InvalidInput(f"fuzz takes --moves <= {FUZZ_MOVES_BUDGET} and --moves * --trials <= "
-                           f"{FUZZ_TOTAL_MOVES_BUDGET}; got {args.moves} and {args.trials}")
+                           f"{FUZZ_TOTAL_MOVES_BUDGET}; got {_shown(args.moves)} and "
+                           f"{_shown(args.trials)}")
     alg, F, _ = _load_algebra(args.algebra)
     c = _load_complex(args.complex)
     base = state_sum_raw(F, c)
@@ -281,8 +298,8 @@ def _catalog_algebra_doc(name: str, params):
         raise InvalidInput(f"usage: catalog algebra {name} {_CATALOG_ALGEBRAS[name]}")
     field = _parse_field(params[2] if len(params) > 2 else "rational")
     if name == "matsum":
-        sizes = _ints(params[0].split(","))
-        windows = _ints(params[1].split(","))
+        sizes = [_int("an entry of SIZES", x) for x in params[0].split(",")]
+        windows = [_int("an entry of WINDOWS", x) for x in params[1].split(",")]
         # the bare algebra, so files for non-strongly-separable cases
         # (checked with exit 2) can still be written
         alg, win = matrix_sum_algebra(field, sizes, windows)
@@ -292,11 +309,11 @@ def _catalog_algebra_doc(name: str, params):
             frobenius={"window": [field.format(x) for x in window]},
             blocks={"sizes": sizes, "windows": windows},
         )
-    kind, n = params[0], _ints([params[1]])[0]
+    kind, n = params[0], _int("N", params[1])
     if kind not in ("cyclic", "symmetric"):
         raise UnknownCatalogError(f"unknown group kind {kind!r} (cyclic, symmetric)")
     if n < 1:
-        raise InvalidInput(f"group needs N >= 1, got {n}")
+        raise InvalidInput(f"group needs N >= 1, got {_shown(n)}")
     order = n
     if kind == "symmetric":  # n!, not multiplied out past the budget
         order = 1
@@ -317,12 +334,12 @@ def cmd_catalog(args) -> int:
     if kind == "algebra":
         doc = _catalog_algebra_doc(args.name, args.params)
     elif kind == "complex":
-        params = _ints(args.params)
+        params = [_int(f"parameter {i + 1}", x) for i, x in enumerate(args.params)]
         budget = ((SURFACE_GENUS_BUDGET, SURFACE_WINDOWS_BUDGET) if args.name == "closed_surface"
                   else (COMPLEX_EDGES_BUDGET,) * 2)
         if any(p > b for p, b in zip(params, budget)):
             raise InvalidInput(f"catalog complex {args.name} takes parameters <= {list(budget)}; "
-                               f"got {params}")
+                               f"got {_shown(params)}")
         doc = sio.complex_to_json(builtin(args.name, *params))
     else:
         raise UnknownCatalogError(f"unknown catalog kind {kind!r}")
@@ -408,12 +425,9 @@ def _is_option(token) -> bool:
 
 def _value(option, kind, text):
     if kind is int:
-        try:
-            return int(text)
-        except ValueError:
-            raise InvalidInput(f"{option} takes an integer, got {text!r}") from None
+        return _int(option, text)
     if kind is not str and text not in kind:
-        raise InvalidInput(f"{option} takes one of {', '.join(kind)}; got {text!r}")
+        raise InvalidInput(f"{option} takes one of {', '.join(kind)}; got {_shown(text)}")
     return text
 
 

@@ -117,7 +117,7 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
     for e in sorted(c.coloured_edges):
         elem = coloured_elements.get(e)
         coeffs = elem.coeffs if elem is not None else alg.unit
-        tensors.append(Tensor.vector(F.field, ("e",) + e, n, coeffs))
+        tensors.append(Tensor.vector(F.field, ("e",) + e, coeffs))
 
     # inverse-window exponent per connected component
     boundary_vs = c.boundary_vertex_set()
@@ -188,7 +188,7 @@ def _close_component(F, side, ci, kind, legs, full):
         m, ends = F.window_power_matrix(-shift) @ F.split_p()[0], (joined, new_leg)
     else:
         m, ends = F.split_p()[1] @ F.window_power_matrix(shift), (new_leg, joined)
-    tensors.append(Tensor.from_matrix_sparse(F.field, ends, (m.rows, m.cols), m))
+    tensors.append(Tensor.from_matrix_sparse(ends, m))
     return tensors, new_leg
 
 

@@ -57,7 +57,6 @@ class FrobeniusStructure:
                  "window", "window_inverse", "_cache")
 
     def __init__(self, algebra: Algebra, counit):
-        f = algebra.field
         n = algebra.dim
         counit = tuple(counit)
         if len(counit) != n:
@@ -76,7 +75,7 @@ class FrobeniusStructure:
         self._cache = {}
 
         # window = mu o Delta o eta = sum g*[a][b] e_a e_b, central: the Casimir commutes with all y
-        gstar = Tensor.from_matrix_sparse(f, ("a", "b"), (n, n), self.pairing_inverse)
+        gstar = Tensor.from_matrix_sparse(("a", "b"), self.pairing_inverse)
         wvec = contract_pair(gstar, algebra.structure_tensor(("a", "b", "k")))
         window = Element(algebra, wvec.to_matrix(("k",), ()).column(0))
         inv = window.inverse()
@@ -106,8 +105,7 @@ class FrobeniusStructure:
     def delta_tensor(self) -> Tensor:
         """``Delta(e_i) = sum_{a,b} g*[a][b] (e_i e_a) (x) e_b`` as the tensor
         with legs ``(i, j, b)``: input ``i``, outputs ``j (x) b``."""
-        n = self.dim
-        gstar = Tensor.from_matrix_sparse(self.field, ("a", "b"), (n, n), self.pairing_inverse)
+        gstar = Tensor.from_matrix_sparse(("a", "b"), self.pairing_inverse)
         return contract_pair(self.algebra.structure_tensor(("i", "a", "j")), gstar)
 
     @_cached
@@ -161,8 +159,7 @@ class FrobeniusStructure:
     def trilinear(self) -> dict:
         """Sparse ``g3[(i,j,k)] = eps(e_i e_j e_k) = sum_m c_ijm g[m][k]``;
         cyclically invariant."""
-        n = self.dim
-        g = Tensor.from_matrix_sparse(self.field, ("m", "k"), (n, n), self.pairing)
+        g = Tensor.from_matrix_sparse(("m", "k"), self.pairing)
         return contract_pair(self.algebra.structure_tensor(("i", "j", "m")), g).data
 
     # -- the canonical central idempotent --------------------------------------
@@ -171,9 +168,9 @@ class FrobeniusStructure:
     def idempotent_matrix(self) -> Matrix:
         """Matrix of ``p = (a^{-1} . id) o mu o tau o Delta``:
         ``p[r][i] = sum a^{-1}_x c_xkr c_bjk Delta(e_i)[j, b]``."""
-        alg, n = self.algebra, self.dim
+        alg = self.algebra
         mu_tau_delta = contract_pair(self.delta_tensor(), alg.structure_tensor(("b", "j", "k")))
-        ainv = contract_pair(Tensor.vector(self.field, "x", n, self.window_inverse.coeffs),
+        ainv = contract_pair(Tensor.vector(self.field, "x", self.window_inverse.coeffs),
                              alg.structure_tensor(("x", "k", "r")))
         # p^2 = p: mu o tau o Delta has central image and is a . id on the centre
         return contract_pair(mu_tau_delta, ainv).to_matrix(("r",), ("i",))
@@ -372,7 +369,7 @@ def idempotent_property_report(F: FrobeniusStructure):
     # greedy_contract runs the product over integers when the field is Q
     rows, cols, system = F.algebra.commutator_system()
     commutators = greedy_contract([Tensor.from_rows(f, ("im", "k"), (rows, cols), system),
-                                   Tensor.from_matrix_sparse(f, ("k", "j"), (n, n), P)])
+                                   Tensor.from_matrix_sparse(("k", "j"), P)])
     results.append(("image of p is central", not commutators.data))
     return results
 
@@ -397,13 +394,13 @@ def knowledgeable_from_frobenius(F: FrobeniusStructure) -> KnowledgeableFrobeniu
     ``iota_star = coim o (a . id)``.  ``mu_C`` contracts the structure tensor
     with ``im`` on its two inputs and ``coim`` on its output.
     """
-    f, n = F.field, F.dim
+    f = F.field
     im, coim = F.split_p()
     d = im.cols
-    mu_c = contract_pair(Tensor.from_matrix_sparse(f, ("i", "x"), (n, d), im),
+    mu_c = contract_pair(Tensor.from_matrix_sparse(("i", "x"), im),
                          F.algebra.structure_tensor(("i", "j", "k")))
-    mu_c = contract_pair(mu_c, Tensor.from_matrix_sparse(f, ("j", "y"), (n, d), im))
-    mu_c = contract_pair(mu_c, Tensor.from_matrix_sparse(f, ("z", "k"), (d, n), coim))
+    mu_c = contract_pair(mu_c, Tensor.from_matrix_sparse(("j", "y"), im))
+    mu_c = contract_pair(mu_c, Tensor.from_matrix_sparse(("z", "k"), coim))
     eta_c = coim.mul_vec(list(F.algebra.unit))
     eps_c = (F.eps_matrix() @ F.window_power_matrix(-1) @ im).row(0)
 

@@ -1,4 +1,10 @@
-"""Exact dense linear algebra over a :class:`~statesum.fields.Field`.
+"""Exact dense matrices over a :class:`~statesum.fields.Field`: storage,
+comparison, the entrywise operations and elimination.
+
+Products are not computed here.  ``@``, ``mul_vec`` and ``kron`` hand both
+operands as two-leg tensors to ``tensors.contract_pair``, the one product
+kernel of the library, and write its result out densely; a Kronecker product
+is a contraction with no shared leg.
 
 There is one elimination, ``Matrix._eliminate``, on rows held as sparse
 dicts.  ``rref`` writes its rows out densely, and ``rank``, ``solve``,
@@ -8,12 +14,12 @@ It uses a fixed deterministic pivot rule (first nonzero entry scanning
 columns left to right, rows top to bottom) so that every derived basis --
 centres, idempotent images, kernels -- is reproducible across runs.
 
-Dense storage is bounded: ``Matrix.zeros``, ``Matrix.kron``,
+Dense storage is bounded: ``Matrix.zeros``, ``Matrix.kron``, ``@``,
 ``Morphism.matrix`` and the command line's matrix writer refuse a matrix of
 more than ``DENSE_BUDGET`` cells with ``DenseBudgetError`` before they
-allocate it, and ``eval`` checks it from the output signature before it
-contracts the network.  Sparse results (``Morphism.nonzeros``) have no such
-bound.
+allocate it, ``kron`` and ``@`` from the shapes before they contract, and
+``eval`` checks it from the output signature before it contracts the
+network.  Sparse results (``Morphism.nonzeros``) have no such bound.
 """
 
 from __future__ import annotations
@@ -135,42 +141,14 @@ class Matrix:
     # -- arithmetic -------------------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        # sparsity-aware: skips zero entries of both factors, which is what
-        # keeps the boundary-projector algebra affordable at dimension ~2000
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        p = self.field.p
-        zero = self.field.zero()
-        b_sparse = [[(j, v) for j, v in enumerate(row) if v != 0] for row in other.data]
-        out = []
-        for ai in self.data:
-            acc = [zero] * other.cols
-            for r, av in enumerate(ai):
-                if av == 0:
-                    continue
-                for j, bv in b_sparse[r]:
-                    acc[j] = acc[j] + av * bv
-            if p is not None:
-                acc = [x % p for x in acc]
-            out.append(acc)
-        return Matrix(self.field, self.rows, other.cols, out)
+        check_dense(self.rows, other.cols)
+        return _product(self, ("i", "k"), other, ("k", "j"), ("i",), ("j",))
 
     def mul_vec(self, vec):
         """Matrix times column vector, returned as a list."""
-        if self.cols != len(vec):
-            raise ValueError("shape mismatch in mul_vec")
-        p = self.field.p
-        nz = [(j, v) for j, v in enumerate(vec) if v != 0]
-        zero = self.field.zero()
-        out = []
-        for row in self.data:
-            acc = zero
-            for j, v in nz:
-                rj = row[j]
-                if rj != 0:
-                    acc = acc + rj * v
-            out.append(acc if p is None else acc % p)
-        return out
+        return (self @ Matrix.column_vector(self.field, vec)).column(0)
 
     def add(self, other: "Matrix") -> "Matrix":
         f = self.field
@@ -191,23 +169,8 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; left factor is the most significant index."""
-        f = self.field
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        check_dense(rows, cols)
-        zero = f.zero()
-        out = [[zero] * cols for _ in range(rows)]
-        right = [[(c, v) for c, v in enumerate(orow) if v != 0] for orow in other.data]
-        for i in range(self.rows):
-            for j, a in enumerate(self.data[i]):
-                if a == 0:
-                    continue
-                base = j * other.cols
-                for r, nz in enumerate(right):
-                    target = out[i * other.rows + r]
-                    for c, v in nz:
-                        target[base + c] = f.mul(a, v)
-        return Matrix(f, rows, cols, out)
+        check_dense(self.rows * other.rows, self.cols * other.cols)
+        return _product(self, ("i", "j"), other, ("k", "l"), ("i", "k"), ("j", "l"))
 
     # -- elimination --------------------------------------------------------------
 
@@ -311,3 +274,11 @@ class Matrix:
                 v[c] = f.neg(red.data[r][free])
             basis.append(v)
         return basis
+
+
+def _product(a, a_legs, b, b_legs, row_legs, col_legs) -> Matrix:
+    """The dense matrix of ``tensors.contract_pair`` of ``a`` and ``b`` as
+    two-leg tensors, read off with ``row_legs`` and ``col_legs``."""
+    from .tensors import Tensor, contract_pair  # tensors imports this module
+    t = contract_pair(Tensor.from_matrix_sparse(a_legs, a), Tensor.from_matrix_sparse(b_legs, b))
+    return t.to_matrix(row_legs, col_legs)

@@ -12,11 +12,12 @@ State sums are very sparse (raw ``strip(4, 4)`` over a 13-dimensional
 algebra keeps 6,817 of 8.2x10^8 entries), so every operation here works on
 the nonzeros: ``compose`` contracts the two maps as a two-tensor network
 (the row-by-row product of ``tensors.contract_pair``, over integers when the
-field is ``Q``), ``tensor`` pairs nonzero rows, and ``equal`` compares the
-nonzeros.  The dense ``matrix`` is built only when asked for, within
-``linalg.DENSE_BUDGET``.  Rows are dicts keyed by column, not one dict keyed
-by ``(row, col)`` tuples: a tuple key costs more than the dense cell it
-replaces when a result is not sparse, as many small state sums are not.
+field is ``Q``), ``tensor`` is one ``contract_pair`` of the two maps with no
+shared leg, and ``equal`` compares the nonzeros.  The dense ``matrix`` is
+built only when asked for, within ``linalg.DENSE_BUDGET``.  Rows are dicts
+keyed by column, not one dict keyed by ``(row, col)`` tuples: a tuple key
+costs more than the dense cell it replaces when a result is not sparse, as
+many small state sums are not.
 
 Keeping the signatures on the value means that composing a reduced state sum
 with the wrong leg type fails loudly instead of silently reindexing.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from .errors import SignatureMismatchError
 from .fields import Field
 from .linalg import Matrix
-from .tensors import Tensor, greedy_contract
+from .tensors import Tensor, contract_pair, greedy_contract
 
 FULL = "full"    # the algebra A itself
 SPLIT = "split"  # a split image, e.g. C = p(A) or im P_kk
@@ -126,15 +127,10 @@ class Morphism:
         return Morphism(self.field, other.domain, self.codomain, nonzeros)
 
     def tensor(self, other: "Morphism") -> "Morphism":
-        mul = self.field.mul
-        r, c = other.rows, other.cols
-        return Morphism(
-            self.field,
-            self.domain + other.domain,
-            self.codomain + other.codomain,
-            {i * r + k: {j * c + l: mul(a, b) for j, a in arow.items() for l, b in brow.items()}
-             for i, arow in self.nonzeros.items() for k, brow in other.nonzeros.items()},
-        )
+        """``self (x) other``: a contraction with no shared leg."""
+        t = contract_pair(self._tensor(("out1", "in1")), other._tensor(("out2", "in2")))
+        return Morphism(self.field, self.domain + other.domain, self.codomain + other.codomain,
+                        t.read_off(("out1", "out2"), ("in1", "in2"))[2])
 
     def equal(self, other: "Morphism") -> bool:
         return (

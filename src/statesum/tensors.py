@@ -26,7 +26,11 @@ F_p, a zero test over Q), and only a nonzero one pays for its output index
 tuple.  One code path serves the integers of a Q network or of the
 associativity check, residues mod ``p`` and direct ``Fraction`` calls; the
 last are the products, unit checks and derived structure maps of ``algebra``
-and ``frobenius``, each a contraction of the structure tensor.
+and ``frobenius``, each a contraction of the structure tensor, and every
+product of two matrices: ``Matrix`` ``@``, ``mul_vec`` and ``kron``, and
+``Morphism.tensor``.  Each of those reads its two operands as two-leg
+tensors; a Kronecker or tensor product shares no leg, so each of its sums
+has one term.
 
 A state sum or a composite is wanted as a sparse matrix, ``Tensor.read_off``'s
 ``{row: {col: value}}``, not as a tensor.  Given its row and column legs,
@@ -45,7 +49,8 @@ with ``ValueError``.  It refuses a leg whose two tensors give it different
 dimensions too: a contraction pairs index ``i`` of one with index ``i`` of
 the other, so the entries past the smaller dimension would be dropped.
 ``Tensor.apply_matrix`` is a contraction too: the matrix becomes a two-leg
-tensor, and ``contract_pair`` acts with it.
+tensor (``Tensor.from_matrix_sparse``, over the matrix's field and with its
+shape), and ``contract_pair`` acts with it.
 
 Contraction is planned on shapes alone, then executed.  The plan is greedy
 on the *dense* size of the result: of the pairs sharing a leg, it takes the
@@ -126,12 +131,13 @@ class Tensor:
                    {(i, j): v for i, row in rows.items() for j, v in row.items()})
 
     @classmethod
-    def from_matrix_sparse(cls, field, legs, dims, matrix: Matrix):
-        return cls.from_rows(field, legs, dims, matrix.nonzero_rows())
+    def from_matrix_sparse(cls, legs, matrix: Matrix):
+        """The two-leg tensor of a matrix, over its field and with its shape."""
+        return cls.from_rows(matrix.field, legs, (matrix.rows, matrix.cols), matrix.nonzero_rows())
 
     @classmethod
-    def vector(cls, field, leg, dim, coeffs):
-        return cls(field, (leg,), (dim,), {(i,): v for i, v in enumerate(coeffs) if v != 0})
+    def vector(cls, field, leg, coeffs):
+        return cls(field, (leg,), (len(coeffs),), {(i,): v for i, v in enumerate(coeffs) if v != 0})
 
     def scalar(self):
         if self.legs:
@@ -142,7 +148,7 @@ class Tensor:
         """Act with a matrix on one leg: ``T'[.. j ..] = sum_i M[j][i] T[.. i ..]``,
         the contraction of ``leg`` with the matrix's column leg."""
         pos = self.legs.index(leg)
-        m = Tensor.from_matrix_sparse(self.field, (_SPARE, leg), (matrix.rows, matrix.cols), matrix)
+        m = Tensor.from_matrix_sparse((_SPARE, leg), matrix)
         t = contract_pair(self, m)  # the new leg comes last: move it back to ``pos``
         data = {k[:pos] + k[-1:] + k[pos:-1]: v for k, v in t.data.items()}
         dims = self.dims[:pos] + (matrix.rows,) + self.dims[pos + 1:]

@@ -48,6 +48,27 @@ def plan(shapes, rng=None):
     return T._search(T._intern(shapes)[0], rng)[0]
 
 
+def groupoid_idempotent_closed_form(field, gd):
+    """Conjugation average: automorphisms map to ``(1/N_[t(g)]) sum_h h o g o h^-1``
+    over the ``N_[t(g)]`` morphisms ``h`` into ``t(g)``; non-automorphisms to zero.
+
+    Summed over conjugators (with multiplicity), this is the class sum of
+    ``g`` rescaled by the class size -- the normalisation that actually makes
+    the map idempotent.
+    """
+    n = gd.num_morphisms
+    m = S.Matrix.zeros(field, n, n)
+    for g in range(n):
+        if gd.source[g] != gd.target[g]:
+            continue
+        w = field.inv(field.of_int(gd.star_size(gd.target[g])))
+        for h in range(n):
+            if gd.target[h] == gd.target[g]:
+                conj = gd.compose_table[gd.compose_table[h][g]][gd.inverse[h]]
+                m.data[conj][g] = field.add(m.data[conj][g], w)
+    return m
+
+
 @pytest.fixture(scope="session")
 def QQ():
     return S.QQ

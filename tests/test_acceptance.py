@@ -124,7 +124,7 @@ def test_04_cylinder_identities(cat):
         tensors = [
             Tensor(alg.field, ("in", "s0", "d0"), (n, n, n), g3),
             Tensor(alg.field, ("d1", "top", "s1"), (n, n, n), g3),
-        ] + [Tensor.from_matrix_sparse(alg.field, legs, (n, n), F.pairing_inverse)
+        ] + [Tensor.from_matrix_sparse(legs, F.pairing_inverse)
              for legs in (("s0", "s1"), ("d0", "d1"), ("top", "out"))]
         res = greedy_contract(tensors).apply_matrix("out", F.window_power_matrix(-1))
         assert res.to_matrix(["out"], ["in"]) == F.idempotent_matrix(), label

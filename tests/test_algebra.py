@@ -365,7 +365,7 @@ def _z2():
      "FrobeniusStructure(dim=2 over Field(Q))"),
     (lambda: S.Matrix.zeros(GF(7), 2, 3), "Matrix(2x3 over Field(F_7))"),
     (lambda: S.Morphism.identity(QQ, (full_factor(2),)), "Morphism([full(2)] <- [full(2)])"),
-    (lambda: Tensor.vector(QQ, "i", 3, [1, 0, 2]), "Tensor(legs=['i'], nnz=2)"),
+    (lambda: Tensor.vector(QQ, "i", [1, 0, 2]), "Tensor(legs=['i'], nnz=2)"),
     (lambda: S.strip(1, 1), "OpenClosedComplex(V=4, F=2, in=1, out=1, coloured=2)"),
 ], ids=["Algebra", "Element", "zero Element", "Field", "FrobeniusStructure", "Matrix",
         "Morphism", "Tensor", "OpenClosedComplex"])

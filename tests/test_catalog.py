@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 
 import statesum as S
-from statesum.catalog import groupoid_idempotent_closed_form
 from statesum.cobordisms import closed_surface, strip
 from statesum.errors import (
     CharDividesBlockError,
@@ -19,7 +18,7 @@ from statesum.errors import (
 from statesum.evaluation import evaluate_closed, state_sum
 from statesum.fields import GF, QQ
 
-from conftest import comul
+from conftest import comul, groupoid_idempotent_closed_form
 
 
 # -- group tables ---------------------------------------------------------------------

@@ -9,6 +9,8 @@ the ones that happen to be valid still evaluate quickly.
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -257,6 +259,59 @@ def test_an_exact_result_past_the_digit_cap_is_printed_in_full(workdir, capsys):
     doc = json.loads(out)
     assert err == "" and doc["match"]
     assert doc["contracted"] == doc["genus_window_operator"] == doc["closed_form"] == want
+
+
+_SEVENS = "7" * 5_000  # past CPython's 4,300-digit cap on parsing an int
+_UNDER_CAP = "7" * 4_000  # an integer, but far past every budget
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["catalog", "algebra", "matsum", "1", _SEVENS], "an entry of WINDOWS has 5000 digits"),
+    (["catalog", "complex", "strip", "1", _SEVENS], "parameter 2 has 5000 digits"),
+    (["surface", "--genus", _SEVENS], "--genus has 5000 digits"),
+    (["surface", "--genus", "x" * 5_000], "--genus must be an integer"),
+    (["catalog", "algebra", "matsum", "1", "1", _SEVENS], "FIELD has 5000 digits"),
+    (["catalog", "algebra", "matsum", "1", "1", _UNDER_CAP], "FIELD must be a prime below"),
+    (["catalog", "algebra", "group", "cyclic", "-" + _UNDER_CAP], "group needs N >= 1"),
+    (["catalog", "complex", "strip", "1", _UNDER_CAP], "takes parameters <="),
+    (["surface", "--genus", _UNDER_CAP], "surface takes --genus <= 200"),
+    (["fuzz", "--complex", "c.json", "--moves", _UNDER_CAP], "fuzz takes --moves <= 1000"),
+    (["eval", "--complex", "c.json", "--mode", "x" * 5_000], "--mode takes one of"),
+], ids=["matsum window", "strip parameter", "genus", "non-integer genus", "field modulus",
+        "4,000-digit field modulus", "group order", "4,000-digit strip parameter",
+        "4,000-digit genus", "4,000-digit moves", "mode"])
+def test_an_oversized_parameter_is_named_in_a_short_message(workdir, capsys, argv, named):
+    # each message echoed the whole parameter, and an integer past the cap was
+    # called not an integer
+    if argv[0] != "catalog":
+        argv = [*argv, "--algebra", str(workdir / "missing.json"), "--json"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["error"] == "InvalidInput"
+    assert named in doc["message"] and len(doc["message"]) < 200
+
+
+def test_the_torus_of_q_s4_under_an_address_space_limit_is_a_json_error(workdir):
+    # the torus over Q[S_4] builds a 6-leg intermediate of 7,962,624 nonzeros;
+    # a child limited to 300 MB of address space runs out of memory on it
+    # and must still print the JSON error, not a traceback
+    pytest.importorskip("resource")
+    s4 = str(workdir / "s4.json")
+    assert main(["catalog", "algebra", "group", "symmetric", "4", "-o", s4]) == 0
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS,\n"
+             "                   (300 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+             "from statesum.cli import main\n"
+             f"sys.exit(main(['surface', '--algebra', {s4!r}, '--genus', '1', '--oracle', "
+             "'--json']))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == ""
+    assert json.loads(done.stdout) == {"error": "MemoryError", "message": "out of memory"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -67,12 +67,88 @@ def test_sparse_operations_match_dense_oracles(name):
     assert Morphism.identity(field, sig).matrix == Matrix.identity(field, 6)
 
 
+def _random_matrix(rng, field, rows, cols):
+    """Entries of the field's own type, about half of them zero; all zero in
+    about one case in five."""
+    density = 0.0 if rng.random() < 0.2 else 0.5
+    return Matrix(field, rows, cols, [
+        [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if field.p is None
+          else rng.randrange(field.p)) if rng.random() < density else field.zero()
+         for _ in range(cols)]
+        for _ in range(rows)])
+
+
+def _brute_product(a, b):
+    """The rows of ``a @ b``, by the triple loop."""
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        out.append([])
+        for j in range(b.cols):
+            acc = f.zero()
+            for k in range(a.cols):
+                acc = f.add(acc, f.mul(a[i, k], b[k, j]))
+            out[-1].append(acc)
+    return out
+
+
+def _brute_kron(a, b):
+    """The rows of ``a.kron(b)``, the left factor the most significant."""
+    return [[a.field.mul(x, y) for x in arow for y in brow] for arow in a.data for brow in b.data]
+
+
+def _same(got, want, field):
+    """Equal entries, each of the field's own type."""
+    kind = type(field.zero())
+    assert got == want
+    assert all(type(x) is kind for row in got for x in row)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_dense_products_match_the_triple_loop(name):
+    # @, mul_vec, kron and Morphism.tensor are contractions through
+    # tensors.contract_pair; the loops here are the definitions they replace
+    field = FIELDS[name]
+    rng = random.Random(2718)
+    for _ in range(300):
+        n, m, k, r, c = (rng.randint(0, 3) for _ in range(5))
+        a, b = _random_matrix(rng, field, n, m), _random_matrix(rng, field, m, k)
+        got = a @ b
+        assert (got.rows, got.cols) == (n, k)
+        _same(got.data, _brute_product(a, b), field)
+        vec = _random_matrix(rng, field, m, 1)
+        _same([a.mul_vec(vec.column(0))], [[row[0] for row in _brute_product(a, vec)]], field)
+        d = _random_matrix(rng, field, r, c)
+        got = a.kron(d)
+        assert (got.rows, got.cols) == (n * r, m * c)
+        _same(got.data, _brute_kron(a, d), field)
+        f = Morphism(field, (full_factor(m),), (full_factor(n),), a)
+        h = Morphism(field, (split_factor(c),), (split_factor(r),), d)
+        fh = f.tensor(h)
+        assert (fh.domain, fh.codomain) == (f.domain + h.domain, f.codomain + h.codomain)
+        want = Matrix(field, n * r, m * c, _brute_kron(a, d)).nonzero_rows()
+        assert fh.nonzeros == want
+        _same([list(row.values()) for row in fh.nonzeros.values()],
+              [list(row.values()) for row in want.values()], field)
+
+
+def test_matmul_refuses_an_oversized_result_before_it_contracts(monkeypatch):
+    def contract(t1, t2):
+        raise AssertionError("contracted")
+
+    monkeypatch.setattr(S.tensors, "contract_pair", contract)
+    with pytest.raises(DenseBudgetError):
+        Matrix.zeros(S.QQ, 4000, 1) @ Matrix.zeros(S.QQ, 1, 4000)
+    with pytest.raises(AssertionError, match="contracted"):
+        Matrix.zeros(S.QQ, 1, 1) @ Matrix.zeros(S.QQ, 1, 1)
+
+
 def test_only_a_scalar_has_a_scalar_value():
     from statesum.tensors import Tensor
     with pytest.raises(ValueError):
         Morphism.identity(S.QQ, (full_factor(2),)).scalar_value()
     with pytest.raises(ValueError):
-        Tensor.vector(S.QQ, "i", 2, [1, 0]).scalar()
+        Tensor.vector(S.QQ, "i", [1, 0]).scalar()
 
 
 def test_factor_is_a_value():

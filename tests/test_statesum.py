@@ -65,8 +65,8 @@ def z2():
 def test_zig_zag_pairing_contracts_to_identity(m2):
     alg, F = m2
     n = alg.dim
-    g = Tensor.from_matrix_sparse(QQ, ("a", "b"), (n, n), F.pairing)
-    gstar = Tensor.from_matrix_sparse(QQ, ("b", "c"), (n, n), F.pairing_inverse)
+    g = Tensor.from_matrix_sparse(("a", "b"), F.pairing)
+    gstar = Tensor.from_matrix_sparse(("b", "c"), F.pairing_inverse)
     res = contract_pair(g, gstar)
     assert res.to_matrix(["a"], ["c"]) == S.Matrix.identity(QQ, n)
 
@@ -575,12 +575,12 @@ def test_delta_and_mu_chains_split_the_boundary_projector(m2, h):
     # im o coim = P_h1 o P_1h = P_hh
     mus, m_leg = _join_legs(F, xs, ("jm", 0), mu)
     deltas, d_leg = _join_legs(F, ys, ("jd", 0), delta)
-    glue = Tensor.from_matrix_sparse(QQ, (d_leg, m_leg), (n, n), ident)
+    glue = Tensor.from_matrix_sparse((d_leg, m_leg), ident)
     assert greedy_contract(deltas + [glue] + mus).to_matrix(ys, xs) == F.p_matrix(h, h)
     # coim o im = P_1h o P_h1 = mu^(h) o Delta^(h) o a^-(h-1) = id_A
     deltas, d_leg = _join_legs(F, xs, ("jd", 0), delta)
     mus, m_leg = _join_legs(F, xs, ("jm", 0), mu)
-    glue = Tensor.from_matrix_sparse(QQ, (d_leg, "u"), (n, n), ident)
+    glue = Tensor.from_matrix_sparse((d_leg, "u"), ident)
     back = greedy_contract(deltas + [glue] + mus).to_matrix([m_leg], ["u"])
     assert back == ident
 
@@ -611,7 +611,7 @@ def _orthogonal_idempotents_network():
     alg, F, model = S.groupoid_algebra(QQ, gd)
     n = alg.dim
     e0, e1 = (model.object_idempotents[x].coeffs for x in (0, 1))
-    return [Tensor.vector(QQ, "a", n, e0), Tensor.vector(QQ, "b", n, e1),
+    return [Tensor.vector(QQ, "a", e0), Tensor.vector(QQ, "b", e1),
             Tensor(QQ, ("a", "b", "c"), (n, n, n), F.trilinear())]
 
 
@@ -875,7 +875,7 @@ def test_degenerate_circle_network_matches_closed_projector(z2):
     g3 = F.trilinear()
     t1 = Tensor(QQ, ("in", "side0", "diag0"), (n, n, n), g3)
     t2 = Tensor(QQ, ("diag1", "top", "side1"), (n, n, n), g3)
-    conns = [Tensor.from_matrix_sparse(QQ, legs, (n, n), F.pairing_inverse)
+    conns = [Tensor.from_matrix_sparse(legs, F.pairing_inverse)
              for legs in (("side0", "side1"), ("diag0", "diag1"), ("top", "out"))]
     res = greedy_contract([t1, t2] + conns)
     m = res.apply_matrix("out", F.window_power_matrix(-1)).to_matrix(["out"], ["in"])

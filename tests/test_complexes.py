@@ -690,6 +690,21 @@ def test_fuzz_traffic_is_pinned():
     assert digest.hexdigest() == FUZZ_TRAFFIC_SHA1
 
 
+# SHA-1 of the state of two 1,000-move walks (760 and 859 triangles at the
+# end, about a hundred deletion steps each), computed with the earlier
+# implementation in which every move that deletes a vertex or a triangle
+# renumbered the rest at once.  Inside a walk ids now stay sparse until the
+# walk returns, so these check that one compaction at the end draws and
+# builds the same walk.
+@pytest.mark.parametrize("start,seed,sha1", [
+    (open_mult, 0, "42dcdb2d48ff3ccdf11700fd72668a0d0894cc95"),
+    (zipper, 5, "77dfaae4ebaa9231b618b64634d54a6db941a07f"),
+])
+def test_long_walks_are_pinned(start, seed, sha1):
+    c = random_moves(start(), seed=seed, n=1000)
+    assert hashlib.sha1(repr(_walk_state(c)).encode()).hexdigest() == sha1
+
+
 # SHA-1 over the JSON files of the catalog complexes (each builtin at one or two
 # parameter sets, closed_surface(g, w) for g <= 4 and w <= 2) and of one glue
 # and one disjoint_union composite, so that a rewrite of the builders in

@@ -46,6 +46,7 @@ from .errors import (
     MathPrecondition,
     StateSumError,
     UnknownCatalogError,
+    _shown,
 )
 from .evaluation import evaluate_closed, signature, state_sum, state_sum_raw, state_sum_reduced
 from .fields import MR_BOUND, Field
@@ -106,14 +107,7 @@ def _parse_field(spec: str) -> Field:
             return Field(p)
         except ValueError:  # composite, or too large to certify prime
             raise InvalidInput(f"FIELD must be a prime below {MR_BOUND}, got {_shown(p)}") from None
-    raise UnknownCatalogError(f"unknown field spec {spec!r} (use 'rational' or a prime)")
-
-
-def _shown(value) -> str:
-    """``repr(value)``, cut short past 40 characters, so that a message names
-    what it refuses without echoing a whole command-line argument."""
-    text = repr(value)
-    return text if len(text) <= 40 else f"{text[:40]}... ({len(str(value))} characters)"
+    raise UnknownCatalogError(f"unknown field spec {_shown(spec)} (use 'rational' or a prime)")
 
 
 def _int(name, text) -> int:
@@ -211,13 +205,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# Budgets on declared sizes, refused before anything loads: a walk's work grows
-# faster than its length (each move copies its parent's indexes, and each move
-# that renumbers vertices rebuilds them), and digging many windows grows with
-# the square of their number; checking a group table's associativity takes the
-# cube of the group's order in multiply-adds on each side, about 8 s for S_5;
-# a catalog complex is built in time and memory linear in its edge counts.
-# The README gives the times they were set from.
+# Budgets on declared sizes, refused before anything loads: a walk's work
+# grows faster than its length (each move copies its parent's indexes; 1,000
+# and 3,000 moves from open_mult take 0.13 and 0.4-0.6 s), and digging many
+# windows grows with the square of their number; checking a group table's
+# associativity takes the cube of the group's order in multiply-adds on each
+# side, about 8 s for S_5; a catalog complex is built in time and memory
+# linear in its edge counts.  The README gives the times they were set from.
 FUZZ_MOVES_BUDGET = 1_000  # moves per walk
 FUZZ_TOTAL_MOVES_BUDGET = 10_000  # moves * trials
 SURFACE_GENUS_BUDGET = 200
@@ -271,15 +265,12 @@ def cmd_fuzz(args) -> int:
     c = _load_complex(args.complex)
     base = state_sum_raw(F, c)
     verdicts = []
-    ok_all = True
     for trial in range(args.trials):
         moved = random_moves(c, seed=args.seed + trial, n=args.moves)
-        z = state_sum_raw(F, moved)
-        ok = z.equal(base)
-        ok_all = ok_all and ok
-        verdicts.append({"trial": trial, "equal": ok,
+        verdicts.append({"trial": trial, "equal": state_sum_raw(F, moved).equal(base),
                          "vertices": moved.vertex_count,
                          "triangles": len(moved.triangles)})
+    ok_all = all(v["equal"] for v in verdicts)
     doc = {"trials": verdicts, "all_equal": ok_all}
     human = [f"trial {v['trial']}: {'equal' if v['equal'] else 'MISMATCH'} "
              f"(V={v['vertices']}, F={v['triangles']})" for v in verdicts]
@@ -293,7 +284,7 @@ _CATALOG_ALGEBRAS = {"matsum": "SIZES WINDOWS [FIELD]", "group": "cyclic|symmetr
 
 def _catalog_algebra_doc(name: str, params):
     if name not in _CATALOG_ALGEBRAS:
-        raise UnknownCatalogError(f"unknown catalog algebra {name!r} (matsum, group)")
+        raise UnknownCatalogError(f"unknown catalog algebra {_shown(name)} (matsum, group)")
     if len(params) not in (2, 3):
         raise InvalidInput(f"usage: catalog algebra {name} {_CATALOG_ALGEBRAS[name]}")
     field = _parse_field(params[2] if len(params) > 2 else "rational")
@@ -311,7 +302,7 @@ def _catalog_algebra_doc(name: str, params):
         )
     kind, n = params[0], _int("N", params[1])
     if kind not in ("cyclic", "symmetric"):
-        raise UnknownCatalogError(f"unknown group kind {kind!r} (cyclic, symmetric)")
+        raise UnknownCatalogError(f"unknown group kind {_shown(kind)} (cyclic, symmetric)")
     if n < 1:
         raise InvalidInput(f"group needs N >= 1, got {_shown(n)}")
     order = n
@@ -342,7 +333,7 @@ def cmd_catalog(args) -> int:
                                f"got {_shown(params)}")
         doc = sio.complex_to_json(builtin(args.name, *params))
     else:
-        raise UnknownCatalogError(f"unknown catalog kind {kind!r}")
+        raise UnknownCatalogError(f"unknown catalog kind {_shown(kind)}")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             sio.dumps(doc, fh.write)
@@ -441,7 +432,7 @@ def parse_args(argv):
         if any(token in _HELP for token in argv):
             return SimpleNamespace(fn=_print_usage, words=())
         raise InvalidInput(f"expected a command ({', '.join(' '.join(w) for w in COMMANDS)}), "
-                           f"got {list(argv[:2])}")
+                           f"got {_shown(list(argv[:2]))}")
     fn, _, names, options = COMMANDS[words]
     values = {option[2:]: default for option, (_, default) in options.items()}
     positionals = []
@@ -455,7 +446,8 @@ def parse_args(argv):
         if option in _HELP:
             return SimpleNamespace(fn=_print_usage, words=words)
         if option not in options:
-            raise InvalidInput(f"{' '.join(words)} has no option {option}; usage: {_usage(words)}")
+            raise InvalidInput(f"{' '.join(words)} has no option {_shown(option)}; "
+                               f"usage: {_usage(words)}")
         kind = options[option][0]
         if kind is bool:
             if eq:
@@ -470,7 +462,7 @@ def parse_args(argv):
     rest = names[-1][:-3] if names and names[-1].endswith("...") else None
     fixed = names[:-1] if rest else names
     if len(positionals) < len(fixed) or (rest is None and len(positionals) > len(fixed)):
-        raise InvalidInput(f"{' '.join(words)} got the arguments {positionals}; "
+        raise InvalidInput(f"{' '.join(words)} got the arguments {_shown(positionals)}; "
                            f"usage: {_usage(words)}")
     values.update(zip(fixed, positionals))
     if rest:

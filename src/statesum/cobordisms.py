@@ -15,7 +15,7 @@ not depend on those counts.
 from __future__ import annotations
 
 from .complexes import BoundaryComponent, OpenClosedComplex, _relabelled, canonical_triangle, ekey
-from .errors import InvalidComplexError, UnknownCatalogError
+from .errors import InvalidComplexError, UnknownCatalogError, _shown
 
 
 def _orient(tris):
@@ -385,7 +385,7 @@ BUILTIN_NAMES = tuple(_BUILTINS)
 def builtin(name: str, *params: int) -> OpenClosedComplex:
     """Catalog complex by name; see ``BUILTIN_NAMES`` for the vocabulary."""
     if name not in _BUILTINS:
-        raise UnknownCatalogError(f"unknown builtin complex {name!r}")
+        raise UnknownCatalogError(f"unknown builtin complex {_shown(name)}")
     build, counts = _BUILTINS[name]
     if len(params) not in counts:
         if counts == (0,):

@@ -29,29 +29,29 @@ first use by running every check on every candidate site, and
 edits the edge index, adding or dropping one triangle; the constructor adds
 every triangle to empty indexes.
 
-A move that keeps every triangle's index (2-2, 1-3, and the shellings that
-split an edge or close a vertex, which only append) builds its child's four
-indexes from copies of its parent's, editing just the entries that the
-triangles it changes reach; for the move sites, it reruns each check only at
-the sites whose verdict reads such an entry (``_resynced_sites``).  That is
-about ten sites a step on the benchmark's ``fuzz-moves`` walks, where a
-listing checks every site, and it took that workload's pass from 0.400 to
-0.367 s (a walk step from 123 to 95 us) on a 2-core VM.  The moves that
-renumber vertices or shift indices (3-1 and the other two shellings) build
-their child in one constructor call, and the child lists its move sites
-afresh.
+Every move builds its child from copies of its parent's four indexes,
+editing just the entries that the triangles it changes reach; for the move
+sites, it reruns each check only at the sites whose verdict reads such an
+entry (``_resynced_sites``), about ten a step on the benchmark's
+``fuzz-moves`` walks, where a listing checks every site.  The id of a
+deleted vertex or triangle stays unused and a new one takes the next id, so
+no entry is renumbered.  ``_compacted`` closes the gaps in one constructor
+call, when ``random_moves`` returns and in each public move that deletes.
+Its renaming keeps the order of the ids, so every sorted site list, and with
+it every draw of a walk, reads as if the ids were compacted at each step.
 
 ``require_valid`` scans a complex once: a clean scan is remembered, so a
 second call is a flag test (``validate`` always scans and reports).  A walk
 (``random_moves``) applies only moves at sites their checks accept, each of
-which turns a valid complex into a valid one, so every complex of a walk
-carries its start's validity along with the indexes above.
+which turns a valid complex into a valid one, so the complex a walk returns
+carries its start's validity.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 
 from .errors import InvalidComplexError, NotApplicableError
 
@@ -120,10 +120,12 @@ class OpenClosedComplex:
     Not changed after it is built: its indexes and ``_valid``, set by a clean
     ``require_valid`` scan, describe its fields for good.  A complex reached by
     a walk carries its start's ``_valid`` and is built from its parent's
-    indexes."""
+    indexes.  Inside a walk a deleted triangle leaves ``None`` at its index,
+    and ``_holes`` holds the deleted vertex ids and the sorted triangle ids."""
 
     __slots__ = ("vertex_count", "triangles", "coloured_edges", "black_in", "black_out",
-                 "edge_colours", "_edge_tris", "_vertex_tris", "_boundary_at", "_sites", "_valid")
+                 "edge_colours", "_edge_tris", "_vertex_tris", "_boundary_at", "_sites", "_valid",
+                 "_holes")
 
     def __init__(self, vertex_count, triangles, coloured_edges, black_in, black_out,
                  edge_colours=None):
@@ -141,6 +143,7 @@ class OpenClosedComplex:
         self._boundary_at = None
         self._sites = None  # the sites each move accepts, listed on first use
         self._valid = False  # set by the first clean require_valid scan
+        self._holes = ((), ())
 
     # -- the edge index: the one pair of primitives that edits it -----------------
 
@@ -218,26 +221,15 @@ class OpenClosedComplex:
         return sorted(e for e, ts in self._edge_tris.items() if len(ts) == 2)
 
     def black_edge_set(self):
-        out = set()
-        for comp in self.black_in + self.black_out:
-            out.update(comp.edge_keys())
-        return out
+        return {e for comp in self.black_in + self.black_out for e in comp.edge_keys()}
 
     def boundary_vertex_set(self):
-        verts = set()
-        for e in self.boundary_edges():
-            verts.update(e)
-        return verts
+        return {v for e in self.boundary_edges() for v in e}
 
     def corner_vertices(self):
         """Vertices where a black and a coloured boundary edge meet."""
-        black_v = set()
-        for e in self.black_edge_set():
-            black_v.update(e)
-        col_v = set()
-        for e in self.coloured_edges:
-            col_v.update(e)
-        return black_v & col_v
+        black_v = {v for e in self.black_edge_set() for v in e}
+        return black_v & {v for e in self.coloured_edges for v in e}
 
     def vertex_components(self):
         """Union-find partition of vertices by triangle adjacency."""
@@ -379,10 +371,7 @@ class OpenClosedComplex:
         for e, ts in sorted(self._edge_tris.items()):
             if len(ts) > 2:
                 violations.append(("edge_in_many_triangles", f"edge {e} lies in {len(ts)} triangles"))
-        directed = {}
-        for (a, b, c) in self.triangles:
-            for d in ((a, b), (b, c), (c, a)):
-                directed[d] = directed.get(d, 0) + 1
+        directed = Counter(d for (a, b, c) in self.triangles for d in ((a, b), (b, c), (c, a)))
         for (u, v), cnt in sorted(directed.items()):
             if cnt > 1:
                 violations.append(("orientation", f"directed edge {(u, v)} repeats; orientations clash"))
@@ -429,18 +418,13 @@ class OpenClosedComplex:
                         )
                     elif comp.edges[-1][1] != comp.edges[0][0]:
                         violations.append(("component_chain", f"black_{which}[{ci}] circle does not close"))
-                else:
-                    if comp.edges[-1][1] == comp.edges[0][0]:
-                        violations.append(("component_chain", f"black_{which}[{ci}] interval closes up"))
+                elif comp.edges[-1][1] == comp.edges[0][0]:
+                    violations.append(("component_chain", f"black_{which}[{ci}] interval closes up"))
 
         # every boundary vertex must lie on exactly two boundary edges
-        bcount = {}
-        for e in boundary:
-            for v in e:
-                bcount[v] = bcount.get(v, 0) + 1
-        for v, cnt in sorted(bcount.items()):
-            if cnt != 2:
-                violations.append(("pinched_boundary", f"vertex {v} lies on {cnt} boundary edges"))
+        for v, at in sorted(self.boundary_edges_at().items()):
+            if len(at) != 2:
+                violations.append(("pinched_boundary", f"vertex {v} lies on {len(at)} boundary edges"))
 
         # interval endpoints are corners; corners are exactly the black/coloured meeting points
         corner = self.corner_vertices()
@@ -478,10 +462,7 @@ class OpenClosedComplex:
                 links.setdefault(v, []).append(opp)
         for v in sorted(links):
             opposite = links[v]
-            deg = {}
-            for (x, y) in opposite:
-                deg[x] = deg.get(x, 0) + 1
-                deg[y] = deg.get(y, 0) + 1
+            deg = Counter(x for pair in opposite for x in pair)
             bad = [x for x, d in sorted(deg.items()) if d > 2]
             if bad:
                 violations.append(("link", f"link of vertex {v} branches at {bad}"))
@@ -509,12 +490,8 @@ class OpenClosedComplex:
         comp_ids = sorted(set(roots))
         reports = []
         cycles = self.boundary_cycles()
-        coloured_v = set()
-        for e in self.coloured_edges:
-            coloured_v.update(e)
-        black_v = set()
-        for e in self.black_edge_set():
-            black_v.update(e)
+        coloured_v = {v for e in self.coloured_edges for v in e}
+        black_v = {v for e in self.black_edge_set() for v in e}
         for cid in comp_ids:
             verts = [v for v in range(self.vertex_count) if roots[v] == cid]
             vset = set(verts)
@@ -574,10 +551,12 @@ class OpenClosedComplex:
     def _patched(self, changes, vertex_count=None, coloured_edges=None,
                  edge_colours=None) -> "OpenClosedComplex":
         """This complex with the triangles at the indices of ``changes`` replaced
-        by its values (indices past the end append), equal to what ``replaced``
-        builds.  The edge index, and the vertex and boundary indexes and the
-        move sites once this one has built them, are copies of this one's in
-        which just the entries that the changed triangles reach are edited."""
+        by its values (an index past the end appends, ``None`` deletes); the ids
+        of deleted triangles and of vertices left in no triangle stay unused
+        until ``_compacted``.  The edge index, and the vertex and boundary
+        indexes and the move sites once this one has built them, are copies of
+        this one's in which just the entries that the changed triangles reach
+        are edited; each move that deletes builds the vertex index first."""
         child = object.__new__(OpenClosedComplex)
         child.vertex_count = vertex_count if vertex_count is not None else self.vertex_count
         child.coloured_edges = (frozenset(coloured_edges) if coloured_edges is not None
@@ -592,19 +571,20 @@ class OpenClosedComplex:
                 child._drop_triangle(i)
         triangles = list(self.triangles) + [None] * (max(changes) + 1 - len(self.triangles))
         for i, t in changes.items():
-            triangles[i] = canonical_triangle(t)
+            triangles[i] = t and canonical_triangle(t)
         child.triangles = tuple(triangles)
-        for i in changes:
-            child._add_triangle(i)
-
         changed = [self.triangles[i] for i in changes if i < len(self.triangles)]
-        changed += [triangles[i] for i in changes]
-        vt = self._vertex_tris
+        for i, t in changes.items():
+            if t:
+                child._add_triangle(i)
+                changed.append(triangles[i])
+
+        vt, dead = self._vertex_tris, ()
         if vt is not None:
             vt, owned = dict(vt), set()  # a vertex's list is copied before its first edit
             for i in changes:
                 before = self.triangles[i] if i < len(self.triangles) else ()
-                for v in set(before).symmetric_difference(triangles[i]):
+                for v in set(before).symmetric_difference(triangles[i] or ()):
                     if v not in owned:
                         owned.add(v)
                         vt[v] = list(vt.get(v, ()))
@@ -612,12 +592,17 @@ class OpenClosedComplex:
                         vt[v].remove(i)
                     else:
                         insort(vt[v], i)
+            dead = tuple(v for v in owned if not vt[v])
+            for v in dead:
+                del vt[v]
         child._vertex_tris = vt
+        gaps = tuple(i for i, t in changes.items() if t is None)
+        child._holes = (self._holes[0] + dead, tuple(sorted(self._holes[1] + gaps)))
         bat = self._boundary_at
         if bat is not None and coloured_edges is not None:
-            # Of the moves that patch, the two shellings recolour and move the
-            # boundary; 2-2 and 1-3 keep the number of triangles on every edge
-            # they neither create nor delete, so they keep the boundary.
+            # The shellings recolour and move the boundary; 2-2, 1-3 and 3-1
+            # keep the number of triangles on every edge they neither create
+            # nor delete, so they keep the boundary.
             bat = dict(bat)
             for e in _edges_of(changed):
                 now = len(et.get(e, ())) == 1
@@ -679,25 +664,14 @@ def _relabelled(c, vmap, new_count, triangles, coloured_edges, edge_colours):
     """The complex with ``c``'s black boundary and the given triangles,
     coloured edges and edge colours, every vertex ``v`` renamed ``vmap[v]``,
     built in one constructor call."""
-    def m(v):
-        return vmap[v]
-
     return OpenClosedComplex(
         new_count,
-        [(m(a), m(b), m(x)) for (a, b, x) in triangles],
-        [(m(u), m(v)) for (u, v) in coloured_edges],
-        [BoundaryComponent(b.kind, [(m(u), m(v)) for (u, v) in b.edges]) for b in c.black_in],
-        [BoundaryComponent(b.kind, [(m(u), m(v)) for (u, v) in b.edges]) for b in c.black_out],
-        {(m(u), m(v)): col for (u, v), col in edge_colours.items()},
+        [(vmap[a], vmap[b], vmap[x]) for (a, b, x) in triangles],
+        [(vmap[u], vmap[v]) for (u, v) in coloured_edges],
+        [BoundaryComponent(b.kind, [(vmap[u], vmap[v]) for (u, v) in b.edges]) for b in c.black_in],
+        [BoundaryComponent(b.kind, [(vmap[u], vmap[v]) for (u, v) in b.edges]) for b in c.black_out],
+        {(vmap[u], vmap[v]): col for (u, v), col in edge_colours.items()},
     )
-
-
-def _without_vertex(c, w, triangles, coloured_edges, edge_colours):
-    """``c`` with the given triangles, coloured edges and edge colours, none of
-    which uses vertex ``w`` any more, and with ``w`` deleted and the vertices
-    above it renumbered down by one."""
-    vmap = list(range(w)) + [-1] + list(range(w, c.vertex_count - 1))
-    return _relabelled(c, vmap, c.vertex_count - 1, triangles, coloured_edges, edge_colours)
 
 
 def _flippable(et, tris):
@@ -775,10 +749,12 @@ def _merge_site(c, v):
 
 def pachner_31(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
     """Remove an interior vertex of degree exactly three."""
+    return _compacted(_sparse_31(c, vertex))
+
+
+def _sparse_31(c, vertex):
     incident, cyc = _site(_merge_site, c, vertex, "merge")
-    new_tris = [t for idx, t in enumerate(c.triangles) if idx not in incident]
-    new_tris.append(cyc)
-    return _without_vertex(c, vertex, new_tris, c.coloured_edges, c.edge_colours)
+    return c._patched({**dict.fromkeys(incident), len(c.triangles): cyc})
 
 
 # -- type-2 elementary shellings (all involved boundary edges coloured) -------------
@@ -841,9 +817,12 @@ def _shell_merge_site(c, w):
 
 def shelling_merge_edges(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
     """Two coloured edges -> one: remove a boundary vertex spanning one triangle."""
+    return _compacted(_sparse_merge_edges(c, vertex))
+
+
+def _sparse_merge_edges(c, vertex):
     t_idx, e1, e2, inner = _site(_shell_merge_site, c, vertex, "shell_merge")
-    new_tris = [t for idx, t in enumerate(c.triangles) if idx != t_idx]
-    return _without_vertex(c, vertex, new_tris, **_recoloured(c, (e1, e2), (inner,)))
+    return c._patched({t_idx: None}, **_recoloured(c, (e1, e2), (inner,)))
 
 
 def _shell_open_site(c, edge):
@@ -861,10 +840,12 @@ def _shell_open_site(c, edge):
 
 def shelling_open_vertex(c: OpenClosedComplex, edge) -> OpenClosedComplex:
     """Remove the triangle under a coloured edge, pushing its interior apex out."""
-    e, t_idx, w = _site(_shell_open_site, c, edge, "shell_open")
-    u, v = e
-    new_tris = [t for idx, t in enumerate(c.triangles) if idx != t_idx]
-    return c.replaced(triangles=new_tris, **_recoloured(c, (e,), (ekey(u, w), ekey(w, v))))
+    return _compacted(_sparse_open_vertex(c, edge))
+
+
+def _sparse_open_vertex(c, edge):
+    (u, v), t_idx, w = _site(_shell_open_site, c, edge, "shell_open")
+    return c._patched({t_idx: None}, **_recoloured(c, ((u, v),), (ekey(u, w), ekey(w, v))))
 
 
 def _shell_close_site(c, w):
@@ -894,13 +875,27 @@ def shelling_close_vertex(c: OpenClosedComplex, vertex: int) -> OpenClosedComple
     return c._patched({len(c.triangles): (vertex, u, v)}, **_recoloured(c, (e1, e2), (ekey(u, v),)))
 
 
+def _compacted(c):
+    """``c`` with the ids that deletions left unused (``_patched``) closed up in
+    one constructor call; ``c`` itself if there are none.  The renaming keeps
+    the order of the ids."""
+    dead, gaps = c._holes
+    if not gaps:
+        return c
+    dead = set(dead)
+    vmap = {v: i for i, v in enumerate(v for v in range(c.vertex_count) if v not in dead)}
+    return _relabelled(c, vmap, len(vmap), list(filter(None, c.triangles)),
+                       c.coloured_edges, c.edge_colours)
+
+
+# the walk's moves: the three that delete leave their ids sparse
 _MOVES = {
     "flip": pachner_22,
     "split": pachner_13,
-    "merge": pachner_31,
+    "merge": _sparse_31,
     "shell_split": shelling_split_edge,
-    "shell_merge": shelling_merge_edges,
-    "shell_open": shelling_open_vertex,
+    "shell_merge": _sparse_merge_edges,
+    "shell_open": _sparse_open_vertex,
     "shell_close": shelling_close_vertex,
 }
 
@@ -993,9 +988,9 @@ def _resynced_sites(parent, c, changes, changed):
 
     verdicts = {e: _flippable(et, et.get(e, ())) for e in edges}
     for (x, y) in flipped:
-        if len(vt[x]) > len(vt[y]):
+        if len(vt.get(x, ())) > len(vt.get(y, ())):
             x, y = y, x
-        for i in vt[x]:
+        for i in vt.get(x, ()):
             if i not in changes:
                 o = ekey(*_opposite(c, i, x))
                 entries = et[o]
@@ -1003,8 +998,8 @@ def _resynced_sites(parent, c, changes, changed):
                     verdicts[o] = _flippable(et, entries)
     flips = _resynced(flips, verdicts)
 
-    verdicts = {v: len(vt[v]) == 3 and _merge_site(c, v) is not None
-                for v in touched if len(vt[v]) == 3 or len(pvt.get(v, ())) == 3}
+    verdicts = {v: len(vt.get(v, ())) == 3 and _merge_site(c, v) is not None
+                for v in touched if len(vt.get(v, ())) == 3 or len(pvt.get(v, ())) == 3}
     for (a, b, _) in changed:
         for _, apex in et.get((a, b), ()):
             if apex not in verdicts and len(vt[apex]) == 3:
@@ -1021,12 +1016,12 @@ def _resynced_sites(parent, c, changes, changed):
                 verdicts[e, 0] = split(c, e) is not None
                 verdicts[e, 1] = open_(c, e) is not None
         for x in touched:
-            if (len(vt[x]) == 1) != (len(pvt.get(x, ())) == 1):  # came to or left one triangle
+            if (len(vt.get(x, ())) == 1) != (len(pvt.get(x, ())) == 1):  # came to or left one triangle
                 for e in bat.get(x, ()):
                     if e in coloured:
                         verdicts[e, 1] = open_(c, e) is not None
             if (x in bat) != (x in pbat):  # joined or left the boundary
-                for i in vt[x]:
+                for i in vt.get(x, ()):
                     o = ekey(*_opposite(c, i, x))
                     if o in coloured:
                         verdicts[o, 1] = open_(c, o) is not None
@@ -1034,7 +1029,7 @@ def _resynced_sites(parent, c, changes, changed):
 
         (_, merge), (_, close) = _VERTEX_SHELLINGS
         verdicts = {(v, 0): v in bat and merge(c, v) is not None
-                    for v in touched if len(vt[v]) == 1 or len(pvt.get(v, ())) == 1}
+                    for v in touched if len(vt.get(v, ())) == 1 or len(pvt.get(v, ())) == 1}
         for e in edges:
             count, before = len(et.get(e, ())), len(pet.get(e, ()))
             if count != before:  # an apex in one triangle may have e for its inner edge
@@ -1064,21 +1059,25 @@ def applicable_moves(c: OpenClosedComplex):
 
 
 def _move_count(c: OpenClosedComplex):
-    """The number of moves that apply to ``c``: every triangle index splits."""
-    return len(c.triangles) + sum(map(len, c._move_sites()))
+    """The number of moves that apply to ``c``: every triangle splits."""
+    return len(c.triangles) - len(c._holes[1]) + sum(map(len, c._move_sites()))
 
 
 def _nth_move(c: OpenClosedComplex, k):
     """Move ``k`` of ``c``, read off its move sites: the flips, the splits of
-    every triangle index, the merges, the edge shellings, then the vertex
-    shellings."""
+    every triangle in index order, the merges, the edge shellings, then the
+    vertex shellings."""
     flips, merges, edge_sites, vertex_sites = c._move_sites()
     if k < len(flips):
         return "flip", flips[k]
     k -= len(flips)
-    if k < len(c.triangles):
-        return "split", k
-    k -= len(c.triangles)
+    gaps = c._holes[1]
+    if k < len(c.triangles) - len(gaps):
+        i = k  # the k-th index not in gaps: k plus the gaps at or below it
+        while (j := k + bisect_right(gaps, i)) != i:
+            i = j
+        return "split", i
+    k -= len(c.triangles) - len(gaps)
     if k < len(merges):
         return "merge", merges[k]
     k -= len(merges)
@@ -1091,10 +1090,10 @@ def _nth_move(c: OpenClosedComplex, k):
 
 def random_moves(c: OpenClosedComplex, seed: int, n: int) -> OpenClosedComplex:
     """Apply ``n`` uniformly chosen applicable moves with a seeded PRNG.  Each
-    move turns a valid complex into a valid one, so every complex of the walk
-    carries ``c``'s ``require_valid`` verdict.  A step draws from the move
-    sites, which a child of 2-2, 1-3, split-edge or close-vertex patches from
-    its parent's instead of listing them afresh."""
+    move turns a valid complex into a valid one, so the walk's end carries
+    ``c``'s ``require_valid`` verdict.  A step draws from the move sites, which
+    each child patches from its parent's; the ids that the walk deletes stay
+    unused until its end is compacted, once."""
     rng = random.Random(seed)
     valid = c._valid
     for _ in range(n):
@@ -1103,5 +1102,6 @@ def random_moves(c: OpenClosedComplex, seed: int, n: int) -> OpenClosedComplex:
             break
         kind, site = _nth_move(c, rng.randrange(count))
         c = _MOVES[kind](c, site)
-        c._valid = valid
+    c = _compacted(c)
+    c._valid = valid
     return c

@@ -133,6 +133,13 @@ class UnknownCatalogError(InvalidInput):
     pass
 
 
+def _shown(value) -> str:
+    """``repr(value)``, cut short past 40 characters, so that a message names
+    what it refuses without echoing a whole command-line argument."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(str(value))} characters)"
+
+
 # --- dense materialisation ------------------------------------------------
 
 class DenseBudgetError(StateSumError):

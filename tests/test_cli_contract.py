@@ -265,31 +265,49 @@ _SEVENS = "7" * 5_000  # past CPython's 4,300-digit cap on parsing an int
 _UNDER_CAP = "7" * 4_000  # an integer, but far past every budget
 
 
-@pytest.mark.parametrize("argv,named", [
-    (["catalog", "algebra", "matsum", "1", _SEVENS], "an entry of WINDOWS has 5000 digits"),
-    (["catalog", "complex", "strip", "1", _SEVENS], "parameter 2 has 5000 digits"),
-    (["surface", "--genus", _SEVENS], "--genus has 5000 digits"),
-    (["surface", "--genus", "x" * 5_000], "--genus must be an integer"),
-    (["catalog", "algebra", "matsum", "1", "1", _SEVENS], "FIELD has 5000 digits"),
-    (["catalog", "algebra", "matsum", "1", "1", _UNDER_CAP], "FIELD must be a prime below"),
-    (["catalog", "algebra", "group", "cyclic", "-" + _UNDER_CAP], "group needs N >= 1"),
-    (["catalog", "complex", "strip", "1", _UNDER_CAP], "takes parameters <="),
-    (["surface", "--genus", _UNDER_CAP], "surface takes --genus <= 200"),
-    (["fuzz", "--complex", "c.json", "--moves", _UNDER_CAP], "fuzz takes --moves <= 1000"),
-    (["eval", "--complex", "c.json", "--mode", "x" * 5_000], "--mode takes one of"),
+_LONG = "x" * 5_000  # a word that a message should name, not echo
+
+
+@pytest.mark.parametrize("argv,error,named", [
+    (["catalog", "algebra", "matsum", "1", _SEVENS], "InvalidInput",
+     "an entry of WINDOWS has 5000 digits"),
+    (["catalog", "complex", "strip", "1", _SEVENS], "InvalidInput", "parameter 2 has 5000 digits"),
+    (["surface", "--genus", _SEVENS], "InvalidInput", "--genus has 5000 digits"),
+    (["surface", "--genus", _LONG], "InvalidInput", "--genus must be an integer"),
+    (["catalog", "algebra", "matsum", "1", "1", _SEVENS], "InvalidInput",
+     "FIELD has 5000 digits"),
+    (["catalog", "algebra", "matsum", "1", "1", _UNDER_CAP], "InvalidInput",
+     "FIELD must be a prime below"),
+    (["catalog", "algebra", "group", "cyclic", "-" + _UNDER_CAP], "InvalidInput",
+     "group needs N >= 1"),
+    (["catalog", "complex", "strip", "1", _UNDER_CAP], "InvalidInput", "takes parameters <="),
+    (["surface", "--genus", _UNDER_CAP], "InvalidInput", "surface takes --genus <= 200"),
+    (["fuzz", "--complex", "c.json", "--moves", _UNDER_CAP], "InvalidInput",
+     "fuzz takes --moves <= 1000"),
+    (["eval", "--complex", "c.json", "--mode", _LONG], "InvalidInput", "--mode takes one of"),
+    ([_LONG], "InvalidInput", "expected a command"),
+    (["eval", "--" + _LONG], "InvalidInput", "has no option"),
+    (["catalog", "algebra", "matsum", "1", "1", _LONG], "UnknownCatalogError",
+     "unknown field spec"),
+    (["catalog", "complex", _LONG, "1"], "UnknownCatalogError", "unknown builtin complex"),
+    (["catalog", "algebra", _LONG, "1", "1"], "UnknownCatalogError", "unknown catalog algebra"),
+    (["catalog", "algebra", "group", _LONG, "3"], "UnknownCatalogError", "unknown group kind"),
+    (["catalog", _LONG, "a"], "UnknownCatalogError", "unknown catalog kind"),
+    (["algebra", "check", "a", _LONG], "InvalidInput", "got the arguments"),
 ], ids=["matsum window", "strip parameter", "genus", "non-integer genus", "field modulus",
         "4,000-digit field modulus", "group order", "4,000-digit strip parameter",
-        "4,000-digit genus", "4,000-digit moves", "mode"])
-def test_an_oversized_parameter_is_named_in_a_short_message(workdir, capsys, argv, named):
+        "4,000-digit genus", "4,000-digit moves", "mode", "command", "option", "field spec",
+        "builtin complex", "catalog algebra", "group kind", "catalog kind", "arguments"])
+def test_an_oversized_parameter_is_named_in_a_short_message(workdir, capsys, argv, error, named):
     # each message echoed the whole parameter, and an integer past the cap was
     # called not an integer
-    if argv[0] != "catalog":
+    if argv[0] in ("eval", "surface", "fuzz"):
         argv = [*argv, "--algebra", str(workdir / "missing.json"), "--json"]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert err == ""
     doc = json.loads(out)
-    assert doc["error"] == "InvalidInput"
+    assert doc["error"] == error
     assert named in doc["message"] and len(doc["message"]) < 200
 
 

@@ -25,9 +25,14 @@ from statesum.cobordisms import (
     zipper,
 )
 from statesum.complexes import (
+    _MOVES,
     BoundaryComponent,
     ComplexReport,
     OpenClosedComplex,
+    _compacted,
+    _listed_sites,
+    _move_count,
+    _nth_move,
     applicable_moves,
     pachner_13,
     pachner_22,
@@ -855,6 +860,49 @@ def test_patched_move_sites_equal_a_full_scan():
     assert start._sites is None
     assert _walk_state(c) == _walk_state(random_moves(start, seed=9, n=40))
     _walk_checking_sites(c, 10, 60, patched)
+
+
+def _compaction_map(c):
+    """The renaming by which ``_compacted`` closes up the deleted vertex ids of ``c``."""
+    dead = set(c._holes[0])
+    return {v: i for i, v in enumerate(v for v in range(c.vertex_count) if v not in dead)}
+
+
+def _renamed_sites(sites, vmap):
+    flips, merges, edge_sites, vertex_sites = sites
+    return [[(vmap[u], vmap[v]) for (u, v) in flips], [vmap[v] for v in merges],
+            [((vmap[u], vmap[v]), rank) for (u, v), rank in edge_sites],
+            [(vmap[v], rank) for v, rank in vertex_sites]]
+
+
+def test_walk_children_come_with_patched_sites():
+    """On held-out walks stepped through the walk's own moves, which leave the
+    ids they delete unused, every child comes with its move sites patched from
+    its parent's, and these name, with the ids compacted, the sites a full
+    scan of the compacted rebuild lists."""
+    kinds = set()
+    suite = dict(generator_suite(), torus=closed_surface(1, 0),
+                 genus2_window=closed_surface(2, 1))
+    walks = [(start, 1000 * trial + 17, 30) for start in suite.values() for trial in range(25, 28)]
+    walks += [(start, seed, 60) for start in (sphere(), strip(2, 2), annulus(3, 3), open_unit(),
+                                              zipper(), closed_surface(1, 1)) for seed in (6, 7)]
+    walks += [(zipper(), 8, 400), (open_mult(), 9, 400)]
+    for start, seed, n in walks:
+        rng = random.Random(seed)  # random_moves' walk, step by step
+        c = start
+        for _ in range(n):
+            count = _move_count(c)
+            if not count:
+                break
+            kind, site = _nth_move(c, rng.randrange(count))
+            c = _MOVES[kind](c, site)
+            assert c._sites is not None, (kind, site)
+            kinds.add(kind)
+            compact = _rebuilt(_compacted(c))
+            assert _renamed_sites(c._sites, _compaction_map(c)) == _listed_sites(compact), (kind, site)
+        assert _walk_state(_compacted(c)) == _walk_state(random_moves(start, seed=seed, n=n))
+    assert len(c._holes[1]) > 10
+    assert kinds == set(_MOVE_BY_KIND)
 
 
 @pytest.mark.parametrize("kind,site", [

@@ -207,7 +207,7 @@ def cmd_eval(args) -> int:
 
 # Budgets on declared sizes, refused before anything loads: a walk's work
 # grows faster than its length (each move copies its parent's indexes; 1,000
-# and 3,000 moves from open_mult take 0.13 and 0.4-0.6 s), and digging many
+# and 3,000 moves from open_mult take 0.1 and 0.4-0.6 s), and digging many
 # windows grows with the square of their number; checking a group table's
 # associativity takes the cube of the group's order in multiply-adds on each
 # side, about 8 s for S_5; a catalog complex is built in time and memory

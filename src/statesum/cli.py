@@ -12,13 +12,24 @@ repeated option wins, and no prefix of an option name is accepted.
 
 Exit codes: 0 success; 1 a malformed command line, an input or validation
 error (malformed files, non-algebras, invalid complexes), a command that ran
-out of memory (a ``MemoryError`` document), or a standard output closed by
-its reader (``statesum ... | head``: nothing goes to stderr); 2 mathematical
-precondition violation (degenerate pairing, algebra not strongly separable,
-...), so shell-level tests can tell a bad file from a bad algebra.
+out of memory (a ``MemoryError`` document), a standard output closed by its
+reader (``statesum ... | head``: nothing goes to stderr), or one that cannot
+be written (``statesum ... > /dev/full``: the JSON error document goes to
+stderr); 2 mathematical precondition violation (degenerate pairing, algebra
+not strongly separable, ...), so shell-level tests can tell a bad file from
+a bad algebra.
 
 Every document is written to standard output piece by piece as it is
 encoded (see ``io.dumps``), so memory does not grow with the output.
+
+A ``statesum`` process (the installed script or ``python -m statesum.cli``)
+runs ``console_main``: once ``main`` has returned, it flushes standard output
+and error and ends through ``os._exit``, skipping interpreter finalization,
+which would run after the answer is written (8-9 ms of a 64-71 ms cold
+command).  Under a tracer or profiler (``cProfile``, ``coverage``,
+``trace``), which write their reports at exit, the process exits normally,
+and so it does when ``main`` raises, with its traceback.  ``main`` itself
+only returns the exit code, so library callers of it are unaffected.
 """
 
 from __future__ import annotations
@@ -494,15 +505,37 @@ def _run(argv) -> int:
 def main(argv=None) -> int:
     try:
         code = _run(sys.argv[1:] if argv is None else argv)
-        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        sys.stdout.flush()  # so a stdout that cannot be written shows here, not at exit
         return code
-    except BrokenPipeError:
-        # the reader has gone (``statesum ... | head``).  As the SIGPIPE note
-        # of the Python docs does: what is still buffered, and the flush at
-        # exit, go to devnull instead of a second BrokenPipeError.
+    except OSError as exc:
+        # Standard output is gone: its reader has closed it (``statesum ... |
+        # head``, a BrokenPipeError) or it cannot be written (``> /dev/full``),
+        # so _run's error document could not reach it either.  As the SIGPIPE
+        # note of the Python docs does: what is still buffered, and the flush
+        # at exit, go to devnull instead of a second error.  A closed pipe is
+        # the reader's choice; any other error is reported on stderr.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            sio.dumps({"error": type(exc).__name__, "message": str(exc)}, sys.stderr.write)
         return 1
 
 
+def console_main() -> int:
+    """The ``statesum`` process: ``main`` on ``sys.argv``, then the end of the
+    process with its exit code, through ``os._exit`` once standard output
+    and error are flushed (see the module docstring).  The code is returned,
+    for the caller to pass to ``sys.exit``, only under a tracer or profiler:
+    ``sys.settrace``, ``sys.setprofile`` or a ``sys.monitoring`` tool (from
+    Python 3.12 on, ``cProfile`` is one)."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    monitoring = getattr(sys, "monitoring", None)
+    tools = () if monitoring is None else map(monitoring.get_tool, range(6))
+    if sys.gettrace() is None and sys.getprofile() is None and not any(tools):
+        os._exit(code)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

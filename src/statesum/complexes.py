@@ -36,7 +36,9 @@ entry (``_resynced_sites``), about ten a step on the benchmark's
 ``fuzz-moves`` walks, where a listing checks every site.  The id of a
 deleted vertex or triangle stays unused and a new one takes the next id, so
 no entry is renumbered.  ``_compacted`` closes the gaps in one constructor
-call, when ``random_moves`` returns and in each public move that deletes.
+call, when ``random_moves`` returns and in each public move that deletes;
+such a move patches no boundary index or move sites, which the constructor
+would discard.
 Its renaming keeps the order of the ids, so every sorted site list, and with
 it every draw of a walk, reads as if the ids were compacted at each step.
 
@@ -136,9 +138,11 @@ class OpenClosedComplex:
         self.black_out = tuple(black_out)
         self.edge_colours = {ekey(u, v): c for (u, v), c in (edge_colours or {}).items()}
 
-        self._edge_tris = {}
-        for idx in range(len(self.triangles)):
-            self._add_triangle(idx)
+        # the edge index (see _add_triangle), its entries made in ascending index order
+        self._edge_tris = et = {}
+        for i, (a, b, c) in enumerate(self.triangles):  # canonical: a is the smallest
+            for e, x in (((a, b), c), ((b, c) if b < c else (c, b), a), ((a, c), b)):
+                et[e] = et.get(e, ()) + ((i, x),)
         self._vertex_tris = None  # incidence for the move checks, built on first use
         self._boundary_at = None
         self._sites = None  # the sites each move accepts, listed on first use
@@ -549,14 +553,16 @@ class OpenClosedComplex:
         )
 
     def _patched(self, changes, vertex_count=None, coloured_edges=None,
-                 edge_colours=None) -> "OpenClosedComplex":
+                 edge_colours=None, sites=True) -> "OpenClosedComplex":
         """This complex with the triangles at the indices of ``changes`` replaced
         by its values (an index past the end appends, ``None`` deletes); the ids
         of deleted triangles and of vertices left in no triangle stay unused
         until ``_compacted``.  The edge index, and the vertex and boundary
         indexes and the move sites once this one has built them, are copies of
         this one's in which just the entries that the changed triangles reach
-        are edited; each move that deletes builds the vertex index first."""
+        are edited; each move that deletes builds the vertex index first.
+        With ``sites`` false, for a child that is compacted at once, the
+        boundary index and the move sites are left to be built on first use."""
         child = object.__new__(OpenClosedComplex)
         child.vertex_count = vertex_count if vertex_count is not None else self.vertex_count
         child.coloured_edges = (frozenset(coloured_edges) if coloured_edges is not None
@@ -598,7 +604,7 @@ class OpenClosedComplex:
         child._vertex_tris = vt
         gaps = tuple(i for i, t in changes.items() if t is None)
         child._holes = (self._holes[0] + dead, tuple(sorted(self._holes[1] + gaps)))
-        bat = self._boundary_at
+        bat = self._boundary_at if sites else None
         if bat is not None and coloured_edges is not None:
             # The shellings recolour and move the boundary; 2-2, 1-3 and 3-1
             # keep the number of triangles on every edge they neither create
@@ -614,7 +620,7 @@ class OpenClosedComplex:
                         else:
                             del bat[v]
         child._boundary_at = bat
-        child._sites = (None if self._sites is None
+        child._sites = (None if self._sites is None or not sites
                         else _resynced_sites(self, child, changes, changed))
         return child
 
@@ -749,12 +755,12 @@ def _merge_site(c, v):
 
 def pachner_31(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
     """Remove an interior vertex of degree exactly three."""
-    return _compacted(_sparse_31(c, vertex))
+    return _compacted(_sparse_31(c, vertex, sites=False))
 
 
-def _sparse_31(c, vertex):
+def _sparse_31(c, vertex, sites=True):
     incident, cyc = _site(_merge_site, c, vertex, "merge")
-    return c._patched({**dict.fromkeys(incident), len(c.triangles): cyc})
+    return c._patched({**dict.fromkeys(incident), len(c.triangles): cyc}, sites=sites)
 
 
 # -- type-2 elementary shellings (all involved boundary edges coloured) -------------
@@ -817,12 +823,12 @@ def _shell_merge_site(c, w):
 
 def shelling_merge_edges(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
     """Two coloured edges -> one: remove a boundary vertex spanning one triangle."""
-    return _compacted(_sparse_merge_edges(c, vertex))
+    return _compacted(_sparse_merge_edges(c, vertex, sites=False))
 
 
-def _sparse_merge_edges(c, vertex):
+def _sparse_merge_edges(c, vertex, sites=True):
     t_idx, e1, e2, inner = _site(_shell_merge_site, c, vertex, "shell_merge")
-    return c._patched({t_idx: None}, **_recoloured(c, (e1, e2), (inner,)))
+    return c._patched({t_idx: None}, sites=sites, **_recoloured(c, (e1, e2), (inner,)))
 
 
 def _shell_open_site(c, edge):
@@ -840,12 +846,13 @@ def _shell_open_site(c, edge):
 
 def shelling_open_vertex(c: OpenClosedComplex, edge) -> OpenClosedComplex:
     """Remove the triangle under a coloured edge, pushing its interior apex out."""
-    return _compacted(_sparse_open_vertex(c, edge))
+    return _compacted(_sparse_open_vertex(c, edge, sites=False))
 
 
-def _sparse_open_vertex(c, edge):
+def _sparse_open_vertex(c, edge, sites=True):
     (u, v), t_idx, w = _site(_shell_open_site, c, edge, "shell_open")
-    return c._patched({t_idx: None}, **_recoloured(c, ((u, v),), (ekey(u, w), ekey(w, v))))
+    return c._patched({t_idx: None}, sites=sites,
+                      **_recoloured(c, ((u, v),), (ekey(u, w), ekey(w, v))))
 
 
 def _shell_close_site(c, w):
@@ -882,10 +889,12 @@ def _compacted(c):
     dead, gaps = c._holes
     if not gaps:
         return c
+    triangles = list(filter(None, c.triangles))
+    if not dead:  # only triangles were deleted (shelling_open_vertex): no vertex is renamed
+        return c.replaced(triangles=triangles)
     dead = set(dead)
     vmap = {v: i for i, v in enumerate(v for v in range(c.vertex_count) if v not in dead)}
-    return _relabelled(c, vmap, len(vmap), list(filter(None, c.triangles)),
-                       c.coloured_edges, c.edge_colours)
+    return _relabelled(c, vmap, len(vmap), triangles, c.coloured_edges, c.edge_colours)
 
 
 # the walk's moves: the three that delete leave their ids sparse

@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import json
 import os
@@ -614,15 +615,16 @@ def test_eval_output_memory_does_not_grow_with_its_size(tmp_path, capsys, monkey
 
 
 class _ClosedStdout:
-    """A standard output whose reader goes away after ``limit`` characters;
-    its file descriptor is a file under the test's directory."""
+    """A standard output whose reader goes away after ``limit`` characters
+    (or that fails past them with the OSError ``code``); its file descriptor
+    is a file under the test's directory."""
 
-    def __init__(self, limit, fd):
-        self.limit, self.fd, self.text = limit, fd, ""
+    def __init__(self, limit, fd, code=errno.EPIPE):
+        self.limit, self.fd, self.code, self.text = limit, fd, code, ""
 
     def write(self, text):
         if len(self.text) + len(text) > self.limit:
-            raise BrokenPipeError(32, "Broken pipe")
+            raise OSError(self.code, os.strerror(self.code))  # EPIPE: a BrokenPipeError
         self.text += text
         return len(text)
 
@@ -673,6 +675,108 @@ def test_a_closed_pipe_exits_1_with_nothing_on_stderr(raw_strip44_argv):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert head.startswith(b'{\n "codomain": [') and err == b""
+
+
+def test_a_stdout_that_cannot_be_written_is_a_json_error_on_stderr(raw_strip44_argv, tmp_path,
+                                                                   capsys, monkeypatch):
+    # the error document for the failed write cannot go to the same stdout
+    # either; it went there, failed again and left as two chained tracebacks
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(0, fd, errno.ENOSPC))
+        assert main(raw_strip44_argv + ["--json"]) == 1
+    finally:
+        os.close(fd)
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "OSError", "message": "[Errno 28] No space left on device"}
+
+
+def _child(argv, **kwargs):
+    """A ``statesum`` process, ``python argv...`` with the package on its path
+    and its standard output buffered, as it is outside a terminal."""
+    src = os.path.dirname(os.path.dirname(S.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *argv], env=env, timeout=60, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [["catalog", "complex", "strip", "1", "1"],
+                                     ["surface", "--genus", "2", "--json"]],
+                         ids=["catalog", "surface"])
+def test_a_full_device_as_stdout_is_a_json_error_on_stderr(m23_file, command, unbuffered):
+    # buffered, the document is refused at main's flush; unbuffered, at its
+    # first write inside the command
+    if command[0] == "surface":
+        command = [*command, "--algebra", m23_file]
+    with open("/dev/full", "wb") as full:
+        done = _child([*(["-u"] if unbuffered else []), "-m", "statesum.cli", *command],
+                      stdout=full, stderr=subprocess.PIPE)
+    assert done.returncode == 1
+    assert b"Traceback" not in done.stderr
+    assert json.loads(done.stderr) == {"error": "OSError",
+                                       "message": "[Errno 28] No space left on device"}
+
+
+def _exit_code_commands(tmp_path, capsys):
+    m2f2 = str(tmp_path / "m2f2.json")
+    assert main(["catalog", "algebra", "matsum", "2", "1", "prime:2", "-o", m2f2]) == 0
+    capsys.readouterr()
+    return [(["catalog", "complex", "zipper"], 0),
+            (["eval", "--algebra", m2f2], 1),  # a malformed command line: no --complex
+            (["algebra", "check", m2f2, "--json"], 2)]  # NotStronglySeparableError
+
+
+def test_a_cli_child_prints_what_main_prints(tmp_path, capsys):
+    # the child ends through os._exit: every byte main wrote must be out by then
+    for argv, code in _exit_code_commands(tmp_path, capsys):
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        done = _child(["-m", "statesum.cli", *argv])
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), b""), argv
+
+
+def test_a_cli_child_writes_a_complete_catalog_file(tmp_path):
+    path = tmp_path / "strip.json"
+    done = _child(["-m", "statesum.cli", "catalog", "complex", "strip", "40", "40", "-o", str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc == sio.complex_to_json(S.strip(40, 40))
+
+
+_TRACERS = {"plain": "", "profiled": "sys.setprofile(lambda *a: None)",
+            "traced": "sys.settrace(lambda *a: None)"}
+if hasattr(sys, "monitoring"):  # Python 3.12 on: cProfile is a monitoring tool
+    _TRACERS["monitored"] = "sys.monitoring.use_tool_id(sys.monitoring.PROFILER_ID, 'probe')"
+
+
+@pytest.mark.parametrize("tracer", list(_TRACERS))
+def test_the_exit_skips_finalization_unless_a_tracer_or_profiler_is_installed(tracer):
+    # an atexit hook runs at finalization, as the reports of cProfile,
+    # coverage and trace are written
+    wrapper = ("import atexit, runpy, sys\n"
+               "atexit.register(lambda: sys.stderr.write('finalized'))\n"
+               f"{_TRACERS[tracer]}\n"
+               "sys.argv = ['statesum', '--help']\n"
+               "runpy.run_module('statesum.cli', run_name='__main__')\n")
+    done = _child(["-c", wrapper])
+    assert done.returncode == 0 and done.stdout.startswith(b"usage: statesum COMMAND")
+    assert done.stderr == (b"" if tracer == "plain" else b"finalized")
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_console_main_exits_through_os_exit_unless_traced(capsys, monkeypatch, traced):
+    exits = []
+    monkeypatch.setattr(sys, "argv", ["statesum", "--help"])
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", (lambda: print) if traced else (lambda: None))
+    monkeypatch.setattr(os, "_exit", exits.append)
+    assert cli.console_main() == 0
+    assert exits == ([] if traced else [0])
+    assert capsys.readouterr().out.startswith("usage: statesum COMMAND")
 
 
 def test_eval_over_the_dense_budget_is_a_json_error(tmp_path, capsys):

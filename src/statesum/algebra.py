@@ -54,8 +54,8 @@ def _cached(method):
 
 
 def _first_difference(a, b):
-    """The smallest key on which two unequal sparse dicts differ."""
-    return min(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+    """The smallest key on which two sparse dicts differ, or ``None``."""
+    return min((key for key in a.keys() | b.keys() if a.get(key) != b.get(key)), default=None)
 
 
 class Algebra:
@@ -66,10 +66,13 @@ class Algebra:
     def __init__(self, field: Field, dim: int, mul_entries, unit, basis_names=None):
         """``mul_entries`` iterates sparse quadruples ``(i, j, k, coeff)``.
 
-        The unit, and the basis names when given, must have ``dim`` entries;
-        that is checked before anything of size ``dim`` is built, so a
-        declared ``dim`` is bounded by the unit that comes with it.
+        ``dim`` is at least 1 (a unital algebra of dimension 0 has ``1 = 0``),
+        and the unit, and the basis names when given, must have ``dim``
+        entries; that is checked before anything of size ``dim`` is built, so
+        a declared ``dim`` is bounded by the unit that comes with it.
         """
+        if dim < 1:
+            raise ValueError(f"dim must be at least 1, got {dim}")
         if len(unit) != dim:
             raise ValueError("unit vector length must equal dim")
         if basis_names is not None and len(basis_names) != dim:
@@ -163,8 +166,7 @@ class Algebra:
 
     def left_regular_matrix(self, a) -> Matrix:
         """Matrix of ``L_a : b -> a*b``, ``L_a[k][j] = sum_i a_i c_ijk``."""
-        coeffs = a.coeffs if isinstance(a, Element) else a
-        return self._translation(coeffs, _LEFT).to_matrix(("k",), ("b",))
+        return self._translation(a.coeffs, _LEFT).to_matrix(("k",), ("b",))
 
     def bilinear_form(self, v) -> Matrix:
         """Gram matrix ``G[i][j] = sum_k c_ijk v_k`` of the form ``(a, b) -> v(ab)``

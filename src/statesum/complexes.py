@@ -21,24 +21,25 @@ The checks share one edge index: each edge maps to its triangles in
 ascending index order, each with its apex, the vertex opposite the edge.  So
 the flip precondition (``_flippable``: two triangles whose apexes differ and
 are not already joined) reads one edge's entries and one membership in O(1).
-The other checks, which also read a lazy vertex -> triangles and boundary
-vertex -> boundary edges index, cost O(degree).  A fourth index, the move
+The other checks, which also read a vertex -> triangles and a boundary
+vertex -> boundary edges index, cost O(degree).  The constructor builds the
+edge index; the other two are built on first use.  A fourth index, the move
 sites, holds the sites each check accepts; ``_listed_sites`` builds it on
 first use by running every check on every candidate site, and
 ``applicable_moves`` and ``random_moves`` read it.  One pair of primitives
-edits the edge index, adding or dropping one triangle; the constructor adds
-every triangle to empty indexes.
+edits the edge index, adding or dropping one triangle.
 
-Every move builds its child from copies of its parent's four indexes,
-editing just the entries that the triangles it changes reach; for the move
-sites, it reruns each check only at the sites whose verdict reads such an
-entry (``_resynced_sites``), about ten a step on the benchmark's
-``fuzz-moves`` walks, where a listing checks every site.  The id of a
-deleted vertex or triangle stays unused and a new one takes the next id, so
-no entry is renumbered.  ``_compacted`` closes the gaps in one constructor
-call, when ``random_moves`` returns and in each public move that deletes;
-such a move patches no boundary index or move sites, which the constructor
-would discard.
+Every move builds its child from copies of its parent's edge, vertex and
+boundary indexes, which the parent builds first if it has none, editing just
+the entries that the triangles it changes reach: every child carries all
+three and records the vertices it leaves in no triangle.  Once the parent has
+listed its move sites, the child's are patched too: each check is rerun only
+at the sites whose verdict reads such an entry (``_resynced_sites``), about
+ten a step on the benchmark's ``fuzz-moves`` walks, where a listing checks
+every site.  The id of a deleted vertex or triangle stays unused and a new
+one takes the next id, so no entry is renumbered.  ``_compacted`` closes the
+gaps in one constructor call, when ``random_moves`` returns and in each
+public move that deletes.
 Its renaming keeps the order of the ids, so every sorted site list, and with
 it every draw of a walk, reads as if the ids were compacted at each step.
 
@@ -553,16 +554,14 @@ class OpenClosedComplex:
         )
 
     def _patched(self, changes, vertex_count=None, coloured_edges=None,
-                 edge_colours=None, sites=True) -> "OpenClosedComplex":
+                 edge_colours=None) -> "OpenClosedComplex":
         """This complex with the triangles at the indices of ``changes`` replaced
         by its values (an index past the end appends, ``None`` deletes); the ids
         of deleted triangles and of vertices left in no triangle stay unused
-        until ``_compacted``.  The edge index, and the vertex and boundary
-        indexes and the move sites once this one has built them, are copies of
-        this one's in which just the entries that the changed triangles reach
-        are edited; each move that deletes builds the vertex index first.
-        With ``sites`` false, for a child that is compacted at once, the
-        boundary index and the move sites are left to be built on first use."""
+        until ``_compacted``.  The child's edge, vertex and boundary indexes
+        are copies of this one's, built first if it has none, in which just the
+        entries that the changed triangles reach are edited; so are its move
+        sites once this one has listed them."""
         child = object.__new__(OpenClosedComplex)
         child.vertex_count = vertex_count if vertex_count is not None else self.vertex_count
         child.coloured_edges = (frozenset(coloured_edges) if coloured_edges is not None
@@ -585,27 +584,25 @@ class OpenClosedComplex:
                 child._add_triangle(i)
                 changed.append(triangles[i])
 
-        vt, dead = self._vertex_tris, ()
-        if vt is not None:
-            vt, owned = dict(vt), set()  # a vertex's list is copied before its first edit
-            for i in changes:
-                before = self.triangles[i] if i < len(self.triangles) else ()
-                for v in set(before).symmetric_difference(triangles[i] or ()):
-                    if v not in owned:
-                        owned.add(v)
-                        vt[v] = list(vt.get(v, ()))
-                    if v in before:
-                        vt[v].remove(i)
-                    else:
-                        insort(vt[v], i)
-            dead = tuple(v for v in owned if not vt[v])
-            for v in dead:
-                del vt[v]
+        vt, owned = dict(self.vertex_triangles()), set()  # a list is copied before its first edit
+        for i in changes:
+            before = self.triangles[i] if i < len(self.triangles) else ()
+            for v in set(before).symmetric_difference(triangles[i] or ()):
+                if v not in owned:
+                    owned.add(v)
+                    vt[v] = list(vt.get(v, ()))
+                if v in before:
+                    vt[v].remove(i)
+                else:
+                    insort(vt[v], i)
+        dead = tuple(v for v in owned if not vt[v])
+        for v in dead:
+            del vt[v]
         child._vertex_tris = vt
         gaps = tuple(i for i, t in changes.items() if t is None)
         child._holes = (self._holes[0] + dead, tuple(sorted(self._holes[1] + gaps)))
-        bat = self._boundary_at if sites else None
-        if bat is not None and coloured_edges is not None:
+        bat = self.boundary_edges_at()
+        if coloured_edges is not None:
             # The shellings recolour and move the boundary; 2-2, 1-3 and 3-1
             # keep the number of triangles on every edge they neither create
             # nor delete, so they keep the boundary.
@@ -620,8 +617,7 @@ class OpenClosedComplex:
                         else:
                             del bat[v]
         child._boundary_at = bat
-        child._sites = (None if self._sites is None or not sites
-                        else _resynced_sites(self, child, changes, changed))
+        child._sites = None if self._sites is None else _resynced_sites(self, child, changes, changed)
         return child
 
     def __repr__(self):
@@ -755,12 +751,12 @@ def _merge_site(c, v):
 
 def pachner_31(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
     """Remove an interior vertex of degree exactly three."""
-    return _compacted(_sparse_31(c, vertex, sites=False))
+    return _compacted(_sparse_31(c, vertex))
 
 
-def _sparse_31(c, vertex, sites=True):
+def _sparse_31(c, vertex):
     incident, cyc = _site(_merge_site, c, vertex, "merge")
-    return c._patched({**dict.fromkeys(incident), len(c.triangles): cyc}, sites=sites)
+    return c._patched({**dict.fromkeys(incident), len(c.triangles): cyc})
 
 
 # -- type-2 elementary shellings (all involved boundary edges coloured) -------------
@@ -823,12 +819,12 @@ def _shell_merge_site(c, w):
 
 def shelling_merge_edges(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
     """Two coloured edges -> one: remove a boundary vertex spanning one triangle."""
-    return _compacted(_sparse_merge_edges(c, vertex, sites=False))
+    return _compacted(_sparse_merge_edges(c, vertex))
 
 
-def _sparse_merge_edges(c, vertex, sites=True):
+def _sparse_merge_edges(c, vertex):
     t_idx, e1, e2, inner = _site(_shell_merge_site, c, vertex, "shell_merge")
-    return c._patched({t_idx: None}, sites=sites, **_recoloured(c, (e1, e2), (inner,)))
+    return c._patched({t_idx: None}, **_recoloured(c, (e1, e2), (inner,)))
 
 
 def _shell_open_site(c, edge):
@@ -846,13 +842,12 @@ def _shell_open_site(c, edge):
 
 def shelling_open_vertex(c: OpenClosedComplex, edge) -> OpenClosedComplex:
     """Remove the triangle under a coloured edge, pushing its interior apex out."""
-    return _compacted(_sparse_open_vertex(c, edge, sites=False))
+    return _compacted(_sparse_open_vertex(c, edge))
 
 
-def _sparse_open_vertex(c, edge, sites=True):
+def _sparse_open_vertex(c, edge):
     (u, v), t_idx, w = _site(_shell_open_site, c, edge, "shell_open")
-    return c._patched({t_idx: None}, sites=sites,
-                      **_recoloured(c, ((u, v),), (ekey(u, w), ekey(w, v))))
+    return c._patched({t_idx: None}, **_recoloured(c, ((u, v),), (ekey(u, w), ekey(w, v))))
 
 
 def _shell_close_site(c, w):
@@ -1017,7 +1012,7 @@ def _resynced_sites(parent, c, changes, changed):
 
     coloured, pcoloured = c.coloured_edges, parent.coloured_edges
     if coloured or pcoloured:  # else no shelling applies, before or after
-        bat, pbat = c.boundary_edges_at(), parent.boundary_edges_at()
+        bat, pbat = c._boundary_at, parent._boundary_at
         (_, split), (_, open_) = _EDGE_SHELLINGS  # ranks 0 and 1
         verdicts = {}
         for e in edges:

@@ -33,7 +33,7 @@ constructor insists on one.
 
 from __future__ import annotations
 
-from .algebra import Algebra, Element, _cached
+from .algebra import Algebra, Element, _cached, _first_difference
 from .errors import (
     ArityError,
     DegeneratePairingError,
@@ -430,16 +430,6 @@ def _delta_morphism(F: FrobeniusStructure, x: Factor):
     return Morphism(F.field, (x,), (x, x), F.delta_tensor().read_off(["j", "b"], ["i"])[2])
 
 
-def _first_difference(lhs: Morphism, rhs: Morphism):
-    """The first ``(row, col)`` in row-major order where two maps differ, or ``None``."""
-    empty = {}
-    return min(((i, j)
-                for i in lhs.nonzeros.keys() | rhs.nonzeros.keys()
-                for left, right in [(lhs.nonzeros.get(i, empty), rhs.nonzeros.get(i, empty))]
-                for j in left.keys() | right.keys() if left.get(j) != right.get(j)),
-               default=None)
-
-
 def check_knowledgeable(K: KnowledgeableFrobenius):
     """Verify the axioms of a knowledgeable Frobenius algebra exactly.
 
@@ -472,7 +462,8 @@ def check_knowledgeable(K: KnowledgeableFrobenius):
     ]
     results = []
     for name, lhs, rhs in axioms:
-        witness = _first_difference(lhs, rhs)
+        witness = _first_difference(*({(i, j): v for i, row in m.nonzeros.items() for j, v in row.items()}
+                                      for m in (lhs, rhs)))
         results.append((name, witness is None, witness))
     return results
 

@@ -147,8 +147,10 @@ def complex_from_json(doc) -> OpenClosedComplex:
             ]
         black_in = comps("black_in")
         black_out = comps("black_out")
-        brane = doc.get("brane_colours") or {}
-        if not isinstance(brane, dict) or any(isinstance(v, (list, dict)) for v in brane.values()):
+        # an arc index is spelt as str() spells it: not " 0", "+0", "00" or "0_0"
+        brane = doc.get("brane_colours", {})
+        if not isinstance(brane, dict) or any(isinstance(v, (list, dict)) or k != str(int(k))
+                                              for k, v in brane.items()):
             raise FileFormatError(f"brane_colours must map arc indices to scalars, got {brane!r}")
         brane = {int(k): v for k, v in brane.items()}
         c = OpenClosedComplex(vertices, triangles, coloured, black_in, black_out)

@@ -351,6 +351,16 @@ def test_elements_of_two_algebras_do_not_multiply():
         alg.unit_element() * other.unit_element()
 
 
+def test_an_algebra_of_dimension_zero_is_refused():
+    # in dimension 0 a shared leg of a state sum network has size 0 * 0, by
+    # which evaluation divided; the empty groupoid's algebra was one
+    for dim in (0, -1):
+        with pytest.raises(ValueError):
+            S.Algebra(QQ, dim, [], [])
+    with pytest.raises(ValueError):
+        S.groupoid_algebra(QQ, S.FiniteGroupoid(0, [], [], [], [], []))
+
+
 def _z2():
     return S.Algebra(QQ, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)],
                      [Fraction(1), Fraction(0)])

@@ -22,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 from statesum import cli  # noqa: E402
 from statesum import io as sio  # noqa: E402
 from statesum.cli import main  # noqa: E402
-from statesum.cobordisms import annulus, open_mult, strip, zipper  # noqa: E402
+from statesum.cobordisms import annulus, open_mult, open_unit, strip, zipper  # noqa: E402
 
 CONTRACT = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -235,6 +235,55 @@ def test_a_file_that_is_not_json_text_is_a_json_error(workdir, capsys, name, com
         argv = ["algebra", "check", str(bad), "--json"]
     else:
         argv = ["eval", "--algebra", _write(workdir / "a.json", _Z2), "--complex", str(bad), "--json"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["error"] == "FileFormatError"
+
+
+# `algebra check` passed this as strongly separable, and each command that
+# evaluates divided by the size 0 * 0 of a shared leg
+_ZERO_DIM = {"field": {"kind": "rational"}, "dim": 0, "mul": [], "unit": [],
+             "frobenius": {"counit": []}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra", "check", "A"], ["frobenius", "show", "A"], ["knowledgeable", "A"],
+    ["eval", "--algebra", "A", "--complex", "C", "--mode", "raw"],
+    ["eval", "--algebra", "A", "--complex", "C", "--mode", "reduced"],
+    ["eval", "--algebra", "A", "--complex", "C", "--mode", "full"],
+    ["surface", "--algebra", "A", "--genus", "1"],
+    ["fuzz", "--algebra", "A", "--complex", "C", "--trials", "1", "--moves", "1"],
+], ids=["algebra check", "frobenius show", "knowledgeable", "eval raw", "eval reduced",
+        "eval full", "surface", "fuzz"])
+def test_an_algebra_of_dimension_zero_is_a_file_format_error(workdir, capsys, argv):
+    files = {"A": _write(workdir / "zero.json", _ZERO_DIM),
+             "C": _write(workdir / "c.json", sio.complex_to_json(strip(2, 2)))}
+    assert main([files.get(word, word) for word in argv] + ["--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["error"] == "FileFormatError"
+
+
+def test_an_algebra_file_without_a_frobenius_structure_is_not_evaluated(workdir, capsys):
+    bare = {key: value for key, value in _Z2.items() if key != "frobenius"}
+    argv = ["eval", "--algebra", _write(workdir / "bare.json", bare),
+            "--complex", _write(workdir / "c.json", _CATALOG[0]), "--json"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"error": "InvalidInput",
+                               "message": "algebra file declares no frobenius structure"}
+
+
+# brane_colours is absent or a map from arc indices spelt as str() spells them;
+# each of these was read as arc 0 or as no colours at all
+@pytest.mark.parametrize("colours", [{"0": "a", "00": "b"}, {" 0": "a"}, {"+0": "a"},
+                                     {"0_0": "a"}, [], 0, False, "", None], ids=json.dumps)
+def test_brane_colours_that_are_not_a_map_from_arc_indices_are_refused(workdir, capsys, colours):
+    doc = {**sio.complex_to_json(open_unit()), "brane_colours": colours}  # one coloured arc
+    argv = ["eval", "--algebra", _write(workdir / "a.json", _Z2),
+            "--complex", _write(workdir / "c.json", doc), "--json"]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert err == ""

@@ -905,6 +905,53 @@ def test_walk_children_come_with_patched_sites():
     assert kinds == set(_MOVE_BY_KIND)
 
 
+def _compacted_indexes(c):
+    """The vertex and boundary indexes of ``c``, its vertex and triangle ids
+    renamed as ``_compacted`` renames them."""
+    vmap = _compaction_map(c)
+    tmap = {i: k for k, i in enumerate(i for i, t in enumerate(c.triangles) if t is not None)}
+    return ({vmap[v]: [tmap[i] for i in ts] for v, ts in c._vertex_tris.items()},
+            {vmap[v]: [(vmap[a], vmap[b]) for a, b in es] for v, es in c._boundary_at.items()})
+
+
+def test_every_child_carries_its_vertex_and_boundary_indexes(monkeypatch):
+    """The child each move patches, the walk's and the public one, comes with
+    a vertex and a boundary index of its own, whether its parent was reached
+    by a walk and carries both or was just constructed and has neither; with
+    the ids compacted, they are the indexes of the constructor's rebuild."""
+    children = []  # what each call of _patched returns
+    patched = OpenClosedComplex._patched
+    monkeypatch.setattr(OpenClosedComplex, "_patched",
+                        lambda c, *args, **kw: children.append(patched(c, *args, **kw)) or children[-1])
+
+    def check(move, parent, site):
+        children.clear()
+        moved = move(parent, site)
+        (child,) = children
+        assert child._vertex_tris is not None and child._boundary_at is not None, (move, site)
+        rebuilt = _rebuilt(_compacted(child))
+        assert _compacted_indexes(child) == (rebuilt.vertex_triangles(),
+                                             rebuilt.boundary_edges_at()), (move, site)
+        assert _walk_state(_compacted(moved)) == _walk_state(_compacted(child))
+        return child
+
+    walked, fresh = set(), set()
+    starts = [*generator_suite().values(), zipper(), open_mult(), closed_surface(1, 1)]
+    for seed, start in enumerate(starts):
+        rng = random.Random(seed)  # random_moves' walk, step by step
+        c = start
+        for _ in range(40):
+            kind, site = _nth_move(c, rng.randrange(_move_count(c)))
+            check(_MOVE_BY_KIND[kind], c, site)
+            c = check(_MOVES[kind], c, site)
+            walked.add(kind)
+        for kind, site in dict(applicable_moves(_rebuilt(_compacted(c)))).items():
+            for move in (_MOVES[kind], _MOVE_BY_KIND[kind]):
+                check(move, _rebuilt(_compacted(c)), site)
+            fresh.add(kind)
+    assert walked == fresh == set(_MOVE_BY_KIND)
+
+
 @pytest.mark.parametrize("kind,site", [
     ("flip", 5), ("flip", (1, 2, 3)), ("flip", (False, 3)), ("flip", "03"), ("flip", (0.0, 3)),
     ("split", (0, 0, 1)), ("split", True), ("split", (0, 3)), ("split", 1.0),

@@ -281,12 +281,7 @@ class FiniteGroupoid:
 
     @classmethod
     def from_group(cls, group: GroupTable) -> "FiniteGroupoid":
-        n = group.order
-        return cls(
-            1, [0] * n, [0] * n, [group.identity],
-            [[group.table[i][j] for j in range(n)] for i in range(n)],
-            list(group.inverse),
-        )
+        return cls.transitive(1, group)
 
     @classmethod
     def transitive(cls, num_objects: int, group: GroupTable) -> "FiniteGroupoid":

@@ -71,6 +71,27 @@ def _edges_of(triangles):
     return edges
 
 
+def _roots(pairs, nodes=()):
+    """Node -> the root of its component in the graph of the edges ``pairs``
+    and the further nodes ``nodes`` (union-find with path halving).  Each
+    union hangs the first end's root under the second's, so the roots follow
+    the order of ``pairs``."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (u, v) in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return {x: find(x) for x in parent}
+
+
 def canonical_triangle(tri):
     a, b, c = tri
     if a == b or b == c or c == a:
@@ -237,21 +258,11 @@ class OpenClosedComplex:
         return black_v & {v for e in self.coloured_edges for v in e}
 
     def vertex_components(self):
-        """Union-find partition of vertices by triangle adjacency."""
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (a, b, c) in self.triangles:
-            for (u, v) in ((a, b), (b, c)):
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-        return [find(v) for v in range(self.vertex_count)]
+        """Vertex -> the root of its component, by triangle adjacency, as a
+        list indexed by vertex."""
+        roots = _roots((p for (a, b, c) in self.triangles for p in ((a, b), (b, c))),
+                       range(self.vertex_count))
+        return [roots[v] for v in range(self.vertex_count)]
 
     def boundary_cycles(self):
         """Boundary circuits as directed vertex cycles (induced orientation)."""
@@ -276,57 +287,14 @@ class OpenClosedComplex:
         return cycles
 
     def coloured_arcs(self):
-        """Maximal coloured chains, in a deterministic discovery order.
-
-        Arcs are sorted by their smallest edge; each arc is a list of edge
-        keys in chain order starting from the end with the smaller vertex
-        (paths) or from the smallest edge (cycles).
-        """
-        adj = {}
-        for (u, v) in self.coloured_edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        unvisited = set(self.coloured_edges)
-        arcs = []
-        while unvisited:
-            seed = min(unvisited)
-            # walk the whole chain containing `seed`
-            comp = {seed}
-            frontier = [seed]
-            while frontier:
-                (a, b) = frontier.pop()
-                for x in (a, b):
-                    for y in adj[x]:
-                        e = ekey(x, y)
-                        if e in unvisited and e not in comp:
-                            comp.add(e)
-                            frontier.append(e)
-            comp_vertices = set()
-            for e in comp:
-                comp_vertices.update(e)
-            ends = sorted(v for v in comp_vertices if len([y for y in adj[v] if ekey(v, y) in comp]) == 1)
-            if ends:  # path: start from the smaller endpoint
-                start = ends[0]
-            else:  # cycle: start at the smallest vertex of the smallest edge
-                start = min(min(e) for e in comp)
-            chain = []
-            prev = None
-            cur = start
-            while True:
-                nxts = [y for y in adj[cur] if ekey(cur, y) in comp and y != prev]
-                if prev is None and not ends:
-                    nxts = [min(nxts)]
-                if not nxts:
-                    break
-                nxt = nxts[0]
-                chain.append(ekey(cur, nxt))
-                prev, cur = cur, nxt
-                if len(chain) == len(comp):
-                    break
-            arcs.append(chain)
-            unvisited -= comp
-        arcs.sort(key=lambda chain: min(chain))
-        return arcs
+        """The components of the coloured edges, each a sorted list of edge
+        keys, in order of their smallest edge.  On a valid complex each is a
+        maximal coloured chain."""
+        roots = _roots(self.coloured_edges)
+        arcs = {}
+        for e in sorted(self.coloured_edges):
+            arcs.setdefault(roots[e[0]], []).append(e)
+        return list(arcs.values())
 
     def arc_colours(self):
         """Brane colours as an arc-index map (the file-format view)."""
@@ -352,6 +320,8 @@ class OpenClosedComplex:
         open-closed cobordism, in a fixed order; empty when it is one."""
         violations = []
         n = self.vertex_count
+        if n < 0:
+            violations.append(("vertex_range", f"the vertex count {n} is negative"))
 
         used = set()
         for t in self.triangles:
@@ -472,21 +442,7 @@ class OpenClosedComplex:
             if bad:
                 violations.append(("link", f"link of vertex {v} branches at {bad}"))
                 continue
-            # connectivity of the link graph
-            adj = {}
-            for (x, y) in opposite:
-                adj.setdefault(x, set()).add(y)
-                adj.setdefault(y, set()).add(x)
-            start = next(iter(sorted(adj)))
-            seen = {start}
-            stack = [start]
-            while stack:
-                cur = stack.pop()
-                for nxt in adj[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            if len(seen) != len(adj):
+            if len(set(_roots(opposite).values())) != 1:
                 violations.append(("link", f"link of vertex {v} is disconnected"))
         return violations
 

@@ -25,7 +25,7 @@ from itertools import chain
 
 from .algebra import Algebra, Element
 from .complexes import BoundaryComponent, OpenClosedComplex
-from .errors import FileFormatError
+from .errors import FileFormatError, _shown
 from .fields import Field
 from .frobenius import FrobeniusStructure, canonical_frobenius, frobenius_from_window
 from .linalg import check_dense
@@ -96,7 +96,7 @@ def algebra_from_json(doc):
         blocks = doc.get("blocks")
         # shape errors (an index out of range, a vector of the wrong length,
         # a negative dim) surface here as ValueError
-        alg = Algebra(field, dim, mul, unit, basis_names=names or None)
+        alg = Algebra(field, dim, mul, unit, basis_names=names)
         F = None
         if fr == "canonical":
             F = canonical_frobenius(alg)
@@ -110,10 +110,18 @@ def algebra_from_json(doc):
         raise FileFormatError(f"malformed algebra file: {exc}") from exc
     if blocks is not None:
         try:
-            blocks = {"sizes": [_int(m) for m in blocks["sizes"]],
-                      "windows": [_int(a) for a in blocks["windows"]]}
+            sizes = [_int(m) for m in blocks["sizes"]]
+            windows = [_int(a) for a in blocks["windows"]]
         except _SHAPE_ERRORS as exc:
             raise FileFormatError(f"malformed blocks: {exc}") from exc
+        # the closed form divides by each size and inverts each window
+        if (len(windows) != len(sizes) or sum(m * m for m in sizes) != dim
+                or any(m < 1 for m in sizes)
+                or any(field.of_int(x) == field.zero() for x in sizes + windows)):
+            raise FileFormatError(f"blocks need sizes >= 1 whose squares sum to dim {dim} and "
+                                  f"one window each, all nonzero in the field; got sizes "
+                                  f"{_shown(sizes)}, windows {_shown(windows)}")
+        blocks = {"sizes": sizes, "windows": windows}
     return alg, F, blocks
 
 

@@ -276,6 +276,48 @@ def test_an_algebra_file_without_a_frobenius_structure_is_not_evaluated(workdir,
                                "message": "algebra file declares no frobenius structure"}
 
 
+# block data that the closed form cannot use, which divides by each size and
+# inverts each window: a zero window (a ZeroDivisionError traceback), a size or
+# window that is zero in F_p (a ValueError traceback), and a negative size, a
+# short window list and sizes whose squares miss the dimension (each compared
+# the contraction with a wrong closed form)
+@pytest.mark.parametrize("catalog,blocks,genus", [
+    (["matsum", "1,2", "1,1"], {"sizes": [1, 2], "windows": [0, 1]}, "0"),
+    (["matsum", "1,2", "1,1"], {"sizes": [0, 2], "windows": [1, 1]}, "2"),
+    (["matsum", "1,2", "1,1"], {"sizes": [-1, 2], "windows": [1, 1]}, "2"),
+    (["matsum", "1,2", "1,1"], {"sizes": [1, 2], "windows": [1]}, "2"),
+    (["matsum", "1,2", "1,1"], {"sizes": [1, 1], "windows": [1, 1]}, "2"),
+    (["matsum", "1,2", "1,1", "7"], {"sizes": [1, 2], "windows": [7, 1]}, "0"),
+    (["group", "cyclic", "5", "2"], {"sizes": [2, 1], "windows": [1, 1]}, "2"),
+], ids=["zero window", "zero size", "negative size", "short windows", "squares miss dim",
+        "window zero mod p", "size zero mod p"])
+def test_block_data_without_a_closed_form_is_a_file_format_error(workdir, capsys, catalog,
+                                                                  blocks, genus):
+    path = workdir / "blocks.json"
+    assert main(["catalog", "algebra", *catalog, "-o", str(path)]) == 0
+    doc = {**json.loads(path.read_text(encoding="utf-8")), "blocks": blocks}
+    assert main(["surface", "--algebra", _write(path, doc), "--genus", genus, "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["error"] == "FileFormatError"
+
+
+# the first was the empty complex, evaluated to 1; the second read as a file
+# without basis names
+@pytest.mark.parametrize("algebra,complex_doc,error", [
+    (_Z2, {"vertices": -3, "triangles": []}, "InvalidComplexError"),
+    ({**_Z2, "basis": []}, _CATALOG[0], "FileFormatError"),
+], ids=["negative vertex count", "empty basis"])
+def test_a_negative_vertex_count_or_an_empty_basis_is_refused(workdir, capsys, algebra,
+                                                              complex_doc, error):
+    argv = ["eval", "--algebra", _write(workdir / "a.json", algebra),
+            "--complex", _write(workdir / "c.json", complex_doc), "--json"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["error"] == error
+
+
 # brane_colours is absent or a map from arc indices spelt as str() spells them;
 # each of these was read as arc 0 or as no colours at all
 @pytest.mark.parametrize("colours", [{"0": "a", "00": "b"}, {" 0": "a"}, {"+0": "a"},

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import deque
 
 import pytest
 
@@ -205,6 +206,9 @@ _VIOLATIONS = {
         lambda: OpenClosedComplex(3, [(0, 1, 3)], [(0, 1), (1, 3), (3, 0)], [], []),
         [("vertex_range", "triangle (0, 1, 3) references vertex 3"),
          ("isolated_vertex", "1 of 3 vertices lie in no triangle, the smallest 2")]),
+    "negative_vertex_count": (
+        lambda: OpenClosedComplex(-3, [], [], [], []),
+        [("vertex_range", "the vertex count -3 is negative")]),
     "isolated_vertex": (
         lambda: OpenClosedComplex(4, _TRI, _RING, [], []),
         [("isolated_vertex", "1 of 4 vertices lie in no triangle, the smallest 3")]),
@@ -443,13 +447,53 @@ def test_a_split_next_to_an_edge_in_three_triangles_patches_its_edge_index():
     assert len(split.edge_triangles()[0, 1]) == 3
 
 
-def test_coloured_edges_that_branch_are_reported_not_walked_past_a_dead_end():
-    # three coloured edges meet at vertex 1: the arc from vertex 0 ends at the
-    # first leaf it reaches, and the scan reports the complex
+def test_coloured_edges_that_branch_are_one_arc_and_are_reported():
+    # three coloured edges meet at vertex 1: their component is one arc, and
+    # the scan reports the complex
     c = OpenClosedComplex(4, [(0, 1, 2)], [(0, 1), (1, 2), (1, 3)], [], [])
     (arc,) = c.coloured_arcs()
-    assert len(arc) == 2 and arc[0] == (0, 1)
+    assert arc == [(0, 1), (1, 2), (1, 3)]
     assert not c.validate().ok
+
+
+def _arcs_by_search(c):
+    """The components of the coloured-edge graph by breadth-first search, each
+    a sorted list of edges, in order of their smallest edge."""
+    at = {}
+    for e in c.coloured_edges:
+        for v in e:
+            at.setdefault(v, []).append(e)
+    arcs, seen = [], set()
+    for start in sorted(c.coloured_edges):
+        if start in seen:
+            continue
+        seen.add(start)
+        arc, queue = [], deque([start])
+        while queue:
+            e = queue.popleft()
+            arc.append(e)
+            for f in at[e[0]] + at[e[1]]:
+                if f not in seen:
+                    seen.add(f)
+                    queue.append(f)
+        arcs.append(sorted(arc))
+    return arcs
+
+
+def test_coloured_arcs_are_the_components_of_the_coloured_edges():
+    params = {"strip": [(1, 1), (3, 2)], "annulus": [(1, 1), (4, 2)], "zipper": [(), (4, 2)],
+              "cozipper": [(), (3, 2)], "closed_surface": [(2, 1)]}
+    complexes = [builtin(name, *p) for name in S.BUILTIN_NAMES for p in params.get(name, [()])]
+    complexes += [random_moves(c, seed=seed, n=40)
+                  for c in generator_suite().values() for seed in range(3)]
+    for c in complexes:
+        arcs = c.coloured_arcs()
+        assert arcs == _arcs_by_search(c)
+        coloured = c.replaced(edge_colours={e: f"x{i}" for i, arc in enumerate(arcs) for e in arc})
+        assert coloured.arc_colours() == {i: f"x{i}" for i in range(len(arcs))}
+        doc = sio.complex_to_json(coloured)
+        assert doc.get("brane_colours", {}) == {str(i): f"x{i}" for i in range(len(arcs))}
+        assert sio.complex_from_json(doc).edge_colours == coloured.edge_colours
 
 
 def test_a_walk_on_the_empty_complex_makes_no_move():

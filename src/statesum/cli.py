@@ -221,13 +221,16 @@ def cmd_eval(args) -> int:
 # and 3,000 moves from open_mult take 0.1 and 0.4-0.6 s), and digging many
 # windows grows with the square of their number; checking a group table's
 # associativity takes the cube of the group's order in multiply-adds on each
-# side, about 8 s for S_5; a catalog complex is built in time and memory
-# linear in its edge counts.  The README gives the times they were set from.
+# side, about 8 s for S_5, and checking a matrix sum grows faster than its
+# dimension, the sum of the squares of its block sizes (about 6 s for M_25,
+# of dimension 625); a catalog complex is built in time and memory linear in
+# its edge counts.  The README gives the times they were set from.
 FUZZ_MOVES_BUDGET = 1_000  # moves per walk
 FUZZ_TOTAL_MOVES_BUDGET = 10_000  # moves * trials
 SURFACE_GENUS_BUDGET = 200
 SURFACE_WINDOWS_BUDGET = 200
 GROUP_ORDER_BUDGET = 120  # the order of S_5
+MATSUM_DIM_BUDGET = 625  # the dimension of M_25
 COMPLEX_EDGES_BUDGET = 10_000  # each edge count of a catalog strip, annulus, zipper or cozipper
 
 
@@ -302,6 +305,9 @@ def _catalog_algebra_doc(name: str, params):
     if name == "matsum":
         sizes = [_int("an entry of SIZES", x) for x in params[0].split(",")]
         windows = [_int("an entry of WINDOWS", x) for x in params[1].split(",")]
+        if sum(m * m for m in sizes) > MATSUM_DIM_BUDGET:
+            raise InvalidInput(f"matsum takes dimensions <= {MATSUM_DIM_BUDGET}, the sum of the "
+                               f"squares of SIZES; these sizes give more")
         # the bare algebra, so files for non-strongly-separable cases
         # (checked with exit 2) can still be written
         alg, win = matrix_sum_algebra(field, sizes, windows)

@@ -22,17 +22,16 @@ def _orient(tris):
     return [(a, c, b) for (a, b, c) in tris]
 
 
-def _circle_component(c: OpenClosedComplex, member_vertex: int, role: str) -> BoundaryComponent:
-    """Boundary circle through a vertex as an ordered leg chain.
+def _circle(first: int, h: int):
+    """The chain ``first -> first + 1 -> ... -> first + h - 1 -> first``.
 
     Convention (pinned by the cylinder = Q_kl test): input circles are listed
     along the induced boundary orientation, output circles against it, so the
-    two chains of a cylinder wind the same way around it.
+    two chains of a cylinder wind the same way around it.  The builders'
+    triangles induce this chain on a cylinder's top circle and its reverse on
+    the bottom one and on ``closed_unit``'s boundary, so each is a ``_circle``.
     """
-    cyc = next(cyc for cyc in c.boundary_cycles() if member_vertex in cyc)
-    verts = cyc if role == "in" else [cyc[0]] + cyc[1:][::-1]
-    edges = [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
-    return BoundaryComponent("circle", edges)
+    return [(first + i, first + (i + 1) % h) for i in range(h)]
 
 
 # -- flat pieces -----------------------------------------------------------------
@@ -84,33 +83,22 @@ def annulus(k: int, l: int) -> OpenClosedComplex:
     if k < 1 or l < 1:
         raise UnknownCatalogError("annulus needs k, l >= 1")
     hl, hk = max(l, 3), max(k, 3)
-    tris = _cylinder_triangles(hl, hk)
-    c = OpenClosedComplex(hl + hk, tris, [], [], [])
-    c_in = _circle_component(c, 0, "in")
-    c_out = _circle_component(c, hl, "out")
-    return OpenClosedComplex(hl + hk, tris, [], [c_in], [c_out]).require_valid()
+    return OpenClosedComplex(hl + hk, _cylinder_triangles(hl, hk), [],
+                             [BoundaryComponent("circle", _circle(0, hl))],
+                             [BoundaryComponent("circle", _circle(hl, hk))]).require_valid()
 
 
 def zipper(circle_edges: int = 3, interval_edges: int = 1) -> OpenClosedComplex:
     """Annulus as a morphism circle -> interval: the closed-to-open cobordism."""
-    hc = max(circle_edges, 3)
-    hi = interval_edges
-    if hi < 1:
+    if interval_edges < 1:
         raise UnknownCatalogError("zipper needs at least one black out edge")
-    nb = hi + 2  # bottom circle: hi black edges plus a 2-edge coloured arc
-    tris = _cylinder_triangles(hc, nb)
-    base = OpenClosedComplex(hc + nb, tris, [], [], [])
-    c_in = _circle_component(base, 0, "in")
-    bottom = next(cyc for cyc in base.boundary_cycles() if cyc[0] >= hc)
-    bedges = [(bottom[i], bottom[(i + 1) % nb]) for i in range(nb)]
-    # output chains run against the induced orientation, like output circles
-    out_edges = [(v, u) for (u, v) in reversed(bedges[:hi])]
-    coloured = [ekey(u, v) for (u, v) in bedges[hi:]]
-    return OpenClosedComplex(
-        hc + nb, tris, coloured,
-        [c_in],
-        [BoundaryComponent("interval", out_edges)],
-    ).require_valid()
+    hc, hb = max(circle_edges, 3), interval_edges + 2
+    # the bottom circle, against its induced orientation as an output runs:
+    # a 2-edge coloured arc, then the black out edges
+    bottom = _circle(hc, hb)
+    return OpenClosedComplex(hc + hb, _cylinder_triangles(hc, hb), bottom[:2],
+                             [BoundaryComponent("circle", _circle(0, hc))],
+                             [BoundaryComponent("interval", bottom[2:])]).require_valid()
 
 
 def reversed_cobordism(c: OpenClosedComplex) -> OpenClosedComplex:
@@ -168,10 +156,8 @@ def open_counit() -> OpenClosedComplex:
 
 def closed_unit() -> OpenClosedComplex:
     """Disk ``1 -> S^1``: one triangle whose whole boundary is a black circle."""
-    tris = _orient([(0, 1, 2)])
-    base = OpenClosedComplex(3, tris, [], [], [])
-    return OpenClosedComplex(3, tris, [], [],
-                             [_circle_component(base, 0, "out")]).require_valid()
+    return OpenClosedComplex(3, _orient([(0, 1, 2)]), [], [],
+                             [BoundaryComponent("circle", _circle(0, 3))]).require_valid()
 
 
 def closed_counit() -> OpenClosedComplex:

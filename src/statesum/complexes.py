@@ -264,28 +264,6 @@ class OpenClosedComplex:
                        range(self.vertex_count))
         return [roots[v] for v in range(self.vertex_count)]
 
-    def boundary_cycles(self):
-        """Boundary circuits as directed vertex cycles (induced orientation)."""
-        succ = {}
-        for idx, (a, b, c) in enumerate(self.triangles):
-            for (u, v) in ((a, b), (b, c), (c, a)):
-                if len(self._edge_tris[ekey(u, v)]) == 1:
-                    succ[u] = v
-        cycles = []
-        seen = set()
-        for start in sorted(succ):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            v = succ[start]
-            while v != start:
-                cyc.append(v)
-                seen.add(v)
-                v = succ[v]
-            cycles.append(cyc)
-        return cycles
-
     def coloured_arcs(self):
         """The components of the coloured edges, each a sorted list of edge
         keys, in order of their smallest edge.  On a valid complex each is a
@@ -447,44 +425,35 @@ class OpenClosedComplex:
         return violations
 
     def _component_reports(self):
+        """Each component's counts, in order of its root.  Run only on a
+        complex with no violations, where every boundary vertex lies on two
+        boundary edges: a boundary cycle is then a component of the boundary
+        edges, a window if its edges are all coloured, a black circle if none
+        is, and mixed otherwise."""
         roots = self.vertex_components()
-        comp_ids = sorted(set(roots))
-        reports = []
-        cycles = self.boundary_cycles()
-        coloured_v = {v for e in self.coloured_edges for v in e}
-        black_v = {v for e in self.black_edge_set() for v in e}
-        for cid in comp_ids:
-            verts = [v for v in range(self.vertex_count) if roots[v] == cid]
-            vset = set(verts)
-            tris = [t for t in self.triangles if t[0] in vset]
-            edges = [e for e in self._edge_tris if e[0] in vset]
-            chi = len(verts) - len(edges) + len(tris)
-            my_cycles = [c for c in cycles if c[0] in vset]
-            windows = 0
-            black_circles = 0
-            mixed = 0
-            intervals_touched = 0
-            for cyc in my_cycles:
-                cset = set(cyc)
-                if cset <= coloured_v and not (cset & black_v):
-                    windows += 1
-                elif cset <= black_v and not (cset & coloured_v):
-                    black_circles += 1
-                else:
-                    mixed += 1
-            genus2 = 2 - chi - len(my_cycles)
-            reports.append({
-                "vertices": len(verts),
-                "edges": len(edges),
-                "triangles": len(tris),
-                "euler_characteristic": chi,
-                "boundary_cycles": len(my_cycles),
-                "windows": windows,
-                "black_circles": black_circles,
-                "mixed_cycles": mixed,
-                "genus": genus2 // 2 if genus2 % 2 == 0 and genus2 >= 0 else None,
-            })
-        return reports
+        counts = {r: Counter(vertices=0, edges=0, triangles=0, euler_characteristic=0,
+                             boundary_cycles=0, windows=0, black_circles=0, mixed_cycles=0,
+                             genus=0) for r in sorted(set(roots))}  # a report's fields, in order
+        for r in roots:
+            counts[r]["vertices"] += 1
+        for (u, _) in self._edge_tris:
+            counts[roots[u]]["edges"] += 1
+        for (a, _, _) in self.triangles:
+            counts[roots[a]]["triangles"] += 1
+        boundary = self.boundary_edges()
+        cycle_of = _roots(boundary)
+        coloured = {}  # a boundary cycle's root -> whether each of its edges is coloured
+        for e in boundary:
+            coloured.setdefault(cycle_of[e[0]], []).append(e in self.coloured_edges)
+        for r, marks in coloured.items():
+            n = counts[roots[r]]
+            n["boundary_cycles"] += 1
+            n["windows" if all(marks) else "mixed_cycles" if any(marks) else "black_circles"] += 1
+        for n in counts.values():
+            n["euler_characteristic"] = chi = n["vertices"] - n["edges"] + n["triangles"]
+            genus2 = 2 - chi - n["boundary_cycles"]
+            n["genus"] = genus2 // 2 if genus2 % 2 == 0 and genus2 >= 0 else None
+        return [dict(n) for n in counts.values()]
 
     def require_valid(self):
         """Raise ``InvalidComplexError`` unless the complex is valid; a clean

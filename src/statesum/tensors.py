@@ -48,6 +48,7 @@ it.  ``_intern`` refuses a leg held by three tensors, or named twice in one,
 with ``ValueError``.  It refuses a leg whose two tensors give it different
 dimensions too: a contraction pairs index ``i`` of one with index ``i`` of
 the other, so the entries past the smaller dimension would be dropped.
+Every product refuses two tensors over different fields (``_row_sums``).
 ``Tensor.apply_matrix`` is a contraction too: the matrix becomes a two-leg
 tensor (``Tensor.from_matrix_sparse``, over the matrix's field and with its
 shape), and ``contract_pair`` acts with it.
@@ -91,14 +92,15 @@ The eight passes cost as much as the contraction they order, and one
 triangulation is evaluated against many Frobenius structures, so
 ``contraction_order`` searches each network once per process.  Its memo is
 keyed by the interned network: the tensor count, the two tensors holding
-each leg (the leg masks read leg by leg) and each leg's dimension, packed
-as one ``str``, a code point each.  That is all the search reads, so a hit
-returns the order a search would, and networks that differ only in their
-leg names share an entry.  The network is interned on every call, so a
-malformed one is refused on a hit too.  The memo holds the
-``_MEMO_ENTRIES`` (1024) most recently added networks and drops the
-oldest; an entry of the Pachner fuzz slice, its steps packed the same way,
-takes about 300 bytes.
+each leg (the leg masks read leg by leg) and the rank of each leg's
+dimension among the network's distinct dimensions, packed as one ``str``,
+a code point each, and the distinct dimensions as a tuple, since a
+dimension has no bound.  That is all the search reads, so a hit returns the
+order a search would, and networks that differ only in their leg names
+share an entry.  The network is interned on every call, so a malformed one
+is refused on a hit too.  The memo holds the ``_MEMO_ENTRIES`` (1024) most
+recently added networks and drops the oldest; an entry of the Pachner fuzz
+slice, its steps packed as one ``str`` too, takes about 450 bytes.
 """
 
 from __future__ import annotations
@@ -208,8 +210,11 @@ def _row_sums(t1, t2):
     ``t1``'s grouped by output row.  Returns the positions of ``t1``'s and
     ``t2``'s free legs, ``t2``'s free parts by column id, and an iterator over
     the output rows as ``(t1's free part, {column id: sum})``, in order of
-    first appearance, with the sums unreduced.
+    first appearance, with the sums unreduced.  Tensors over different
+    fields are refused with ``ValueError``.
     """
+    if t1.field != t2.field:
+        raise ValueError(f"cannot multiply a tensor over {t1.field} by one over {t2.field}")
     legs2 = set(t2.legs)
     shared = [l for l in t1.legs if l in legs2]
     sset = set(shared)
@@ -335,10 +340,11 @@ def _intern(shapes):
     each tensor's leg mask, dense size and partners (the mask of the
     tensors it shares a leg with), ``{bit: dim * dim}``, and the heap
     entries of the initial pairs in sorted ``(a, b)`` order; then the memo
-    key, the tensor count, the lowest and highest holder of each leg and
-    each leg's dimension, packed.  The holders are the leg masks read leg
-    by leg, so the key holds all that ``_search`` reads, in a size linear
-    in the number of legs.  A network is a graph: a leg named twice in one
+    key: the tensor count, the lowest and highest holder of each leg and
+    the rank of each leg's dimension among the distinct ones, packed, and
+    the distinct dimensions.  The holders are the leg masks read leg by
+    leg, so the key holds all that ``_search`` reads, in a size linear in
+    the number of legs.  A network is a graph: a leg named twice in one
     tensor, held by three tensors, or given two dimensions is refused with
     ``ValueError``.
     """
@@ -379,7 +385,9 @@ def _intern(shapes):
     for a, b in sorted(pairs):
         shared = masks[a] & masks[b]
         start.append((size[a] * size[b] // _cut(shared, sq), shared & -shared, a, b))
-    return (masks, size, partners, sq, start), _packed([len(shapes), *ends, *dims])
+    rank = {d: r for r, d in enumerate(sorted(set(dims)))}
+    key = _packed([len(shapes), *ends, *map(rank.get, dims)]), tuple(rank)
+    return (masks, size, partners, sq, start), key
 
 
 def _packed(values):

@@ -218,6 +218,24 @@ def test_declared_sizes_past_the_budgets_are_refused_at_once(workdir, argv):
     assert json.loads(out.getvalue())["error"] == "InvalidInput"
 
 
+@pytest.mark.parametrize("sizes,code", [(["100"], 1), (["25", "1"], 1), (["1"] * 626, 1),
+                                        (["1"] * 625, 0)],
+                         ids=["M_100", "M_25 + M_1", "626 M_1", "625 M_1"])
+def test_a_matrix_sum_past_its_dimension_budget_is_refused_at_once(capsys, sizes, code):
+    # checking M_40 ran past 60 s, and 3,000 blocks M_1 took 7 s; the budget
+    # is 625, the dimension of M_25, and a dimension is a sum of squared sizes
+    ones = ",".join(["1"] * len(sizes))
+    assert main(["catalog", "algebra", "matsum", ",".join(sizes), ones]) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    if code:
+        assert doc["error"] == "InvalidInput"
+        assert doc["message"].startswith(f"matsum takes dimensions <= {cli.MATSUM_DIM_BUDGET}")
+    else:
+        assert doc["dim"] == cli.MATSUM_DIM_BUDGET == 625
+
+
 # files that are not JSON text to Python's json module: each printed a traceback
 _BAD_FILES = {
     "not UTF-8": b"\xff\xfe{}",

@@ -306,6 +306,88 @@ def test_sphere_tetrahedron():
     assert report.components[0]["genus"] == 0
 
 
+def _components_by_search(c):
+    """Each component's report, found apart from the library: components by
+    a breadth-first search over shared vertices, boundary cycles by following
+    each boundary edge to the next as its triangle runs it, and a cycle
+    classed by its vertices."""
+    at = {}
+    for t in c.triangles:
+        for v in t:
+            at.setdefault(v, []).append(t)
+    succ = {}
+    for (a, b, cc) in c.triangles:
+        for (u, v) in ((a, b), (b, cc), (cc, a)):
+            if len(c.edge_triangles()[tuple(sorted((u, v)))]) == 1:
+                succ[u] = v
+    coloured = {v for e in c.coloured_edges for v in e}
+    black = {v for e in c.black_edge_set() for v in e}
+    seen, reports = set(), []
+    for start in range(c.vertex_count):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, verts = deque([start]), set()
+        while queue:
+            v = queue.popleft()
+            verts.add(v)
+            for t in at[v]:
+                for w in t:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+        tris = [t for t in c.triangles if t[0] in verts]
+        edges = {tuple(sorted(p)) for (a, b, cc) in tris for p in ((a, b), (b, cc), (cc, a))}
+        cycles, on_cycle = [], set()
+        for u in sorted(verts & set(succ)):
+            if u not in on_cycle:
+                cycle = [u]
+                while succ[cycle[-1]] != u:
+                    cycle.append(succ[cycle[-1]])
+                on_cycle.update(cycle)
+                cycles.append(set(cycle))
+        chi = len(verts) - len(edges) + len(tris)
+        reports.append({
+            "vertices": len(verts), "edges": len(edges), "triangles": len(tris),
+            "euler_characteristic": chi, "boundary_cycles": len(cycles),
+            "windows": sum(cyc <= coloured and not cyc & black for cyc in cycles),
+            "black_circles": sum(cyc <= black and not cyc & coloured for cyc in cycles),
+            "mixed_cycles": sum(bool(cyc & coloured and cyc & black) for cyc in cycles),
+            "genus": (2 - chi - len(cycles)) // 2,
+        })
+    return reports
+
+
+def _report(v, e, t, cycles, windows, black, mixed, genus):
+    return {"vertices": v, "edges": e, "triangles": t, "euler_characteristic": v - e + t,
+            "boundary_cycles": cycles, "windows": windows, "black_circles": black,
+            "mixed_cycles": mixed, "genus": genus}
+
+
+def _topology(reports):
+    """The fields of the reports that no move changes, in sorted order."""
+    keys = ("euler_characteristic", "boundary_cycles", "windows", "black_circles",
+            "mixed_cycles", "genus")
+    return sorted(tuple(r[k] for k in keys) for r in reports)
+
+
+@pytest.mark.parametrize("build,want", [
+    (lambda: disjoint_union(annulus(3, 3), closed_surface(1, 2)),
+     [_report(6, 12, 6, 2, 0, 2, 0, 0), _report(15, 45, 28, 2, 2, 0, 0, 1)]),
+    (zipper, [_report(6, 12, 6, 2, 0, 1, 1, 0)]),
+    (lambda: strip(1, 1), [_report(4, 5, 2, 1, 0, 0, 1, 0)]),
+], ids=["annulus + genus 1 with 2 windows", "zipper", "strip(1, 1)"])
+def test_component_reports_count_each_component_and_its_boundary_circles(build, want):
+    c = build()
+    assert c.validate().components == want == _components_by_search(c)
+    for seed in range(3):
+        moved = random_moves(c, seed=seed, n=40)
+        got = moved.validate().components
+        # a walk may renumber the vertices, and with them the order of the components
+        assert sorted(got, key=repr) == sorted(_components_by_search(moved), key=repr)
+        assert _topology(got) == _topology(want)
+
+
 # -- bistellar moves ----------------------------------------------------------------
 
 

@@ -190,6 +190,28 @@ def test_raw_dim13_strip_55_is_a_sparse_idempotent():
     assert z.compose(z).equal(z)
 
 
+def test_maps_past_1114111_rows_compose():
+    # P_61 over M2+M3 is 13^6 = 4,826,809 x 13, past the largest code point,
+    # which the memo key of a contraction order once packed each dimension into
+    F = S.matrix_direct_sum(S.QQ, [2, 3], [1, 2])[1]
+    z = S.state_sum_raw(F, S.strip(6, 1))
+    assert (z.rows, z.cols, z.nnz) == (4826809, 13, 2315)
+    assert z.compose(Morphism.identity(F.field, z.domain)).equal(z)
+    # P_16 o P_61 = mu^(6) Delta^(6) a^-5 = id_A
+    assert S.state_sum_raw(F, S.strip(1, 6)).compose(z).equal(Morphism.identity(F.field, z.domain))
+
+
+def test_products_over_different_fields_are_refused():
+    # each returned a map over one field holding values of the other
+    (_, Fq), (_, Fp) = (S.group_algebra(f, S.GroupTable.cyclic(3)) for f in FIELDS.values())
+    zq, zp = S.state_sum(Fq, S.strip(1, 1)), S.state_sum(Fp, S.strip(1, 1))
+    for product in (lambda: zp.tensor(zq), lambda: zq.compose(zp), lambda: zp.compose(zq),
+                    lambda: Fq.pairing @ Fp.pairing):
+        with pytest.raises(ValueError, match="over Field"):
+            product()
+    assert zq.tensor(zq).field == S.QQ and zp.compose(zp).equal(zp)
+
+
 def test_dense_budget_is_checked_before_allocating():
     side = int(DENSE_BUDGET ** 0.5) + 1
     t0 = time.perf_counter()

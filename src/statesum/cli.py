@@ -216,10 +216,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# Budgets on declared sizes, refused before anything loads: a walk's work
-# grows faster than its length (each move copies its parent's indexes; 1,000
-# and 3,000 moves from open_mult take 0.1 and 0.4-0.6 s), and digging many
-# windows grows with the square of their number; checking a group table's
+# Budgets on declared sizes, refused before anything loads: a walk takes time
+# linear in its length, but the state sum of its end grows faster (after 1,000,
+# 3,000 and 6,000 moves from open_mult, 0.2, 1.0 and 3.4 s over Q[Z/3]); digging
+# many windows grows with the square of their number; checking a group table's
 # associativity takes the cube of the group's order in multiply-adds on each
 # side, about 8 s for S_5, and checking a matrix sum grows faster than its
 # dimension, the sum of the squares of its block sizes (about 6 s for M_25,

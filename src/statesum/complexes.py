@@ -29,19 +29,18 @@ first use by running every check on every candidate site, and
 ``applicable_moves`` and ``random_moves`` read it.  One pair of primitives
 edits the edge index, adding or dropping one triangle.
 
-Every move builds its child from copies of its parent's edge, vertex and
-boundary indexes, which the parent builds first if it has none, editing just
-the entries that the triangles it changes reach: every child carries all
-three and records the vertices it leaves in no triangle.  Once the parent has
-listed its move sites, the child's are patched too: each check is rerun only
-at the sites whose verdict reads such an entry (``_resynced_sites``), about
-ten a step on the benchmark's ``fuzz-moves`` walks, where a listing checks
-every site.  The id of a deleted vertex or triangle stays unused and a new
-one takes the next id, so no entry is renumbered.  ``_compacted`` closes the
-gaps in one constructor call, when ``random_moves`` returns and in each
-public move that deletes.
-Its renaming keeps the order of the ids, so every sorted site list, and with
-it every draw of a walk, reads as if the ids were compacted at each step.
+Every move is one edit (``_patched``) of a private complex, a copy no caller
+holds, of just the index entries that the triangles it changes reach; once
+the move sites are listed, it reruns each check only at the sites whose
+verdict reads such an entry (``_resynced_sites``), about ten a step on the
+benchmark's ``fuzz-moves`` walks, where a listing checks every site.  A walk
+(``random_moves``) copies its start once and edits the copy move by move, so
+a step costs what it changes; a public move edits a fresh copy of its
+argument.  A deleted vertex or triangle id stays unused and a new one takes
+the next id, so no entry is renumbered.  ``_compacted`` makes the public
+result, closing the gaps in one constructor call.  Its renaming keeps the
+order of the ids, so every sorted site list, and with it every draw of a
+walk, reads as if the ids were compacted at each step.
 
 ``require_valid`` scans a complex once: a clean scan is remembered, so a
 second call is a flag test (``validate`` always scans and reports).  A walk
@@ -141,11 +140,13 @@ class BoundaryComponent:
 class OpenClosedComplex:
     """Oriented triangulated 2-manifold with black/coloured boundary.
 
-    Not changed after it is built: its indexes and ``_valid``, set by a clean
-    ``require_valid`` scan, describe its fields for good.  A complex reached by
-    a walk carries its start's ``_valid`` and is built from its parent's
-    indexes.  Inside a walk a deleted triangle leaves ``None`` at its index,
-    and ``_holes`` holds the deleted vertex ids and the sorted triangle ids."""
+    A complex a caller holds is not changed after it is built: its indexes and
+    ``_valid``, set by a clean ``require_valid`` scan, describe its fields for
+    good.  The moves edit private copies (``_copy``) in place; a private
+    complex holds its triangles in a list, where a deleted one leaves
+    ``None``, its coloured edges in a set, and in ``_holes`` the lists of the
+    deleted vertex ids and of the sorted deleted triangle ids.  A complex
+    returned by a walk carries its start's ``_valid``."""
 
     __slots__ = ("vertex_count", "triangles", "coloured_edges", "black_in", "black_out",
                  "edge_colours", "_edge_tris", "_vertex_tris", "_boundary_at", "_sites", "_valid",
@@ -478,72 +479,77 @@ class OpenClosedComplex:
             edge_colours if edge_colours is not None else self.edge_colours,
         )
 
-    def _patched(self, changes, vertex_count=None, coloured_edges=None,
-                 edge_colours=None) -> "OpenClosedComplex":
-        """This complex with the triangles at the indices of ``changes`` replaced
-        by its values (an index past the end appends, ``None`` deletes); the ids
-        of deleted triangles and of vertices left in no triangle stay unused
-        until ``_compacted``.  The child's edge, vertex and boundary indexes
-        are copies of this one's, built first if it has none, in which just the
-        entries that the changed triangles reach are edited; so are its move
-        sites once this one has listed them."""
-        child = object.__new__(OpenClosedComplex)
-        child.vertex_count = vertex_count if vertex_count is not None else self.vertex_count
-        child.coloured_edges = (frozenset(coloured_edges) if coloured_edges is not None
-                                else self.coloured_edges)
-        child.black_in, child.black_out = self.black_in, self.black_out
-        child.edge_colours = edge_colours if edge_colours is not None else self.edge_colours
-        child._edge_tris = et = dict(self._edge_tris)
-        child._valid = False
-        child.triangles = self.triangles
-        for i in changes:
-            if i < len(self.triangles):
-                child._drop_triangle(i)
-        triangles = list(self.triangles) + [None] * (max(changes) + 1 - len(self.triangles))
-        for i, t in changes.items():
-            triangles[i] = t and canonical_triangle(t)
-        child.triangles = tuple(triangles)
-        changed = [self.triangles[i] for i in changes if i < len(self.triangles)]
-        for i, t in changes.items():
-            if t:
-                child._add_triangle(i)
-                changed.append(triangles[i])
+    def _copy(self, private=True) -> "OpenClosedComplex":
+        """A copy with indexes and move sites of its own, private (see the
+        class docstring) unless ``private`` is false."""
+        c = object.__new__(OpenClosedComplex)
+        c.vertex_count, c.black_in, c.black_out = self.vertex_count, self.black_in, self.black_out
+        c.triangles = (list if private else tuple)(self.triangles)
+        c.coloured_edges = (set if private else frozenset)(self.coloured_edges)
+        c.edge_colours, c._edge_tris = dict(self.edge_colours), dict(self._edge_tris)
+        c._vertex_tris = {v: ts[:] for v, ts in self.vertex_triangles().items()}
+        c._boundary_at = {v: es[:] for v, es in self.boundary_edges_at().items()}
+        c._sites = self._sites and [s[:] for s in self._sites]
+        c._holes = tuple(map(list if private else tuple, self._holes))
+        c._valid = False
+        return c
 
-        vt, owned = dict(self.vertex_triangles()), set()  # a list is copied before its first edit
+    def _patched(self, changes, vertex_count=None, recoloured=None) -> "OpenClosedComplex":
+        """Replace the triangles at the indices of ``changes`` by its values (an
+        index past the end appends, ``None`` deletes) and, given ``recoloured
+        = (removed, added)``, the coloured edges ``removed`` by ``added``,
+        which take the colour of ``removed[0]``.  Edits this complex if it is
+        private, else a private copy, and returns it.  The ids of deleted
+        triangles and of vertices left in no triangle stay unused until
+        ``_compacted``.  Just the index entries that the changed triangles
+        reach are edited, and so are the move sites once they are listed."""
+        c = self if self.triangles.__class__ is list else self._copy()
+        tris, et, vt, bat = c.triangles, c._edge_tris, c._vertex_tris, c._boundary_at
+        changes = {i: t and canonical_triangle(t) for i, t in changes.items()}
+        changed = [tris[i] for i in changes if i < len(tris)] + list(filter(None, changes.values()))
+        edges, touched = _edges_of(changed), {v for t in changed for v in t}
+        # read by the boundary and site updates: before the edit, the number of triangles on
+        # each changed edge and at each touched vertex, and which are boundary or coloured
+        before = ({e: len(et.get(e, ())) for e in edges}, {v: len(vt.get(v, ())) for v in touched},
+                  {v for v in touched if v in bat}, {e for e in edges if e in c.coloured_edges})
         for i in changes:
-            before = self.triangles[i] if i < len(self.triangles) else ()
-            for v in set(before).symmetric_difference(triangles[i] or ()):
-                if v not in owned:
-                    owned.add(v)
-                    vt[v] = list(vt.get(v, ()))
-                if v in before:
+            if i < len(tris):
+                c._drop_triangle(i)
+        tris.extend([None] * (max(changes) + 1 - len(tris)))
+        for i, t in changes.items():
+            old, tris[i] = tris[i] or (), t
+            for v in set(old).symmetric_difference(t or ()):
+                if v in old:
                     vt[v].remove(i)
                 else:
-                    insort(vt[v], i)
-        dead = tuple(v for v in owned if not vt[v])
-        for v in dead:
-            del vt[v]
-        child._vertex_tris = vt
-        gaps = tuple(i for i, t in changes.items() if t is None)
-        child._holes = (self._holes[0] + dead, tuple(sorted(self._holes[1] + gaps)))
-        bat = self.boundary_edges_at()
-        if coloured_edges is not None:
-            # The shellings recolour and move the boundary; 2-2, 1-3 and 3-1
-            # keep the number of triangles on every edge they neither create
-            # nor delete, so they keep the boundary.
-            bat = dict(bat)
-            for e in _edges_of(changed):
-                now = len(et.get(e, ())) == 1
-                if now != (len(self._edge_tris.get(e, ())) == 1):  # e joined or left the boundary
-                    for v in e:
-                        at = [f for f in bat.get(v, ()) if f != e] + [e] * now
-                        if at:
-                            bat[v] = sorted(at)
-                        else:
-                            del bat[v]
-        child._boundary_at = bat
-        child._sites = None if self._sites is None else _resynced_sites(self, child, changes, changed)
-        return child
+                    insort(vt.setdefault(v, []), i)
+            if t:
+                c._add_triangle(i)
+            else:
+                insort(c._holes[1], i)
+        for v in touched:
+            if not vt[v]:
+                del vt[v]
+                c._holes[0].append(v)
+        for e in edges:
+            now = len(et.get(e, ())) == 1
+            if now != (before[0][e] == 1):  # e joined or left the boundary
+                for v in e:
+                    at = [f for f in bat.pop(v, ()) if f != e] + [e] * now
+                    if at:
+                        bat[v] = sorted(at)
+        if recoloured:
+            removed, added = recoloured
+            colour = c.edge_colours.get(removed[0])
+            c.coloured_edges.difference_update(removed)
+            c.coloured_edges.update(added)
+            for e in removed:
+                c.edge_colours.pop(e, None)
+            c.edge_colours.update(dict.fromkeys(added, colour) if colour is not None else ())
+        c.vertex_count = vertex_count or c.vertex_count
+        if c._sites is not None:
+            _resynced_sites(c, changes, changed, before)
+        return c
 
     def __repr__(self):
         return (f"OpenClosedComplex(V={self.vertex_count}, F={len(self.triangles)}, "
@@ -629,6 +635,10 @@ def _flip_site(c, edge):
 
 def pachner_22(c: OpenClosedComplex, edge) -> OpenClosedComplex:
     """Flip the diagonal of the quadrilateral around an interior edge."""
+    return _compacted(_flip(c._copy(), edge))
+
+
+def _flip(c, edge):
     (u, v), t1, x, t2, y = _site(_flip_site, c, edge, "flip")
     return c._patched({t1: (x, u, y), t2: (y, v, x)})
 
@@ -643,6 +653,10 @@ def _split_site(c, triangle):
 
 def pachner_13(c: OpenClosedComplex, triangle) -> OpenClosedComplex:
     """Star-subdivide one triangle with a fresh interior vertex."""
+    return _compacted(_split(c._copy(), triangle))
+
+
+def _split(c, triangle):
     idx = _site(_split_site, c, triangle, "split")
     i, j, k = c.triangles[idx]
     w, n = c.vertex_count, len(c.triangles)
@@ -676,10 +690,10 @@ def _merge_site(c, v):
 
 def pachner_31(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
     """Remove an interior vertex of degree exactly three."""
-    return _compacted(_sparse_31(c, vertex))
+    return _compacted(_merge(c._copy(), vertex))
 
 
-def _sparse_31(c, vertex):
+def _merge(c, vertex):
     incident, cyc = _site(_merge_site, c, vertex, "merge")
     return c._patched({**dict.fromkeys(incident), len(c.triangles): cyc})
 
@@ -691,18 +705,6 @@ def _boundary_direction(c, e):
     """Directed form of a boundary edge as induced by its triangle."""
     (t, x), = c._edge_tris[e]
     return _opposite(c, t, x)
-
-
-def _recoloured(c, removed, added):
-    """The ``coloured_edges`` and ``edge_colours`` of ``c`` with the coloured
-    edges ``removed`` replaced by ``added``, which take the brane colour of
-    ``removed[0]``."""
-    colour = c.edge_colours.get(removed[0])
-    new_cols = {k: col for k, col in c.edge_colours.items() if k not in removed}
-    if colour is not None:
-        new_cols.update(dict.fromkeys(added, colour))
-    new_coloured = set(c.coloured_edges) - set(removed) | set(added)
-    return {"coloured_edges": new_coloured, "edge_colours": new_cols}
 
 
 def _coloured_boundary_edge(c, edge):
@@ -717,11 +719,15 @@ def _coloured_boundary_edge(c, edge):
 
 def shelling_split_edge(c: OpenClosedComplex, edge) -> OpenClosedComplex:
     """One coloured edge -> two: glue a triangle with a fresh boundary vertex."""
+    return _compacted(_shell_split(c._copy(), edge))
+
+
+def _shell_split(c, edge):
     e, _, _ = _site(_coloured_boundary_edge, c, edge, "shell_split")
     (u, v) = _boundary_direction(c, e)
     w = c.vertex_count
     return c._patched({len(c.triangles): (v, u, w)}, vertex_count=w + 1,
-                      **_recoloured(c, (e,), (ekey(u, w), ekey(w, v))))
+                      recoloured=((e,), (ekey(u, w), ekey(w, v))))
 
 
 def _coloured_pair(c, e1, e2):
@@ -744,12 +750,12 @@ def _shell_merge_site(c, w):
 
 def shelling_merge_edges(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
     """Two coloured edges -> one: remove a boundary vertex spanning one triangle."""
-    return _compacted(_sparse_merge_edges(c, vertex))
+    return _compacted(_shell_merge(c._copy(), vertex))
 
 
-def _sparse_merge_edges(c, vertex):
+def _shell_merge(c, vertex):
     t_idx, e1, e2, inner = _site(_shell_merge_site, c, vertex, "shell_merge")
-    return c._patched({t_idx: None}, **_recoloured(c, (e1, e2), (inner,)))
+    return c._patched({t_idx: None}, recoloured=((e1, e2), (inner,)))
 
 
 def _shell_open_site(c, edge):
@@ -767,12 +773,12 @@ def _shell_open_site(c, edge):
 
 def shelling_open_vertex(c: OpenClosedComplex, edge) -> OpenClosedComplex:
     """Remove the triangle under a coloured edge, pushing its interior apex out."""
-    return _compacted(_sparse_open_vertex(c, edge))
+    return _compacted(_shell_open(c._copy(), edge))
 
 
-def _sparse_open_vertex(c, edge):
+def _shell_open(c, edge):
     (u, v), t_idx, w = _site(_shell_open_site, c, edge, "shell_open")
-    return c._patched({t_idx: None}, **_recoloured(c, ((u, v),), (ekey(u, w), ekey(w, v))))
+    return c._patched({t_idx: None}, recoloured=(((u, v),), (ekey(u, w), ekey(w, v))))
 
 
 def _shell_close_site(c, w):
@@ -798,35 +804,31 @@ def _shell_close_site(c, w):
 
 def shelling_close_vertex(c: OpenClosedComplex, vertex: int) -> OpenClosedComplex:
     """Fill the notch at a boundary vertex with two coloured edges, making it interior."""
+    return _compacted(_shell_close(c._copy(), vertex))
+
+
+def _shell_close(c, vertex):
     e1, e2, u, v = _site(_shell_close_site, c, vertex, "shell_close")
-    return c._patched({len(c.triangles): (vertex, u, v)}, **_recoloured(c, (e1, e2), (ekey(u, v),)))
+    return c._patched({len(c.triangles): (vertex, u, v)}, recoloured=((e1, e2), (ekey(u, v),)))
 
 
 def _compacted(c):
-    """``c`` with the ids that deletions left unused (``_patched``) closed up in
-    one constructor call; ``c`` itself if there are none.  The renaming keeps
-    the order of the ids."""
+    """The public complex for ``c``, which it leaves as it is: ``c`` itself if
+    it is public, else ``c`` with the ids that deletions left unused
+    (``_patched``) closed up in one constructor call, or a public copy if
+    there are none.  The renaming keeps the order of the ids."""
     dead, gaps = c._holes
     if not gaps:
-        return c
-    triangles = list(filter(None, c.triangles))
-    if not dead:  # only triangles were deleted (shelling_open_vertex): no vertex is renamed
-        return c.replaced(triangles=triangles)
+        return c if c.triangles.__class__ is tuple else c._copy(private=False)
     dead = set(dead)
     vmap = {v: i for i, v in enumerate(v for v in range(c.vertex_count) if v not in dead)}
-    return _relabelled(c, vmap, len(vmap), triangles, c.coloured_edges, c.edge_colours)
+    return _relabelled(c, vmap, len(vmap), filter(None, c.triangles), c.coloured_edges,
+                       c.edge_colours)
 
 
-# the walk's moves: the three that delete leave their ids sparse
-_MOVES = {
-    "flip": pachner_22,
-    "split": pachner_13,
-    "merge": _sparse_31,
-    "shell_split": shelling_split_edge,
-    "shell_merge": _sparse_merge_edges,
-    "shell_open": _sparse_open_vertex,
-    "shell_close": shelling_close_vertex,
-}
+# the walk's moves, which edit a private complex (``_patched``)
+_MOVES = {"flip": _flip, "split": _split, "merge": _merge, "shell_split": _shell_split,
+          "shell_merge": _shell_merge, "shell_open": _shell_open, "shell_close": _shell_close}
 
 # -- the move sites: listed once, then patched move by move -------------------------
 
@@ -856,30 +858,26 @@ def _accepted(c, sites, shellings):
 
 
 def _resynced(sites, verdicts):
-    """The sorted list ``sites`` holding each key of ``verdicts`` exactly when
-    its verdict is true: ``sites`` itself if it does, else an edited copy."""
-    copied = False
+    """Edit the sorted list ``sites`` to hold each key of ``verdicts`` exactly
+    when its verdict is true."""
     for key, ok in verdicts.items():
         i = bisect_left(sites, key)
         if (i < len(sites) and sites[i] == key) != ok:
-            if not copied:
-                sites, copied = list(sites), True
             if ok:
                 sites.insert(i, key)
             else:
                 del sites[i]
-    return sites
 
 
-def _resynced_sites(parent, c, changes, changed):
-    """``c``'s move sites, patched from ``parent``'s: ``c`` is ``parent`` with
-    the triangles at the indices of ``changes`` replaced, and ``changed``
-    holds the removed and added triangles.  Call their vertices ``touched``
-    and their edges E, and the edges of E that appeared or vanished E+-.  A
-    triangle outside ``changed`` is as it was, and so is the number of
-    triangles at a vertex outside ``touched``; colours and numbers of
-    triangles change only on E.  So each check is rerun only at the sites
-    whose verdict reads something the change edited:
+def _resynced_sites(c, changes, changed, before):
+    """Patch ``c``'s move sites once ``_patched`` replaced the triangles at the
+    indices of ``changes``; ``changed`` holds the removed and added triangles.
+    Call their vertices ``touched`` and their edges E, and the edges of E that
+    appeared or vanished E+-.  ``before`` is what the checks read before the
+    edit (see ``_patched``).  A triangle outside ``changed`` is as it was, and
+    so is the number of triangles at a vertex outside ``touched``; colours and
+    numbers of triangles change only on E.  So each check is rerun only at
+    the sites whose verdict reads something the change edited:
 
     - flip reads its edge's entries and whether their apexes are joined:
       rerun it on E and on the edges whose apexes are the ends of an edge of
@@ -908,12 +906,11 @@ def _resynced_sites(parent, c, changes, changed):
       rerun it at the ends of the edges of E on the boundary before or
       after, and at the vertices whose neighbours on the boundary are the
       ends of an edge of E+-."""
-    et, vt = c._edge_tris, c._vertex_tris
-    pet, pvt = parent._edge_tris, parent._vertex_tris
-    touched = {v for t in changed for v in t}
-    edges = _edges_of(changed)
-    flipped = edges.difference(et) | edges.difference(pet)
-    flips, merges, edge_sites, vertex_sites = parent._sites
+    et, vt, bat = c._edge_tris, c._vertex_tris, c._boundary_at
+    pcount, pdegree, pbat, pcoloured = before  # keyed by E, touched, touched, E
+    edges, touched = pcount, pdegree
+    flipped = {e for e in edges if e not in et or not pcount[e]}
+    flips, merges, edge_sites, vertex_sites = c._sites
 
     verdicts = {e: _flippable(et, et.get(e, ())) for e in edges}
     for (x, y) in flipped:
@@ -925,19 +922,18 @@ def _resynced_sites(parent, c, changes, changed):
                 entries = et[o]
                 if len(entries) == 2 and (entries[0][1] == y or entries[1][1] == y):
                     verdicts[o] = _flippable(et, entries)
-    flips = _resynced(flips, verdicts)
+    _resynced(flips, verdicts)
 
     verdicts = {v: len(vt.get(v, ())) == 3 and _merge_site(c, v) is not None
-                for v in touched if len(vt.get(v, ())) == 3 or len(pvt.get(v, ())) == 3}
+                for v in touched if len(vt.get(v, ())) == 3 or pdegree[v] == 3}
     for (a, b, _) in changed:
         for _, apex in et.get((a, b), ()):
             if apex not in verdicts and len(vt[apex]) == 3:
                 verdicts[apex] = _merge_site(c, apex) is not None
-    merges = _resynced(merges, verdicts)
+    _resynced(merges, verdicts)
 
-    coloured, pcoloured = c.coloured_edges, parent.coloured_edges
+    coloured = c.coloured_edges
     if coloured or pcoloured:  # else no shelling applies, before or after
-        bat, pbat = c._boundary_at, parent._boundary_at
         (_, split), (_, open_) = _EDGE_SHELLINGS  # ranks 0 and 1
         verdicts = {}
         for e in edges:
@@ -945,7 +941,7 @@ def _resynced_sites(parent, c, changes, changed):
                 verdicts[e, 0] = split(c, e) is not None
                 verdicts[e, 1] = open_(c, e) is not None
         for x in touched:
-            if (len(vt.get(x, ())) == 1) != (len(pvt.get(x, ())) == 1):  # came to or left one triangle
+            if (len(vt.get(x, ())) == 1) != (pdegree[x] == 1):  # came to or left one triangle
                 for e in bat.get(x, ()):
                     if e in coloured:
                         verdicts[e, 1] = open_(c, e) is not None
@@ -954,18 +950,18 @@ def _resynced_sites(parent, c, changes, changed):
                     o = ekey(*_opposite(c, i, x))
                     if o in coloured:
                         verdicts[o, 1] = open_(c, o) is not None
-        edge_sites = _resynced(edge_sites, verdicts)
+        _resynced(edge_sites, verdicts)
 
         (_, merge), (_, close) = _VERTEX_SHELLINGS
         verdicts = {(v, 0): v in bat and merge(c, v) is not None
-                    for v in touched if len(vt.get(v, ())) == 1 or len(pvt.get(v, ())) == 1}
+                    for v in touched if len(vt.get(v, ())) == 1 or pdegree[v] == 1}
         for e in edges:
-            count, before = len(et.get(e, ())), len(pet.get(e, ()))
-            if count != before:  # an apex in one triangle may have e for its inner edge
+            count, was = len(et.get(e, ())), pcount[e]
+            if count != was:  # an apex in one triangle may have e for its inner edge
                 for _, apex in et.get(e, ()):
                     if len(vt[apex]) == 1:
                         verdicts[apex, 0] = apex in bat and merge(c, apex) is not None
-            if count == 1 or before == 1:
+            if count == 1 or was == 1:
                 for v in e:
                     verdicts[v, 1] = v in bat and close(c, v) is not None
         for (p, q) in flipped:
@@ -973,8 +969,7 @@ def _resynced_sites(parent, c, changes, changed):
                 w = v if u == p else u
                 if ekey(w, q) in bat[w]:
                     verdicts[w, 1] = close(c, w) is not None
-        vertex_sites = _resynced(vertex_sites, verdicts)
-    return [flips, merges, edge_sites, vertex_sites]
+        _resynced(vertex_sites, verdicts)
 
 
 # -- seeded fuzz driver ---------------------------------------------------------------
@@ -1020,9 +1015,10 @@ def _nth_move(c: OpenClosedComplex, k):
 def random_moves(c: OpenClosedComplex, seed: int, n: int) -> OpenClosedComplex:
     """Apply ``n`` uniformly chosen applicable moves with a seeded PRNG.  Each
     move turns a valid complex into a valid one, so the walk's end carries
-    ``c``'s ``require_valid`` verdict.  A step draws from the move sites, which
-    each child patches from its parent's; the ids that the walk deletes stay
-    unused until its end is compacted, once."""
+    ``c``'s ``require_valid`` verdict.  The first move copies ``c`` into a
+    private complex and every move edits that in place, its move sites with
+    it; the ids that the walk deletes stay unused until its end is
+    compacted, once."""
     rng = random.Random(seed)
     valid = c._valid
     for _ in range(n):

@@ -152,6 +152,9 @@ class Matrix:
 
     def add(self, other: "Matrix") -> "Matrix":
         f = self.field
+        if (self.rows, self.cols, f) != (other.rows, other.cols, other.field):
+            raise ValueError(f"cannot add a {other.rows}x{other.cols} matrix over {other.field} "
+                             f"to a {self.rows}x{self.cols} one over {f}")
         return Matrix(
             f, self.rows, self.cols,
             [[f.add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 from collections import deque
@@ -1002,10 +1003,10 @@ def _renamed_sites(sites, vmap):
 
 
 def test_walk_children_come_with_patched_sites():
-    """On held-out walks stepped through the walk's own moves, which leave the
-    ids they delete unused, every child comes with its move sites patched from
-    its parent's, and these name, with the ids compacted, the sites a full
-    scan of the compacted rebuild lists."""
+    """On held-out walks stepped through the walk's own moves, which edit one
+    private copy of the start in place and leave the ids they delete unused,
+    the copy's move sites, patched move by move, name, with the ids
+    compacted, the sites a full scan of the compacted rebuild lists."""
     kinds = set()
     suite = dict(generator_suite(), torus=closed_surface(1, 0),
                  genus2_window=closed_surface(2, 1))
@@ -1015,19 +1016,47 @@ def test_walk_children_come_with_patched_sites():
     walks += [(zipper(), 8, 400), (open_mult(), 9, 400)]
     for start, seed, n in walks:
         rng = random.Random(seed)  # random_moves' walk, step by step
-        c = start
+        start._move_sites()  # listed on the start, as random_moves lists them
+        c = start._copy()
         for _ in range(n):
             count = _move_count(c)
             if not count:
                 break
             kind, site = _nth_move(c, rng.randrange(count))
-            c = _MOVES[kind](c, site)
+            assert _MOVES[kind](c, site) is c, (kind, site)
             assert c._sites is not None, (kind, site)
             kinds.add(kind)
             compact = _rebuilt(_compacted(c))
             assert _renamed_sites(c._sites, _compaction_map(c)) == _listed_sites(compact), (kind, site)
         assert _walk_state(_compacted(c)) == _walk_state(random_moves(start, seed=seed, n=n))
     assert len(c._holes[1]) > 10
+    assert kinds == set(_MOVE_BY_KIND)
+
+
+def _argument_state(c):
+    """A deep copy of what a move could edit in ``c``, its indexes and move sites too."""
+    return copy.deepcopy((c.triangles, c._edge_tris, c.vertex_triangles(), c.boundary_edges_at(),
+                          c._sites, c._holes, c._valid, c.coloured_edges, c.edge_colours))
+
+
+def test_walks_and_public_moves_leave_their_argument_as_it_was():
+    """Every move edits a private copy, so on seeded walks from the generator
+    suite, random_moves and each of the seven public moves leave their
+    argument exactly as it was, its listed move sites too."""
+    kinds = set()
+    for start in generator_suite().values():
+        for seed in (1, 2):
+            c = start
+            for step in range(10):
+                moves = dict(applicable_moves(c))  # lists the sites, so they are compared too
+                before = _argument_state(c)
+                for kind, site in moves.items():
+                    _MOVE_BY_KIND[kind](c, site)
+                    assert _argument_state(c) == before, (kind, site)
+                kinds.update(moves)
+                moved = random_moves(c, seed=100 * seed + step, n=4)
+                assert _argument_state(c) == before
+                c = moved
     assert kinds == set(_MOVE_BY_KIND)
 
 

@@ -141,12 +141,19 @@ def test_inverse_singular_raises():
     lambda wide: wide.mul_vec([0, 0]),
     lambda wide: wide.solve([0]),
     lambda wide: wide.inverse(),
-], ids=["ragged rows", "matmul", "mul_vec", "solve", "inverse"])
+    lambda wide: wide.add(Matrix.zeros(QQ, 3, 2)),
+], ids=["ragged rows", "matmul", "mul_vec", "solve", "inverse", "add"])
 def test_shape_mismatches_are_refused(call):
     wide = Matrix.zeros(QQ, 2, 3)
     with pytest.raises(ValueError):
         call(wide)
     assert not wide.is_symmetric()
+
+
+def test_sums_over_different_fields_are_refused():
+    with pytest.raises(ValueError):
+        Matrix.identity(GF(7), 2).add(Matrix.identity(QQ, 2))
+    assert Matrix.identity(GF(7), 2).add(Matrix.identity(GF(7), 2)) == Matrix.identity(GF(7), 2).scale(2)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(11), GF(2), GF(10007)])

@@ -204,6 +204,9 @@ def cmd_knowledgeable(args) -> int:
 def cmd_eval(args) -> int:
     alg, F, _ = _load_algebra(args.algebra)
     c = _load_complex(args.complex)
+    if c.edge_colours:  # evaluated uncoloured, they would be silently dropped
+        raise InvalidInput("eval evaluates uncoloured complexes; the complex file gives "
+                           "brane_colours")
     # an output too large to print is refused before it is contracted
     check_dense(signature_dim(signature(F, c.black_out, args.mode)),
                 signature_dim(signature(F, c.black_in, args.mode)))

@@ -38,9 +38,10 @@ benchmark's ``fuzz-moves`` walks, where a listing checks every site.  A walk
 a step costs what it changes; a public move edits a fresh copy of its
 argument.  A deleted vertex or triangle id stays unused and a new one takes
 the next id, so no entry is renumbered.  ``_compacted`` makes the public
-result, closing the gaps in one constructor call.  Its renaming keeps the
-order of the ids, so every sorted site list, and with it every draw of a
-walk, reads as if the ids were compacted at each step.
+result, closing the gaps in one constructor call, or, if there are none,
+freezing the private complex in place.  Its renaming keeps the order of the
+ids, so every sorted site list, and with it every draw of a walk, reads as
+if the ids were compacted at each step.
 
 ``require_valid`` scans a complex once: a clean scan is remembered, so a
 second call is a flag test (``validate`` always scans and reports).  A walk
@@ -479,18 +480,18 @@ class OpenClosedComplex:
             edge_colours if edge_colours is not None else self.edge_colours,
         )
 
-    def _copy(self, private=True) -> "OpenClosedComplex":
-        """A copy with indexes and move sites of its own, private (see the
-        class docstring) unless ``private`` is false."""
+    def _copy(self) -> "OpenClosedComplex":
+        """A private copy (see the class docstring), with indexes and move
+        sites of its own."""
         c = object.__new__(OpenClosedComplex)
         c.vertex_count, c.black_in, c.black_out = self.vertex_count, self.black_in, self.black_out
-        c.triangles = (list if private else tuple)(self.triangles)
-        c.coloured_edges = (set if private else frozenset)(self.coloured_edges)
+        c.triangles = list(self.triangles)
+        c.coloured_edges = set(self.coloured_edges)
         c.edge_colours, c._edge_tris = dict(self.edge_colours), dict(self._edge_tris)
         c._vertex_tris = {v: ts[:] for v, ts in self.vertex_triangles().items()}
         c._boundary_at = {v: es[:] for v, es in self.boundary_edges_at().items()}
         c._sites = self._sites and [s[:] for s in self._sites]
-        c._holes = tuple(map(list if private else tuple, self._holes))
+        c._holes = tuple(map(list, self._holes))
         c._valid = False
         return c
 
@@ -813,13 +814,16 @@ def _shell_close(c, vertex):
 
 
 def _compacted(c):
-    """The public complex for ``c``, which it leaves as it is: ``c`` itself if
-    it is public, else ``c`` with the ids that deletions left unused
-    (``_patched``) closed up in one constructor call, or a public copy if
-    there are none.  The renaming keeps the order of the ids."""
+    """The public complex for ``c``: ``c`` itself if it is public or has no
+    ids that deletions left unused (``_patched``), a private one frozen in
+    place, since no caller holds it; else ``c`` with those ids closed up in
+    one constructor call.  The renaming keeps the order of the ids."""
     dead, gaps = c._holes
     if not gaps:
-        return c if c.triangles.__class__ is tuple else c._copy(private=False)
+        if c.triangles.__class__ is list:
+            c.triangles, c.coloured_edges = tuple(c.triangles), frozenset(c.coloured_edges)
+            c._holes = tuple(dead), ()
+        return c
     dead = set(dead)
     vmap = {v: i for i, v in enumerate(v for v in range(c.vertex_count) if v not in dead)}
     return _relabelled(c, vmap, len(vmap), filter(None, c.triangles), c.coloured_edges,

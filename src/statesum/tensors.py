@@ -13,7 +13,8 @@ taking one entry from each tensor.  Scaling each tensor by the lcm ``L_t`` of
 its denominators therefore scales every entry of the result by
 ``D = prod L_t``, so the integer contraction divided once by ``D`` is the
 rational one, exactly; the ``Fraction``s it yields are canonical and hence
-identical to those of a ``Fraction`` contraction.
+identical to those of a ``Fraction`` contraction.  The triangles of a
+network share their entries, so each distinct data dict is scaled once.
 
 ``contract_pair`` is the row-by-row sparse product of Gustavson (ACM TOMS
 4(3), 1978), with the free legs of the first tensor as rows and those of the
@@ -90,17 +91,28 @@ multilinearity: over Q the same integers, hence the same canonical
 
 The eight passes cost as much as the contraction they order, and one
 triangulation is evaluated against many Frobenius structures, so
-``contraction_order`` searches each network once per process.  Its memo is
-keyed by the interned network: the tensor count, the two tensors holding
-each leg (the leg masks read leg by leg) and the rank of each leg's
-dimension among the network's distinct dimensions, packed as one ``str``,
-a code point each, and the distinct dimensions as a tuple, since a
-dimension has no bound.  That is all the search reads, so a hit returns the
-order a search would, and networks that differ only in their leg names
-share an entry.  The network is interned on every call, so a malformed one
-is refused on a hit too.  The memo holds the ``_MEMO_ENTRIES`` (1024) most
-recently added networks and drops the oldest; an entry of the Pachner fuzz
-slice, its steps packed as one ``str`` too, takes about 450 bytes.
+``contraction_order`` searches each network once per process.  Its memo key
+(``_key``) is built in one pass over the legs: the tensor count, each
+tensor's leg count, and for each leg of each tensor, in order, its number
+in sorted leg order and the rank of its dimension among the network's
+distinct dimensions, packed as one ``str``, a code point each; and the
+distinct dimensions as a tuple, since a dimension has no bound.  That fixes
+all that the search reads, so a hit returns the order a search would
+without interning the network, and networks that differ only in their leg
+names share an entry.  A hit costs the key, a sort of the leg names and a
+few passes over the legs in C: 95 us on a moved 70-tensor network of the
+Pachner fuzz slice, against 385 us while every call interned the network.
+Only a miss interns, and so checks, a network.  A malformed one can never hit:
+its key spells out which tensors hold each leg and at what dimension, so it
+shows the leg named twice in one tensor, held by three tensors or given two
+dimensions that no stored network, each checked when it was stored, has.
+The key fixes each tensor's leg order too, so each entry also packs, after
+the steps, each step's shared and free leg positions (``_places``);
+``greedy_contract`` hands them to every step and to the fused last one, so
+a warm evaluation computes no leg positions.  The memo holds the
+``_MEMO_ENTRIES`` (1024) most recently added networks and drops the
+oldest; an entry of the Pachner fuzz slice, key, steps and positions,
+takes about 820 bytes.
 """
 
 from __future__ import annotations
@@ -108,7 +120,7 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm, prod
 from operator import itemgetter, mul
 
@@ -203,25 +215,22 @@ def _getter(positions):
     return itemgetter(slice(p, p + len(positions)))
 
 
-def _row_sums(t1, t2):
+def _row_sums(t1, t2, places=None):
     """The row-by-row product of two tensors (see the module docstring).
 
     ``t2``'s entries are bucketed by shared key as ``(column id, value)`` and
-    ``t1``'s grouped by output row.  Returns the positions of ``t1``'s and
-    ``t2``'s free legs, ``t2``'s free parts by column id, and an iterator over
-    the output rows as ``(t1's free part, {column id: sum})``, in order of
-    first appearance, with the sums unreduced.  Tensors over different
-    fields are refused with ``ValueError``.
+    ``t1``'s grouped by output row.  ``places`` are the leg positions
+    ``_places`` gives for the two tensors, found here if not given.  Returns
+    the positions of ``t1``'s and ``t2``'s free legs, ``t2``'s free parts by
+    column id, and an iterator over the output rows as ``(t1's free part,
+    {column id: sum})``, in order of first appearance, with the sums
+    unreduced.  Tensors over different fields are refused with
+    ``ValueError``.
     """
     if t1.field != t2.field:
         raise ValueError(f"cannot multiply a tensor over {t1.field} by one over {t2.field}")
-    legs2 = set(t2.legs)
-    shared = [l for l in t1.legs if l in legs2]
-    sset = set(shared)
-    keep1 = [i for i, l in enumerate(t1.legs) if l not in sset]
-    keep2 = [i for i, l in enumerate(t2.legs) if l not in sset]
-    shared1 = _getter([t1.legs.index(l) for l in shared])
-    shared2 = _getter([t2.legs.index(l) for l in shared])
+    at1, at2, keep1, keep2 = places or _places(t1.legs, t2.legs)
+    shared1, shared2 = _getter(at1), _getter(at2)
     free1, free2 = _getter(keep1), _getter(keep2)
 
     cols = {}  # free part of a t2 index -> its column id
@@ -252,14 +261,25 @@ def _row_sums(t1, t2):
     return keep1, keep2, list(cols), sums()
 
 
-def contract_pair(t1: Tensor, t2: Tensor) -> Tensor:
+def _places(legs1, legs2):
+    """The leg positions of a product: those of the legs two tensors share,
+    in ``legs1``'s order, in ``legs1`` and in ``legs2``, then those of each
+    one's free legs."""
+    set1, set2 = set(legs1), set(legs2)
+    at1 = [i for i, l in enumerate(legs1) if l in set2]
+    return (at1, [legs2.index(legs1[i]) for i in at1],
+            [i for i, l in enumerate(legs1) if l not in set2],
+            [i for i, l in enumerate(legs2) if l not in set1])
+
+
+def contract_pair(t1: Tensor, t2: Tensor, places=None) -> Tensor:
     """Contract all legs shared by name between two tensors; the result's
     legs are ``t1``'s free legs, then ``t2``'s, each in their own order.
 
-    Row by row (see ``_row_sums``); each sum is reduced once, and only a
-    nonzero one pays for its output index tuple.
+    Row by row (see ``_row_sums``, which takes ``places``); each sum is
+    reduced once, and only a nonzero one pays for its output index tuple.
     """
-    keep1, keep2, col, rows = _row_sums(t1, t2)
+    keep1, keep2, col, rows = _row_sums(t1, t2, places)
     p = t1.field.p
     data = {}
     for base, acc in rows:
@@ -276,17 +296,17 @@ def contract_pair(t1: Tensor, t2: Tensor) -> Tensor:
     return Tensor(t1.field, legs, dims, data)
 
 
-def _contract_read_off(t1, t2, row_legs, col_legs, D):
-    """``contract_pair(t1, t2).read_off(row_legs, col_legs)``, written by the
-    contraction itself (see the module docstring).  Over Q the integer sums
-    are divided by ``D``, one ``Fraction`` per distinct value; over F_p they
-    are reduced mod ``p``."""
+def _contract_read_off(t1, t2, row_legs, col_legs, D, places=None):
+    """``contract_pair(t1, t2, places).read_off(row_legs, col_legs)``, written
+    by the contraction itself (see the module docstring).  Over Q the integer
+    sums are divided by ``D``, one ``Fraction`` per distinct value; over F_p
+    they are reduced mod ``p``."""
     dim = dict(zip(t1.legs, t1.dims))
     dim.update(zip(t2.legs, t2.dims))
     rdims, cdims = [dim[l] for l in row_legs], [dim[l] for l in col_legs]
     rplace = dict(zip(row_legs, _strides(rdims)))
     cplace = dict(zip(col_legs, _strides(cdims)))
-    keep1, keep2, col, rows = _row_sums(t1, t2)
+    keep1, keep2, col, rows = _row_sums(t1, t2, places)
     r1 = [rplace.get(t1.legs[i], 0) for i in keep1]
     c1 = [cplace.get(t1.legs[i], 0) for i in keep1]
     rp2 = [rplace.get(t2.legs[i], 0) for i in keep2]
@@ -319,42 +339,68 @@ def _contract_read_off(t1, t2, row_legs, col_legs, D):
 
 def _clear_denominators(tensors):
     """Integer copies of rational tensors, each scaled by the lcm of its
-    denominators, and the product ``D`` of those scales."""
+    denominators, and the product ``D`` of those scales.  Tensors that share
+    one data dict, as the triangles of a network do, share one copy."""
     out = []
     D = 1
+    copies = {}  # id of a data dict -> (its integer copy, its scale)
     for t in tensors:
-        L = lcm(*(v.denominator for v in t.data.values()))
+        copy = copies.get(id(t.data))
+        if copy is None:
+            L = lcm(*(v.denominator for v in t.data.values()))
+            copies[id(t.data)] = copy = {k: v.numerator * (L // v.denominator)
+                                         for k, v in t.data.items()}, L
+        data, L = copy
         D *= L
-        data = {k: v.numerator * (L // v.denominator) for k, v in t.data.items()}
         out.append(Tensor(t.field, t.legs, t.dims, data))
     return out, D
 
 
+def _numbers(names):
+    """``{leg: its number}``, the legs numbered in sorted order: legs of one
+    type by ``<`` and types by their names, so a network may name some legs
+    by strings and others by tuples."""
+    if len(set(map(type, names))) > 1:
+        names = sorted(names, key=lambda l: (type(l).__name__, l))
+    else:
+        names = sorted(names)
+    return {l: i for i, l in enumerate(names)}
+
+
+def _key(shapes):
+    """The memo key of a network of ``(legs, dims)`` shapes, one dimension
+    per leg: the tensor count, each tensor's leg count, each leg's number
+    (``_numbers``) and the rank of its dimension among the network's
+    distinct ones, tensor by tensor and leg by leg, packed; then the
+    distinct dimensions.  Built in one pass over the legs, it fixes all
+    that ``_search`` reads and the order of each tensor's legs, in a size
+    linear in the number of legs."""
+    legs = [l for l, _ in shapes]
+    flat = list(chain.from_iterable(legs))
+    number = _numbers(set(flat))
+    dims = list(chain.from_iterable([d for _, d in shapes]))
+    rank = {d: r for r, d in enumerate(sorted(set(dims)))}
+    return _packed(chain((len(legs),), map(len, legs), map(number.__getitem__, flat),
+                         map(rank.__getitem__, dims))), tuple(rank)
+
+
 def _intern(shapes):
     """The network of ``(legs, dims)`` shapes as bit masks, built once, and
-    its memo key.
+    each tensor's legs by number.
 
-    Legs are numbered in sorted order and leg ``i`` is the bit ``1 << i``.
-    Legs of one type are sorted by ``<``, and types by their names, so a
-    network may name some legs by strings and others by tuples.  Returns
-    each tensor's leg mask, dense size and partners (the mask of the
-    tensors it shares a leg with), ``{bit: dim * dim}``, and the heap
-    entries of the initial pairs in sorted ``(a, b)`` order; then the memo
-    key: the tensor count, the lowest and highest holder of each leg and
-    the rank of each leg's dimension among the distinct ones, packed, and
-    the distinct dimensions.  The holders are the leg masks read leg by
-    leg, so the key holds all that ``_search`` reads, in a size linear in
-    the number of legs.  A network is a graph: a leg named twice in one
-    tensor, held by three tensors, or given two dimensions is refused with
-    ``ValueError``.
+    Legs are numbered as ``_numbers`` numbers them and leg ``i`` is the bit
+    ``1 << i``.  Returns each tensor's leg mask, dense size and partners
+    (the mask of the tensors it shares a leg with), each leg's ``dim * dim``,
+    and the heap entries of the initial pairs in sorted ``(a, b)`` order.
+    A network is a graph: a leg named twice in one tensor, held by three
+    tensors, or given two dimensions is refused with ``ValueError``.
     """
-    names = sorted({l for legs, _ in shapes for l in legs}, key=lambda l: (type(l).__name__, l))
-    index = {l: i for i, l in enumerate(names)}
-    dims, holders, masks = [None] * len(names), [0] * len(names), []
+    index = _numbers({l for legs, _ in shapes for l in legs})
+    dims, holders, masks = [None] * len(index), [0] * len(index), []
+    numbered = [tuple(map(index.__getitem__, legs)) for legs, _ in shapes]
     for tid, (legs, ds) in enumerate(shapes):
         mask = 0
-        for l, d in zip(legs, ds):
-            i = index[l]
+        for l, i, d in zip(legs, numbered[tid], ds):
             bit = 1 << i
             if mask & bit:
                 raise ValueError(f"leg {l!r} appears twice in tensor {tid}")
@@ -369,14 +415,12 @@ def _intern(shapes):
                 raise ValueError(f"leg {l!r} joins more than two tensors")
             holders[i] = h | 1 << tid
         masks.append(mask)
-    sq = {1 << i: d * d for i, d in enumerate(dims)}
+    sq = [d * d for d in dims]
     size = [prod(ds) for _, ds in shapes]
     partners = [0] * len(shapes)
     pairs = set()
-    ends = []  # the lowest and highest holder of each leg, equal for a free leg
     for h in holders:
         a, b = (h & -h).bit_length() - 1, h.bit_length() - 1
-        ends += (a, b)
         if a != b:
             partners[a] |= 1 << b
             partners[b] |= 1 << a
@@ -385,9 +429,7 @@ def _intern(shapes):
     for a, b in sorted(pairs):
         shared = masks[a] & masks[b]
         start.append((size[a] * size[b] // _cut(shared, sq), shared & -shared, a, b))
-    rank = {d: r for r, d in enumerate(sorted(set(dims)))}
-    key = _packed([len(shapes), *ends, *map(rank.get, dims)]), tuple(rank)
-    return (masks, size, partners, sq, start), key
+    return (masks, size, partners, sq, start), numbered
 
 
 def _packed(values):
@@ -399,12 +441,15 @@ def _packed(values):
 
 
 def _cut(shared, sq):
-    """The product of ``dim * dim`` over the legs of a mask: a contraction's
-    dense size is its tensors' sizes over the cut of their shared legs."""
+    """The product of ``dim * dim`` over the legs of a mask, ``sq`` by leg
+    number: a contraction's dense size is its tensors' sizes over the cut of
+    their shared legs."""
+    if shared.bit_count() == 1:
+        return sq[shared.bit_length() - 1]
     cut = 1
     while shared:
         low = shared & -shared
-        cut *= sq[low]
+        cut *= sq[low.bit_length() - 1]
         shared ^= low
     return cut
 
@@ -482,26 +527,60 @@ def _searched_order(net):
 
 
 _MEMO_ENTRIES = 1024
-_orders = {}  # memo key -> the searched steps, flattened and packed
+_orders = {}  # memo key -> the searched steps and their leg positions, packed
+
+
+class _Order(list):
+    """The steps ``(a, b)`` of a contraction order and ``entry``, the memo
+    entry they were read from (see ``contraction_order``)."""
+
+    __slots__ = ("entry",)
 
 
 def contraction_order(shapes):
     """``_searched_order`` of the network, searched once per process.
 
-    The network is interned, and so checked, on every call; its order is
-    looked up by its key (see ``_intern``), which holds all that the search
-    reads, so a hit is the order a search would return.  The memo keeps the
-    ``_MEMO_ENTRIES`` newest networks.  Each call returns a fresh list."""
-    net, key = _intern(shapes)
-    flat = _orders.get(key)
-    if flat is not None:
-        pairs = map(ord, flat)
-        return list(zip(pairs, pairs))
-    steps = _searched_order(net)
-    if len(_orders) >= _MEMO_ENTRIES:
-        del _orders[next(iter(_orders))]
-    _orders[key] = _packed(chain.from_iterable(steps))
-    return steps
+    The order is looked up by the network's key (``_key``), which fixes all
+    that the search reads, so a hit is the order a search would return.
+    Only a miss interns the network, and so checks it: a network that is
+    not a graph has a key no stored one shares.  An entry packs the steps,
+    flattened, and then for each step the number of shared legs and of
+    each tensor's free legs and the leg positions (``_places``).  The memo
+    keeps the ``_MEMO_ENTRIES`` newest networks.  Each call returns a fresh
+    list, an ``_Order``."""
+    key = _key(shapes)
+    entry = _orders.get(key)
+    if entry is None:
+        net, legs = _intern(shapes)
+        steps = _searched_order(net)
+        flat = list(chain.from_iterable(steps))
+        for a, b in steps:
+            places = _places(legs[a], legs[b])
+            at1, _, keep1, keep2 = places
+            flat += (len(at1), len(keep1), len(keep2), *chain.from_iterable(places))
+            legs.append(tuple(legs[a][i] for i in keep1) + tuple(legs[b][i] for i in keep2))
+        if len(_orders) >= _MEMO_ENTRIES:
+            del _orders[next(iter(_orders))]
+        _orders[key] = entry = _packed(flat)
+    pairs = map(ord, entry[:2 * len(shapes) - 2])
+    order = _Order(zip(pairs, pairs))
+    order.entry = entry
+    return order
+
+
+def _step_places(order):
+    """Each step's leg positions (``_places``), read from an ``_Order``'s
+    memo entry."""
+    values = list(map(ord, order.entry))
+    i = 2 * len(order)
+    while i < len(values):
+        shared, n1, n2 = values[i:i + 3]
+        a = i + 3
+        b = a + shared
+        c = b + shared
+        d = c + n1
+        i = d + n2
+        yield values[a:b], values[b:c], values[c:d], values[d:i]
 
 
 def greedy_contract(tensors, row_legs=None, col_legs=None):
@@ -519,13 +598,16 @@ def greedy_contract(tensors, row_legs=None, col_legs=None):
     rational = tensors[0].field.p is None
     items, D = _clear_denominators(tensors) if rational else (list(tensors), 1)
     steps = contraction_order([(t.legs, t.dims) for t in items])
+    # the memo entry carries each step's leg positions; the steps of an
+    # order from any other planner find their own
+    places = _step_places(steps) if isinstance(steps, _Order) else repeat(None)
     fused = row_legs is not None and steps
     for a, b in steps[:-1] if fused else steps:
-        items.append(contract_pair(items[a], items[b]))
+        items.append(contract_pair(items[a], items[b], next(places)))
         items[a] = items[b] = None  # frees the integer copies as they are used
     if fused:
         a, b = steps[-1]
-        return _contract_read_off(items[a], items[b], row_legs, col_legs, D)
+        return _contract_read_off(items[a], items[b], row_legs, col_legs, D, next(places))
     result = items[-1]
     if rational:
         # one Fraction per distinct value: a state sum has few, and equal

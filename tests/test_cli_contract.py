@@ -350,6 +350,22 @@ def test_brane_colours_that_are_not_a_map_from_arc_indices_are_refused(workdir, 
     assert json.loads(out)["error"] == "FileFormatError"
 
 
+def test_eval_refuses_a_brane_coloured_complex(workdir, capsys):
+    # over M_1 + M_1 a coloured strip(1, 1) printed the uncoloured file's result
+    apath = str(workdir / "m1m1.json")
+    assert main(["catalog", "algebra", "matsum", "1,1", "1,1", "-o", apath]) == 0
+    doc = sio.complex_to_json(strip(1, 1))
+    plain = ["eval", "--algebra", apath, "--complex", _write(workdir / "plain.json", doc), "--json"]
+    assert main(plain) == 0
+    capsys.readouterr()
+    doc["brane_colours"] = {"0": "x", "1": "y"}
+    argv = ["eval", "--algebra", apath, "--complex", _write(workdir / "branes.json", doc), "--json"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["error"] == "InvalidInput"
+
+
 def test_an_exact_result_past_the_digit_cap_is_printed_in_full(workdir, capsys):
     # over M_1 with window a the genus-4 surface with two windows is a^8, here
     # 4,800 digits: more than CPython converts to text unless the cap is lifted

@@ -1026,7 +1026,7 @@ def test_walk_children_come_with_patched_sites():
             assert _MOVES[kind](c, site) is c, (kind, site)
             assert c._sites is not None, (kind, site)
             kinds.add(kind)
-            compact = _rebuilt(_compacted(c))
+            compact = _rebuilt(_compacted(c._copy()))  # _compacted may freeze c
             assert _renamed_sites(c._sites, _compaction_map(c)) == _listed_sites(compact), (kind, site)
         assert _walk_state(_compacted(c)) == _walk_state(random_moves(start, seed=seed, n=n))
     assert len(c._holes[1]) > 10
@@ -1118,3 +1118,39 @@ def test_malformed_sites_are_not_applicable(kind, site):
     assert len(applicable_moves(c)) == 5
     with pytest.raises(NotApplicableError):
         _MOVE_BY_KIND[kind](c, site)
+
+
+def _containers(c):
+    """The ids of the lists, dicts and sets a complex holds, and of those they hold."""
+    found, todo = set(), [getattr(c, f) for f in OpenClosedComplex.__slots__]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (list, dict, set)):
+            found.add(id(x))
+        if isinstance(x, dict):
+            todo.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            todo.extend(x)
+    return found
+
+
+def test_a_public_move_copies_its_argument_once_into_a_public_result(monkeypatch):
+    """Each public move edits one private copy of its argument; one that
+    deletes nothing freezes that copy in place as its result, which holds
+    no list, dict or set of its argument."""
+    copies = []
+    copy_of = OpenClosedComplex._copy
+    monkeypatch.setattr(OpenClosedComplex, "_copy", lambda self: copies.append(self) or copy_of(self))
+    kinds = set()
+    for start in generator_suite().values():
+        c = random_moves(start, seed=3, n=10)
+        for kind, site in dict(applicable_moves(c)).items():
+            copies.clear()
+            moved = _MOVE_BY_KIND[kind](c, site)
+            assert copies == [c], kind
+            assert moved.triangles.__class__ is tuple, kind
+            assert moved.coloured_edges.__class__ is frozenset, kind
+            assert moved._holes == ((), ()), kind
+            assert not _containers(moved) & _containers(c), kind
+            kinds.add(kind)
+    assert kinds == set(_MOVE_BY_KIND)

@@ -466,7 +466,7 @@ def test_memo_holds_at_most_its_bound_and_drops_the_oldest(searches, monkeypatch
     monkeypatch.setattr(T, "_MEMO_ENTRIES", 3)
     _, F = S.group_algebra(QQ, S.GroupTable.cyclic(2))
     networks = [_shapes(F, strip(k, k)) for k in range(1, 7)]
-    keys = [T._intern(shapes)[1] for shapes in networks]
+    keys = [T._key(shapes) for shapes in networks]
     for i, shapes in enumerate(networks):
         assert contraction_order(shapes) == _uncached_order(shapes)
         assert list(T._orders) == keys[max(0, i - 2):i + 1]
@@ -485,6 +485,62 @@ def test_memo_hands_out_a_fresh_list(searches):
     assert second == want and second is not first
     second.clear()
     assert contraction_order(shapes) == want and len(searches) == 1
+
+
+def test_a_memo_hit_neither_interns_nor_searches(monkeypatch):
+    _, F = S.group_algebra(QQ, S.GroupTable.cyclic(3))
+    closed = build_dual_network(F, random_moves(closed_surface(2, 1), seed=17, n=30)).tensors
+    shapes = [(t.legs, t.dims) for t in closed]
+    walked = random_moves(zipper(), seed=17, n=30)  # free legs: the last step writes the matrix
+    order, scalar, raw = contraction_order(shapes), greedy_contract(closed).scalar(), state_sum_raw(F, walked)
+
+    def refused(*args):
+        raise AssertionError("a memo hit interned or searched its network")
+
+    monkeypatch.setattr(T, "_intern", refused)
+    monkeypatch.setattr(T, "_searched_order", refused)
+    assert contraction_order(shapes) == order
+    assert greedy_contract(closed).scalar() == scalar
+    assert state_sum_raw(F, walked) == raw
+
+
+def _brute_force(tensors, free):
+    """The contraction of a network, summed over every index of every leg,
+    as ``{indices of the legs free: value}``."""
+    dims = {l: d for t in tensors for l, d in zip(t.legs, t.dims)}
+    legs = sorted(dims)
+    out = {}
+    for idx in product(*(range(dims[l]) for l in legs)):
+        at = dict(zip(legs, idx))
+        v = prod(t.data.get(tuple(at[l] for l in t.legs), 0) for t in tensors)
+        key = tuple(at[l] for l in free)
+        out[key] = out.get(key, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def test_memo_keeps_each_tensors_leg_order(searches):
+    """The memo entry carries each step's leg positions, so two networks
+    that differ only in the order of one tensor's legs get entries of
+    their own, and each contracts to its own value."""
+    rng = random.Random(5)
+
+    def tensor(legs):
+        entries = {idx: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                   for idx in product(range(2), repeat=len(legs))}
+        return Tensor(QQ, legs, (2,) * len(legs), {k: v for k, v in entries.items() if v})
+
+    a, b, c = tensor(("x", "y", "u")), tensor(("y", "z", "x")), tensor(("z", "v"))
+    swapped = Tensor(QQ, ("y", "x", "u"), a.dims, a.data)  # a's entries, x and y swapped
+    values = []
+    for first in (a, swapped):
+        network = [first, b, c]
+        want = _brute_force(network, ("u", "v"))
+        assert _same_tensor(greedy_contract(network), Tensor(QQ, ("u", "v"), (2, 2), want))
+        _, _, rows = greedy_contract(network, ("u",), ("v",))
+        assert {(r, col): v for r, row in rows.items() for col, v in row.items()} == want
+        values.append(want)
+    assert values[0] != values[1]
+    assert len(T._orders) == len(searches) == 2
 
 
 def test_network_is_one_tensor_per_triangle_and_coloured_edge(m2):

@@ -20,8 +20,10 @@ coloured edges (on a unit or a D-brane idempotent) stay lowered.  One factor
 of the inverse window element goes with each interior vertex and each
 non-corner vertex of the black out-boundary.  Because the inverse window
 element is central, each connected component's factor ``a^-k`` may act on any
-leg of it; it is folded into the component's first triangle tensor, on its
-first leg, and a test asserts the placement is immaterial.
+leg of it.  It is counted before any triangle is built and twists the form
+of the component's first triangle, ``g3(a^-k x, y, z)``, before its legs are
+raised (``_triangle_data``, cached per raised pattern and ``k`` like the
+untwisted forms); a test asserts the placement is immaterial.
 ``state_sum_raw`` keeps one ``A`` leg per black edge: the triangulation-level
 morphism.
 
@@ -30,12 +32,13 @@ legs through the closed-form splitting of its boundary projector.
 ``P_kl = Delta^(k) o a^-(k-1) o mu^(l)`` and ``mu^(h) o Delta^(h) = a^(h-1)``
 give ``P_h1 o P_1h = P_hh`` and ``P_1h o P_h1 = id``, so ``im = P_h1``,
 ``coim = P_1h`` split ``P_hh`` through ``A`` itself.  They are built as chains
-of ``h - 1`` sparse three-leg copies of ``P_21`` (input) or ``P_12`` (output),
-so no dense ``n^h x n^h`` matrix appears, and an interval leg is the chain's
-joined leg.  Only a circle component gets one two-leg closing tensor, through
-``im_p``/``coim_p``, which splits ``Q_hh`` through ``C = p(A)``.  Interval
-legs are the same at both levels; the full level, which is triangulation
-independent, differs only by the central ``a_C^(-+1)`` on circle legs.
+of ``h - 1`` sparse three-leg copies of ``P_21`` (input) or of ``P_12 = mu``,
+the structure tensor itself (output), so no dense ``n^h x n^h`` matrix
+appears, and an interval leg is the chain's joined leg.  Only a circle
+component gets one two-leg closing tensor, through ``im_p``/``coim_p``,
+which splits ``Q_hh`` through ``C = p(A)``.  Interval legs are the same at
+both levels; the full level, which is triangulation independent, differs
+only by the central ``a_C^(-+1)`` on circle legs.
 """
 
 from __future__ import annotations
@@ -49,12 +52,18 @@ from .tensors import Tensor, greedy_contract
 
 
 @_cached
-def _triangle_data(F: FrobeniusStructure, raised):
-    """The trilinear form's entries ``{(i, j, k): value}`` with the legs at the
-    positions ``raised`` raised through the inverse pairing.  Raising position
-    2 alone gives ``Algebra.structure_tensor``; cyclic invariance rotates it."""
+def _triangle_data(F: FrobeniusStructure, raised, k):
+    """The trilinear form's entries ``{(x, y, z): value}`` twisted by ``a^-k``
+    on its first leg, ``g3(a^-k x, y, z)``, with the legs at the positions
+    ``raised`` then raised through the inverse pairing.  The twist acts on
+    the lowered leg as ``W^T``, ``W`` the matrix of ``a^-k``; as ``L_a`` is
+    self-adjoint for the pairing (``W g^-1 = g^-1 W^T``), a raised leg 0
+    carries ``W`` as on a vector.  Untwisted, raising position 2 alone gives
+    ``Algebra.structure_tensor``; cyclic invariance rotates it."""
     n = F.dim
     t = Tensor(F.field, (0, 1, 2), (n, n, n), F.trilinear())
+    if k:
+        t = t.apply_matrix(0, F.window_power_matrix(-k).transpose())
     for pos in raised:
         t = t.apply_matrix(pos, F.pairing_inverse)
     return t.data
@@ -72,12 +81,10 @@ def signature(F: FrobeniusStructure, components, level):
 
 
 class DualNetwork:
-    def __init__(self, tensors: list, in_components: list, out_components: list,
-                 exponents: dict):
+    def __init__(self, tensors: list, in_components: list, out_components: list):
         self.tensors = tensors
         self.in_components = in_components  # (kind, [leg ids]) per black_in component
         self.out_components = out_components
-        self.exponents = exponents  # component root -> a^-k power
 
 
 def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
@@ -100,10 +107,19 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
             free.update(zip(comp.edge_keys(), legs))
             components[side].append((comp.kind, legs))
 
+    # inverse-window exponent per connected component, twisted into the
+    # form of the component's first triangle
+    roots = c.vertex_components()
+    boundary_vs = c.boundary_vertex_set()
+    corners = c.corner_vertices()
+    out_vs = {v for comp in c.black_out for e in comp.edge_keys() for v in e}
+    exponents = {}
+    for v in range(c.vertex_count):
+        if v not in boundary_vs or (v in out_vs and v not in corners):
+            exponents[roots[v]] = exponents.get(roots[v], 0) + 1
+
     interior = set(c.interior_edges())
     tensors = []
-    roots = c.vertex_components()
-    first_triangle = {}  # component root -> (index of its first triangle, leg 0 raised)
     for (a, b, cc) in c.triangles:
         legs, raised = [], []
         for pos, (u, v) in enumerate(((a, b), (b, cc), (cc, a))):
@@ -112,44 +128,23 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
             legs.append(leg)
             if (u, v) in interior or leg[0] == "out":
                 raised.append(pos)
-        first_triangle.setdefault(roots[a], (len(tensors), 0 in raised))
-        tensors.append(Tensor(F.field, legs, (n, n, n), _triangle_data(F, tuple(raised))))
+        k = exponents.pop(roots[a], 0)
+        tensors.append(Tensor(F.field, legs, (n, n, n), _triangle_data(F, tuple(raised), k)))
     for e in sorted(c.coloured_edges):
         elem = coloured_elements.get(e)
         coeffs = elem.coeffs if elem is not None else alg.unit
         tensors.append(Tensor.vector(F.field, ("e",) + e, coeffs))
-
-    # inverse-window exponent per connected component
-    boundary_vs = c.boundary_vertex_set()
-    corners = c.corner_vertices()
-    out_vs = set()
-    for comp in c.black_out:
-        for e in comp.edge_keys():
-            out_vs.update(e)
-    exponents = {}
-    for v in range(c.vertex_count):
-        if v not in boundary_vs or (v in out_vs and v not in corners):
-            exponents[roots[v]] = exponents.get(roots[v], 0) + 1
-    # a^-k acts on a form as g3(a^-k x, y, z), i.e. as W^T on a lowered leg;
-    # L_a is self-adjoint for the pairing (W g^-1 = g^-1 W^T): W on a raised one
-    for root, k in exponents.items():
-        i, up = first_triangle[root]
-        w = F.window_power_matrix(-k)
-        tensors[i] = tensors[i].apply_matrix(tensors[i].legs[0], w if up else w.transpose())
-
-    return DualNetwork(tensors, components["in"], components["out"], exponents)
+    return DualNetwork(tensors, components["in"], components["out"])
 
 
 @_cached
 def _chain_data(F: FrobeniusStructure):
-    """Sparse three-leg forms of ``P_21 = Delta o a^-1`` and ``P_12 = mu``,
-    both indexed ``(left, right, joined)``."""
+    """Sparse three-leg forms of ``P_21 = Delta o a^-1`` and of ``P_12 = mu``,
+    the structure tensor, both indexed ``(left, right, joined)``."""
     n = F.dim
     delta = {(r // n, r % n, i): v for r, row in enumerate(F.p_matrix(2, 1).data)
              for i, v in enumerate(row) if v != 0}
-    mu = {(c // n, c % n, k): v for k, row in enumerate(F.p_matrix(1, 2).data)
-          for c, v in enumerate(row) if v != 0}
-    return delta, mu
+    return delta, F.algebra.structure_tensor(("i", "j", "k")).data
 
 
 def _join_legs(F, legs, prefix, data):

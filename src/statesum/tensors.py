@@ -120,7 +120,7 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from math import lcm, prod
 from operator import itemgetter, mul
 
@@ -296,7 +296,7 @@ def contract_pair(t1: Tensor, t2: Tensor, places=None) -> Tensor:
     return Tensor(t1.field, legs, dims, data)
 
 
-def _contract_read_off(t1, t2, row_legs, col_legs, D, places=None):
+def _contract_read_off(t1, t2, row_legs, col_legs, D, places):
     """``contract_pair(t1, t2, places).read_off(row_legs, col_legs)``, written
     by the contraction itself (see the module docstring).  Over Q the integer
     sums are divided by ``D``, one ``Fraction`` per distinct value; over F_p
@@ -598,9 +598,7 @@ def greedy_contract(tensors, row_legs=None, col_legs=None):
     rational = tensors[0].field.p is None
     items, D = _clear_denominators(tensors) if rational else (list(tensors), 1)
     steps = contraction_order([(t.legs, t.dims) for t in items])
-    # the memo entry carries each step's leg positions; the steps of an
-    # order from any other planner find their own
-    places = _step_places(steps) if isinstance(steps, _Order) else repeat(None)
+    places = _step_places(steps)  # read from the memo entry, as the steps are
     fused = row_legs is not None and steps
     for a, b in steps[:-1] if fused else steps:
         items.append(contract_pair(items[a], items[b], next(places)))

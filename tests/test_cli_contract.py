@@ -351,19 +351,21 @@ def test_brane_colours_that_are_not_a_map_from_arc_indices_are_refused(workdir, 
 
 
 def test_eval_refuses_a_brane_coloured_complex(workdir, capsys):
-    # over M_1 + M_1 a coloured strip(1, 1) printed the uncoloured file's result
+    # over M_1 + M_1 a coloured strip(1, 1) printed the uncoloured file's
+    # result, and fuzz walked it uncoloured to "all_equal": true; both refuse it
     apath = str(workdir / "m1m1.json")
     assert main(["catalog", "algebra", "matsum", "1,1", "1,1", "-o", apath]) == 0
     doc = sio.complex_to_json(strip(1, 1))
-    plain = ["eval", "--algebra", apath, "--complex", _write(workdir / "plain.json", doc), "--json"]
-    assert main(plain) == 0
-    capsys.readouterr()
+    plain = _write(workdir / "plain.json", doc)
     doc["brane_colours"] = {"0": "x", "1": "y"}
-    argv = ["eval", "--algebra", apath, "--complex", _write(workdir / "branes.json", doc), "--json"]
-    assert main(argv) == 1
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert json.loads(out)["error"] == "InvalidInput"
+    branes = _write(workdir / "branes.json", doc)
+    for command in ("eval", "fuzz"):
+        assert main([command, "--algebra", apath, "--complex", plain, "--json"]) == 0
+        capsys.readouterr()
+        assert main([command, "--algebra", apath, "--complex", branes, "--json"]) == 1, command
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["error"] == "InvalidInput"
 
 
 def test_an_exact_result_past_the_digit_cap_is_printed_in_full(workdir, capsys):

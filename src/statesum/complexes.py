@@ -36,12 +36,17 @@ verdict reads such an entry (``_resynced_sites``), about ten a step on the
 benchmark's ``fuzz-moves`` walks, where a listing checks every site.  A walk
 (``random_moves``) copies its start once and edits the copy move by move, so
 a step costs what it changes; a public move edits a fresh copy of its
-argument.  A deleted vertex or triangle id stays unused and a new one takes
-the next id, so no entry is renumbered.  ``_compacted`` makes the public
-result, closing the gaps in one constructor call, or, if there are none,
-freezing the private complex in place.  Its renaming keeps the order of the
-ids, so every sorted site list, and with it every draw of a walk, reads as
-if the ids were compacted at each step.
+argument.  ``_patched`` canonicalises the changed triangles and notes what
+the updates read, the number of triangles on each of their edges and at
+each of their vertices and which are coloured or on the boundary, in one
+pass before the edit; ``_resynced_sites`` then reruns the checks from one
+pass over those edges and one over those vertices.  A deleted vertex or
+triangle id stays unused and a new one takes the next id, so no entry is
+renumbered.  ``_compacted`` makes the public result, closing the gaps in
+one constructor call, or, if there are none, freezing the private complex
+in place.  Its renaming keeps the order of the ids, so every sorted site
+list, and with it every draw of a walk, reads as if the ids were compacted
+at each step.
 
 ``require_valid`` scans a complex once: a clean scan is remembered, so a
 second call is a flag test (``validate`` always scans and reports).  A walk
@@ -61,14 +66,6 @@ from .errors import InvalidComplexError, NotApplicableError
 
 def ekey(u: int, v: int):
     return (u, v) if u < v else (v, u)
-
-
-def _edges_of(triangles):
-    """The set of edges of the given canonical triangles."""
-    edges = set()
-    for (a, b, c) in triangles:  # a is the smallest
-        edges.update(((a, b), (a, c), (b, c) if b < c else (c, b)))
-    return edges
 
 
 def _roots(pairs, nodes=()):
@@ -506,37 +503,58 @@ class OpenClosedComplex:
         reach are edited, and so are the move sites once they are listed."""
         c = self if self.triangles.__class__ is list else self._copy()
         tris, et, vt, bat = c.triangles, c._edge_tris, c._vertex_tris, c._boundary_at
-        changes = {i: t and canonical_triangle(t) for i, t in changes.items()}
-        changed = [tris[i] for i in changes if i < len(tris)] + list(filter(None, changes.values()))
-        edges, touched = _edges_of(changed), {v for t in changed for v in t}
-        # read by the boundary and site updates: before the edit, the number of triangles on
-        # each changed edge and at each touched vertex, and which are boundary or coloured
-        before = ({e: len(et.get(e, ())) for e in edges}, {v: len(vt.get(v, ())) for v in touched},
-                  {v for v in touched if v in bat}, {e for e in edges if e in c.coloured_edges})
-        for i in changes:
-            if i < len(tris):
-                c._drop_triangle(i)
-        tris.extend([None] * (max(changes) + 1 - len(tris)))
+        coloured, end = c.coloured_edges, len(tris)
+        # one pass before the edit (see the module docstring), over the removed and
+        # added triangles (``changed``), their edges E and their vertices (touched)
+        new, changed, pcount, pdegree, pbat, pcoloured = {}, [], {}, {}, set(), set()
         for i, t in changes.items():
-            old, tris[i] = tris[i] or (), t
-            for v in set(old).symmetric_difference(t or ()):
-                if v in old:
-                    vt[v].remove(i)
-                else:
-                    insort(vt.setdefault(v, []), i)
+            new[i] = t = t and canonical_triangle(t)
+            for tri in (tris[i] if i < end else None, t):
+                if tri:
+                    changed.append(tri)
+                    a, b, x = tri  # canonical: a is the smallest
+                    for e in ((a, b), (a, x), (b, x) if b < x else (x, b)):
+                        if e not in pcount:
+                            pcount[e] = len(et.get(e, ()))
+                            if e in coloured:
+                                pcoloured.add(e)
+                    for v in tri:
+                        if v not in pdegree:
+                            pdegree[v] = len(vt.get(v, ()))
+                            if v in bat:
+                                pbat.add(v)
+        tris.extend([None] * (max(new) + 1 - end))
+        for i, t in new.items():
+            old = tris[i]
+            if old:
+                c._drop_triangle(i)  # reads tris[i]
+                for v in old:
+                    if not (t and v in t):
+                        vt[v].remove(i)
+            tris[i] = t
             if t:
                 c._add_triangle(i)
+                for v in t:
+                    if not (old and v in old):
+                        ts = vt.setdefault(v, [])
+                        if ts and ts[-1] > i:
+                            insort(ts, i)
+                        else:  # a new triangle's id is the largest
+                            ts.append(i)
             else:
                 insort(c._holes[1], i)
-        for v in touched:
+        for v in pdegree:
             if not vt[v]:
                 del vt[v]
                 c._holes[0].append(v)
-        for e in edges:
-            now = len(et.get(e, ())) == 1
-            if now != (before[0][e] == 1):  # e joined or left the boundary
+        flipped = []  # the edges of E that appeared or vanished
+        for e, was in pcount.items():
+            count = len(et.get(e, ()))
+            if not (count and was):
+                flipped.append(e)
+            if (count == 1) != (was == 1):  # e joined or left the boundary
                 for v in e:
-                    at = [f for f in bat.pop(v, ()) if f != e] + [e] * now
+                    at = [f for f in bat.pop(v, ()) if f != e] + [e] * (count == 1)
                     if at:
                         bat[v] = sorted(at)
         if recoloured:
@@ -549,7 +567,7 @@ class OpenClosedComplex:
             c.edge_colours.update(dict.fromkeys(added, colour) if colour is not None else ())
         c.vertex_count = vertex_count or c.vertex_count
         if c._sites is not None:
-            _resynced_sites(c, changes, changed, before)
+            _resynced_sites(c, new, changed, (pcount, pdegree, pbat, pcoloured, flipped))
         return c
 
     def __repr__(self):
@@ -878,7 +896,7 @@ def _resynced_sites(c, changes, changed, before):
     indices of ``changes``; ``changed`` holds the removed and added triangles.
     Call their vertices ``touched`` and their edges E, and the edges of E that
     appeared or vanished E+-.  ``before`` is what the checks read before the
-    edit (see ``_patched``).  A triangle outside ``changed`` is as it was, and
+    edit, and E+- (see ``_patched``).  A triangle outside ``changed`` is as it was, and
     so is the number of triangles at a vertex outside ``touched``; colours and
     numbers of triangles change only on E.  So each check is rerun only at
     the sites whose verdict reads something the change edited:
@@ -910,70 +928,64 @@ def _resynced_sites(c, changes, changed, before):
       rerun it at the ends of the edges of E on the boundary before or
       after, and at the vertices whose neighbours on the boundary are the
       ends of an edge of E+-."""
-    et, vt, bat = c._edge_tris, c._vertex_tris, c._boundary_at
-    pcount, pdegree, pbat, pcoloured = before  # keyed by E, touched, touched, E
-    edges, touched = pcount, pdegree
-    flipped = {e for e in edges if e not in et or not pcount[e]}
-    flips, merges, edge_sites, vertex_sites = c._sites
-
-    verdicts = {e: _flippable(et, et.get(e, ())) for e in edges}
-    for (x, y) in flipped:
-        if len(vt.get(x, ())) > len(vt.get(y, ())):
-            x, y = y, x
+    et, vt, bat, coloured = c._edge_tris, c._vertex_tris, c._boundary_at, c.coloured_edges
+    pcount, pdegree, pbat, pcoloured, flipped = before  # keyed by E, touched, touched, E; E+-
+    shelled = coloured or pcoloured  # else no shelling applies, before or after
+    (_, split), (_, open_) = _EDGE_SHELLINGS  # ranks 0 and 1
+    (_, merge), (_, close) = _VERTEX_SHELLINGS
+    # the verdicts of the flips, merges, edge and vertex shellings, found in one
+    # pass over E, one over touched, then at the sites E+- and ``changed`` reach
+    flips, merges, edge_sites, vertex_sites = verdicts = {}, {}, {}, {}
+    for e, was in pcount.items():
+        entries = et.get(e, ())
+        count = len(entries)
+        flips[e] = _flippable(et, entries)
+        if shelled:
+            if e in coloured or e in pcoloured:
+                edge_sites[e, 0] = split(c, e) is not None
+                edge_sites[e, 1] = open_(c, e) is not None
+            if count != was:  # an apex in one triangle may have e for its inner edge
+                for _, apex in entries:
+                    if len(vt[apex]) == 1:
+                        vertex_sites[apex, 0] = apex in bat and merge(c, apex) is not None
+            if count == 1 or was == 1:
+                for v in e:
+                    vertex_sites[v, 1] = v in bat and close(c, v) is not None
+    for x, was in pdegree.items():
+        degree = len(vt.get(x, ()))
+        if degree == 3 or was == 3:
+            merges[x] = degree == 3 and _merge_site(c, x) is not None
+        if shelled:
+            if degree == 1 or was == 1:
+                vertex_sites[x, 0] = x in bat and merge(c, x) is not None
+            if (degree == 1) != (was == 1):  # came to or left one triangle
+                for e in bat.get(x, ()):
+                    if e in coloured:
+                        edge_sites[e, 1] = open_(c, e) is not None
+            if (x in bat) != (x in pbat):  # joined or left the boundary
+                for i in vt.get(x, ()):
+                    o = ekey(*_opposite(c, i, x))
+                    if o in coloured:
+                        edge_sites[o, 1] = open_(c, o) is not None
+    for (p, q) in flipped:
+        x, y = (q, p) if len(vt.get(p, ())) > len(vt.get(q, ())) else (p, q)
         for i in vt.get(x, ()):
             if i not in changes:
                 o = ekey(*_opposite(c, i, x))
                 entries = et[o]
                 if len(entries) == 2 and (entries[0][1] == y or entries[1][1] == y):
-                    verdicts[o] = _flippable(et, entries)
-    _resynced(flips, verdicts)
-
-    verdicts = {v: len(vt.get(v, ())) == 3 and _merge_site(c, v) is not None
-                for v in touched if len(vt.get(v, ())) == 3 or pdegree[v] == 3}
-    for (a, b, _) in changed:
-        for _, apex in et.get((a, b), ()):
-            if apex not in verdicts and len(vt[apex]) == 3:
-                verdicts[apex] = _merge_site(c, apex) is not None
-    _resynced(merges, verdicts)
-
-    coloured = c.coloured_edges
-    if coloured or pcoloured:  # else no shelling applies, before or after
-        (_, split), (_, open_) = _EDGE_SHELLINGS  # ranks 0 and 1
-        verdicts = {}
-        for e in edges:
-            if e in coloured or e in pcoloured:
-                verdicts[e, 0] = split(c, e) is not None
-                verdicts[e, 1] = open_(c, e) is not None
-        for x in touched:
-            if (len(vt.get(x, ())) == 1) != (pdegree[x] == 1):  # came to or left one triangle
-                for e in bat.get(x, ()):
-                    if e in coloured:
-                        verdicts[e, 1] = open_(c, e) is not None
-            if (x in bat) != (x in pbat):  # joined or left the boundary
-                for i in vt.get(x, ()):
-                    o = ekey(*_opposite(c, i, x))
-                    if o in coloured:
-                        verdicts[o, 1] = open_(c, o) is not None
-        _resynced(edge_sites, verdicts)
-
-        (_, merge), (_, close) = _VERTEX_SHELLINGS
-        verdicts = {(v, 0): v in bat and merge(c, v) is not None
-                    for v in touched if len(vt.get(v, ())) == 1 or pdegree[v] == 1}
-        for e in edges:
-            count, was = len(et.get(e, ())), pcount[e]
-            if count != was:  # an apex in one triangle may have e for its inner edge
-                for _, apex in et.get(e, ()):
-                    if len(vt[apex]) == 1:
-                        verdicts[apex, 0] = apex in bat and merge(c, apex) is not None
-            if count == 1 or was == 1:
-                for v in e:
-                    verdicts[v, 1] = v in bat and close(c, v) is not None
-        for (p, q) in flipped:
+                    flips[o] = _flippable(et, entries)
+        if shelled:
             for (u, v) in bat.get(p, ()):
                 w = v if u == p else u
                 if ekey(w, q) in bat[w]:
-                    verdicts[w, 1] = close(c, w) is not None
-        _resynced(vertex_sites, verdicts)
+                    vertex_sites[w, 1] = close(c, w) is not None
+    for (a, b, _) in changed:
+        for _, apex in et.get((a, b), ()):
+            if apex not in merges and len(vt[apex]) == 3:
+                merges[apex] = _merge_site(c, apex) is not None
+    for sites, found in zip(c._sites, verdicts):
+        _resynced(sites, found)
 
 
 # -- seeded fuzz driver ---------------------------------------------------------------

@@ -23,7 +23,10 @@ element is central, each connected component's factor ``a^-k`` may act on any
 leg of it.  It is counted before any triangle is built and twists the form
 of the component's first triangle, ``g3(a^-k x, y, z)``, before its legs are
 raised (``_triangle_data``, cached per raised pattern and ``k`` like the
-untwisted forms); a test asserts the placement is immaterial.
+untwisted forms); a test asserts the placement is immaterial.  One pass
+over the edge index names each edge's leg, notes whether a triangle
+traversing it upwards or downwards raises it and finds the boundary
+vertices; each distinct raised pattern and ``k`` is looked up once.
 ``state_sum_raw`` keeps one ``A`` leg per black edge: the triangulation-level
 morphism.
 
@@ -44,7 +47,7 @@ only by the central ``a_C^(-+1)`` on circle legs.
 from __future__ import annotations
 
 from .algebra import _cached
-from .complexes import OpenClosedComplex, ekey
+from .complexes import OpenClosedComplex
 from .errors import HasBlackBoundaryError
 from .frobenius import FrobeniusStructure
 from .morphism import Morphism, full_factor, split_factor
@@ -95,8 +98,7 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
     elements that replace the unit (D-brane colouring).
     """
     c.require_valid()
-    alg = F.algebra
-    n = alg.dim
+    field, n = F.field, F.dim
     coloured_elements = coloured_elements or {}
 
     free = {}  # black edge -> its free leg
@@ -107,10 +109,22 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
             free.update(zip(comp.edge_keys(), legs))
             components[side].append((comp.kind, legs))
 
+    # one pass over the edge index: each edge's leg, named once, and whether a
+    # triangle raises it when it traverses the edge upwards (u < v) and when
+    # downwards, and the boundary vertices
+    edge_legs, boundary_vs = {}, set()
+    for e, ts in c.edge_triangles().items():
+        if len(ts) == 2:
+            edge_legs[e] = ("e",) + e, True, False
+        else:
+            boundary_vs.update(e)
+            leg = free.get(e) or ("e",) + e
+            out = leg[0] == "out"
+            edge_legs[e] = leg, out, out
+
     # inverse-window exponent per connected component, twisted into the
     # form of the component's first triangle
     roots = c.vertex_components()
-    boundary_vs = c.boundary_vertex_set()
     corners = c.corner_vertices()
     out_vs = {v for comp in c.black_out for e in comp.edge_keys() for v in e}
     exponents = {}
@@ -118,22 +132,24 @@ def build_dual_network(F: FrobeniusStructure, c: OpenClosedComplex,
         if v not in boundary_vs or (v in out_vs and v not in corners):
             exponents[roots[v]] = exponents.get(roots[v], 0) + 1
 
-    interior = set(c.interior_edges())
+    forms = {}  # (raised pattern, k) -> _triangle_data, looked up once each
+    dims = (n, n, n)
     tensors = []
-    for (a, b, cc) in c.triangles:
-        legs, raised = [], []
-        for pos, (u, v) in enumerate(((a, b), (b, cc), (cc, a))):
-            e = ekey(u, v)
-            leg = free.get(e, ("e",) + e)
-            legs.append(leg)
-            if (u, v) in interior or leg[0] == "out":
-                raised.append(pos)
-        k = exponents.pop(roots[a], 0)
-        tensors.append(Tensor(F.field, legs, (n, n, n), _triangle_data(F, tuple(raised), k)))
+    for (a, b, x) in c.triangles:  # canonical: (a, b) runs upwards, (x, a) downwards
+        leg0, raised0, _ = edge_legs[a, b]
+        if b < x:
+            leg1, raised1, _ = edge_legs[b, x]
+        else:
+            leg1, _, raised1 = edge_legs[x, b]
+        leg2, _, raised2 = edge_legs[a, x]
+        key = raised0, raised1, raised2, exponents.pop(roots[a], 0)
+        if (data := forms.get(key)) is None:
+            forms[key] = data = _triangle_data(F, tuple(p for p in range(3) if key[p]), key[3])
+        tensors.append(Tensor(field, (leg0, leg1, leg2), dims, data))
     for e in sorted(c.coloured_edges):
         elem = coloured_elements.get(e)
-        coeffs = elem.coeffs if elem is not None else alg.unit
-        tensors.append(Tensor.vector(F.field, ("e",) + e, coeffs))
+        coeffs = elem.coeffs if elem is not None else F.algebra.unit
+        tensors.append(Tensor.vector(field, edge_legs[e][0], coeffs))
     return DualNetwork(tensors, components["in"], components["out"])
 
 

@@ -221,13 +221,14 @@ def _row_sums(t1, t2, places=None):
     ``t2``'s entries are bucketed by shared key as ``(column id, value)`` and
     ``t1``'s grouped by output row.  ``places`` are the leg positions
     ``_places`` gives for the two tensors, found here if not given.  Returns
-    the positions of ``t1``'s and ``t2``'s free legs, ``t2``'s free parts by
+    the getters (``_getter``) of ``t1``'s and ``t2``'s free parts, which also
+    read the free legs and dimensions off a tensor, ``t2``'s free parts by
     column id, and an iterator over the output rows as ``(t1's free part,
     {column id: sum})``, in order of first appearance, with the sums
     unreduced.  Tensors over different fields are refused with
     ``ValueError``.
     """
-    if t1.field != t2.field:
+    if t1.field is not t2.field and t1.field != t2.field:
         raise ValueError(f"cannot multiply a tensor over {t1.field} by one over {t2.field}")
     at1, at2, keep1, keep2 = places or _places(t1.legs, t2.legs)
     shared1, shared2 = _getter(at1), _getter(at2)
@@ -235,22 +236,22 @@ def _row_sums(t1, t2, places=None):
 
     cols = {}  # free part of a t2 index -> its column id
     buckets = {}  # shared key -> [(column id, t2 value)]
+    col, bucket = cols.setdefault, buckets.setdefault
     for idx, v in t2.data.items():
-        j = cols.setdefault(free2(idx), len(cols))
-        buckets.setdefault(shared2(idx), []).append((j, v))
+        bucket(shared2(idx), []).append((col(free2(idx), len(cols)), v))
     rows = {}  # free part of a t1 index -> [(t1 value, its bucket)]
+    hit, row = buckets.get, rows.setdefault
     for idx, v in t1.data.items():
-        hits = buckets.get(shared1(idx))
+        hits = hit(shared1(idx))
         if hits:
-            rows.setdefault(free1(idx), []).append((v, hits))
+            row(free1(idx), []).append((v, hits))
 
     def sums():
         # each sum starts at its first product, not at the int 0, so a
         # Fraction sum never goes through Fraction.__radd__
         for base, terms in rows.items():
-            v, hits = terms[0]
-            acc = {j: v * v2 for j, v2 in hits}
-            for v, hits in terms[1:]:
+            acc = {}
+            for v, hits in terms:
                 for j, v2 in hits:
                     if j in acc:
                         acc[j] += v * v2
@@ -258,7 +259,7 @@ def _row_sums(t1, t2, places=None):
                         acc[j] = v * v2
             yield base, acc
 
-    return keep1, keep2, list(cols), sums()
+    return free1, free2, list(cols), sums()
 
 
 def _places(legs1, legs2):
@@ -279,7 +280,7 @@ def contract_pair(t1: Tensor, t2: Tensor, places=None) -> Tensor:
     Row by row (see ``_row_sums``, which takes ``places``); each sum is
     reduced once, and only a nonzero one pays for its output index tuple.
     """
-    keep1, keep2, col, rows = _row_sums(t1, t2, places)
+    free1, free2, col, rows = _row_sums(t1, t2, places)
     p = t1.field.p
     data = {}
     for base, acc in rows:
@@ -291,9 +292,7 @@ def contract_pair(t1: Tensor, t2: Tensor, places=None) -> Tensor:
             for j, s in acc.items():
                 if r := s % p:
                     data[base + col[j]] = r
-    legs = tuple(t1.legs[i] for i in keep1) + tuple(t2.legs[i] for i in keep2)
-    dims = tuple(t1.dims[i] for i in keep1) + tuple(t2.dims[i] for i in keep2)
-    return Tensor(t1.field, legs, dims, data)
+    return Tensor(t1.field, free1(t1.legs) + free2(t2.legs), free1(t1.dims) + free2(t2.dims), data)
 
 
 def _contract_read_off(t1, t2, row_legs, col_legs, D, places):
@@ -306,34 +305,34 @@ def _contract_read_off(t1, t2, row_legs, col_legs, D, places):
     rdims, cdims = [dim[l] for l in row_legs], [dim[l] for l in col_legs]
     rplace = dict(zip(row_legs, _strides(rdims)))
     cplace = dict(zip(col_legs, _strides(cdims)))
-    keep1, keep2, col, rows = _row_sums(t1, t2, places)
-    r1 = [rplace.get(t1.legs[i], 0) for i in keep1]
-    c1 = [cplace.get(t1.legs[i], 0) for i in keep1]
-    rp2 = [rplace.get(t2.legs[i], 0) for i in keep2]
-    cp2 = [cplace.get(t2.legs[i], 0) for i in keep2]
+    free1, free2, col, rows = _row_sums(t1, t2, places)
+    legs1, legs2 = free1(t1.legs), free2(t2.legs)
+    r1, c1 = [rplace.get(l, 0) for l in legs1], [cplace.get(l, 0) for l in legs1]
+    rp2, cp2 = [rplace.get(l, 0) for l in legs2], [cplace.get(l, 0) for l in legs2]
     r2 = [sum(map(mul, rp2, part)) for part in col]
     c2 = [sum(map(mul, cp2, part)) for part in col]
     p = t1.field.p
     values = {}  # one Fraction per distinct integer sum: equal entries share it
     col_ids = {}  # every row keys a column by the same int object
     nonzeros = {}
+    value, row_at, col_id = values.get, nonzeros.get, col_ids.setdefault
     for base, acc in rows:
         rb, cb = sum(map(mul, r1, base)), sum(map(mul, c1, base))
         for j, s in acc.items():
             if p is None:
                 if not s:
                     continue
-                v = values.get(s)
+                v = value(s)
                 if v is None:
                     values[s] = v = Fraction(s, D)
             elif not (v := s % p):
                 continue
             r = rb + r2[j]
-            row = nonzeros.get(r)
+            row = row_at(r)
             if row is None:
                 nonzeros[r] = row = {}
             c = cb + c2[j]
-            row[col_ids.setdefault(c, c)] = v
+            row[col_id(c, c)] = v
     return prod(rdims), prod(cdims), nonzeros
 
 
@@ -593,8 +592,10 @@ def greedy_contract(tensors, row_legs=None, col_legs=None):
     Given ``row_legs`` and ``col_legs``, returns the result's
     ``Tensor.read_off(row_legs, col_legs)`` instead; the last contraction
     step writes it directly (``_contract_read_off``), so the result is
-    never built as a tensor.
+    never built as a tensor.  An empty list is refused with ``ValueError``.
     """
+    if not tensors:
+        raise ValueError("cannot contract an empty network: it has no tensor")
     rational = tensors[0].field.p is None
     items, D = _clear_denominators(tensors) if rational else (list(tensors), 1)
     steps = contraction_order([(t.legs, t.dims) for t in items])

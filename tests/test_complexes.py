@@ -1033,6 +1033,22 @@ def test_walk_children_come_with_patched_sites():
     assert kinds == set(_MOVE_BY_KIND)
 
 
+def test_patched_refuses_a_degenerate_triangle():
+    # _patched canonicalises the new triangles in its one pass over the
+    # changes, before it edits anything: a triangle with a repeated vertex is
+    # refused, and a private complex is left as it was
+    start = closed_surface(1, 0)
+    start._move_sites()
+    for c in (start, start._copy()):
+        n = len(c.triangles)
+        for changes in ({0: (0, 0, 1)}, {0: (1, 2, 1)}, {0: None, n: (3, 4, 3)},
+                        {0: (0, 1, 2), n: (2, 2, 2)}):
+            before = _argument_state(c)
+            with pytest.raises(InvalidComplexError, match="degenerate triangle"):
+                c._patched(changes)
+            assert _argument_state(c) == before, changes
+
+
 def _argument_state(c):
     """A deep copy of what a move could edit in ``c``, its indexes and move sites too."""
     return copy.deepcopy((c.triangles, c._edge_tris, c.vertex_triangles(), c.boundary_edges_at(),

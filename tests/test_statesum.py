@@ -319,6 +319,13 @@ def test_planner_refuses_a_network_that_is_not_a_graph():
     assert T._orders == held
 
 
+def test_greedy_contract_refuses_an_empty_network():
+    # it raised a bare IndexError from reading the first tensor's field
+    for legs in ((None, None), ((), ())):
+        with pytest.raises(ValueError, match="empty network"):
+            greedy_contract([], *legs)
+
+
 # the closed surfaces of the benchmark's surface workloads, over M2+M3
 _BENCH_SURFACES = ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (4, 0))
 
@@ -562,6 +569,59 @@ def test_network_is_one_tensor_per_triangle_and_coloured_edge(m2):
             for leg in t.legs:
                 holders[leg] = holders.get(leg, 0) + 1
         assert max(holders.values()) <= 2
+
+
+def _reference_network(F, c, coloured_elements):
+    """The dual network's tensors built triangle by triangle from the
+    complex's derived sets: each side's leg, raised if the triangle traverses
+    an interior edge upwards (``u < v``) or the side is a black out-edge, and
+    each component's inverse-window count on its first triangle."""
+    free = {}
+    for side, comps in (("in", c.black_in), ("out", c.black_out)):
+        for ci, comp in enumerate(comps):
+            free.update((e, (side, ci, pos, 0)) for pos, e in enumerate(comp.edge_keys()))
+    roots, boundary, corners = c.vertex_components(), c.boundary_vertex_set(), c.corner_vertices()
+    out_vs = {v for comp in c.black_out for e in comp.edge_keys() for v in e}
+    exponents = {}
+    for v in range(c.vertex_count):
+        if v not in boundary or (v in out_vs and v not in corners):
+            exponents[roots[v]] = exponents.get(roots[v], 0) + 1
+    interior = set(c.interior_edges())
+    tensors = []
+    for (a, b, x) in c.triangles:
+        legs, raised = [], []
+        for pos, (u, v) in enumerate(((a, b), (b, x), (x, a))):
+            e = (min(u, v), max(u, v))
+            legs.append(free.get(e, ("e",) + e))
+            if (u, v) in interior or legs[-1][0] == "out":
+                raised.append(pos)
+        data = _triangle_data(F, tuple(raised), exponents.pop(roots[a], 0))
+        tensors.append(Tensor(F.field, legs, (F.dim,) * 3, data))
+    for e in sorted(c.coloured_edges):
+        elem = coloured_elements.get(e)
+        tensors.append(Tensor.vector(F.field, ("e",) + e,
+                                     elem.coeffs if elem is not None else F.algebra.unit))
+    return tensors
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_network_build_matches_the_triangle_by_triangle_build(field):
+    # every triangle shares the cached form of its raised pattern and twist,
+    # so a leg raised on the wrong side would name another data dict
+    alg, F = _z3_window_e_2g(field)
+    suite = S.generator_suite()
+    cases = [(S.random_moves(c, seed=seed, n=30), {}) for c in suite.values() for seed in (5, 17)]
+    cases.append((closed_surface(2, 1), {}))
+    coloured = strip(2, 3)
+    cases.append((coloured, {e: alg.element([field.of_int(i + 1), field.one(), field.zero()])
+                             for i, arc in enumerate(coloured.coloured_arcs()) for e in arc}))
+    for c, colours in cases:
+        got = build_dual_network(F, c, colours).tensors
+        want = _reference_network(F, c, colours)
+        assert len(got) == len(want)
+        for t, w in zip(got, want):
+            assert (t.legs, t.dims) == (w.legs, w.dims), (c, w)
+            assert t.data is w.data if len(w.legs) == 3 else t.data == w.data, (c, w)
 
 
 def test_triangle_with_one_raised_leg_is_the_structure_tensor(m2):
